@@ -159,7 +159,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--streams", help="number of parallel streams (M)")
     p.add_argument("--utterances", help="number of utterances")
     p.add_argument("--seed", help="corpus seed")
-    p.add_argument("--classes", default=None, help="class count C (default 10)")
+    p.add_argument("--classes", default=None,
+                   help=f"class count C (default {_DEFAULTS['classes']})")
     p.add_argument("--frames-min", default=None, dest="frames_min")
     p.add_argument("--frames-max", default=None, dest="frames_max")
     p.add_argument("--alpha-true", default=None, dest="alpha_true")
@@ -193,7 +194,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", help="|".join(experiments.FUSION_METHODS))
     p.add_argument("--model", default=None, help="model file (autoencoder method)")
     p.add_argument("--n", default=None, help="n-best truncation of the schedule")
-    p.add_argument("--base", default=None, help="base method for max_n (default entropy)")
+    p.add_argument("--base", default=None, choices=experiments.FUSION_METHODS,
+                   help=f"base method for max_n (default {_DEFAULTS['base']})")
     p.add_argument("--window", default=None, help="finite M-measure window (frames)")
     p.set_defaults(func=cmd_fuse)
 

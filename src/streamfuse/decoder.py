@@ -80,31 +80,59 @@ def viterbi(
 ) -> np.ndarray:
     """Most likely state path given posteriors-as-emission-scores.
 
-    Ties break toward the lower state index at every step.
+    A batch of one through viterbi_batch(); ties break toward the lower
+    state index at every step.
     """
-    if stream.num_classes != hmm.num_states:
-        raise DimensionMismatch(
-            f"stream has {stream.num_classes} classes, HMM has {hmm.num_states} states"
-        )
-    logp = np.log(np.maximum(stream.probs, LOG_EPS))
-    if scale_by_priors:
-        logp = logp - np.log(np.maximum(hmm.priors, LOG_EPS))
-    log_trans = np.log(np.maximum(hmm.transitions, LOG_EPS))
-    log_prior = np.log(np.maximum(hmm.priors, LOG_EPS))
+    return viterbi_batch(stream.probs[None], hmm, scale_by_priors)[0]
 
-    T, C = logp.shape
-    delta = log_prior + logp[0]
-    back = np.zeros((T, C), dtype=np.intp)
+
+def viterbi_batch(
+    probs: np.ndarray, hmm: HmmModel, scale_by_priors: bool = True
+) -> np.ndarray:
+    """Most likely state paths of B equal-length posterior streams at once.
+
+    probs is a (B, T, C) stack of posterior matrices; the result is the
+    (B, T) array of paths, row b being exactly what viterbi() returns for
+    stream b alone.  Ties break toward the lower state index at every step.
+
+    The forward pass keeps only the max-plus scores.  The backtrace
+    recomputes each step's candidate scores from the stored ones; they are
+    the same floats as in the forward pass, so its argmax picks the same
+    (lowest-index) predecessor a stored backpointer would.
+    """
+    probs = np.asarray(probs, dtype=np.float64)
+    if probs.ndim != 3 or probs.shape[2] != hmm.num_states:
+        raise DimensionMismatch(
+            f"HMM has {hmm.num_states} states: expected a (B, T, {hmm.num_states}) "
+            f"posterior stack, got shape {probs.shape}"
+        )
+    log_prior = np.log(np.maximum(hmm.priors, LOG_EPS))
+    log_trans = np.log(np.maximum(hmm.transitions, LOG_EPS))
+    B, T, C = probs.shape
+    logp = np.empty((T, B, C))  # emission scores, time-major
+    np.maximum(probs.transpose(1, 0, 2), LOG_EPS, out=logp)
+    np.log(logp, out=logp)
+    if scale_by_priors:
+        logp -= log_prior
+
+    # The forward pass overwrites the emission scores frame by frame:
+    # hist[t, b, j] becomes the best score of a path ending in state j.
+    hist = logp
+    hist[0] += log_prior
+    cand = np.empty((C, B, C))  # (from, batch, to)
+    best = np.empty((B, C))
+    hist_from = hist.transpose(0, 2, 1)[:, :, :, None]  # (T, from, batch, 1)
+    trans_from = log_trans[:, None, :]  # (from, 1, to)
     for t in range(1, T):
-        cand = delta[:, None] + log_trans  # (from, to)
-        best = np.argmax(cand, axis=0)  # first max = lowest index on ties
-        back[t] = best
-        delta = cand[best, np.arange(C)] + logp[t]
-    path = np.zeros(T, dtype=np.intp)
-    path[-1] = int(np.argmax(delta))
+        np.add(hist_from[t - 1], trans_from, out=cand)
+        np.maximum.reduce(cand, axis=0, out=best)
+        hist[t] += best
+    trans_to = np.ascontiguousarray(log_trans.T)  # (to, from)
+    path = np.empty((T, B), dtype=np.intp)
+    path[-1] = np.argmax(hist[-1], axis=1)
     for t in range(T - 1, 0, -1):
-        path[t - 1] = back[t, path[t]]
-    return path
+        path[t - 1] = np.argmax(hist[t - 1] + trans_to[path[t]], axis=1)
+    return np.ascontiguousarray(path.T)
 
 
 def path_score(
@@ -151,20 +179,21 @@ def levenshtein_counts(ref, hyp) -> tuple[int, int, int]:
     ref = list(ref)
     hyp = list(hyp)
     R, H = len(ref), len(hyp)
-    dp = np.zeros((R + 1, H + 1), dtype=np.intp)
-    dp[:, 0] = np.arange(R + 1)
-    dp[0, :] = np.arange(H + 1)
+    # Plain int lists: numpy-scalar element access dominates on these sizes.
+    dp = [list(range(H + 1))]
     for i in range(1, R + 1):
+        prev, r = dp[-1], ref[i - 1]
+        row = [i] * (H + 1)
         for j in range(1, H + 1):
-            sub = dp[i - 1, j - 1] + (ref[i - 1] != hyp[j - 1])
-            dp[i, j] = min(sub, dp[i - 1, j] + 1, dp[i, j - 1] + 1)
+            row[j] = min(prev[j - 1] + (r != hyp[j - 1]), prev[j] + 1, row[j - 1] + 1)
+        dp.append(row)
     subs = ins = dels = 0
     i, j = R, H
     while i > 0 or j > 0:
-        if i > 0 and j > 0 and dp[i, j] == dp[i - 1, j - 1] + (ref[i - 1] != hyp[j - 1]):
+        if i > 0 and j > 0 and dp[i][j] == dp[i - 1][j - 1] + (ref[i - 1] != hyp[j - 1]):
             subs += int(ref[i - 1] != hyp[j - 1])
             i, j = i - 1, j - 1
-        elif i > 0 and dp[i, j] == dp[i - 1, j] + 1:
+        elif i > 0 and dp[i][j] == dp[i - 1][j] + 1:
             dels += 1
             i -= 1
         else:
@@ -184,7 +213,7 @@ def score(hyp: np.ndarray, ref: np.ndarray) -> ErrorReport:
     fer = float(np.mean(hyp != ref))
     cref = collapse_runs(ref)
     chyp = collapse_runs(hyp)
-    s, i, d = levenshtein_counts(cref, chyp)
+    s, i, d = levenshtein_counts(cref.tolist(), chyp.tolist())
     return ErrorReport(
         frame_error_rate=fer,
         token_error_rate=(s + i + d) / len(cref),

@@ -38,7 +38,14 @@ from .core import (
     n_best_truncate,
     overlap_range,
 )
-from .decoder import ErrorReport, HmmModel, combine_reports, score, viterbi
+from .decoder import (
+    ErrorReport,
+    HmmModel,
+    combine_reports,
+    score,
+    viterbi,
+    viterbi_batch,
+)
 from .errors import MissingModel, StreamFuseError
 
 FUSION_METHODS = (
@@ -284,11 +291,24 @@ def decode_stream_report(
     return _score_vs_labels(path, labels, stream.frame_offset, start)
 
 
+def decode_reports(
+    streams: list[PosteriorStream], labels: np.ndarray, hmm: HmmModel, start: int = 0
+) -> list[ErrorReport]:
+    """Decode equal-length streams in one Viterbi batch and score each one."""
+    paths = viterbi_batch(np.stack([s.probs for s in streams]), hmm)
+    return [
+        _score_vs_labels(path, labels, s.frame_offset, start)
+        for path, s in zip(paths, streams)
+    ]
+
+
 def evaluate_single_streams(corpus: LoadedCorpus) -> list[tuple[str, ErrorReport]]:
     """Per-stream baseline error rates, plus the clean matched stream.
 
     Each stream is scored on the utterance's common overlap range (the
     same span fused systems are scored on) so the numbers are comparable.
+    The aligned streams of an utterance share a length and decode as one
+    batch; the clean stream, of the full length, decodes on its own.
     """
     rows = []
     M = corpus.num_streams
@@ -297,10 +317,9 @@ def evaluate_single_streams(corpus: LoadedCorpus) -> list[tuple[str, ErrorReport
     for u in corpus.utterances:
         lo, _ = overlap_range(u.streams)
         aligned = align_streams(u.streams)
-        for m, s in enumerate(aligned.streams):
-            per_stream[m].append(
-                decode_stream_report(s, u.labels, corpus.hmm, start=lo)
-            )
+        reports = decode_reports(aligned.streams, u.labels, corpus.hmm, start=lo)
+        for m, rep in enumerate(reports):
+            per_stream[m].append(rep)
         clean.append(decode_stream_report(u.clean, u.labels, corpus.hmm))
     for m in range(M):
         rows.append((f"stream:{m}", combine_reports(per_stream[m])))
@@ -357,12 +376,31 @@ def n_sweep(
     model: aemonitor.AeModel | None = None,
     mcfg: measures.MMeasureConfig | None = None,
 ) -> list[tuple[str, ErrorReport]]:
-    """Token error per n for n-best re-weighting, n = 1..M."""
-    rows = []
-    for n in range(1, corpus.num_streams + 1):
-        rep = evaluate_method(corpus, method, model=model, mcfg=mcfg, n=n)
-        rows.append((f"{method}:n={n}", rep))
-    return rows
+    """Token error per n for n-best re-weighting, n = 1..M.
+
+    Row n equals evaluate_method(corpus, method, n=n).  Each utterance is
+    aligned and its schedule computed once; the M fused streams, one per
+    n, decode as one batch.
+    """
+    M = corpus.num_streams
+    per_n: list[list[ErrorReport]] = [[] for _ in range(M)]
+    for utt in corpus.utterances:
+        lo, _ = overlap_range(utt.streams)
+        aligned = align_streams(utt.streams)
+        # n = M keeps every weight, so this is the untruncated schedule of
+        # the method (for max_n, of its base method) that each n cuts down.
+        full = compute_schedule(
+            method,
+            aligned,
+            model=model,
+            oracle_stream=utt.oracle_stream,
+            mcfg=mcfg,
+            n=M,
+        )
+        fused = [fuse(aligned, n_best_truncate(full, n)) for n in range(1, M + 1)]
+        for k, rep in enumerate(decode_reports(fused, utt.labels, corpus.hmm, start=lo)):
+            per_n[k].append(rep)
+    return [(f"{method}:n={k + 1}", combine_reports(reps)) for k, reps in enumerate(per_n)]
 
 
 REPORT_HEADER = (

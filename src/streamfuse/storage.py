@@ -31,6 +31,7 @@ write -> read -> write is byte-stable.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 
@@ -57,6 +58,11 @@ _SCHED_HDR = struct.Struct("<4sHIIB")
 
 
 def _read_exact(f, n: int, what: str) -> bytes:
+    # Sizes come from untrusted headers: compare with what the file holds
+    # before asking read() for them, which could overflow or allocate hugely.
+    left = os.fstat(f.fileno()).st_size - f.tell()
+    if n > left:
+        raise PayloadTruncated(f"{what}: expected {n} bytes, {max(left, 0)} left in file")
     buf = f.read(n)
     if len(buf) != n:
         raise PayloadTruncated(f"{what}: expected {n} bytes, got {len(buf)}")

@@ -66,6 +66,30 @@ def path_score_ref(path, logp_rows, log_trans, log_prior) -> float:
     return s
 
 
+def viterbi_backpointer_ref(logp, log_trans, log_prior):
+    """Best path by the textbook recursion with stored backpointers.
+
+    Takes the emission, transition and prior log scores as nested lists
+    (so the floats are exactly the decoder's) and breaks every tie toward
+    the lowest state index: max() returns the first maximal item.
+    """
+    T, C = len(logp), len(log_prior)
+    delta = [log_prior[c] + logp[0][c] for c in range(C)]
+    back = []
+    for t in range(1, T):
+        ptrs, nxt = [], []
+        for j in range(C):
+            i = max(range(C), key=lambda i: delta[i] + log_trans[i][j])
+            ptrs.append(i)
+            nxt.append(delta[i] + log_trans[i][j] + logp[t][j])
+        back.append(ptrs)
+        delta = nxt
+    path = [max(range(C), key=delta.__getitem__)]
+    for ptrs in reversed(back):
+        path.append(ptrs[path[-1]])
+    return path[::-1]
+
+
 def viterbi_exhaustive(probs, trans, priors, scale_by_priors=True):
     """Best path by brute force over all C^T paths.
 

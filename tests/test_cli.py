@@ -1,5 +1,7 @@
 """End-to-end CLI behaviour through subprocess invocations."""
 
+import shutil
+import struct
 import subprocess
 import sys
 
@@ -183,6 +185,29 @@ class TestFuse:
                 "--method", "bogus")
         assert r.returncode == 2
 
+    def test_unknown_base_exits_2(self, corpus, tmp_path):
+        r = run("fuse", "--corpus", str(corpus), "--out", str(tmp_path / "x"),
+                "--method", "max_n", "--base", "nonsense")
+        assert r.returncode == 2
+        assert "--base" in r.stderr
+
+    def test_hostile_model_header_exits_3(self, corpus, tmp_path):
+        # A C=6, K=1 front end, then a layer declaring a (2**32 - 1) square
+        # weight matrix the file lacks.
+        model = tmp_path / "hostile.stae"
+        model.write_bytes(
+            struct.pack("<4sHIId", b"STAE", 1, 6, 1, 1e-3)
+            + struct.pack("<ii", 0, 0)
+            + bytes(8 * (6 + 6))
+            + struct.pack("<H", 1)
+            + struct.pack("<IIBH", 0xFFFFFFFF, 0xFFFFFFFF, 0, 0)
+        )
+        r = run("fuse", "--corpus", str(corpus), "--out", str(tmp_path / "x"),
+                "--method", "autoencoder", "--model", str(model))
+        assert r.returncode == 3
+        assert "layer 0 weights" in r.stderr
+        assert "Traceback" not in r.stderr
+
 
 class TestEvaluate:
     def test_report_rows_and_hash(self, corpus, tmp_path):
@@ -226,3 +251,14 @@ class TestEvaluate:
         r = run("evaluate", "--corpus", str(tmp_path / "nope"),
                 "--out", str(tmp_path / "r.tsv"))
         assert r.returncode == 3
+
+    def test_hostile_stream_header_exits_3(self, corpus, tmp_path):
+        copy = tmp_path / "corpus"
+        shutil.copytree(corpus, copy)
+        (copy / "utt0000_s01.strm").write_bytes(
+            struct.pack("<4sHIIIiB", b"SATN", 1, 0xFFFFFFFF, 0xFFFFFFFF, 1, 0, 0)
+        )
+        r = run("evaluate", "--corpus", str(copy), "--out", str(tmp_path / "r.tsv"))
+        assert r.returncode == 3
+        assert "stream payload" in r.stderr
+        assert "Traceback" not in r.stderr

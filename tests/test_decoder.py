@@ -9,6 +9,7 @@ import reference as ref
 from conftest import random_simplex, random_stream
 from streamfuse.core import AttentionSchedule, PosteriorStream, StreamSet, fuse
 from streamfuse.decoder import (
+    LOG_EPS,
     ErrorReport,
     HmmModel,
     collapse_runs,
@@ -19,6 +20,7 @@ from streamfuse.decoder import (
     score,
     stationary,
     viterbi,
+    viterbi_batch,
 )
 from streamfuse.errors import DimensionMismatch
 
@@ -124,6 +126,67 @@ class TestViterbi:
         w[:, 0] = 1.0
         fused = fuse(StreamSet([good, junk]), AttentionSchedule(w))
         np.testing.assert_array_equal(viterbi(fused, hmm), viterbi(good, hmm))
+
+
+def quantised_simplex(rng, shape, levels=3):
+    """Dirichlet rows rounded to a few levels, so equal scores (ties) occur."""
+    rows = np.round(rng.dirichlet(np.ones(shape[-1]), size=shape[:-1]) * levels) + 1.0
+    return rows / rows.sum(axis=-1, keepdims=True)
+
+
+class TestViterbiBatch:
+    @settings(deadline=None, max_examples=80)
+    @given(
+        B=st.integers(1, 13),
+        T=st.integers(1, 9),
+        C=st.integers(2, 4),
+        quantise=st.booleans(),
+        scale=st.booleans(),
+        seed=st.integers(0, 10**6),
+    )
+    def test_rows_equal_single_stream_decodes(self, B, T, C, quantise, scale, seed):
+        rng = np.random.default_rng(seed)
+        if quantise:
+            hmm = HmmModel(
+                transitions=quantised_simplex(rng, (C, C)),
+                priors=quantised_simplex(rng, (C,)),
+                labels=tuple(f"s{i}" for i in range(C)),
+            )
+            probs = quantised_simplex(rng, (B, T, C))
+        else:
+            hmm = random_hmm(rng, C)
+            probs = rng.dirichlet(np.ones(C), size=(B, T))
+        paths = viterbi_batch(probs, hmm, scale_by_priors=scale)
+        assert paths.shape == (B, T)
+
+        log_prior = np.log(np.maximum(hmm.priors, LOG_EPS))
+        log_trans = np.log(np.maximum(hmm.transitions, LOG_EPS))
+        for b in range(B):
+            stream = PosteriorStream(probs[b])
+            np.testing.assert_array_equal(
+                paths[b], viterbi(stream, hmm, scale_by_priors=scale)
+            )
+            logp = np.log(np.maximum(probs[b], LOG_EPS))
+            if scale:
+                logp = logp - log_prior
+            assert paths[b].tolist() == ref.viterbi_backpointer_ref(
+                logp.tolist(), log_trans.tolist(), log_prior.tolist()
+            )
+            if C**T <= 256:
+                best, best_path, margin = ref.viterbi_exhaustive(
+                    probs[b].tolist(), hmm.transitions.tolist(), hmm.priors.tolist(), scale
+                )
+                got = path_score(paths[b], stream, hmm, scale_by_priors=scale)
+                assert got == pytest.approx(best, abs=1e-9)
+                if margin > 1e-9:
+                    assert paths[b].tolist() == best_path
+
+    def test_bad_shapes_rejected(self, rng):
+        hmm = make_hmm(3)
+        with pytest.raises(DimensionMismatch):
+            viterbi_batch(rng.dirichlet(np.ones(3), size=5), hmm)  # (T, C), no batch axis
+        with pytest.raises(DimensionMismatch):
+            viterbi_batch(rng.dirichlet(np.ones(4), size=(2, 5)), hmm)
 
 
 class TestCollapseAndLevenshtein:

@@ -73,6 +73,16 @@ class TestStreamFiles:
         with pytest.raises(PayloadTruncated):
             read_stream(path)
 
+    def test_huge_declared_payload_rejected_before_reading(self, tmp_path):
+        # T = C = 2**32 - 1 declares ~2**66 bytes; the size check must
+        # fire before read() sees that count.
+        path = tmp_path / "x.strm"
+        path.write_bytes(
+            struct.pack("<4sHIIIiB", b"SATN", 1, 0xFFFFFFFF, 0xFFFFFFFF, 0, 0, 0)
+        )
+        with pytest.raises(PayloadTruncated):
+            read_stream(path)
+
     def test_trailing_bytes_rejected(self, rng, tmp_path):
         path = tmp_path / "x.strm"
         write_stream(random_stream(rng, 3, 2), path)
@@ -159,6 +169,13 @@ class TestScheduleFiles:
             read_schedule(path)
 
 
+    def test_huge_declared_payload_rejected_before_reading(self, tmp_path):
+        path = tmp_path / "a.schd"
+        path.write_bytes(struct.pack("<4sHIIB", b"SATW", 1, 0xFFFFFFFF, 0xFFFFFFFF, 0))
+        with pytest.raises(PayloadTruncated):
+            read_schedule(path)
+
+
 class TestModelFiles:
     def make_model(self, rng, context=(0, 0), hidden=(4, 3, 4)):
         data = [
@@ -218,6 +235,21 @@ class TestModelFiles:
         path.write_bytes(b"NOPE" + data[4:])
         with pytest.raises(BadMagic):
             read_model(path)
+
+    def test_huge_declared_layer_rejected_before_reading(self, tmp_path):
+        # A valid C=2, K=1 front end, then one layer declaring a
+        # (2**32 - 1) x (2**32 - 1) weight matrix.
+        path = tmp_path / "m.stae"
+        path.write_bytes(
+            struct.pack("<4sHIId", b"STAE", 1, 2, 1, 1e-3)
+            + struct.pack("<ii", 0, 0)
+            + np.zeros(2 + 2, dtype="<f8").tobytes()
+            + struct.pack("<H", 1)
+            + struct.pack("<IIBH", 0xFFFFFFFF, 0xFFFFFFFF, 0, 0)
+        )
+        with pytest.raises(PayloadTruncated) as exc:
+            read_model(path)
+        assert "layer 0 weights" in str(exc.value)
 
 
 class TestManifest:
