@@ -15,7 +15,7 @@ determines the result.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -107,7 +107,7 @@ class AeModel:
 @dataclass
 class TrainConfig:
     learning_rate: float = 1e-3
-    epochs: int = 20
+    epochs: int = 15
     batch_size: int = 128  # frames per gradient update
     seed: int = 0
     optimizer: str = "momentum"  # "sgd" | "momentum"
@@ -342,10 +342,6 @@ def reconstruction_errors(model: AeModel, stream: PosteriorStream) -> np.ndarray
     z = front_end_apply(model.front_end, stream.probs)
     out = forward(model.layers, z)
     return np.sum((out - z) ** 2, axis=1)
-
-
-def reconstruction_error(model: AeModel, stream: PosteriorStream, t: int) -> float:
-    return float(reconstruction_errors(model, stream)[t])
 
 
 def ae_attention(sset: StreamSet, model: AeModel) -> AttentionSchedule:

@@ -33,12 +33,19 @@ def _merge_config(args: argparse.Namespace, parser: argparse.ArgumentParser):
         file_cfg = experiments.read_config(args.config)
     except (OSError, StreamFuseError) as e:
         parser.error(str(e))
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    actions = {
+        a.dest: a for a in commands.choices[args.command]._actions if hasattr(args, a.dest)
+    }
     for key, val in file_cfg.items():
-        attr = key.replace("-", "_")
-        if not hasattr(args, attr):
+        action = actions.get(key.replace("-", "_"))
+        if action is None:
             parser.error(f"unknown config key {key!r}")
-        if getattr(args, attr) is None:
-            setattr(args, attr, val)
+        if action.choices is not None and val not in action.choices:
+            choices = ", ".join(action.choices)
+            parser.error(f"config key {key!r}: {val!r} is not one of {choices}")
+        if getattr(args, action.dest) is None:
+            setattr(args, action.dest, val)
 
 
 def _require(args, parser, *names):
@@ -47,9 +54,16 @@ def _require(args, parser, *names):
             parser.error(f"missing required option --{name.replace('_', '-')}")
 
 
-def _parse_context(text: str) -> tuple[int, int]:
-    left, right = text.split(",")
-    return (int(left), int(right))
+def _parse_context(text: str, parser) -> tuple[int, int]:
+    try:
+        left, right = text.split(",")
+        context = (int(left), int(right))
+    except ValueError:
+        context = None
+    if context not in aemonitor.SPLICE_PLANS:
+        known = " ".join(f"{lo},{hi}" for lo, hi in aemonitor.SPLICE_PLANS)
+        parser.error(f"--context {text!r} has no splice plan; available: {known}")
+    return context
 
 
 def cmd_simulate(args, parser) -> int:
@@ -82,6 +96,7 @@ def cmd_train_ae(args, parser) -> int:
     _require(args, parser, "corpus", "out")
     if int(args.epochs) < 1:
         parser.error("--epochs must be >= 1")
+    context = _parse_context(args.context, parser)
     corpus = experiments.load_corpus(args.corpus)
     cfg = aemonitor.TrainConfig(
         learning_rate=float(args.lr),
@@ -97,7 +112,7 @@ def cmd_train_ae(args, parser) -> int:
         logit_clamp=float(args.logit_clamp),
     )
     model, losses = aemonitor.train_ae(
-        clean, cfg, context=_parse_context(args.context), front_end=front_end
+        clean, cfg, context=context, front_end=front_end
     )
     storage.write_model(model, args.out)
     loss_log = Path(str(args.out) + ".loss")
@@ -111,10 +126,6 @@ def cmd_train_ae(args, parser) -> int:
 
 def cmd_fuse(args, parser) -> int:
     _require(args, parser, "corpus", "out", "method")
-    if args.method not in experiments.FUSION_METHODS:
-        parser.error(
-            f"--method must be one of {', '.join(experiments.FUSION_METHODS)}"
-        )
     corpus = experiments.load_corpus(args.corpus)
     model = storage.read_model(args.model) if args.model else None
     mcfg = MMeasureConfig(window=int(args.window) if args.window else None)
@@ -139,7 +150,7 @@ def cmd_evaluate(args, parser) -> int:
             parser.error("--sweep requires --method")
         model = storage.read_model(args.model) if args.model else None
         rows.extend(experiments.n_sweep(corpus, args.method, model=model))
-    report = experiments.format_report(rows, corpus.cfg.get("config_hash", ""))
+    report = experiments.format_report(rows, experiments.corpus_hash(corpus))
     Path(args.out).write_text(report)
     sys.stdout.write(report)
     return EXIT_OK
@@ -180,7 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="output model file")
     p.add_argument("--context", default=None, help="temporal context, e.g. -16,12")
     p.add_argument("--logit-clamp", default=None, dest="logit_clamp",
-                   help="front-end probability clamp (default 1e-3)")
+                   help=f"front-end probability clamp (default {_DEFAULTS['logit_clamp']})")
     p.add_argument("--epochs", default=None)
     p.add_argument("--lr", default=None)
     p.add_argument("--batch-size", default=None, dest="batch_size")
@@ -191,10 +202,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="key=value config file; flags override")
     p.add_argument("--corpus", help="corpus directory")
     p.add_argument("--out", help="output directory for fused streams")
-    p.add_argument("--method", help="|".join(experiments.FUSION_METHODS))
+    p.add_argument("--method", choices=experiments.FUSION_METHODS)
     p.add_argument("--model", default=None, help="model file (autoencoder method)")
     p.add_argument("--n", default=None, help="n-best truncation of the schedule")
-    p.add_argument("--base", default=None, choices=experiments.FUSION_METHODS,
+    p.add_argument("--base", default=None, choices=tuple(experiments.FRAME_METHODS),
                    help=f"base method for max_n (default {_DEFAULTS['base']})")
     p.add_argument("--window", default=None, help="finite M-measure window (frames)")
     p.set_defaults(func=cmd_fuse)
@@ -206,7 +217,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fused", action="append", help="fused directory (repeatable)")
     p.add_argument("--no-baselines", action="store_true", dest="no_baselines")
     p.add_argument("--sweep", action="store_true", help="n-best sweep, n = 1..M")
-    p.add_argument("--method", default=None, help="method for --sweep")
+    p.add_argument("--method", default=None, choices=experiments.FUSION_METHODS,
+                   help="method for --sweep")
     p.add_argument("--model", default=None, help="model file for --sweep")
     p.set_defaults(func=cmd_evaluate)
     return parser
@@ -223,10 +235,10 @@ _DEFAULTS = {
     "self_loop": "0.92",
     "context": "0,0",
     "logit_clamp": "1e-3",
-    "epochs": "15",
-    "lr": "1e-3",
-    "batch_size": "128",
-    "seed": "0",
+    "epochs": str(aemonitor.TrainConfig.epochs),
+    "lr": str(aemonitor.TrainConfig.learning_rate),
+    "batch_size": str(aemonitor.TrainConfig.batch_size),
+    "seed": str(aemonitor.TrainConfig.seed),
     "base": "entropy",
 }
 

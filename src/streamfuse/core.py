@@ -8,7 +8,7 @@ streams.  Fusion is the weighted sum of the per-stream posterior rows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -17,6 +17,8 @@ from .errors import DimensionMismatch, InvalidN, OverlapEmpty
 # Absolute tolerance on simplex row sums.  Rows inside the tolerance are
 # accepted (classifier outputs carry float noise); rows outside are rejected.
 SIMPLEX_ATOL = 1e-6
+# Floor inside logs; keeps 0 * log(0) terms finite without moving mass.
+LOG_EPS = 1e-10
 
 
 @dataclass

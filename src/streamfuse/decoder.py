@@ -13,10 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PosteriorStream
+from .core import LOG_EPS, PosteriorStream
 from .errors import DimensionMismatch
-
-LOG_EPS = 1e-10
 
 
 @dataclass

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -38,25 +37,8 @@ from .core import (
     n_best_truncate,
     overlap_range,
 )
-from .decoder import (
-    ErrorReport,
-    HmmModel,
-    combine_reports,
-    score,
-    viterbi,
-    viterbi_batch,
-)
+from .decoder import ErrorReport, HmmModel, combine_reports, score, viterbi_batch
 from .errors import MissingModel, StreamFuseError
-
-FUSION_METHODS = (
-    "equal",
-    "entropy",
-    "m_measure",
-    "delta_m",
-    "autoencoder",
-    "oracle",
-    "max_n",
-)
 
 
 def config_hash(pairs: dict) -> str:
@@ -99,23 +81,49 @@ def _hmm_from_json(obj: dict) -> HmmModel:
     )
 
 
+# One row per spec key of corpus.cfg: (key, CorpusSpec field, type).
+# write_corpus writes these keys and load_corpus parses them back.
+_CORPUS_KEYS = (
+    ("utterances", "num_utterances", int),
+    ("frames_min", "frames_min", int),
+    ("frames_max", "frames_max", int),
+    ("classes", "num_classes", int),
+    ("streams", "num_streams", int),
+    ("seed", "seed", int),
+    ("alpha_true", "alpha_true", float),
+    ("alpha_other", "alpha_other", float),
+    ("conf_prob", "conf_prob", float),
+    ("conf_len", "conf_len", float),
+)
+
+
+def _corpus_cfg(scenario: simulator.Scenario) -> dict:
+    # Each value passes through its type, so a spec hashes the same before
+    # write_corpus and after load_corpus (an int alpha_true is written 100.0).
+    cfg = {"scenario": scenario.name}
+    for key, attr, typ in _CORPUS_KEYS:
+        cfg[key] = typ(getattr(scenario.spec, attr))
+    return cfg
+
+
+def corpus_hash(scenario: simulator.Scenario) -> str:
+    """The config_hash of a corpus, as corpus.cfg stores it."""
+    return config_hash(_corpus_cfg(scenario))
+
+
+def _cfg_value(cfg: dict, key: str, typ, path):
+    try:
+        return typ(cfg[key])
+    except KeyError:
+        raise StreamFuseError(f"{path}: missing key {key!r}") from None
+    except ValueError:
+        raise StreamFuseError(f"{path}: bad value {cfg[key]!r} for key {key!r}") from None
+
+
 def write_corpus(scenario: simulator.Scenario, outdir):
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    spec = scenario.spec
-    cfg = {
-        "scenario": scenario.name,
-        "utterances": spec.num_utterances,
-        "frames_min": spec.frames_min,
-        "frames_max": spec.frames_max,
-        "classes": spec.num_classes,
-        "streams": spec.num_streams,
-        "seed": spec.seed,
-        "alpha_true": spec.alpha_true,
-        "alpha_other": spec.alpha_other,
-        "conf_prob": spec.conf_prob,
-        "conf_len": spec.conf_len,
-    }
+    cfg = _corpus_cfg(scenario)
     cfg["config_hash"] = config_hash(cfg)
     write_config(cfg, outdir / "corpus.cfg")
     (outdir / "hmm.json").write_text(json.dumps(_hmm_to_json(scenario.hmm)))
@@ -139,52 +147,81 @@ def write_corpus(scenario: simulator.Scenario, outdir):
     storage.write_manifest(records, outdir / "manifest.txt")
 
 
-@dataclass
-class LoadedUtterance:
-    utt_id: int
-    labels: np.ndarray
-    clean: PosteriorStream
-    streams: StreamSet
-    oracle_stream: int
-
-
-@dataclass
-class LoadedCorpus:
-    cfg: dict
-    hmm: HmmModel
-    utterances: list[LoadedUtterance]
-
-    @property
-    def num_streams(self) -> int:
-        return int(self.cfg["streams"])
-
-
-def load_corpus(indir) -> LoadedCorpus:
+def load_corpus(indir) -> simulator.Scenario:
+    """Read a corpus directory back into the Scenario write_corpus was given."""
     indir = Path(indir)
-    cfg = read_config(indir / "corpus.cfg")
+    cfg_path = indir / "corpus.cfg"
+    cfg = read_config(cfg_path)
+    name = _cfg_value(cfg, "scenario", str, cfg_path)
+    fields = {attr: _cfg_value(cfg, key, typ, cfg_path) for key, attr, typ in _CORPUS_KEYS}
+    try:
+        spec = simulator.CorpusSpec(**fields)
+    except ValueError as e:
+        raise StreamFuseError(f"{cfg_path}: {e}") from None
     hmm = _hmm_from_json(json.loads((indir / "hmm.json").read_text()))
     records = storage.read_manifest(indir / "manifest.txt")
-    M = int(cfg["streams"])
     utterances = []
     for rec in records:
         tag = f"utt{rec.utt_id:04d}"
         labels = np.array(
             [int(x) for x in (indir / f"{tag}.ref").read_text().split()], dtype=np.intp
         )
-        clean = storage.read_stream(indir / f"{tag}_clean.strm")
         streams = StreamSet(
-            [storage.read_stream(indir / f"{tag}_s{m:02d}.strm") for m in range(M)]
+            [
+                storage.read_stream(indir / f"{tag}_s{m:02d}.strm")
+                for m in range(spec.num_streams)
+            ]
         )
         utterances.append(
-            LoadedUtterance(
+            simulator.Utterance(
                 utt_id=rec.utt_id,
                 labels=labels,
-                clean=clean,
+                clean=storage.read_stream(indir / f"{tag}_clean.strm"),
                 streams=streams,
                 oracle_stream=rec.oracle_stream,
             )
         )
-    return LoadedCorpus(cfg=cfg, hmm=hmm, utterances=utterances)
+    profiles = records[0].profiles if records else []
+    return simulator.Scenario(
+        name=name, spec=spec, hmm=hmm, profiles=profiles, utterances=utterances
+    )
+
+
+def _equal(aligned: StreamSet, **_) -> AttentionSchedule:
+    M = aligned.num_streams
+    return AttentionSchedule(np.full((aligned.streams[0].num_frames, M), 1.0 / M))
+
+
+def _autoencoder(aligned: StreamSet, *, model, **_) -> AttentionSchedule:
+    if model is None:
+        raise MissingModel("autoencoder method requires a trained model")
+    return aemonitor.ae_attention(aligned, model)
+
+
+def _oracle(aligned: StreamSet, *, oracle_stream, **_) -> AttentionSchedule:
+    if oracle_stream is None:
+        raise StreamFuseError("oracle method requires the corpus manifest")
+    w = np.zeros((aligned.streams[0].num_frames, aligned.num_streams))
+    w[:, oracle_stream] = 1.0
+    return AttentionSchedule(w)
+
+
+# The schedule function of each frame-wise fusion method, called as
+# fn(aligned, model=, oracle_stream=, mcfg=).  Entries call the monitors
+# through their modules.
+FRAME_METHODS = {
+    "equal": _equal,
+    "entropy": lambda aligned, **_: measures.entropy_attention(aligned),
+    "m_measure": lambda aligned, *, mcfg, **_: measures.binary_window_attention(
+        aligned, mcfg, measure="m"
+    ),
+    "delta_m": lambda aligned, *, mcfg, **_: measures.binary_window_attention(
+        aligned, mcfg, measure="delta_m"
+    ),
+    "autoencoder": _autoencoder,
+    "oracle": _oracle,
+}
+FUSION_METHODS = (*FRAME_METHODS, "max_n")
 
 
 def compute_schedule(
@@ -201,42 +238,30 @@ def compute_schedule(
 
     An explicit n applies n-best truncation on top of any frame-wise
     method; method "max_n" is winner-takes-all (n defaults to 1) over the
-    base method.
+    frame-wise base method.
     """
-    T = aligned.streams[0].num_frames
-    M = aligned.num_streams
     if method == "max_n":
-        sched = compute_schedule(
-            base, aligned, model=model, oracle_stream=oracle_stream, mcfg=mcfg
-        )
-        return n_best_truncate(sched, 1 if n is None else n)
-    if method == "equal":
-        sched = AttentionSchedule(np.full((T, M), 1.0 / M))
-    elif method == "entropy":
-        sched = measures.entropy_attention(aligned)
-    elif method == "m_measure":
-        sched = measures.binary_window_attention(aligned, mcfg, measure="m")
-    elif method == "delta_m":
-        sched = measures.binary_window_attention(aligned, mcfg, measure="delta_m")
-    elif method == "autoencoder":
-        if model is None:
-            raise MissingModel("autoencoder method requires a trained model")
-        sched = aemonitor.ae_attention(aligned, model)
-    elif method == "oracle":
-        if oracle_stream is None:
-            raise StreamFuseError("oracle method requires the corpus manifest")
-        w = np.zeros((T, M))
-        w[:, oracle_stream] = 1.0
-        sched = AttentionSchedule(w)
-    else:
+        method, n = base, 1 if n is None else n
+    if method not in FRAME_METHODS:
         raise StreamFuseError(f"unknown fusion method {method!r}")
-    if n is not None:
-        sched = n_best_truncate(sched, n)
-    return sched
+    sched = FRAME_METHODS[method](
+        aligned, model=model, oracle_stream=oracle_stream, mcfg=mcfg
+    )
+    return sched if n is None else n_best_truncate(sched, n)
+
+
+def _utterance_schedule(
+    utt: simulator.Utterance, method: str, **kwargs
+) -> tuple[int, StreamSet, AttentionSchedule]:
+    """Overlap start, aligned streams and attention schedule of one utterance."""
+    lo, _ = overlap_range(utt.streams)
+    aligned = align_streams(utt.streams)
+    sched = compute_schedule(method, aligned, oracle_stream=utt.oracle_stream, **kwargs)
+    return lo, aligned, sched
 
 
 def fuse_corpus(
-    corpus: LoadedCorpus,
+    corpus: simulator.Scenario,
     method: str,
     outdir,
     *,
@@ -252,57 +277,39 @@ def fuse_corpus(
         "method": method,
         "n": "" if n is None else n,
         "base": base,
-        "corpus_hash": corpus.cfg.get("config_hash", ""),
+        "corpus_hash": corpus_hash(corpus),
     }
     cfg["config_hash"] = config_hash(cfg)
     write_config(cfg, outdir / "fuse.cfg")
     for utt in corpus.utterances:
-        aligned = align_streams(utt.streams)
-        sched = compute_schedule(
-            method,
-            aligned,
-            model=model,
-            oracle_stream=utt.oracle_stream,
-            mcfg=mcfg,
-            n=n,
-            base=base,
+        _, aligned, sched = _utterance_schedule(
+            utt, method, model=model, mcfg=mcfg, n=n, base=base
         )
-        fused = fuse(aligned, sched)
         tag = f"utt{utt.utt_id:04d}"
         storage.write_schedule(sched, outdir / f"{tag}.schd")
-        storage.write_stream(fused, outdir / f"{tag}_fused.strm")
-
-
-def _score_vs_labels(
-    path: np.ndarray, labels: np.ndarray, frame_offset: int, start: int = 0
-) -> ErrorReport:
-    """Score a decoded path whose index j maps to reference frame start+j-offset."""
-    o = frame_offset
-    T = len(path)
-    jlo = max(0, o - start)
-    jhi = min(T - 1, len(labels) - 1 - start + o)
-    return score(path[jlo : jhi + 1], labels[start + jlo - o : start + jhi - o + 1])
-
-
-def decode_stream_report(
-    stream: PosteriorStream, labels: np.ndarray, hmm: HmmModel, start: int = 0
-) -> ErrorReport:
-    path = viterbi(stream, hmm)
-    return _score_vs_labels(path, labels, stream.frame_offset, start)
+        storage.write_stream(fuse(aligned, sched), outdir / f"{tag}_fused.strm")
 
 
 def decode_reports(
     streams: list[PosteriorStream], labels: np.ndarray, hmm: HmmModel, start: int = 0
 ) -> list[ErrorReport]:
-    """Decode equal-length streams in one Viterbi batch and score each one."""
+    """Decode equal-length streams in one Viterbi batch and score each one.
+
+    Index j of a stream's path maps to reference frame start + j - offset.
+    """
     paths = viterbi_batch(np.stack([s.probs for s in streams]), hmm)
-    return [
-        _score_vs_labels(path, labels, s.frame_offset, start)
-        for path, s in zip(paths, streams)
-    ]
+    reports = []
+    for path, s in zip(paths, streams):
+        o, T = s.frame_offset, len(path)
+        jlo = max(0, o - start)
+        jhi = min(T - 1, len(labels) - 1 - start + o)
+        reports.append(
+            score(path[jlo : jhi + 1], labels[start + jlo - o : start + jhi - o + 1])
+        )
+    return reports
 
 
-def evaluate_single_streams(corpus: LoadedCorpus) -> list[tuple[str, ErrorReport]]:
+def evaluate_single_streams(corpus: simulator.Scenario) -> list[tuple[str, ErrorReport]]:
     """Per-stream baseline error rates, plus the clean matched stream.
 
     Each stream is scored on the utterance's common overlap range (the
@@ -310,9 +317,7 @@ def evaluate_single_streams(corpus: LoadedCorpus) -> list[tuple[str, ErrorReport
     The aligned streams of an utterance share a length and decode as one
     batch; the clean stream, of the full length, decodes on its own.
     """
-    rows = []
-    M = corpus.num_streams
-    per_stream: list[list[ErrorReport]] = [[] for _ in range(M)]
+    per_stream: list[list[ErrorReport]] = [[] for _ in range(corpus.spec.num_streams)]
     clean = []
     for u in corpus.utterances:
         lo, _ = overlap_range(u.streams)
@@ -320,14 +325,13 @@ def evaluate_single_streams(corpus: LoadedCorpus) -> list[tuple[str, ErrorReport
         reports = decode_reports(aligned.streams, u.labels, corpus.hmm, start=lo)
         for m, rep in enumerate(reports):
             per_stream[m].append(rep)
-        clean.append(decode_stream_report(u.clean, u.labels, corpus.hmm))
-    for m in range(M):
-        rows.append((f"stream:{m}", combine_reports(per_stream[m])))
+        clean += decode_reports([u.clean], u.labels, corpus.hmm)
+    rows = [(f"stream:{m}", combine_reports(reps)) for m, reps in enumerate(per_stream)]
     rows.append(("clean", combine_reports(clean)))
     return rows
 
 
-def evaluate_fused_dir(corpus: LoadedCorpus, fused_dir) -> tuple[str, ErrorReport]:
+def evaluate_fused_dir(corpus: simulator.Scenario, fused_dir) -> tuple[str, ErrorReport]:
     fused_dir = Path(fused_dir)
     fcfg = read_config(fused_dir / "fuse.cfg")
     name = fcfg["method"]
@@ -337,12 +341,12 @@ def evaluate_fused_dir(corpus: LoadedCorpus, fused_dir) -> tuple[str, ErrorRepor
     for utt in corpus.utterances:
         lo, _ = overlap_range(utt.streams)
         fused = storage.read_stream(fused_dir / f"utt{utt.utt_id:04d}_fused.strm")
-        reports.append(decode_stream_report(fused, utt.labels, corpus.hmm, start=lo))
+        reports += decode_reports([fused], utt.labels, corpus.hmm, start=lo)
     return name, combine_reports(reports)
 
 
 def evaluate_method(
-    corpus: LoadedCorpus,
+    corpus: simulator.Scenario,
     method: str,
     *,
     model: aemonitor.AeModel | None = None,
@@ -353,24 +357,15 @@ def evaluate_method(
     """Fuse in memory and score, without touching disk."""
     reports = []
     for utt in corpus.utterances:
-        lo, _ = overlap_range(utt.streams)
-        aligned = align_streams(utt.streams)
-        sched = compute_schedule(
-            method,
-            aligned,
-            model=model,
-            oracle_stream=utt.oracle_stream,
-            mcfg=mcfg,
-            n=n,
-            base=base,
+        lo, aligned, sched = _utterance_schedule(
+            utt, method, model=model, mcfg=mcfg, n=n, base=base
         )
-        fused = fuse(aligned, sched)
-        reports.append(decode_stream_report(fused, utt.labels, corpus.hmm, start=lo))
+        reports += decode_reports([fuse(aligned, sched)], utt.labels, corpus.hmm, start=lo)
     return combine_reports(reports)
 
 
 def n_sweep(
-    corpus: LoadedCorpus,
+    corpus: simulator.Scenario,
     method: str,
     *,
     model: aemonitor.AeModel | None = None,
@@ -382,21 +377,12 @@ def n_sweep(
     aligned and its schedule computed once; the M fused streams, one per
     n, decode as one batch.
     """
-    M = corpus.num_streams
+    M = corpus.spec.num_streams
     per_n: list[list[ErrorReport]] = [[] for _ in range(M)]
     for utt in corpus.utterances:
-        lo, _ = overlap_range(utt.streams)
-        aligned = align_streams(utt.streams)
         # n = M keeps every weight, so this is the untruncated schedule of
         # the method (for max_n, of its base method) that each n cuts down.
-        full = compute_schedule(
-            method,
-            aligned,
-            model=model,
-            oracle_stream=utt.oracle_stream,
-            mcfg=mcfg,
-            n=M,
-        )
+        lo, aligned, full = _utterance_schedule(utt, method, model=model, mcfg=mcfg, n=M)
         fused = [fuse(aligned, n_best_truncate(full, n)) for n in range(1, M + 1)]
         for k, rep in enumerate(decode_reports(fused, utt.labels, corpus.hmm, start=lo)):
             per_n[k].append(rep)

@@ -17,15 +17,13 @@ All measures use natural logs (nats).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .core import AttentionSchedule, PosteriorStream, StreamSet
+from .core import LOG_EPS, AttentionSchedule, PosteriorStream, StreamSet
 from .errors import WindowTooShort
 
-# Floor inside logs; keeps 0 * log(0) terms finite without moving mass.
-LOG_EPS = 1e-10
 # Entropy floor applied before inversion so a saturated (one-hot) stream
 # yields a large but bounded weight.
 ENTROPY_FLOOR = 1e-3

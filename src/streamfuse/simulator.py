@@ -9,7 +9,7 @@ profile: mixing toward uniform, temporal smearing, outright failure
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 

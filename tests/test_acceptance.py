@@ -54,7 +54,7 @@ def verdict(n: int, ok: bool, detail: str):
     assert ok, detail
 
 
-def build_corpus(name, outdir) -> experiments.LoadedCorpus:
+def build_corpus(name, outdir) -> simulator.Scenario:
     spec = CorpusSpec(
         num_utterances=UTTERANCES,
         frames_min=80,

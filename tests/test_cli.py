@@ -111,6 +111,13 @@ class TestSimulate:
         assert r.returncode == 2
         assert "bogus" in r.stderr
 
+    def test_config_value_outside_choices_exits_2(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("scenario=nope\nstreams=2\nutterances=2\nseed=1\n")
+        r = run("simulate", "--config", str(cfg), "--out", str(tmp_path / "x"))
+        assert r.returncode == 2
+        assert "nope" in r.stderr
+
 
 class TestTrainAe:
     def test_zero_epochs_rejected(self, corpus, tmp_path):
@@ -137,6 +144,21 @@ class TestTrainAe:
         r = run("train-ae", "--corpus", str(tmp_path / "nope"),
                 "--out", str(tmp_path / "m.stae"))
         assert r.returncode == 3
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("context", ["-4,4", "abc"])
+    def test_context_without_splice_plan_exits_2(self, corpus, tmp_path, source, context):
+        args = ["train-ae", "--corpus", str(corpus), "--out", str(tmp_path / "m.stae")]
+        if source == "flag":
+            args += ["--context", context]
+        else:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(f"context={context}\n")
+            args += ["--config", str(cfg)]
+        r = run(*args)
+        assert r.returncode == 2
+        assert "-16,12" in r.stderr  # names the available contexts
+        assert "Traceback" not in r.stderr
 
 
 class TestFuse:
@@ -191,6 +213,19 @@ class TestFuse:
         assert r.returncode == 2
         assert "--base" in r.stderr
 
+    def test_max_n_base_exits_2(self, corpus, tmp_path):
+        r = run("fuse", "--corpus", str(corpus), "--out", str(tmp_path / "x"),
+                "--method", "max_n", "--base", "max_n")
+        assert r.returncode == 2
+
+    def test_config_base_outside_choices_exits_2(self, corpus, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("base=nonsense\n")
+        r = run("fuse", "--config", str(cfg), "--corpus", str(corpus),
+                "--out", str(tmp_path / "x"), "--method", "max_n")
+        assert r.returncode == 2
+        assert "nonsense" in r.stderr
+
     def test_hostile_model_header_exits_3(self, corpus, tmp_path):
         # A C=6, K=1 front end, then a layer declaring a (2**32 - 1) square
         # weight matrix the file lacks.
@@ -235,6 +270,11 @@ class TestEvaluate:
         ]
         assert systems == ["entropy:n=1", "entropy:n=2", "entropy:n=3"]
 
+    def test_sweep_unknown_method_exits_2(self, corpus, tmp_path):
+        r = run("evaluate", "--corpus", str(corpus), "--out", str(tmp_path / "r.tsv"),
+                "--sweep", "--method", "nonsense")
+        assert r.returncode == 2
+
     def test_sweep_requires_method(self, corpus, tmp_path):
         r = run("evaluate", "--corpus", str(corpus), "--out", str(tmp_path / "r.tsv"),
                 "--sweep")
@@ -261,4 +301,18 @@ class TestEvaluate:
         r = run("evaluate", "--corpus", str(copy), "--out", str(tmp_path / "r.tsv"))
         assert r.returncode == 3
         assert "stream payload" in r.stderr
+        assert "Traceback" not in r.stderr
+
+    @pytest.mark.parametrize("bad", ["missing", "streams=abc"])
+    def test_bad_corpus_cfg_exits_3(self, corpus, tmp_path, bad):
+        copy = tmp_path / "corpus"
+        shutil.copytree(corpus, copy)
+        cfg = copy / "corpus.cfg"
+        lines = [ln for ln in cfg.read_text().splitlines() if not ln.startswith("streams=")]
+        if bad != "missing":
+            lines.append(bad)
+        cfg.write_text("\n".join(lines) + "\n")
+        r = run("evaluate", "--corpus", str(copy), "--out", str(tmp_path / "r.tsv"))
+        assert r.returncode == 3
+        assert "'streams'" in r.stderr
         assert "Traceback" not in r.stderr

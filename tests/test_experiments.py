@@ -1,5 +1,6 @@
 """In-memory experiment orchestration over a corpus on disk."""
 
+import numpy as np
 import pytest
 
 from streamfuse import experiments
@@ -8,7 +9,7 @@ from streamfuse.simulator import CorpusSpec, build_scenario
 
 
 @pytest.fixture(scope="module")
-def hrm_corpus(tmp_path_factory):
+def written(tmp_path_factory):
     spec = CorpusSpec(
         num_utterances=6,
         frames_min=30,
@@ -20,12 +21,35 @@ def hrm_corpus(tmp_path_factory):
     scen = build_scenario("hrm_like", spec, hmm=make_hmm(8, 3))
     outdir = tmp_path_factory.mktemp("exp") / "hrm"
     experiments.write_corpus(scen, outdir)
-    return experiments.load_corpus(outdir)
+    return scen, outdir
+
+
+@pytest.fixture(scope="module")
+def hrm_corpus(written):
+    return experiments.load_corpus(written[1])
+
+
+def test_load_corpus_round_trips_the_scenario(written, hrm_corpus):
+    scen, outdir = written
+    got = hrm_corpus
+    assert (got.name, got.spec, got.profiles) == (scen.name, scen.spec, scen.profiles)
+    np.testing.assert_array_equal(got.hmm.transitions, scen.hmm.transitions)
+    np.testing.assert_array_equal(got.hmm.priors, scen.hmm.priors)
+    assert got.hmm.labels == scen.hmm.labels
+    assert [u.utt_id for u in got.utterances] == [u.utt_id for u in scen.utterances]
+    for g, s in zip(got.utterances, scen.utterances):
+        np.testing.assert_array_equal(g.labels, s.labels)
+        assert g.oracle_stream == s.oracle_stream
+        for gs, ss in zip([g.clean, *g.streams.streams], [s.clean, *s.streams.streams]):
+            assert (gs.stream_id, gs.frame_offset) == (ss.stream_id, ss.frame_offset)
+            np.testing.assert_allclose(gs.probs, ss.probs, rtol=1e-6, atol=1e-12)
+    stored = experiments.read_config(outdir / "corpus.cfg")["config_hash"]
+    assert experiments.corpus_hash(got) == experiments.corpus_hash(scen) == stored
 
 
 @pytest.mark.parametrize("method", ["entropy", "max_n"])
 def test_n_sweep_rows_equal_per_n_evaluation(hrm_corpus, method):
-    M = hrm_corpus.num_streams
+    M = hrm_corpus.spec.num_streams
     expected = [
         (f"{method}:n={n}", experiments.evaluate_method(hrm_corpus, method, n=n))
         for n in range(1, M + 1)
