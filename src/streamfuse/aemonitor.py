@@ -164,15 +164,57 @@ def front_end_apply(fe: FrontEnd, prob_rows: np.ndarray) -> np.ndarray:
     return (z - fe.pca_mean) @ fe.pca_basis
 
 
-def _splice(h: np.ndarray, offsets: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """Gather frames at the given offsets, repeating edge frames.
+def _splice(h: np.ndarray, offsets: tuple[int, ...]) -> np.ndarray:
+    """(T, len(offsets) * width) frames at the given offsets, edges repeated.
 
-    Returns the (T, len(offsets) * width) spliced matrix and the (T, n)
-    source-index matrix used for the backward scatter.
+    Each offset's column block is filled from one contiguous slice of h,
+    with the first and last frame standing in for frames beyond the ends.
+    The zero-offset plan returns h itself.
     """
-    T = h.shape[0]
-    idx = np.clip(np.arange(T)[:, None] + np.asarray(offsets, dtype=np.intp), 0, T - 1)
-    return h[idx].reshape(T, -1), idx
+    if offsets == (0,):
+        return h
+    T, W = h.shape
+    x = np.empty((T, len(offsets), W))
+    for k, o in enumerate(offsets):
+        # Rows lo..hi-1 read frame t + o inside the sequence.
+        lo, hi = min(max(-o, 0), T), min(max(T - o, 0), T)
+        x[:lo, k] = h[0]
+        x[lo:hi, k] = h[lo + o : hi + o]
+        x[hi:, k] = h[T - 1]
+    return x.reshape(T, -1)
+
+
+def _unsplice(dx: np.ndarray, offsets: tuple[int, ...]) -> np.ndarray:
+    """Sum a (T, len(offsets) * width) splice gradient onto the frames it read.
+
+    Bit-exact with numpy's unbuffered scatter-add over the clipped
+    (t, k) -> t + offsets[k] index matrix, which adds into each frame,
+    starting from 0.0, in ascending (t, k) order.  Frames 1..T-2 are only
+    read unclamped, from t = r - offsets[k], so ascending t is descending
+    offset: one shifted slice-add per offset in that order.  Frames 0 and
+    T-1 also collect the clamped reads and are summed term by term.  The
+    zero-offset plan is the identity: its gradient is a GEMM product, which
+    holds no -0.0, so adding it to 0.0 would change no bit.
+    """
+    if offsets == (0,):
+        return dx
+    T = dx.shape[0]
+    dx = dx.reshape(T, len(offsets), -1)
+    out = np.zeros((T, dx.shape[2]))
+    for k in sorted(range(len(offsets)), key=lambda k: (-offsets[k], k)):
+        o = offsets[k]
+        lo, hi = max(1, o), min(T - 1, T + o)
+        if lo < hi:
+            out[lo:hi] += dx[lo - o : hi - o, k]
+    # Only t < n_first reach frame 0 and only t >= last reach frame T-1.
+    n_first = min(T, max(0, 1 - min(offsets)))
+    last = max(n_first, T - 1 - max(offsets))
+    for t in (*range(n_first), *range(last, T)):
+        for k, o in enumerate(offsets):
+            r = min(max(t + o, 0), T - 1)
+            if r == 0 or r == T - 1:
+                out[r] += dx[t, k]
+    return out
 
 
 def splice_context(
@@ -180,8 +222,7 @@ def splice_context(
 ) -> np.ndarray:
     """First-layer spliced input vector for frame t under a named context."""
     plan = SPLICE_PLANS[tuple(context)]
-    spliced, _ = _splice(np.asarray(features, dtype=np.float64), plan[0])
-    return spliced[t]
+    return _splice(np.asarray(features, dtype=np.float64), plan[0])[t]
 
 
 def build_architecture(
@@ -223,11 +264,13 @@ def build_architecture(
 
 def forward(layers: list[Layer], z: np.ndarray) -> np.ndarray:
     """Network output over a whole (T, K) feature sequence."""
-    h = np.asarray(z, dtype=np.float64)
+    h = np.ascontiguousarray(z, dtype=np.float64)
     for ly in layers:
-        x, _ = _splice(h, ly.offsets)
-        a = x @ ly.weight + ly.bias
-        h = np.maximum(a, 0.0) if ly.activation == "relu" else a
+        a = _splice(h, ly.offsets) @ ly.weight
+        a += ly.bias
+        if ly.activation == "relu":
+            np.maximum(a, 0.0, out=a)
+        h = a
     return h
 
 
@@ -242,15 +285,15 @@ def loss_and_grads(
     The full sequence is run (splices reach across frames); the loss only
     counts the frames in `rows` (all frames when None).
     """
-    z = np.asarray(z, dtype=np.float64)
+    z = np.ascontiguousarray(z, dtype=np.float64)
     caches = []
     h = z
     for ly in layers:
-        x, idx = _splice(h, ly.offsets)
-        a = x @ ly.weight + ly.bias
-        out = np.maximum(a, 0.0) if ly.activation == "relu" else a
-        caches.append((h.shape, x, idx, a))
-        h = out
+        x = _splice(h, ly.offsets)
+        a = x @ ly.weight
+        a += ly.bias
+        h = np.maximum(a, 0.0) if ly.activation == "relu" else a
+        caches.append((x, a))
     diff = h - target
     if rows is None:
         rows = np.arange(z.shape[0])
@@ -261,15 +304,12 @@ def loss_and_grads(
     grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(layers)
     for i in range(len(layers) - 1, -1, -1):
         ly = layers[i]
-        prev_shape, x, idx, a = caches[i]
+        x, a = caches[i]
         if ly.activation == "relu":
-            d = d * (a > 0)
+            d *= a > 0
         grads[i] = (x.T @ d, d.sum(axis=0))
         if i > 0:
-            dx = (d @ ly.weight.T).reshape(x.shape[0], len(ly.offsets), prev_shape[1])
-            dprev = np.zeros(prev_shape)
-            np.add.at(dprev, idx.ravel(), dx.reshape(-1, prev_shape[1]))
-            d = dprev
+            d = _unsplice(d @ ly.weight.T, ly.offsets)
     return loss, grads
 
 
@@ -318,15 +358,16 @@ def train_ae(
                 loss, grads = loss_and_grads(layers, z, z, rows)
                 if not np.isfinite(loss):
                     raise DivergedTraining(f"training loss became {loss}")
-                for ly, vel, (gw, gb) in zip(layers, velocity, grads):
-                    if cfg.optimizer == "momentum":
-                        vel[0][...] = cfg.momentum_coeff * vel[0] - cfg.learning_rate * gw
-                        vel[1][...] = cfg.momentum_coeff * vel[1] - cfg.learning_rate * gb
-                        ly.weight += vel[0]
-                        ly.bias += vel[1]
-                    else:
-                        ly.weight -= cfg.learning_rate * gw
-                        ly.bias -= cfg.learning_rate * gb
+                # In place, rounding exactly like w += mc * v - lr * g.
+                for ly, vel, grad in zip(layers, velocity, grads):
+                    for w, v, g in zip((ly.weight, ly.bias), vel, grad):
+                        g *= cfg.learning_rate
+                        if cfg.optimizer == "momentum":
+                            v *= cfg.momentum_coeff
+                            v -= g
+                            w += v
+                        else:
+                            w -= g
         epoch_mse = evaluate_mse(layers, z_list)
         if not np.isfinite(epoch_mse):
             raise DivergedTraining(f"training loss became {epoch_mse}")

@@ -24,6 +24,8 @@ EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_NUMERIC = 4
 
+_BOOLEANS = {"1": True, "true": True, "0": False, "false": False}
+
 
 def _merge_config(args: argparse.Namespace, parser: argparse.ArgumentParser):
     """Fill unset argparse values from the key=value config file, if any."""
@@ -44,7 +46,14 @@ def _merge_config(args: argparse.Namespace, parser: argparse.ArgumentParser):
         if action.choices is not None and val not in action.choices:
             choices = ", ".join(action.choices)
             parser.error(f"config key {key!r}: {val!r} is not one of {choices}")
-        if getattr(args, action.dest) is None:
+        if isinstance(action, argparse._StoreTrueAction):
+            if val.lower() not in _BOOLEANS:
+                parser.error(f"config key {key!r}: {val!r} is not one of 1, 0, true, false")
+            if not getattr(args, action.dest):
+                setattr(args, action.dest, _BOOLEANS[val.lower()])
+        elif getattr(args, action.dest) is None:
+            if isinstance(action, argparse._AppendAction):
+                val = [val]
             setattr(args, action.dest, val)
 
 
@@ -171,7 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--utterances", help="number of utterances")
     p.add_argument("--seed", help="corpus seed")
     p.add_argument("--classes", default=None,
-                   help=f"class count C (default {_DEFAULTS['classes']})")
+                   help=f"class count C (default {_DEFAULTS['simulate']['classes']})")
     p.add_argument("--frames-min", default=None, dest="frames_min")
     p.add_argument("--frames-max", default=None, dest="frames_max")
     p.add_argument("--alpha-true", default=None, dest="alpha_true")
@@ -190,8 +199,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", help="corpus directory (clean streams are the data)")
     p.add_argument("--out", help="output model file")
     p.add_argument("--context", default=None, help="temporal context, e.g. -16,12")
+    clamp = _DEFAULTS["train-ae"]["logit_clamp"]
     p.add_argument("--logit-clamp", default=None, dest="logit_clamp",
-                   help=f"front-end probability clamp (default {_DEFAULTS['logit_clamp']})")
+                   help=f"front-end probability clamp (default {clamp})")
     p.add_argument("--epochs", default=None)
     p.add_argument("--lr", default=None)
     p.add_argument("--batch-size", default=None, dest="batch_size")
@@ -206,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", default=None, help="model file (autoencoder method)")
     p.add_argument("--n", default=None, help="n-best truncation of the schedule")
     p.add_argument("--base", default=None, choices=tuple(experiments.FRAME_METHODS),
-                   help=f"base method for max_n (default {_DEFAULTS['base']})")
+                   help=f"base method for max_n (default {_DEFAULTS['fuse']['base']})")
     p.add_argument("--window", default=None, help="finite M-measure window (frames)")
     p.set_defaults(func=cmd_fuse)
 
@@ -224,22 +234,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Per subcommand, so one subcommand's default never fills another's
+# required option (simulate and train-ae both take --seed).
 _DEFAULTS = {
-    "classes": "40",
-    "frames_min": "80",
-    "frames_max": "160",
-    "alpha_true": "100.0",
-    "alpha_other": "0.05",
-    "conf_prob": "0.035",
-    "conf_len": "8.0",
-    "self_loop": "0.92",
-    "context": "0,0",
-    "logit_clamp": "1e-3",
-    "epochs": str(aemonitor.TrainConfig.epochs),
-    "lr": str(aemonitor.TrainConfig.learning_rate),
-    "batch_size": str(aemonitor.TrainConfig.batch_size),
-    "seed": str(aemonitor.TrainConfig.seed),
-    "base": "entropy",
+    "simulate": {
+        "classes": "40",
+        "frames_min": "80",
+        "frames_max": "160",
+        "alpha_true": "100.0",
+        "alpha_other": "0.05",
+        "conf_prob": "0.035",
+        "conf_len": "8.0",
+        "self_loop": "0.92",
+    },
+    "train-ae": {
+        "context": "0,0",
+        "logit_clamp": "1e-3",
+        "epochs": str(aemonitor.TrainConfig.epochs),
+        "lr": str(aemonitor.TrainConfig.learning_rate),
+        "batch_size": str(aemonitor.TrainConfig.batch_size),
+        "seed": str(aemonitor.TrainConfig.seed),
+    },
+    "fuse": {"base": "entropy"},
 }
 
 
@@ -247,8 +263,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     _merge_config(args, parser)
-    for key, val in _DEFAULTS.items():
-        if hasattr(args, key) and getattr(args, key) is None:
+    for key, val in _DEFAULTS.get(args.command, {}).items():
+        if getattr(args, key) is None:
             setattr(args, key, val)
     try:
         return args.func(args, parser)

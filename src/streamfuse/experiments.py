@@ -260,6 +260,19 @@ def _utterance_schedule(
     return lo, aligned, sched
 
 
+def _model_digest(model: aemonitor.AeModel) -> str:
+    """Hash of everything in a model that shapes its attention weights."""
+    fe = model.front_end
+    h = hashlib.sha256(f"{model.context} {fe.logit_clamp!r}".encode())
+    for arr in (fe.pca_mean, fe.pca_basis):
+        h.update(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+    for ly in model.layers:
+        h.update(f"{ly.activation} {ly.offsets} {ly.weight.shape}".encode())
+        h.update(np.ascontiguousarray(ly.weight, dtype="<f8").tobytes())
+        h.update(np.ascontiguousarray(ly.bias, dtype="<f8").tobytes())
+    return h.hexdigest()[:16]
+
+
 def fuse_corpus(
     corpus: simulator.Scenario,
     method: str,
@@ -277,6 +290,8 @@ def fuse_corpus(
         "method": method,
         "n": "" if n is None else n,
         "base": base,
+        "window": "" if mcfg is None or mcfg.window is None else mcfg.window,
+        "model_digest": "" if model is None else _model_digest(model),
         "corpus_hash": corpus_hash(corpus),
     }
     cfg["config_hash"] = config_hash(cfg)

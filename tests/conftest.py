@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 import sys
 from pathlib import Path
 
@@ -9,6 +10,12 @@ import numpy as np
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))  # make `reference` importable
+# CLI tests run `python -m streamfuse.cli` in subprocesses: give them the
+# source tree pytest's `pythonpath` setting put on this process's path.
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    p for p in (_SRC, os.environ.get("PYTHONPATH")) if p
+)
 
 from streamfuse.core import AttentionSchedule, PosteriorStream, StreamSet
 

@@ -2,13 +2,18 @@
 
 Everything here is deliberately written in plain Python (math module,
 itertools) rather than numpy, so the values it produces do not share code
-paths with the package under test.
+paths with the package under test.  The exception is the last section:
+numpy copies of the autoencoder's earlier fancy-index splice, np.add.at
+backward and out-of-place update, which the faster kernels must match
+bit for bit.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+
+import numpy as np
 
 LOG_EPS = 1e-10
 ENTROPY_FLOOR = 1e-3
@@ -135,3 +140,94 @@ def edit_distance_ref(ref, hyp) -> int:
         )
 
     return go(0, 0)
+
+
+# --- Autoencoder kernels as first written (bit-exactness oracles) ---------
+
+
+def splice_gather_ref(h, offsets):
+    """(T, n * W) splice by a clipped index-matrix gather, and that matrix."""
+    T = h.shape[0]
+    idx = np.clip(np.arange(T)[:, None] + np.asarray(offsets, dtype=np.intp), 0, T - 1)
+    return h[idx].reshape(T, -1), idx
+
+
+def splice_scatter_ref(dx, idx, width):
+    """Splice backward: np.add.at of the (T, n * W) gradient through idx."""
+    dprev = np.zeros((idx.shape[0], width))
+    np.add.at(dprev, idx.ravel(), dx.reshape(-1, width))
+    return dprev
+
+
+def forward_ref(layers, z):
+    h = np.asarray(z, dtype=np.float64)
+    for ly in layers:
+        x, _ = splice_gather_ref(h, ly.offsets)
+        a = x @ ly.weight + ly.bias
+        h = np.maximum(a, 0.0) if ly.activation == "relu" else a
+    return h
+
+
+def loss_and_grads_ref(layers, z, target, rows=None):
+    z = np.asarray(z, dtype=np.float64)
+    caches = []
+    h = z
+    for ly in layers:
+        x, idx = splice_gather_ref(h, ly.offsets)
+        a = x @ ly.weight + ly.bias
+        out = np.maximum(a, 0.0) if ly.activation == "relu" else a
+        caches.append((h.shape, x, idx, a))
+        h = out
+    diff = h - target
+    if rows is None:
+        rows = np.arange(z.shape[0])
+    n = rows.size * h.shape[1]
+    loss = float(np.sum(diff[rows] ** 2) / n)
+    d = np.zeros_like(h)
+    d[rows] = 2.0 * diff[rows] / n
+    grads = [None] * len(layers)
+    for i in range(len(layers) - 1, -1, -1):
+        ly = layers[i]
+        prev_shape, x, idx, a = caches[i]
+        if ly.activation == "relu":
+            d = d * (a > 0)
+        grads[i] = (x.T @ d, d.sum(axis=0))
+        if i > 0:
+            d = splice_scatter_ref(d @ ly.weight.T, idx, prev_shape[1])
+    return loss, grads
+
+
+def evaluate_mse_ref(layers, z_list):
+    total = 0.0
+    frames = 0
+    for z in z_list:
+        out = forward_ref(layers, z)
+        total += float(np.sum((out - z) ** 2))
+        frames += z.shape[0]
+    return total / (frames * z_list[0].shape[1])
+
+
+def train_loop_ref(layers, z_list, cfg):
+    """train_ae's epoch loop on given initial layers (updated in place).
+
+    Returns the loss log: the MSE before training, then after each epoch.
+    """
+    velocity = [(np.zeros_like(ly.weight), np.zeros_like(ly.bias)) for ly in layers]
+    losses = [evaluate_mse_ref(layers, z_list)]
+    for _ in range(cfg.epochs):
+        for z in z_list:
+            T = z.shape[0]
+            for start in range(0, T, cfg.batch_size):
+                rows = np.arange(start, min(start + cfg.batch_size, T))
+                _, grads = loss_and_grads_ref(layers, z, z, rows)
+                for ly, vel, (gw, gb) in zip(layers, velocity, grads):
+                    if cfg.optimizer == "momentum":
+                        vel[0][...] = cfg.momentum_coeff * vel[0] - cfg.learning_rate * gw
+                        vel[1][...] = cfg.momentum_coeff * vel[1] - cfg.learning_rate * gb
+                        ly.weight += vel[0]
+                        ly.bias += vel[1]
+                    else:
+                        ly.weight -= cfg.learning_rate * gw
+                        ly.bias -= cfg.learning_rate * gb
+        losses.append(evaluate_mse_ref(layers, z_list))
+    return losses

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import reference as ref
 from conftest import random_simplex, random_stream
+from streamfuse import aemonitor
 from streamfuse.aemonitor import (
     DEFAULT_LOGIT_CLAMP,
     ERROR_FLOOR,
@@ -230,6 +231,99 @@ class TestGradients:
         layers = build_architecture(3, hidden_widths=(5,), rng=rng)
         z = rng.standard_normal((8, 3))
         assert numeric_gradient_check(layers, z, rows=np.array([1, 4, 6])) <= 1e-3
+
+
+def assert_bits_equal(got, want):
+    """Equal arrays, down to the sign of every zero."""
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+PLAN_CONTEXTS = sorted(SPLICE_PLANS)
+offset_lists = st.lists(st.integers(-9, 9), min_size=1, max_size=5).map(tuple)
+
+
+def small_spliced_stack(rng, plan, K):
+    """ReLU stack with a given splice plan and small random widths."""
+    widths = [K, *rng.integers(1, 7, size=len(plan) - 1), K]
+    return [
+        Layer(
+            weight=rng.standard_normal((widths[i] * len(offs), widths[i + 1])),
+            bias=rng.standard_normal(widths[i + 1]) * 0.5,
+            activation="linear" if i == len(plan) - 1 else "relu",
+            offsets=tuple(offs),
+        )
+        for i, offs in enumerate(plan)
+    ]
+
+
+class TestBitExactKernels:
+    """The slice splice, ordered scatter and in-place updates against the
+    fancy-index gather, np.add.at and out-of-place arithmetic they replace."""
+
+    @staticmethod
+    def check_splice_pair(offsets, T, W, seed):
+        rng = np.random.default_rng(seed)
+        h = rng.standard_normal((T, W))
+        want, idx = ref.splice_gather_ref(h, offsets)
+        assert_bits_equal(aemonitor._splice(h, offsets), want)
+        # A backward input as the GEMM makes it: some rows exactly zero.
+        dx = rng.standard_normal((T, len(offsets) * W))
+        dx[rng.random(T) < 0.3] = 0.0
+        assert_bits_equal(
+            aemonitor._unsplice(dx, offsets), ref.splice_scatter_ref(dx, idx, W)
+        )
+
+    @settings(deadline=None, max_examples=150)
+    @given(st.sampled_from(PLAN_CONTEXTS), st.integers(1, 40), st.integers(1, 5),
+           st.integers(0, 2**32 - 1))
+    def test_plan_splice_and_scatter(self, context, T, W, seed):
+        for offsets in SPLICE_PLANS[context]:
+            self.check_splice_pair(offsets, T, W, seed)
+
+    @settings(deadline=None, max_examples=150)
+    @given(offset_lists, st.integers(1, 40), st.integers(1, 5), st.integers(0, 2**32 - 1))
+    def test_any_offsets_splice_and_scatter(self, offsets, T, W, seed):
+        self.check_splice_pair(offsets, T, W, seed)
+
+    @settings(deadline=None, max_examples=100)
+    @given(st.sampled_from(PLAN_CONTEXTS), st.integers(1, 40), st.integers(0, 2**32 - 1),
+           st.booleans())
+    def test_forward_loss_and_grads(self, context, T, seed, subset):
+        rng = np.random.default_rng(seed)
+        K = 3
+        layers = small_spliced_stack(rng, SPLICE_PLANS[context], K)
+        z = rng.standard_normal((T, K))
+        rows = None
+        if subset:
+            start = int(rng.integers(0, T))
+            rows = np.arange(start, min(T, start + int(rng.integers(1, 17))))
+        assert_bits_equal(forward(layers, z), ref.forward_ref(layers, z))
+        loss, grads = loss_and_grads(layers, z, z, rows)
+        loss_ref, grads_ref = ref.loss_and_grads_ref(layers, z, z, rows)
+        assert loss == loss_ref
+        for (gw, gb), (rw, rb) in zip(grads, grads_ref):
+            assert_bits_equal(gw, rw)
+            assert_bits_equal(gb, rb)
+
+    @pytest.mark.parametrize("optimizer", ["momentum", "sgd"])
+    def test_training_matches_reference_loop(self, rng, optimizer):
+        data = [
+            PosteriorStream(random_simplex(rng, T, 8, 2.0), stream_id=-1)
+            for T in (40, 23, 37)
+        ]
+        fe = fit_front_end(np.vstack([s.probs for s in data]), 8)
+        cfg = TrainConfig(
+            learning_rate=1e-3, epochs=2, batch_size=16, seed=3, optimizer=optimizer
+        )
+        model, losses = train_ae(data, cfg, context=(-16, 12), front_end=fe)
+        layers = build_architecture(8, (-16, 12), rng=np.random.default_rng(cfg.seed))
+        z_list = [front_end_apply(fe, s.probs) for s in data]
+        assert losses == ref.train_loop_ref(layers, z_list, cfg)
+        for got, want in zip(model.layers, layers):
+            assert_bits_equal(got.weight, want.weight)
+            assert_bits_equal(got.bias, want.bias)
 
 
 class TestTraining:

@@ -79,6 +79,13 @@ class TestSimulate:
         assert r.returncode == 2
         assert "--streams" in r.stderr
 
+    def test_missing_seed_exits_2(self, tmp_path):
+        r = run("simulate", "--out", str(tmp_path / "x"), "--scenario", "ldc_like",
+                "--streams", "2", "--utterances", "2")
+        assert r.returncode == 2
+        assert "--seed" in r.stderr
+        assert not (tmp_path / "x").exists()
+
     def test_unknown_scenario_exits_2(self, tmp_path):
         r = run("simulate", "--out", str(tmp_path / "x"), "--scenario", "nope",
                 "--streams", "2", "--utterances", "2", "--seed", "1")
@@ -226,6 +233,27 @@ class TestFuse:
         assert r.returncode == 2
         assert "nonsense" in r.stderr
 
+    def test_config_hash_covers_window_and_model(self, corpus, model, tmp_path):
+        other = tmp_path / "other.stae"
+        perturbed = storage.read_model(model)
+        perturbed.layers[0].bias[0] += 1e-9
+        storage.write_model(perturbed, other)
+        runs = {
+            "window 60": ["--method", "equal", "--window", "60"],
+            "window 70": ["--method", "equal", "--window", "70"],
+            "model": ["--method", "autoencoder", "--model", str(model)],
+            "other model": ["--method", "autoencoder", "--model", str(other)],
+        }
+        hashes = {}
+        for name, flags in runs.items():
+            out = tmp_path / name.replace(" ", "_")
+            r = run("fuse", "--corpus", str(corpus), "--out", str(out), *flags)
+            assert r.returncode == 0, r.stderr
+            cfg = dict(ln.split("=", 1) for ln in (out / "fuse.cfg").read_text().split())
+            hashes[name] = cfg["config_hash"]
+        assert hashes["window 60"] != hashes["window 70"]
+        assert hashes["model"] != hashes["other model"]
+
     def test_hostile_model_header_exits_3(self, corpus, tmp_path):
         # A C=6, K=1 front end, then a layer declaring a (2**32 - 1) square
         # weight matrix the file lacks.
@@ -279,6 +307,39 @@ class TestEvaluate:
         r = run("evaluate", "--corpus", str(corpus), "--out", str(tmp_path / "r.tsv"),
                 "--sweep")
         assert r.returncode == 2
+
+    def test_config_fused_dir(self, corpus, tmp_path):
+        fused = tmp_path / "equal"
+        run("fuse", "--corpus", str(corpus), "--out", str(fused), "--method", "equal")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"fused={fused}\nno_baselines=1\n")
+        report = tmp_path / "report.tsv"
+        r = run("evaluate", "--config", str(cfg), "--corpus", str(corpus),
+                "--out", str(report))
+        assert r.returncode == 0, r.stderr
+        systems = [line.split("\t")[0] for line in report.read_text().splitlines()[2:]]
+        assert systems == ["equal"]
+
+    @pytest.mark.parametrize("value, baselines", [("0", True), ("false", True),
+                                                  ("true", False), ("1", False)])
+    def test_config_store_true_values(self, corpus, tmp_path, value, baselines):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"no_baselines={value}\nsweep=1\nmethod=equal\n")
+        report = tmp_path / "report.tsv"
+        r = run("evaluate", "--config", str(cfg), "--corpus", str(corpus),
+                "--out", str(report))
+        assert r.returncode == 0, r.stderr
+        systems = [line.split("\t")[0] for line in report.read_text().splitlines()[2:]]
+        assert ("clean" in systems) == baselines
+        assert "equal:n=1" in systems
+
+    def test_config_store_true_bad_value_exits_2(self, corpus, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("no_baselines=maybe\n")
+        r = run("evaluate", "--config", str(cfg), "--corpus", str(corpus),
+                "--out", str(tmp_path / "r.tsv"))
+        assert r.returncode == 2
+        assert "maybe" in r.stderr
 
     def test_deterministic_reports(self, corpus, tmp_path):
         a, b = tmp_path / "a.tsv", tmp_path / "b.tsv"
