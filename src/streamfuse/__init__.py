@@ -7,7 +7,6 @@ from .core import (
     align_streams,
     fuse,
     n_best_truncate,
-    validate_stream_set,
 )
 from .decoder import ErrorReport, HmmModel, make_hmm, score, viterbi
 from .measures import (
@@ -49,7 +48,6 @@ __all__ = [
     "n_best_truncate",
     "score",
     "symmetric_kld",
-    "validate_stream_set",
     "viterbi",
     "__version__",
 ]

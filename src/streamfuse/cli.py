@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 2 usage error, 3 data/config error, 4 numeric
 failure.  Every flag can also come from a plain-text key=value config file
-(--config); explicit flags win over the file.
+(--config), whose lines act as flags placed before the command line's own:
+explicit flags win.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import aemonitor, experiments, simulator, storage
-from .decoder import make_hmm
+from .decoder import DEFAULT_SELF_LOOP, make_hmm
 from .errors import DivergedTraining, StreamFuseError
 from .measures import MMeasureConfig
 
@@ -24,46 +25,63 @@ EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_NUMERIC = 4
 
-_BOOLEANS = {"1": True, "true": True, "0": False, "false": False}
+
+class _CommandParser(argparse.ArgumentParser):
+    """A subcommand's parser: shows defaults in --help and reads --config.
+
+    The config file's lines go in front of the command line as --key=value
+    flags, so one parse checks both and the command line's value wins.
+    """
+
+    def __init__(self, **kwargs):
+        self.flags: dict[str, argparse.Action] = {}  # by dest: the keys a config file may set
+        super().__init__(formatter_class=argparse.ArgumentDefaultsHelpFormatter, **kwargs)
+        self.add_argument("--config", help="key=value file of flags, read before the other flags")
+        self.flags.clear()  # -h and --config are not config keys
+        self.set_defaults(parser=self)  # for the command's own usage errors
+
+    def add_argument(self, *args, **kwargs):
+        action = super().add_argument(*args, **kwargs)
+        self.flags[action.dest] = action
+        return action
+
+    def parse_known_args(self, args, namespace=None):
+        # The subparsers action of the top-level parser passes args as a list.
+        return super().parse_known_args(self._config_flags(args) + args, namespace)
+
+    def _config_flags(self, args: list[str]) -> list[str]:
+        """The lines of the --config file named in args as flags, in file order."""
+        pre = argparse.ArgumentParser(prog=self.prog, add_help=False)
+        pre.add_argument("--config")
+        path = pre.parse_known_args(args)[0].config
+        if path is None:
+            return []
+        try:
+            pairs = experiments.read_config_pairs(path)
+        except (OSError, ValueError, StreamFuseError) as e:  # ValueError: not UTF-8
+            self.error(str(e))
+        flags = []
+        for key, val in pairs:
+            action = self.flags.get(key.replace("-", "_"))
+            if action is None:
+                self.error(f"unknown config key {key!r}")
+            flag = action.option_strings[0]
+            if action.nargs != 0:
+                flags.append(f"{flag}={val}")
+            elif val.lower() in ("1", "true"):  # a switch
+                flags.append(flag)
+            elif val.lower() not in ("0", "false"):
+                self.error(f"config key {key!r}: {val!r} is not one of 1, 0, true, false")
+        return flags
 
 
-def _merge_config(args: argparse.Namespace, parser: argparse.ArgumentParser):
-    """Fill unset argparse values from the key=value config file, if any."""
-    if not getattr(args, "config", None):
-        return
-    try:
-        file_cfg = experiments.read_config(args.config)
-    except (OSError, StreamFuseError) as e:
-        parser.error(str(e))
-    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    actions = {
-        a.dest: a for a in commands.choices[args.command]._actions if hasattr(args, a.dest)
-    }
-    for key, val in file_cfg.items():
-        action = actions.get(key.replace("-", "_"))
-        if action is None:
-            parser.error(f"unknown config key {key!r}")
-        if action.choices is not None and val not in action.choices:
-            choices = ", ".join(action.choices)
-            parser.error(f"config key {key!r}: {val!r} is not one of {choices}")
-        if isinstance(action, argparse._StoreTrueAction):
-            if val.lower() not in _BOOLEANS:
-                parser.error(f"config key {key!r}: {val!r} is not one of 1, 0, true, false")
-            if not getattr(args, action.dest):
-                setattr(args, action.dest, _BOOLEANS[val.lower()])
-        elif getattr(args, action.dest) is None:
-            if isinstance(action, argparse._AppendAction):
-                val = [val]
-            setattr(args, action.dest, val)
+def _positive_int(text: str) -> int:
+    if not text.strip().isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer >= 1")
+    return int(text)
 
 
-def _require(args, parser, *names):
-    for name in names:
-        if getattr(args, name) is None:
-            parser.error(f"missing required option --{name.replace('_', '-')}")
-
-
-def _parse_context(text: str, parser) -> tuple[int, int]:
+def _parse_context(text: str) -> tuple[int, int]:
     try:
         left, right = text.split(",")
         context = (int(left), int(right))
@@ -71,25 +89,24 @@ def _parse_context(text: str, parser) -> tuple[int, int]:
         context = None
     if context not in aemonitor.SPLICE_PLANS:
         known = " ".join(f"{lo},{hi}" for lo, hi in aemonitor.SPLICE_PLANS)
-        parser.error(f"--context {text!r} has no splice plan; available: {known}")
+        raise argparse.ArgumentTypeError(f"{text!r} has no splice plan; available: {known}")
     return context
 
 
 def cmd_simulate(args, parser) -> int:
-    _require(args, parser, "out", "scenario", "streams", "utterances", "seed")
     spec = simulator.CorpusSpec(
-        num_utterances=int(args.utterances),
-        frames_min=int(args.frames_min),
-        frames_max=int(args.frames_max),
-        num_classes=int(args.classes),
-        num_streams=int(args.streams),
-        seed=int(args.seed),
-        alpha_true=float(args.alpha_true),
-        alpha_other=float(args.alpha_other),
-        conf_prob=float(args.conf_prob),
-        conf_len=float(args.conf_len),
+        num_utterances=args.utterances,
+        frames_min=args.frames_min,
+        frames_max=args.frames_max,
+        num_classes=args.classes,
+        num_streams=args.streams,
+        seed=args.seed,
+        alpha_true=args.alpha_true,
+        alpha_other=args.alpha_other,
+        conf_prob=args.conf_prob,
+        conf_len=args.conf_len,
     )
-    hmm = make_hmm(spec.num_classes, spec.seed, self_loop=float(args.self_loop))
+    hmm = make_hmm(spec.num_classes, spec.seed, self_loop=args.self_loop)
     scenario = simulator.build_scenario(args.scenario, spec, hmm=hmm)
     experiments.write_corpus(scenario, args.out)
     frames = sum(len(u.labels) for u in scenario.utterances)
@@ -102,26 +119,22 @@ def cmd_simulate(args, parser) -> int:
 
 
 def cmd_train_ae(args, parser) -> int:
-    _require(args, parser, "corpus", "out")
-    if int(args.epochs) < 1:
-        parser.error("--epochs must be >= 1")
-    context = _parse_context(args.context, parser)
     corpus = experiments.load_corpus(args.corpus)
     cfg = aemonitor.TrainConfig(
-        learning_rate=float(args.lr),
-        epochs=int(args.epochs),
-        batch_size=int(args.batch_size),
-        seed=int(args.seed),
+        learning_rate=args.lr,
+        epochs=args.epochs,
+        batch_size=args.batch_size,
+        seed=args.seed,
     )
     clean = [u.clean for u in corpus.utterances]
     rows = np.vstack([s.probs for s in clean])
     front_end = aemonitor.fit_front_end(
         rows,
         min(clean[0].num_classes, aemonitor.DEFAULT_PCA_DIM),
-        logit_clamp=float(args.logit_clamp),
+        logit_clamp=args.logit_clamp,
     )
     model, losses = aemonitor.train_ae(
-        clean, cfg, context=context, front_end=front_end
+        clean, cfg, context=args.context, front_end=front_end
     )
     storage.write_model(model, args.out)
     loss_log = Path(str(args.out) + ".loss")
@@ -134,20 +147,23 @@ def cmd_train_ae(args, parser) -> int:
 
 
 def cmd_fuse(args, parser) -> int:
-    _require(args, parser, "corpus", "out", "method")
+    try:
+        mcfg = MMeasureConfig(window=args.window)
+    except ValueError as e:
+        parser.error(f"argument --window: {args.window}: {e}")
     corpus = experiments.load_corpus(args.corpus)
+    M = corpus.spec.num_streams
+    if args.n is not None and args.n > M:
+        parser.error(f"argument --n: {args.n} is more than the corpus's {M} streams")
     model = storage.read_model(args.model) if args.model else None
-    mcfg = MMeasureConfig(window=int(args.window) if args.window else None)
-    n = int(args.n) if args.n is not None else None
     experiments.fuse_corpus(
-        corpus, args.method, args.out, model=model, mcfg=mcfg, n=n, base=args.base
+        corpus, args.method, args.out, model=model, mcfg=mcfg, n=args.n, base=args.base
     )
     print(f"wrote fused streams to {args.out}: method={args.method}")
     return EXIT_OK
 
 
 def cmd_evaluate(args, parser) -> int:
-    _require(args, parser, "corpus", "out")
     corpus = experiments.load_corpus(args.corpus)
     rows = []
     if not args.no_baselines:
@@ -170,104 +186,74 @@ def build_parser() -> argparse.ArgumentParser:
         prog="streamfuse",
         description="Multi-stream posterior fusion experiments on synthetic corpora.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
+    spec, train = simulator.CorpusSpec, aemonitor.TrainConfig
 
     p = sub.add_parser("simulate", help="generate a synthetic multi-stream corpus")
-    p.add_argument("--config", help="key=value config file; flags override")
-    p.add_argument("--out", help="output corpus directory")
-    p.add_argument("--scenario", choices=("ldc_like", "hrm_like", "custom"))
-    p.add_argument("--streams", help="number of parallel streams (M)")
-    p.add_argument("--utterances", help="number of utterances")
-    p.add_argument("--seed", help="corpus seed")
-    p.add_argument("--classes", default=None,
-                   help=f"class count C (default {_DEFAULTS['simulate']['classes']})")
-    p.add_argument("--frames-min", default=None, dest="frames_min")
-    p.add_argument("--frames-max", default=None, dest="frames_max")
-    p.add_argument("--alpha-true", default=None, dest="alpha_true")
-    p.add_argument("--alpha-other", default=None, dest="alpha_other")
-    p.add_argument("--conf-prob", default=None, dest="conf_prob",
+    p.add_argument("--out", required=True, help="output corpus directory")
+    p.add_argument("--scenario", required=True, choices=("ldc_like", "hrm_like", "custom"))
+    p.add_argument("--streams", required=True, type=int, help="number of parallel streams (M)")
+    p.add_argument("--utterances", required=True, type=int, help="number of utterances")
+    p.add_argument("--seed", required=True, type=int, help="corpus seed")
+    p.add_argument("--classes", type=int, default=40, help="class count C")
+    p.add_argument("--frames-min", type=int, default=80, help="shortest utterance (frames)")
+    p.add_argument("--frames-max", type=int, default=160, help="longest utterance (frames)")
+    p.add_argument("--alpha-true", type=float, default=spec.alpha_true,
+                   help="emission concentration on the true class")
+    p.add_argument("--alpha-other", type=float, default=spec.alpha_other,
+                   help="emission concentration on each other class")
+    p.add_argument("--conf-prob", type=float, default=spec.conf_prob,
                    help="per-frame confusion-burst entry probability")
-    p.add_argument("--conf-len", default=None, dest="conf_len",
+    p.add_argument("--conf-len", type=float, default=spec.conf_len,
                    help="mean confusion-burst length in frames")
-    p.add_argument("--self-loop", default=None, dest="self_loop")
+    p.add_argument("--self-loop", type=float, default=DEFAULT_SELF_LOOP, help="HMM self-loop")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("train-ae", help="train the autoencoder monitor")
     # Let "--context -16,12" parse: treat "-16,12" as a value, not a flag.
     p._negative_number_matcher = re.compile(r"^-\d+(,-?\d+)?$")
-    p.add_argument("--config", help="key=value config file; flags override")
-    p.add_argument("--corpus", help="corpus directory (clean streams are the data)")
-    p.add_argument("--out", help="output model file")
-    p.add_argument("--context", default=None, help="temporal context, e.g. -16,12")
-    clamp = _DEFAULTS["train-ae"]["logit_clamp"]
-    p.add_argument("--logit-clamp", default=None, dest="logit_clamp",
-                   help=f"front-end probability clamp (default {clamp})")
-    p.add_argument("--epochs", default=None)
-    p.add_argument("--lr", default=None)
-    p.add_argument("--batch-size", default=None, dest="batch_size")
-    p.add_argument("--seed", default=None)
+    p.add_argument("--corpus", required=True,
+                   help="corpus directory (clean streams are the data)")
+    p.add_argument("--out", required=True, help="output model file")
+    p.add_argument("--context", type=_parse_context, default="0,0", help="temporal context")
+    # Not aemonitor.DEFAULT_LOGIT_CLAMP (1e-6): models trained here use 1e-3
+    # and the library's tested training uses 1e-6, so changing either one
+    # changes outputs.
+    p.add_argument("--logit-clamp", type=float, default=1e-3, help="front-end probability clamp")
+    p.add_argument("--epochs", type=_positive_int, default=train.epochs, help="training epochs")
+    p.add_argument("--lr", type=float, default=train.learning_rate, help="learning rate")
+    p.add_argument("--batch-size", type=_positive_int, default=train.batch_size,
+                   help="frames per gradient update")
+    p.add_argument("--seed", type=int, default=train.seed, help="training seed")
     p.set_defaults(func=cmd_train_ae)
 
     p = sub.add_parser("fuse", help="fuse corpus streams under an attention method")
-    p.add_argument("--config", help="key=value config file; flags override")
-    p.add_argument("--corpus", help="corpus directory")
-    p.add_argument("--out", help="output directory for fused streams")
-    p.add_argument("--method", choices=experiments.FUSION_METHODS)
-    p.add_argument("--model", default=None, help="model file (autoencoder method)")
-    p.add_argument("--n", default=None, help="n-best truncation of the schedule")
-    p.add_argument("--base", default=None, choices=tuple(experiments.FRAME_METHODS),
-                   help=f"base method for max_n (default {_DEFAULTS['fuse']['base']})")
-    p.add_argument("--window", default=None, help="finite M-measure window (frames)")
+    p.add_argument("--corpus", required=True, help="corpus directory")
+    p.add_argument("--out", required=True, help="output directory for fused streams")
+    p.add_argument("--method", required=True, choices=experiments.FUSION_METHODS)
+    p.add_argument("--model", help="model file (autoencoder method)")
+    p.add_argument("--n", type=_positive_int, help="n-best truncation of the schedule")
+    p.add_argument("--base", default=experiments.DEFAULT_BASE,
+                   choices=tuple(experiments.FRAME_METHODS), help="base method for max_n")
+    p.add_argument("--window", type=_positive_int, help="finite M-measure window (frames)")
     p.set_defaults(func=cmd_fuse)
 
     p = sub.add_parser("evaluate", help="score fused streams and baselines")
-    p.add_argument("--config", help="key=value config file; flags override")
-    p.add_argument("--corpus", help="corpus directory")
-    p.add_argument("--out", help="output report file (TSV)")
+    p.add_argument("--corpus", required=True, help="corpus directory")
+    p.add_argument("--out", required=True, help="output report file (TSV)")
     p.add_argument("--fused", action="append", help="fused directory (repeatable)")
-    p.add_argument("--no-baselines", action="store_true", dest="no_baselines")
+    p.add_argument("--no-baselines", action="store_true")
     p.add_argument("--sweep", action="store_true", help="n-best sweep, n = 1..M")
-    p.add_argument("--method", default=None, choices=experiments.FUSION_METHODS,
-                   help="method for --sweep")
-    p.add_argument("--model", default=None, help="model file for --sweep")
+    p.add_argument("--method", choices=experiments.FUSION_METHODS, help="method for --sweep")
+    p.add_argument("--model", help="model file for --sweep")
     p.set_defaults(func=cmd_evaluate)
     return parser
 
 
-# Per subcommand, so one subcommand's default never fills another's
-# required option (simulate and train-ae both take --seed).
-_DEFAULTS = {
-    "simulate": {
-        "classes": "40",
-        "frames_min": "80",
-        "frames_max": "160",
-        "alpha_true": "100.0",
-        "alpha_other": "0.05",
-        "conf_prob": "0.035",
-        "conf_len": "8.0",
-        "self_loop": "0.92",
-    },
-    "train-ae": {
-        "context": "0,0",
-        "logit_clamp": "1e-3",
-        "epochs": str(aemonitor.TrainConfig.epochs),
-        "lr": str(aemonitor.TrainConfig.learning_rate),
-        "batch_size": str(aemonitor.TrainConfig.batch_size),
-        "seed": str(aemonitor.TrainConfig.seed),
-    },
-    "fuse": {"base": "entropy"},
-}
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    _merge_config(args, parser)
-    for key, val in _DEFAULTS.get(args.command, {}).items():
-        if getattr(args, key) is None:
-            setattr(args, key, val)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args, parser)
+        return args.func(args, args.parser)
     except DivergedTraining as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_NUMERIC

@@ -1,4 +1,4 @@
-"""Domain types, validation, stream alignment and the posterior re-weighting step.
+"""Domain types, stream alignment and the posterior re-weighting step.
 
 A posterior stream is a T x C matrix whose rows live on the probability
 simplex.  A stream set bundles M parallel streams (one per microphone); an
@@ -87,72 +87,6 @@ class AttentionSchedule:
     @property
     def num_streams(self) -> int:
         return self.weights.shape[1]
-
-
-def validate_frame(probs: np.ndarray) -> list[str]:
-    """Return rule violations for a single posterior row (empty if valid)."""
-    probs = np.asarray(probs, dtype=np.float64)
-    out = []
-    if probs.ndim != 1 or probs.shape[0] < 2:
-        out.append("frame must hold at least 2 class probabilities")
-        return out
-    if not np.all(np.isfinite(probs)):
-        out.append("non-finite probability")
-    if np.any(probs < 0):
-        out.append("negative probability")
-    s = float(probs.sum())
-    if abs(s - 1.0) > SIMPLEX_ATOL:
-        out.append(f"row sum {s:.8f} outside 1 +- {SIMPLEX_ATOL:g}")
-    return out
-
-
-def validate_stream(stream: PosteriorStream) -> list[str]:
-    out = []
-    if stream.num_frames < 1:
-        out.append(f"stream {stream.stream_id}: empty stream")
-        return out
-    if stream.num_classes < 2:
-        out.append(f"stream {stream.stream_id}: needs C >= 2 classes")
-        return out
-    probs = stream.probs
-    bad_finite = ~np.all(np.isfinite(probs), axis=1)
-    bad_neg = np.any(probs < 0, axis=1)
-    sums = probs.sum(axis=1)
-    bad_sum = np.abs(sums - 1.0) > SIMPLEX_ATOL
-    for t in np.nonzero(bad_finite | bad_neg | bad_sum)[0]:
-        if bad_finite[t]:
-            rule = "non-finite probability"
-        elif bad_neg[t]:
-            rule = "negative probability"
-        else:
-            rule = f"row sum {sums[t]:.8f} outside 1 +- {SIMPLEX_ATOL:g}"
-        out.append(f"stream {stream.stream_id}: frame {t}: {rule}")
-    return out
-
-
-def validate_stream_set(sset: StreamSet) -> list[str]:
-    """Validation report for a stream set; empty report means valid."""
-    out = []
-    if sset.num_streams < 2:
-        out.append("stream set needs M >= 2 streams")
-        return out
-    class_counts = {s.num_classes for s in sset.streams}
-    if len(class_counts) > 1:
-        out.append(f"class-count mismatch across streams: {sorted(class_counts)}")
-    for s in sset.streams:
-        out.extend(validate_stream(s))
-    return out
-
-
-def validate_schedule(sched: AttentionSchedule) -> list[str]:
-    w = sched.weights
-    out = []
-    if np.any(w < 0) or np.any(w > 1):
-        out.append("schedule entries must lie in [0, 1]")
-    sums = w.sum(axis=1)
-    for t in np.nonzero(np.abs(sums - 1.0) > SIMPLEX_ATOL)[0]:
-        out.append(f"schedule row {t}: sum {sums[t]:.8f} outside 1 +- {SIMPLEX_ATOL:g}")
-    return out
 
 
 def renormalize_rows(mat: np.ndarray) -> np.ndarray:

@@ -44,7 +44,11 @@ class HmmModel:
         return self.transitions.shape[0]
 
 
-def make_hmm(num_states: int, seed: int = 0, self_loop: float = 0.92) -> HmmModel:
+# Probability that make_hmm gives each state for staying in itself.
+DEFAULT_SELF_LOOP = 0.92
+
+
+def make_hmm(num_states: int, seed: int = 0, self_loop: float = DEFAULT_SELF_LOOP) -> HmmModel:
     """Random but reproducible HMM with a given self-loop probability.
 
     Priors are set to the stationary distribution of the sampled

@@ -46,8 +46,12 @@ def config_hash(pairs: dict) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
-def read_config(path) -> dict:
-    out = {}
+def read_config_pairs(path) -> list[tuple[str, str]]:
+    """The (key, value) pairs of a key=value file, in file order, repeats kept.
+
+    Text from "#" to the end of a line is a comment; blank lines are skipped.
+    """
+    pairs = []
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -55,8 +59,13 @@ def read_config(path) -> dict:
         if "=" not in line:
             raise StreamFuseError(f"{path}: line {lineno}: expected key=value")
         key, val = line.split("=", 1)
-        out[key.strip()] = val.strip()
-    return out
+        pairs.append((key.strip(), val.strip()))
+    return pairs
+
+
+def read_config(path) -> dict:
+    """read_config_pairs as a dict: a repeated key keeps its last value."""
+    return dict(read_config_pairs(path))
 
 
 def write_config(pairs: dict, path):
@@ -159,17 +168,34 @@ def load_corpus(indir) -> simulator.Scenario:
     except ValueError as e:
         raise StreamFuseError(f"{cfg_path}: {e}") from None
     hmm = _hmm_from_json(json.loads((indir / "hmm.json").read_text()))
-    records = storage.read_manifest(indir / "manifest.txt")
+    manifest = indir / "manifest.txt"
+    records = storage.read_manifest(manifest)
+    M = spec.num_streams
     utterances = []
     for rec in records:
         tag = f"utt{rec.utt_id:04d}"
+        if not 0 <= rec.oracle_stream < M:
+            raise StreamFuseError(
+                f"{manifest}: utt {rec.utt_id}: oracle={rec.oracle_stream} "
+                f"is not in [0, {M})"
+            )
+        if len(rec.profiles) != M:
+            raise StreamFuseError(
+                f"{manifest}: utt {rec.utt_id}: "
+                f"{len(rec.profiles)} profiles for {M} streams"
+            )
         labels = np.array(
             [int(x) for x in (indir / f"{tag}.ref").read_text().split()], dtype=np.intp
         )
+        if rec.num_frames != len(labels):
+            raise StreamFuseError(
+                f"{manifest}: utt {rec.utt_id}: frames={rec.num_frames}, "
+                f"but {tag}.ref holds {len(labels)} labels"
+            )
         streams = StreamSet(
             [
                 storage.read_stream(indir / f"{tag}_s{m:02d}.strm")
-                for m in range(spec.num_streams)
+                for m in range(M)
             ]
         )
         utterances.append(
@@ -222,6 +248,8 @@ FRAME_METHODS = {
     "oracle": _oracle,
 }
 FUSION_METHODS = (*FRAME_METHODS, "max_n")
+# The frame-wise method that max_n truncates unless told otherwise.
+DEFAULT_BASE = "entropy"
 
 
 def compute_schedule(
@@ -232,7 +260,7 @@ def compute_schedule(
     oracle_stream: int | None = None,
     mcfg: measures.MMeasureConfig | None = None,
     n: int | None = None,
-    base: str = "entropy",
+    base: str = DEFAULT_BASE,
 ) -> AttentionSchedule:
     """Attention schedule for one aligned utterance under a fusion method.
 
@@ -281,7 +309,7 @@ def fuse_corpus(
     model: aemonitor.AeModel | None = None,
     mcfg: measures.MMeasureConfig | None = None,
     n: int | None = None,
-    base: str = "entropy",
+    base: str = DEFAULT_BASE,
 ):
     """Fuse every utterance of a corpus and write the results."""
     outdir = Path(outdir)
@@ -295,7 +323,6 @@ def fuse_corpus(
         "corpus_hash": corpus_hash(corpus),
     }
     cfg["config_hash"] = config_hash(cfg)
-    write_config(cfg, outdir / "fuse.cfg")
     for utt in corpus.utterances:
         _, aligned, sched = _utterance_schedule(
             utt, method, model=model, mcfg=mcfg, n=n, base=base
@@ -303,6 +330,8 @@ def fuse_corpus(
         tag = f"utt{utt.utt_id:04d}"
         storage.write_schedule(sched, outdir / f"{tag}.schd")
         storage.write_stream(fuse(aligned, sched), outdir / f"{tag}_fused.strm")
+    # Written last, so only a directory that holds every utterance has one.
+    write_config(cfg, outdir / "fuse.cfg")
 
 
 def decode_reports(
@@ -367,7 +396,7 @@ def evaluate_method(
     model: aemonitor.AeModel | None = None,
     mcfg: measures.MMeasureConfig | None = None,
     n: int | None = None,
-    base: str = "entropy",
+    base: str = DEFAULT_BASE,
 ) -> ErrorReport:
     """Fuse in memory and score, without touching disk."""
     reports = []

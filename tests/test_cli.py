@@ -1,5 +1,7 @@
-"""End-to-end CLI behaviour through subprocess invocations."""
+"""End-to-end CLI behaviour, mostly through subprocess invocations."""
 
+import inspect
+import re
 import shutil
 import struct
 import subprocess
@@ -7,8 +9,11 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from streamfuse import storage
+from streamfuse import aemonitor, cli, experiments, simulator, storage
+from streamfuse.decoder import make_hmm
 
 CLI = [sys.executable, "-m", "streamfuse.cli"]
 
@@ -201,6 +206,41 @@ class TestFuse:
                 "--method", "autoencoder")
         assert r.returncode == 3
         assert "model" in r.stderr.lower()
+        assert not (tmp_path / "ae" / "fuse.cfg").exists()  # only complete runs write it
+
+    # The corpus has 3 streams; the M-measure spans need a window >= 51.
+    @pytest.mark.parametrize("flag, value", [
+        ("--window", "abc"), ("--window", "0"), ("--window", "50"),
+        ("--n", "abc"), ("--n", "0"), ("--n", "4"),
+    ])
+    def test_bad_flag_value_exits_2(self, corpus, tmp_path, flag, value):
+        out = tmp_path / "x"
+        r = run("fuse", "--corpus", str(corpus), "--out", str(out), "--method", "m_measure",
+                flag, value)
+        assert r.returncode == 2
+        assert "Traceback" not in r.stderr
+        assert r.stderr.startswith("usage: streamfuse fuse")
+        assert f"error: argument {flag}: " in r.stderr
+        assert not out.exists()
+
+    @pytest.mark.parametrize("edit", ["oracle=99", "oracle=-1", "frames=3", "profiles"])
+    def test_manifest_contradicting_corpus_exits_3(self, corpus, tmp_path, edit):
+        copy = tmp_path / "corpus"
+        shutil.copytree(corpus, copy)
+        manifest = copy / "manifest.txt"
+        first, *rest = manifest.read_text().splitlines()
+        if edit == "profiles":
+            first = first.rsplit(";", 1)[0]  # drop the last stream's profile
+        else:
+            key = edit.split("=")[0]
+            first = re.sub(rf"\b{key}=\S+", edit, first)
+        manifest.write_text("\n".join([first, *rest]) + "\n")
+        out = tmp_path / "x"
+        r = run("fuse", "--corpus", str(copy), "--out", str(out), "--method", "oracle")
+        assert r.returncode == 3
+        assert "utt 0:" in r.stderr
+        assert "Traceback" not in r.stderr
+        assert not out.exists()
 
     def test_autoencoder_with_model(self, corpus, model, tmp_path):
         out = tmp_path / "ae"
@@ -320,6 +360,22 @@ class TestEvaluate:
         systems = [line.split("\t")[0] for line in report.read_text().splitlines()[2:]]
         assert systems == ["equal"]
 
+    def test_config_fused_lines_accumulate_before_flags(self, corpus, tmp_path):
+        dirs = {}
+        for method in ("equal", "entropy", "max_n"):
+            dirs[method] = tmp_path / method
+            r = run("fuse", "--corpus", str(corpus), "--out", str(dirs[method]),
+                    "--method", method)
+            assert r.returncode == 0, r.stderr
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"fused={dirs['equal']}\nno_baselines=1\nfused={dirs['entropy']}\n")
+        report = tmp_path / "report.tsv"
+        r = run("evaluate", "--fused", str(dirs["max_n"]), "--config", str(cfg),
+                "--corpus", str(corpus), "--out", str(report))
+        assert r.returncode == 0, r.stderr
+        systems = [line.split("\t")[0] for line in report.read_text().splitlines()[2:]]
+        assert systems == ["equal", "entropy", "max_n"]
+
     @pytest.mark.parametrize("value, baselines", [("0", True), ("false", True),
                                                   ("true", False), ("1", False)])
     def test_config_store_true_values(self, corpus, tmp_path, value, baselines):
@@ -377,3 +433,61 @@ class TestEvaluate:
         assert r.returncode == 3
         assert "'streams'" in r.stderr
         assert "Traceback" not in r.stderr
+
+
+class TestParser:
+    def test_defaults_are_the_library_values(self):
+        parse = cli.build_parser().parse_args
+        sim = parse(["simulate", "--out", "c", "--scenario", "ldc_like", "--streams", "2",
+                     "--utterances", "1", "--seed", "0"])
+        for key in ("alpha_true", "alpha_other", "conf_prob", "conf_len"):
+            library = getattr(simulator.CorpusSpec, key)
+            assert getattr(sim, key) == library
+            assert type(getattr(sim, key)) is type(library)
+        self_loop = inspect.signature(make_hmm).parameters["self_loop"].default
+        assert sim.self_loop == self_loop and type(sim.self_loop) is float
+
+        train = parse(["train-ae", "--corpus", "c", "--out", "m"])
+        cfg = aemonitor.TrainConfig()
+        for flag, library in [(train.epochs, cfg.epochs), (train.lr, cfg.learning_rate),
+                              (train.batch_size, cfg.batch_size), (train.seed, cfg.seed)]:
+            assert flag == library and type(flag) is type(library)
+        assert train.context == (0, 0)
+
+        fuse = parse(["fuse", "--corpus", "c", "--out", "f", "--method", "max_n"])
+        for fn in (experiments.compute_schedule, experiments.fuse_corpus,
+                   experiments.evaluate_method):
+            assert fuse.base == inspect.signature(fn).parameters["base"].default
+
+
+_FUSE_KEYS = ("corpus", "out", "method", "model", "n", "base", "window", "no_such_key", "")
+_VALUE = st.text(st.characters(blacklist_characters="\n\r#", blacklist_categories=("Cs",)),
+                 max_size=6)
+_NUMBER = st.one_of(st.none(), st.integers(-2, 120).map(str), _VALUE)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    method=st.sampled_from(experiments.FUSION_METHODS + ("junk",)),
+    base=st.one_of(st.none(), st.sampled_from(experiments.FUSION_METHODS)),
+    n=_NUMBER,
+    window=_NUMBER,
+    lines=st.lists(st.tuples(st.sampled_from(_FUSE_KEYS), _VALUE), max_size=4),
+)
+def test_fuse_exits_with_a_documented_code(corpus, tmp_path_factory, method, base, n,
+                                           window, lines):
+    tmp = tmp_path_factory.getbasetemp() / "fuse-property"
+    tmp.mkdir(exist_ok=True)
+    cfg = tmp / "run.cfg"
+    cfg.write_text("".join(f"{k}={v}\n" for k, v in lines), encoding="utf-8")
+    argv = ["fuse", "--config", str(cfg), "--corpus", str(corpus), "--out", str(tmp / "out"),
+            "--method", method]
+    for flag, value in (("--base", base), ("--n", n), ("--window", window)):
+        if value is not None:
+            argv += [flag, value]
+    try:
+        rc = cli.main(argv)
+    except SystemExit as e:
+        assert e.code == 2
+    else:
+        assert rc in (0, 3, 4)

@@ -1,4 +1,4 @@
-"""Core types: validation, alignment, fusion and n-best truncation."""
+"""Core types: alignment, fusion and n-best truncation."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from conftest import random_schedule, random_simplex, random_stream, random_stream_set
 from streamfuse.core import (
-    SIMPLEX_ATOL,
     AttentionSchedule,
     PosteriorStream,
     StreamSet,
@@ -15,53 +14,8 @@ from streamfuse.core import (
     fuse,
     n_best_truncate,
     overlap_range,
-    validate_frame,
-    validate_schedule,
-    validate_stream_set,
 )
 from streamfuse.errors import DimensionMismatch, InvalidN, OverlapEmpty
-
-
-class TestValidation:
-    def test_uniform_frame_valid(self):
-        assert validate_frame(np.full(4, 0.25)) == []
-
-    def test_row_sum_violation_reported(self):
-        out = validate_frame(np.array([0.9, 0.6]))
-        assert len(out) == 1 and "sum" in out[0]
-
-    def test_negative_and_nonfinite(self):
-        assert any("negative" in r for r in validate_frame(np.array([1.2, -0.2])))
-        assert any("non-finite" in r for r in validate_frame(np.array([np.nan, 1.0])))
-
-    def test_single_class_rejected(self):
-        assert validate_frame(np.array([1.0])) != []
-
-    def test_sum_within_tolerance_accepted(self):
-        assert validate_frame(np.array([0.5, 0.5 - 0.5 * SIMPLEX_ATOL])) == []
-
-    def test_stream_set_class_mismatch(self, rng):
-        sset = StreamSet(
-            [random_stream(rng, 5, 3, stream_id=0), random_stream(rng, 5, 4, stream_id=1)]
-        )
-        assert any("class-count mismatch" in r for r in validate_stream_set(sset))
-
-    def test_stream_set_needs_two_streams(self, rng):
-        assert validate_stream_set(StreamSet([random_stream(rng, 5, 3)])) != []
-
-    def test_valid_set_empty_report(self, rng):
-        assert validate_stream_set(random_stream_set(rng, 3, 8, 4)) == []
-
-    def test_violation_names_stream_and_frame(self, rng):
-        s = random_stream(rng, 5, 3, stream_id=7)
-        s.probs[2] = [0.9, 0.9, 0.9]
-        out = validate_stream_set(StreamSet([s, random_stream(rng, 5, 3)]))
-        assert any("stream 7" in r and "frame 2" in r for r in out)
-
-    def test_schedule_validation(self, rng):
-        assert validate_schedule(random_schedule(rng, 6, 3)) == []
-        bad = AttentionSchedule(np.array([[0.7, 0.7], [-0.1, 1.1]]))
-        assert validate_schedule(bad) != []
 
 
 class TestAlignment:
