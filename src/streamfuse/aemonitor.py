@@ -15,12 +15,13 @@ determines the result.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .core import AttentionSchedule, PosteriorStream, StreamSet
+from .core import AttentionSchedule, PosteriorStream, StreamSet, check_range
 from .errors import DegenerateData, DimensionMismatch, DivergedTraining
 
 DEFAULT_LOGIT_CLAMP = 1e-6
@@ -52,14 +53,6 @@ def _load_splice_plans(path: Path = _PLAN_PATH) -> dict:
 
 
 SPLICE_PLANS = _load_splice_plans()
-
-
-def receptive_field(plan: list[tuple[int, ...]]) -> tuple[int, int]:
-    """(left, right) context reach of a per-layer offset plan."""
-    return (
-        sum(min(o) for o in plan),
-        sum(max(o) for o in plan),
-    )
 
 
 @dataclass
@@ -104,6 +97,14 @@ class AeModel:
         return [ly.offsets for ly in self.layers]
 
 
+# The closed (lo, hi) range of each numeric TrainConfig field but the seed.
+TRAIN_RANGES = {
+    "learning_rate": (0.0, math.inf),  # zero makes a no-op run
+    "epochs": (1, math.inf),
+    "batch_size": (1, math.inf),
+}
+
+
 @dataclass
 class TrainConfig:
     learning_rate: float = 1e-3
@@ -114,8 +115,8 @@ class TrainConfig:
     momentum_coeff: float = 0.9
 
     def __post_init__(self):
-        if self.learning_rate < 0 or self.epochs < 1 or self.batch_size < 1:
-            raise ValueError("learning_rate >= 0, epochs >= 1, batch_size >= 1")
+        for name, bounds in TRAIN_RANGES.items():
+            check_range(name, getattr(self, name), bounds)
         if self.optimizer not in ("sgd", "momentum"):
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
 
@@ -215,14 +216,6 @@ def _unsplice(dx: np.ndarray, offsets: tuple[int, ...]) -> np.ndarray:
             if r == 0 or r == T - 1:
                 out[r] += dx[t, k]
     return out
-
-
-def splice_context(
-    features: np.ndarray, t: int, context: tuple[int, int]
-) -> np.ndarray:
-    """First-layer spliced input vector for frame t under a named context."""
-    plan = SPLICE_PLANS[tuple(context)]
-    return _splice(np.asarray(features, dtype=np.float64), plan[0])[t]
 
 
 def build_architecture(

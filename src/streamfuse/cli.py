@@ -9,6 +9,7 @@ explicit flags win.
 from __future__ import annotations
 
 import argparse
+import math
 import re
 import sys
 from pathlib import Path
@@ -16,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import aemonitor, experiments, simulator, storage
-from .decoder import DEFAULT_SELF_LOOP, make_hmm
+from .decoder import DEFAULT_SELF_LOOP, SELF_LOOP_RANGE, make_hmm
 from .errors import DivergedTraining, StreamFuseError
 from .measures import MMeasureConfig
 
@@ -75,10 +76,25 @@ class _CommandParser(argparse.ArgumentParser):
         return flags
 
 
-def _positive_int(text: str) -> int:
-    if not text.strip().isdecimal() or int(text) < 1:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer >= 1")
-    return int(text)
+def _in_range(typ, bounds: tuple):
+    """An argparse type=: a finite typ value in the closed range bounds = (lo, hi)."""
+    lo, hi = bounds
+    kind = "an integer" if typ is int else "a finite number"
+    where = f">= {lo}" if hi == math.inf else f"in [{lo}, {hi}]"
+
+    def parse(text: str):
+        try:
+            value = typ(text)
+        except ValueError:
+            value = math.nan
+        if not lo <= value <= hi or value == math.inf:
+            raise argparse.ArgumentTypeError(f"{text!r} is not {kind} {where}")
+        return value
+
+    return parse
+
+
+_positive_int = _in_range(int, (1, math.inf))
 
 
 def _parse_context(text: str) -> tuple[int, int]:
@@ -164,17 +180,19 @@ def cmd_fuse(args, parser) -> int:
 
 
 def cmd_evaluate(args, parser) -> int:
+    if args.sweep and args.method is None:
+        parser.error("--sweep requires --method")
+    if args.no_baselines and not args.fused and not args.sweep:
+        parser.error("nothing to score: --no-baselines needs --fused or --sweep")
     corpus = experiments.load_corpus(args.corpus)
-    rows = []
-    if not args.no_baselines:
-        rows.extend(experiments.evaluate_single_streams(corpus))
-    for fused_dir in args.fused or []:
-        rows.append(experiments.evaluate_fused_dir(corpus, fused_dir))
-    if args.sweep:
-        if args.method is None:
-            parser.error("--sweep requires --method")
-        model = storage.read_model(args.model) if args.model else None
-        rows.extend(experiments.n_sweep(corpus, args.method, model=model))
+    model = storage.read_model(args.model) if args.sweep and args.model else None
+    rows = experiments.evaluate_corpus(
+        corpus,
+        baselines=not args.no_baselines,
+        fused_dirs=args.fused or [],
+        sweep=args.method if args.sweep else None,
+        model=model,
+    )
     report = experiments.format_report(rows, experiments.corpus_hash(corpus))
     Path(args.out).write_text(report)
     sys.stdout.write(report)
@@ -188,25 +206,33 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
     spec, train = simulator.CorpusSpec, aemonitor.TrainConfig
+    # The library's range of each field, for the flags that set it.
+    spec_range, train_range = simulator.SPEC_RANGES, aemonitor.TRAIN_RANGES
 
     p = sub.add_parser("simulate", help="generate a synthetic multi-stream corpus")
     p.add_argument("--out", required=True, help="output corpus directory")
     p.add_argument("--scenario", required=True, choices=("ldc_like", "hrm_like", "custom"))
-    p.add_argument("--streams", required=True, type=int, help="number of parallel streams (M)")
-    p.add_argument("--utterances", required=True, type=int, help="number of utterances")
+    p.add_argument("--streams", required=True, type=_in_range(int, spec_range["num_streams"]),
+                   help="number of parallel streams (M)")
+    p.add_argument("--utterances", required=True,
+                   type=_in_range(int, spec_range["num_utterances"]), help="number of utterances")
     p.add_argument("--seed", required=True, type=int, help="corpus seed")
-    p.add_argument("--classes", type=int, default=40, help="class count C")
-    p.add_argument("--frames-min", type=int, default=80, help="shortest utterance (frames)")
-    p.add_argument("--frames-max", type=int, default=160, help="longest utterance (frames)")
-    p.add_argument("--alpha-true", type=float, default=spec.alpha_true,
-                   help="emission concentration on the true class")
-    p.add_argument("--alpha-other", type=float, default=spec.alpha_other,
-                   help="emission concentration on each other class")
-    p.add_argument("--conf-prob", type=float, default=spec.conf_prob,
-                   help="per-frame confusion-burst entry probability")
-    p.add_argument("--conf-len", type=float, default=spec.conf_len,
-                   help="mean confusion-burst length in frames")
-    p.add_argument("--self-loop", type=float, default=DEFAULT_SELF_LOOP, help="HMM self-loop")
+    p.add_argument("--classes", type=_in_range(int, spec_range["num_classes"]), default=40,
+                   help="class count C")
+    p.add_argument("--frames-min", type=_in_range(int, spec_range["frames_min"]), default=80,
+                   help="shortest utterance (frames)")
+    p.add_argument("--frames-max", type=_in_range(int, spec_range["frames_max"]), default=160,
+                   help="longest utterance (frames)")
+    p.add_argument("--alpha-true", type=_in_range(float, spec_range["alpha_true"]),
+                   default=spec.alpha_true, help="emission concentration on the true class")
+    p.add_argument("--alpha-other", type=_in_range(float, spec_range["alpha_other"]),
+                   default=spec.alpha_other, help="emission concentration on each other class")
+    p.add_argument("--conf-prob", type=_in_range(float, spec_range["conf_prob"]),
+                   default=spec.conf_prob, help="per-frame confusion-burst entry probability")
+    p.add_argument("--conf-len", type=_in_range(float, spec_range["conf_len"]),
+                   default=spec.conf_len, help="mean confusion-burst length in frames")
+    p.add_argument("--self-loop", type=_in_range(float, SELF_LOOP_RANGE),
+                   default=DEFAULT_SELF_LOOP, help="HMM self-loop")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("train-ae", help="train the autoencoder monitor")
@@ -220,10 +246,12 @@ def build_parser() -> argparse.ArgumentParser:
     # and the library's tested training uses 1e-6, so changing either one
     # changes outputs.
     p.add_argument("--logit-clamp", type=float, default=1e-3, help="front-end probability clamp")
-    p.add_argument("--epochs", type=_positive_int, default=train.epochs, help="training epochs")
-    p.add_argument("--lr", type=float, default=train.learning_rate, help="learning rate")
-    p.add_argument("--batch-size", type=_positive_int, default=train.batch_size,
-                   help="frames per gradient update")
+    p.add_argument("--epochs", type=_in_range(int, train_range["epochs"]),
+                   default=train.epochs, help="training epochs")
+    p.add_argument("--lr", type=_in_range(float, train_range["learning_rate"]),
+                   default=train.learning_rate, help="learning rate")
+    p.add_argument("--batch-size", type=_in_range(int, train_range["batch_size"]),
+                   default=train.batch_size, help="frames per gradient update")
     p.add_argument("--seed", type=int, default=train.seed, help="training seed")
     p.set_defaults(func=cmd_train_ae)
 

@@ -94,6 +94,13 @@ def renormalize_rows(mat: np.ndarray) -> np.ndarray:
     return mat / mat.sum(axis=1, keepdims=True)
 
 
+def check_range(name: str, value, bounds: tuple) -> None:
+    """Raise ValueError unless value lies in the closed range bounds = (lo, hi)."""
+    lo, hi = bounds
+    if not lo <= value <= hi:
+        raise ValueError(f"{name}={value!r} is not in [{lo}, {hi}]")
+
+
 def overlap_range(sset: StreamSet) -> tuple[int, int]:
     """Common reference-frame range implied by the stream offsets.
 

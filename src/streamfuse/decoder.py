@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LOG_EPS, PosteriorStream
+from .core import LOG_EPS, PosteriorStream, check_range
 from .errors import DimensionMismatch
 
 
@@ -44,8 +44,10 @@ class HmmModel:
         return self.transitions.shape[0]
 
 
-# Probability that make_hmm gives each state for staying in itself.
+# Probability that make_hmm gives each state for staying in itself, and
+# the closed range it must lie in.
 DEFAULT_SELF_LOOP = 0.92
+SELF_LOOP_RANGE = (0.0, 1.0)
 
 
 def make_hmm(num_states: int, seed: int = 0, self_loop: float = DEFAULT_SELF_LOOP) -> HmmModel:
@@ -54,6 +56,7 @@ def make_hmm(num_states: int, seed: int = 0, self_loop: float = DEFAULT_SELF_LOO
     Priors are set to the stationary distribution of the sampled
     transition matrix.
     """
+    check_range("self_loop", self_loop, SELF_LOOP_RANGE)
     rng = np.random.default_rng([seed, 0x484D4D])
     C = num_states
     off = rng.dirichlet(np.ones(C - 1), size=C) * (1.0 - self_loop)
@@ -85,70 +88,79 @@ def viterbi(
     A batch of one through viterbi_batch(); ties break toward the lower
     state index at every step.
     """
-    return viterbi_batch(stream.probs[None], hmm, scale_by_priors)[0]
+    return viterbi_batch([stream.probs], hmm, scale_by_priors)[0]
 
 
 def viterbi_batch(
-    probs: np.ndarray, hmm: HmmModel, scale_by_priors: bool = True
-) -> np.ndarray:
-    """Most likely state paths of B equal-length posterior streams at once.
+    streams, hmm: HmmModel, scale_by_priors: bool = True
+) -> list[np.ndarray]:
+    """Most likely state paths of B posterior streams of any lengths at once.
 
-    probs is a (B, T, C) stack of posterior matrices; the result is the
-    (B, T) array of paths, row b being exactly what viterbi() returns for
-    stream b alone.  Ties break toward the lower state index at every step.
+    streams is a sequence of (T_b, C) posterior matrices (a (B, T, C) array
+    is one); the result is the list of B paths, path b of length T_b being
+    exactly what viterbi() returns for stream b alone.  Ties break toward
+    the lower state index at every step.
 
-    The forward pass keeps only the max-plus scores.  The backtrace
-    recomputes each step's candidate scores from the stored ones; they are
-    the same floats as in the forward pass, so its argmax picks the same
-    (lowest-index) predecessor a stored backpointer would.
+    Shorter streams are padded at the end of a (T_max, B, C) buffer.  The
+    forward pass is causal, so row b's scores for t < T_b do not depend on
+    the padding, and row b backtraces from its own last frame.  The forward
+    pass keeps only the max-plus scores.  The backtrace recomputes each
+    step's candidate scores from the stored ones; they are the same floats
+    as in the forward pass, so its argmax picks the same (lowest-index)
+    predecessor a stored backpointer would.
     """
-    probs = np.asarray(probs, dtype=np.float64)
-    if probs.ndim != 3 or probs.shape[2] != hmm.num_states:
-        raise DimensionMismatch(
-            f"HMM has {hmm.num_states} states: expected a (B, T, {hmm.num_states}) "
-            f"posterior stack, got shape {probs.shape}"
-        )
+    C = hmm.num_states
+    rows = [np.asarray(s, dtype=np.float64) for s in streams]
+    for s in rows:
+        if s.ndim != 2 or s.shape[1] != C or s.shape[0] == 0:
+            raise DimensionMismatch(
+                f"HMM has {C} states: expected (T, {C}) posterior matrices with "
+                f"T >= 1, got shape {s.shape}"
+            )
+    if not rows:
+        raise DimensionMismatch("expected at least one posterior stream")
     log_prior = np.log(np.maximum(hmm.priors, LOG_EPS))
     log_trans = np.log(np.maximum(hmm.transitions, LOG_EPS))
-    B, T, C = probs.shape
+    B, lengths = len(rows), [s.shape[0] for s in rows]
+    T = max(lengths)
     logp = np.empty((T, B, C))  # emission scores, time-major
-    np.maximum(probs.transpose(1, 0, 2), LOG_EPS, out=logp)
+    for b, s in enumerate(rows):
+        np.maximum(s, LOG_EPS, out=logp[: lengths[b], b])
+        logp[lengths[b] :, b] = 1.0  # padding: any finite score will do
     np.log(logp, out=logp)
     if scale_by_priors:
         logp -= log_prior
 
     # The forward pass overwrites the emission scores frame by frame:
     # hist[t, b, j] becomes the best score of a path ending in state j.
+    # Each step spreads the previous scores over a (from, batch, to) buffer
+    # and adds the transitions there: a broadcast copy and a contiguous add
+    # run faster than one broadcasting add and sum the same two floats.
     hist = logp
     hist[0] += log_prior
     cand = np.empty((C, B, C))  # (from, batch, to)
     best = np.empty((B, C))
     hist_from = hist.transpose(0, 2, 1)[:, :, :, None]  # (T, from, batch, 1)
-    trans_from = log_trans[:, None, :]  # (from, 1, to)
+    trans_from = np.broadcast_to(log_trans[:, None, :], cand.shape).copy()
     for t in range(1, T):
-        np.add(hist_from[t - 1], trans_from, out=cand)
+        np.copyto(cand, hist_from[t - 1])
+        cand += trans_from
         np.maximum.reduce(cand, axis=0, out=best)
         hist[t] += best
+    # Row b's path starts at its last frame T_b - 1: rows by that frame.
+    ends: dict[int, list[int]] = {}
+    for b, n in enumerate(lengths):
+        ends.setdefault(n - 1, []).append(b)
     trans_to = np.ascontiguousarray(log_trans.T)  # (to, from)
     path = np.empty((T, B), dtype=np.intp)
     path[-1] = np.argmax(hist[-1], axis=1)
     for t in range(T - 1, 0, -1):
         path[t - 1] = np.argmax(hist[t - 1] + trans_to[path[t]], axis=1)
-    return np.ascontiguousarray(path.T)
-
-
-def path_score(
-    path: np.ndarray, stream: PosteriorStream, hmm: HmmModel, scale_by_priors: bool = True
-) -> float:
-    """Log score of a state path under the same convention as viterbi()."""
-    logp = np.log(np.maximum(stream.probs, LOG_EPS))
-    if scale_by_priors:
-        logp = logp - np.log(np.maximum(hmm.priors, LOG_EPS))
-    log_trans = np.log(np.maximum(hmm.transitions, LOG_EPS))
-    s = float(np.log(np.maximum(hmm.priors[path[0]], LOG_EPS)) + logp[0, path[0]])
-    for t in range(1, len(path)):
-        s += float(log_trans[path[t - 1], path[t]] + logp[t, path[t]])
-    return s
+        if t - 1 in ends:
+            r = ends[t - 1]
+            path[t - 1, r] = np.argmax(hist[t - 1, r], axis=1)
+    path = np.ascontiguousarray(path.T)
+    return [path[b, :n] for b, n in enumerate(lengths)]
 
 
 @dataclass

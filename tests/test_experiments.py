@@ -3,7 +3,10 @@
 import numpy as np
 import pytest
 
+import reference as ref
 from streamfuse import experiments
+from streamfuse.core import PosteriorStream, overlap_range
+from streamfuse.decoder import score
 from streamfuse.decoder import make_hmm
 from streamfuse.simulator import CorpusSpec, build_scenario
 
@@ -55,3 +58,38 @@ def test_n_sweep_rows_equal_per_n_evaluation(hrm_corpus, method):
         for n in range(1, M + 1)
     ]
     assert experiments.n_sweep(hrm_corpus, method) == expected
+
+
+def test_decode_reports_scores_each_stream_on_its_own_span():
+    hmm = make_hmm(2, 0)
+    labels = np.repeat([0, 1], 10)
+    stream = PosteriorStream(np.tile([0.99, 0.01], (10, 1)))  # decodes to all 0
+    got = experiments.decode_reports([stream, stream], labels, hmm, [0, 10])
+    assert got == [score(np.zeros(10, int), labels[:10]), score(np.zeros(10, int), labels[10:])]
+    assert got[0].frame_error_rate == 0.0 and got[1].frame_error_rate == 1.0
+
+
+@pytest.fixture(scope="module")
+def fused_dirs(hrm_corpus, tmp_path_factory):
+    root = tmp_path_factory.mktemp("fused")
+    dirs = []
+    for method, n in (("entropy", None), ("max_n", 2)):
+        dirs.append(root / method)
+        experiments.fuse_corpus(hrm_corpus, method, dirs[-1], n=n)
+    return dirs
+
+
+@pytest.mark.parametrize("sweep", ["entropy", "max_n"])
+def test_one_pass_equals_per_system_loops(hrm_corpus, fused_dirs, sweep):
+    # The clean stream outlasts the overlap, so each utterance's batch is ragged.
+    assert any(
+        overlap_range(u.streams)[1] < len(u.labels) for u in hrm_corpus.utterances
+    )
+    baselines = ref.evaluate_single_streams_ref(hrm_corpus)
+    fused = [ref.evaluate_fused_dir_ref(hrm_corpus, d) for d in fused_dirs]
+    swept = ref.n_sweep_ref(hrm_corpus, sweep)
+    got = experiments.evaluate_corpus(hrm_corpus, fused_dirs=fused_dirs, sweep=sweep)
+    assert got == baselines + fused + swept
+    assert experiments.evaluate_single_streams(hrm_corpus) == baselines
+    assert [experiments.evaluate_fused_dir(hrm_corpus, d) for d in fused_dirs] == fused
+    assert experiments.n_sweep(hrm_corpus, sweep) == swept
