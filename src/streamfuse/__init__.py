@@ -9,17 +9,7 @@ from .core import (
     n_best_truncate,
 )
 from .decoder import ErrorReport, HmmModel, make_hmm, score, viterbi
-from .measures import (
-    MMeasureConfig,
-    StreamScore,
-    binary_window_attention,
-    delta_m_measure,
-    entropy,
-    entropy_attention,
-    inverse_entropy_weights,
-    m_measure,
-    symmetric_kld,
-)
+from .measures import MMeasureConfig, binary_window_attention, entropy_attention, m_measure
 from .simulator import CorpusSpec, CorruptionProfile, build_scenario, corrupt
 
 __version__ = "0.1.0"
@@ -32,22 +22,17 @@ __all__ = [
     "HmmModel",
     "MMeasureConfig",
     "PosteriorStream",
-    "StreamScore",
     "StreamSet",
     "align_streams",
     "binary_window_attention",
     "build_scenario",
     "corrupt",
-    "delta_m_measure",
-    "entropy",
     "entropy_attention",
     "fuse",
-    "inverse_entropy_weights",
     "m_measure",
     "make_hmm",
     "n_best_truncate",
     "score",
-    "symmetric_kld",
     "viterbi",
     "__version__",
 ]

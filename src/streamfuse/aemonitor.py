@@ -21,10 +21,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import AttentionSchedule, PosteriorStream, StreamSet, check_range
+from .core import AttentionSchedule, PosteriorStream, StreamSet, check_range, inverse_weights
 from .errors import DegenerateData, DimensionMismatch, DivergedTraining
 
 DEFAULT_LOGIT_CLAMP = 1e-6
+# The open (lo, hi) range of the logit clamp: 0 leaves log(0) in, and at
+# 0.5 every probability clips to one value.
+LOGIT_CLAMP_RANGE = (0.0, 0.5)
 # Floor on the squared reconstruction error before inversion.
 ERROR_FLOOR = 1e-6
 # Hidden widths of the published architecture: five ReLU layers (24-unit
@@ -55,6 +58,13 @@ def _load_splice_plans(path: Path = _PLAN_PATH) -> dict:
 SPLICE_PLANS = _load_splice_plans()
 
 
+def check_logit_clamp(value: float) -> None:
+    """Raise ValueError unless value lies in the open LOGIT_CLAMP_RANGE."""
+    lo, hi = LOGIT_CLAMP_RANGE
+    if not lo < value < hi:
+        raise ValueError(f"logit_clamp={value!r} is not in ({lo}, {hi})")
+
+
 @dataclass
 class FrontEnd:
     """Logit + PCA projection applied to posterior rows."""
@@ -66,8 +76,7 @@ class FrontEnd:
     def __post_init__(self):
         self.pca_mean = np.asarray(self.pca_mean, dtype=np.float64)
         self.pca_basis = np.asarray(self.pca_basis, dtype=np.float64)
-        if not 0.0 < self.logit_clamp < 0.5:
-            raise ValueError("logit_clamp must be in (0, 0.5)")
+        check_logit_clamp(self.logit_clamp)
 
     @property
     def num_classes(self) -> int:
@@ -156,6 +165,7 @@ def fit_front_end(
     prob_rows: np.ndarray, K: int, logit_clamp: float = DEFAULT_LOGIT_CLAMP
 ) -> FrontEnd:
     """Fit the Logit + PCA front-end on raw posterior rows."""
+    check_logit_clamp(logit_clamp)
     return fit_pca(logit_transform(prob_rows, logit_clamp), K, logit_clamp)
 
 
@@ -383,5 +393,4 @@ def ae_attention(sset: StreamSet, model: AeModel) -> AttentionSchedule:
     errs = np.stack(
         [reconstruction_errors(model, s) for s in sset.streams], axis=1
     )  # (T, M)
-    inv = 1.0 / np.maximum(errs, ERROR_FLOOR)
-    return AttentionSchedule(inv / inv.sum(axis=1, keepdims=True))
+    return AttentionSchedule(inverse_weights(errs, ERROR_FLOOR))

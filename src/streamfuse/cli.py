@@ -97,6 +97,18 @@ def _in_range(typ, bounds: tuple):
 _positive_int = _in_range(int, (1, math.inf))
 
 
+def _logit_clamp(text: str) -> float:
+    """An argparse type=: a number in the open range aemonitor.LOGIT_CLAMP_RANGE."""
+    try:
+        value = float(text)
+        aemonitor.check_logit_clamp(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is not a number in {aemonitor.LOGIT_CLAMP_RANGE}"
+        ) from None
+    return value
+
+
 def _parse_context(text: str) -> tuple[int, int]:
     try:
         left, right = text.split(",")
@@ -245,7 +257,8 @@ def build_parser() -> argparse.ArgumentParser:
     # Not aemonitor.DEFAULT_LOGIT_CLAMP (1e-6): models trained here use 1e-3
     # and the library's tested training uses 1e-6, so changing either one
     # changes outputs.
-    p.add_argument("--logit-clamp", type=float, default=1e-3, help="front-end probability clamp")
+    p.add_argument("--logit-clamp", type=_logit_clamp, default=1e-3,
+                   help="front-end probability clamp")
     p.add_argument("--epochs", type=_in_range(int, train_range["epochs"]),
                    default=train.epochs, help="training epochs")
     p.add_argument("--lr", type=_in_range(float, train_range["learning_rate"]),

@@ -94,6 +94,12 @@ def renormalize_rows(mat: np.ndarray) -> np.ndarray:
     return mat / mat.sum(axis=1, keepdims=True)
 
 
+def inverse_weights(scores: np.ndarray, floor: float) -> np.ndarray:
+    """1 / max(score, floor), normalized to sum to 1 along each row."""
+    inv = 1.0 / np.maximum(scores, floor)
+    return inv / inv.sum(axis=-1, keepdims=True)
+
+
 def check_range(name: str, value, bounds: tuple) -> None:
     """Raise ValueError unless value lies in the closed range bounds = (lo, hi)."""
     lo, hi = bounds

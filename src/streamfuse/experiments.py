@@ -156,6 +156,17 @@ def write_corpus(scenario: simulator.Scenario, outdir):
     storage.write_manifest(records, outdir / "manifest.txt")
 
 
+def _read_stream_shaped(path: Path, shape: tuple[int, int], where: str) -> PosteriorStream:
+    """A stream file whose (frames, classes) must equal shape."""
+    stream = storage.read_stream(path)
+    if stream.probs.shape != shape:
+        raise StreamFuseError(
+            f"{where}: {path.name} holds {stream.num_frames} frames x "
+            f"{stream.num_classes} classes, not frames={shape[0]} x {shape[1]} HMM states"
+        )
+    return stream
+
+
 def load_corpus(indir) -> simulator.Scenario:
     """Read a corpus directory back into the Scenario write_corpus was given."""
     indir = Path(indir)
@@ -192,17 +203,16 @@ def load_corpus(indir) -> simulator.Scenario:
                 f"{manifest}: utt {rec.utt_id}: frames={rec.num_frames}, "
                 f"but {tag}.ref holds {len(labels)} labels"
             )
+        # Every stream spans the utterance's frames over the HMM's states.
+        shape, where = (rec.num_frames, len(hmm.priors)), f"{manifest}: utt {rec.utt_id}"
         streams = StreamSet(
-            [
-                storage.read_stream(indir / f"{tag}_s{m:02d}.strm")
-                for m in range(M)
-            ]
+            [_read_stream_shaped(indir / f"{tag}_s{m:02d}.strm", shape, where) for m in range(M)]
         )
         utterances.append(
             simulator.Utterance(
                 utt_id=rec.utt_id,
                 labels=labels,
-                clean=storage.read_stream(indir / f"{tag}_clean.strm"),
+                clean=_read_stream_shaped(indir / f"{tag}_clean.strm", shape, where),
                 streams=streams,
                 oracle_stream=rec.oracle_stream,
             )
@@ -238,11 +248,9 @@ def _oracle(aligned: StreamSet, *, oracle_stream, **_) -> AttentionSchedule:
 FRAME_METHODS = {
     "equal": _equal,
     "entropy": lambda aligned, **_: measures.entropy_attention(aligned),
-    "m_measure": lambda aligned, *, mcfg, **_: measures.binary_window_attention(
-        aligned, mcfg, measure="m"
-    ),
+    "m_measure": lambda aligned, *, mcfg, **_: measures.binary_window_attention(aligned, mcfg),
     "delta_m": lambda aligned, *, mcfg, **_: measures.binary_window_attention(
-        aligned, mcfg, measure="delta_m"
+        aligned, mcfg, delta=True
     ),
     "autoencoder": _autoencoder,
     "oracle": _oracle,
@@ -410,16 +418,6 @@ def evaluate_corpus(
     return [(name, combine_reports(reps)) for name, reps in zip(names, per_system)]
 
 
-def evaluate_single_streams(corpus: simulator.Scenario) -> list[tuple[str, ErrorReport]]:
-    """Per-stream baseline error rates, plus the clean matched stream."""
-    return evaluate_corpus(corpus)
-
-
-def evaluate_fused_dir(corpus: simulator.Scenario, fused_dir) -> tuple[str, ErrorReport]:
-    """The report row of one fused directory."""
-    return evaluate_corpus(corpus, baselines=False, fused_dirs=[fused_dir])[0]
-
-
 def evaluate_method(
     corpus: simulator.Scenario,
     method: str,
@@ -437,17 +435,6 @@ def evaluate_method(
         )
         reports += decode_reports([fuse(aligned, sched)], utt.labels, corpus.hmm, [lo])
     return combine_reports(reports)
-
-
-def n_sweep(
-    corpus: simulator.Scenario,
-    method: str,
-    *,
-    model: aemonitor.AeModel | None = None,
-    mcfg: measures.MMeasureConfig | None = None,
-) -> list[tuple[str, ErrorReport]]:
-    """Token error per n for n-best re-weighting, n = 1..M."""
-    return evaluate_corpus(corpus, baselines=False, sweep=method, model=model, mcfg=mcfg)
 
 
 REPORT_HEADER = (

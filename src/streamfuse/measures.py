@@ -10,7 +10,10 @@ Two families:
   distortions flatten temporal dynamics and shrink this value, so the
   stream with the highest score per window is selected outright (binary
   attention).  The "delta" variant only counts frame pairs whose argmax
-  class differs, gating the divergences on class change.
+  class differs, gating the divergences on class change.  Both the
+  schedule and `m_measure` read one (windows x M) matrix from
+  `window_scores`: the schedule takes each window's argmax, `m_measure` a
+  stream's length-weighted mean.
 
 All measures use natural logs (nats).
 """
@@ -21,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LOG_EPS, AttentionSchedule, PosteriorStream, StreamSet
+from .core import LOG_EPS, AttentionSchedule, PosteriorStream, StreamSet, inverse_weights
 from .errors import WindowTooShort
 
 # Entropy floor applied before inversion so a saturated (one-hot) stream
@@ -54,37 +57,9 @@ class MMeasureConfig:
             raise ValueError("window must be >= max(spans) + 1")
 
 
-@dataclass
-class StreamScore:
-    stream_id: int
-    value: float
-
-
-def entropy(probs: np.ndarray) -> float:
-    """Shannon entropy of one posterior row, in nats."""
-    p = np.asarray(probs, dtype=np.float64)
-    return float(-(p * np.log(np.maximum(p, LOG_EPS))).sum())
-
-
 def entropy_rows(mat: np.ndarray) -> np.ndarray:
     """Row-wise Shannon entropy of a (T, C) matrix, in nats."""
     return -(mat * np.log(np.maximum(mat, LOG_EPS))).sum(axis=1)
-
-
-def weights_from_entropies(entropies: np.ndarray) -> np.ndarray:
-    """Normalized inverse entropies, with the entropy floor applied."""
-    inv = 1.0 / np.maximum(np.asarray(entropies, dtype=np.float64), ENTROPY_FLOOR)
-    return inv / inv.sum(axis=-1, keepdims=True)
-
-
-def inverse_entropy_weights(frames: list[np.ndarray]) -> np.ndarray:
-    """Attention weights for one time instant from M posterior frames."""
-    return weights_from_entropies(np.array([entropy(f) for f in frames]))
-
-
-def symmetric_kld(p: np.ndarray, q: np.ndarray) -> float:
-    """Symmetric KL divergence KL(p||q) + KL(q||p), in nats."""
-    return float(symmetric_kld_rows(np.atleast_2d(p), np.atleast_2d(q))[0])
 
 
 def symmetric_kld_rows(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
@@ -107,9 +82,7 @@ def _window_bounds(T: int, window: int | None) -> list[tuple[int, int]]:
     return bounds
 
 
-def _mean_time_distance(
-    probs: np.ndarray, spans: tuple[int, ...], gate_on_argmax: bool
-) -> float:
+def _mean_time_distance(probs: np.ndarray, spans: tuple[int, ...], delta: bool) -> float:
     """Average pairwise divergence over spans within one window of frames."""
     T = probs.shape[0]
     if T < max(spans) + 1:
@@ -119,7 +92,7 @@ def _mean_time_distance(
     per_span = []
     for d in spans:
         div = symmetric_kld_rows(probs[:-d], probs[d:])
-        if gate_on_argmax:
+        if delta:
             changed = np.argmax(probs[:-d], axis=1) != np.argmax(probs[d:], axis=1)
             div = div[changed]
             per_span.append(float(div.mean()) if div.size else 0.0)
@@ -128,50 +101,47 @@ def _mean_time_distance(
     return float(np.mean(per_span))
 
 
-def m_measure(stream: PosteriorStream, cfg: MMeasureConfig | None = None) -> StreamScore:
+def window_scores(
+    sset: StreamSet, cfg: MMeasureConfig, *, delta: bool
+) -> tuple[list[tuple[int, int]], np.ndarray]:
+    """Analysis windows of an aligned stream set and their (windows, M) scores.
+
+    Cell (w, m) is stream m's mean time distance over window w; delta=True
+    counts only frame pairs whose argmax class differs.
+    """
+    bounds = _window_bounds(sset.streams[0].num_frames, cfg.window)
+    scores = np.array([
+        [_mean_time_distance(s.probs[a:b], cfg.spans, delta) for s in sset.streams]
+        for a, b in bounds
+    ])
+    return bounds, scores
+
+
+def m_measure(
+    stream: PosteriorStream, cfg: MMeasureConfig | None = None, *, delta: bool = False
+) -> float:
     """Mean time distance of a stream (utterance-level unless windowed).
 
     With a finite window the per-window values are averaged, weighted by
     window length, so the utterance-level call is the single-window case.
+    delta=True gives the delta M-measure.
     """
-    return _scored(stream, cfg or MMeasureConfig(), gate_on_argmax=False)
-
-
-def delta_m_measure(
-    stream: PosteriorStream, cfg: MMeasureConfig | None = None
-) -> StreamScore:
-    """Mean time distance counting only frame pairs whose argmax class differs."""
-    return _scored(stream, cfg or MMeasureConfig(), gate_on_argmax=True)
-
-
-def _scored(stream: PosteriorStream, cfg: MMeasureConfig, gate_on_argmax: bool) -> StreamScore:
-    bounds = _window_bounds(stream.num_frames, cfg.window)
-    vals, lens = [], []
-    for a, b in bounds:
-        vals.append(_mean_time_distance(stream.probs[a:b], cfg.spans, gate_on_argmax))
-        lens.append(b - a)
-    value = float(np.average(vals, weights=lens))
-    return StreamScore(stream_id=stream.stream_id, value=value)
+    bounds, scores = window_scores(StreamSet([stream]), cfg or MMeasureConfig(), delta=delta)
+    return float(np.average(scores[:, 0], weights=[b - a for a, b in bounds]))
 
 
 def binary_window_attention(
-    sset: StreamSet, cfg: MMeasureConfig | None = None, measure: str = "m"
+    sset: StreamSet, cfg: MMeasureConfig | None = None, *, delta: bool = False
 ) -> AttentionSchedule:
     """One-hot schedule selecting the highest-scoring stream per window.
 
-    measure is "m" or "delta_m".  Ties go to the lowest stream index.
+    delta=True scores windows by the delta M-measure.  Ties go to the
+    lowest stream index.
     """
-    if measure not in ("m", "delta_m"):
-        raise ValueError(f"unknown measure {measure!r}")
-    cfg = cfg or MMeasureConfig()
-    gate = measure == "delta_m"
-    T = sset.streams[0].num_frames
-    weights = np.zeros((T, sset.num_streams))
-    for a, b in _window_bounds(T, cfg.window):
-        scores = [
-            _mean_time_distance(s.probs[a:b], cfg.spans, gate) for s in sset.streams
-        ]
-        winner = int(np.argmax(scores))  # argmax takes the first (lowest) on ties
+    bounds, scores = window_scores(sset, cfg or MMeasureConfig(), delta=delta)
+    weights = np.zeros((sset.streams[0].num_frames, sset.num_streams))
+    # argmax takes the first (lowest) index on ties.
+    for (a, b), winner in zip(bounds, np.argmax(scores, axis=1)):
         weights[a:b, winner] = 1.0
     return AttentionSchedule(weights)
 
@@ -179,4 +149,4 @@ def binary_window_attention(
 def entropy_attention(sset: StreamSet) -> AttentionSchedule:
     """Frame-wise inverse-entropy attention over an aligned stream set."""
     ent = np.stack([entropy_rows(s.probs) for s in sset.streams], axis=1)  # (T, M)
-    return AttentionSchedule(weights_from_entropies(ent))
+    return AttentionSchedule(inverse_weights(ent, ENTROPY_FLOOR))

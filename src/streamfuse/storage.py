@@ -107,60 +107,46 @@ def _to_f32_payload(mat: np.ndarray) -> np.ndarray:
     return out
 
 
-def write_stream(stream: PosteriorStream, path):
+def _write_matrix(path, hdr: struct.Struct, magic: bytes, mat: np.ndarray, *extra):
+    """Header (magic, version, columns, rows, *extra, dtype 0) and an f32 payload."""
     with open(path, "wb") as f:
-        f.write(
-            _STREAM_HDR.pack(
-                b"SATN",
-                VERSION,
-                stream.num_classes,
-                stream.num_frames,
-                stream.stream_id & 0xFFFFFFFF,
-                stream.frame_offset,
-                0,
-            )
+        f.write(hdr.pack(magic, VERSION, mat.shape[1], mat.shape[0], *extra, 0))
+        f.write(_to_f32_payload(mat).tobytes())
+
+
+def _read_matrix(path, hdr: struct.Struct, magic: bytes, what: str) -> tuple[np.ndarray, list]:
+    """The validated (rows, columns) matrix of a _write_matrix file, and its extra fields."""
+    with open(path, "rb") as f:
+        found, version, cols, rows, *extra, dtype = hdr.unpack(
+            _read_exact(f, hdr.size, f"{what} header")
         )
-        f.write(_to_f32_payload(stream.probs).tobytes())
+        _check_header(found, magic, version)
+        if dtype != 0:
+            raise VersionUnsupported(f"unknown dtype code {dtype}")
+        payload = _read_exact(f, rows * cols * 4, f"{what} payload")
+        if f.read(1):
+            raise PayloadTruncated(f"trailing bytes after {what} payload")
+    mat = np.frombuffer(payload, dtype="<f4").astype(np.float64).reshape(rows, cols)
+    return _validate_rows(mat, what), extra
+
+
+def write_stream(stream: PosteriorStream, path):
+    sid = stream.stream_id & 0xFFFFFFFF  # u32 on disk; read_stream restores the sign
+    _write_matrix(path, _STREAM_HDR, b"SATN", stream.probs, sid, stream.frame_offset)
 
 
 def read_stream(path) -> PosteriorStream:
-    with open(path, "rb") as f:
-        magic, version, C, T, sid, offset, dtype = _STREAM_HDR.unpack(
-            _read_exact(f, _STREAM_HDR.size, "stream header")
-        )
-        _check_header(magic, b"SATN", version)
-        if dtype != 0:
-            raise VersionUnsupported(f"unknown dtype code {dtype}")
-        payload = _read_exact(f, T * C * 4, "stream payload")
-        if f.read(1):
-            raise PayloadTruncated("trailing bytes after stream payload")
-    probs = np.frombuffer(payload, dtype="<f4").astype(np.float64).reshape(T, C)
-    probs = _validate_rows(probs, "stream")
+    probs, (sid, offset) = _read_matrix(path, _STREAM_HDR, b"SATN", "stream")
     sid = sid if sid < 0x80000000 else sid - 0x100000000
     return PosteriorStream(probs=probs, stream_id=sid, frame_offset=offset)
 
 
 def write_schedule(sched: AttentionSchedule, path):
-    with open(path, "wb") as f:
-        f.write(
-            _SCHED_HDR.pack(b"SATW", VERSION, sched.num_streams, sched.num_frames, 0)
-        )
-        f.write(_to_f32_payload(sched.weights).tobytes())
+    _write_matrix(path, _SCHED_HDR, b"SATW", sched.weights)
 
 
 def read_schedule(path) -> AttentionSchedule:
-    with open(path, "rb") as f:
-        magic, version, M, T, dtype = _SCHED_HDR.unpack(
-            _read_exact(f, _SCHED_HDR.size, "schedule header")
-        )
-        _check_header(magic, b"SATW", version)
-        if dtype != 0:
-            raise VersionUnsupported(f"unknown dtype code {dtype}")
-        payload = _read_exact(f, T * M * 4, "schedule payload")
-        if f.read(1):
-            raise PayloadTruncated("trailing bytes after schedule payload")
-    w = np.frombuffer(payload, dtype="<f4").astype(np.float64).reshape(T, M)
-    return AttentionSchedule(_validate_rows(w, "schedule"))
+    return AttentionSchedule(_read_matrix(path, _SCHED_HDR, b"SATW", "schedule")[0])
 
 
 _ACT_CODES = {"relu": 0, "linear": 1}

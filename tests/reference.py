@@ -20,9 +20,10 @@ import numpy as np
 
 from streamfuse import aemonitor, storage
 from streamfuse.core import LOG_EPS as PACKAGE_LOG_EPS
-from streamfuse.core import align_streams, fuse, n_best_truncate, overlap_range
+from streamfuse.core import AttentionSchedule, align_streams, fuse, n_best_truncate, overlap_range
 from streamfuse.decoder import combine_reports, score, viterbi_batch
 from streamfuse.experiments import compute_schedule, read_config
+from streamfuse.measures import _mean_time_distance, _window_bounds
 
 LOG_EPS = 1e-10
 ENTROPY_FLOOR = 1e-3
@@ -300,6 +301,30 @@ def n_sweep_ref(corpus, method, *, model=None, mcfg=None):
         for k, rep in enumerate(decode_reports_ref(fused, utt.labels, corpus.hmm, start=lo)):
             per_n[k].append(rep)
     return [(f"{method}:n={k + 1}", combine_reports(reps)) for k, reps in enumerate(per_n)]
+
+
+# --- The M-measures' window loops as first written (bit-exactness oracles)
+
+
+def m_measure_loop_ref(stream, cfg, gate_on_argmax=False) -> float:
+    """A stream's length-weighted mean of per-window mean time distances."""
+    vals, lens = [], []
+    for a, b in _window_bounds(stream.num_frames, cfg.window):
+        vals.append(_mean_time_distance(stream.probs[a:b], cfg.spans, gate_on_argmax))
+        lens.append(b - a)
+    return float(np.average(vals, weights=lens))
+
+
+def binary_window_attention_ref(sset, cfg, gate_on_argmax=False):
+    """One-hot schedule of the highest-scoring stream per window."""
+    T = sset.streams[0].num_frames
+    weights = np.zeros((T, sset.num_streams))
+    for a, b in _window_bounds(T, cfg.window):
+        scores = [
+            _mean_time_distance(s.probs[a:b], cfg.spans, gate_on_argmax) for s in sset.streams
+        ]
+        weights[a:b, int(np.argmax(scores))] = 1.0
+    return AttentionSchedule(weights)
 
 
 # --- Helpers only tests call, on the package's conventions ----------------

@@ -26,17 +26,21 @@ from streamfuse.aemonitor import (
     reconstruction_errors,
     train_ae,
 )
-from streamfuse.core import AttentionSchedule, PosteriorStream, align_streams, n_best_truncate
+from streamfuse.core import (
+    AttentionSchedule,
+    PosteriorStream,
+    align_streams,
+    inverse_weights,
+    n_best_truncate,
+)
 from streamfuse.decoder import HmmModel, make_hmm, viterbi
 from streamfuse.measures import (
+    ENTROPY_FLOOR,
     MMeasureConfig,
     binary_window_attention,
-    entropy,
     entropy_rows,
-    inverse_entropy_weights,
     m_measure,
-    symmetric_kld,
-    weights_from_entropies,
+    symmetric_kld_rows,
 )
 from streamfuse.simulator import CorpusSpec, CorruptionProfile, build_scenario, corrupt
 
@@ -92,12 +96,12 @@ def monitor_model(ldc_corpus):
 
 @pytest.fixture(scope="module")
 def ldc_baselines(ldc_corpus):
-    return dict(experiments.evaluate_single_streams(ldc_corpus))
+    return dict(experiments.evaluate_corpus(ldc_corpus))
 
 
 @pytest.fixture(scope="module")
 def hrm_baselines(hrm_corpus):
-    return dict(experiments.evaluate_single_streams(hrm_corpus))
+    return dict(experiments.evaluate_corpus(hrm_corpus))
 
 
 def best_stream_ter(baselines) -> float:
@@ -111,28 +115,34 @@ def best_stream_ter(baselines) -> float:
 def test_criterion_1_analytic_oracles():
     """Closed-form values reproduced to 1e-9 relative."""
     checks = [
-        ("entropy(0.5,0.25,0.25)", entropy([0.5, 0.25, 0.25]), 1.5 * math.log(2)),
-        ("entropy(uniform4)", entropy(np.full(4, 0.25)), math.log(4)),
+        (
+            "entropy(0.5,0.25,0.25)",
+            entropy_rows(np.array([[0.5, 0.25, 0.25]]))[0],
+            1.5 * math.log(2),
+        ),
+        ("entropy(uniform4)", entropy_rows(np.full((1, 4), 0.25))[0], math.log(4)),
         (
             "inv-entropy weights H=(1,2)",
-            weights_from_entropies(np.array([1.0, 2.0]))[0],
+            inverse_weights(np.array([[1.0, 2.0]]), ENTROPY_FLOOR)[0, 0],
             2.0 / 3.0,
         ),
         (
             "inv-entropy one-hot vs uniform4",
-            inverse_entropy_weights([np.array([1.0, 0, 0, 0]), np.full(4, 0.25)])[0],
+            inverse_weights(
+                entropy_rows(np.array([[1.0, 0, 0, 0], [0.25] * 4]))[None], ENTROPY_FLOOR
+            )[0, 0],
             ref.inverse_entropy_weights_ref([0.0, math.log(4)])[0],
         ),
         (
             "sym-KLD (.9,.1) vs (.1,.9)",
-            symmetric_kld(np.array([0.9, 0.1]), np.array([0.1, 0.9])),
+            symmetric_kld_rows(np.array([[0.9, 0.1]]), np.array([[0.1, 0.9]]))[0],
             1.6 * math.log(9),
         ),
         (
             "m-measure alternating",
             m_measure(
                 PosteriorStream(np.tile([[0.9, 0.1], [0.1, 0.9]], (50, 1)))
-            ).value,
+            ),
             1.6 * math.log(9) / 6.0,
         ),
         (
@@ -274,7 +284,7 @@ def test_criterion_6_window_selection(hrm_corpus):
 
 def test_criterion_7_n_best_sweep(hrm_corpus):
     """n-best re-weighting: too few streams hurts, all streams is near-best."""
-    rows = experiments.n_sweep(hrm_corpus, "entropy")
+    rows = experiments.evaluate_corpus(hrm_corpus, baselines=False, sweep="entropy")
     ters = [rep.token_error_rate for _, rep in rows]
     best_mid = min(ters[1:-1])
     overall = min(ters)
@@ -314,7 +324,7 @@ def test_criterion_8_monitor_monotonicity(monitor_model):
     m_vals = []
     for w in smears:
         vals = [
-            m_measure(corrupt(s, CorruptionProfile(smear_width=w), seed=0)).value
+            m_measure(corrupt(s, CorruptionProfile(smear_width=w), seed=0))
             for s in cleans
         ]
         m_vals.append(float(np.mean(vals)))

@@ -61,6 +61,14 @@ class TestLogitTransform:
         assert got == pytest.approx(ref.logit_ref(0.0, 1e-6), rel=1e-12)
         assert got == pytest.approx(math.log(1e-6 / (1 - 1e-6)), rel=1e-12)
 
+    @pytest.mark.parametrize("clamp", [0.0, 0.5, 0.7, -1.0, math.nan])
+    def test_clamp_outside_open_range_rejected(self, rng, clamp):
+        rows = random_simplex(rng, 20, 4)
+        with pytest.raises(ValueError, match="logit_clamp"):
+            fit_front_end(rows, 2, logit_clamp=clamp)
+        with pytest.raises(ValueError, match="logit_clamp"):
+            FrontEnd(pca_mean=np.zeros(4), pca_basis=np.eye(4)[:, :2], logit_clamp=clamp)
+
     @settings(deadline=None)
     @given(st.floats(1e-5, 1 - 1e-5))
     def test_antisymmetric(self, p):

@@ -1,5 +1,6 @@
 """End-to-end CLI behaviour, mostly through subprocess invocations."""
 
+import dataclasses
 import inspect
 import re
 import shutil
@@ -154,8 +155,11 @@ class TestTrainAe:
         assert r.returncode == 2
         assert "epochs" in r.stderr
 
-    @pytest.mark.parametrize("flag, value", [("--lr", "-1"), ("--lr", "nan"),
-                                             ("--batch-size", "0")])
+    @pytest.mark.parametrize("flag, value", [
+        ("--lr", "-1"), ("--lr", "nan"), ("--batch-size", "0"),
+        ("--logit-clamp", "0"), ("--logit-clamp", "0.5"), ("--logit-clamp", "0.7"),
+        ("--logit-clamp", "-1"), ("--logit-clamp", "nan"),
+    ])
     def test_out_of_range_flag_exits_2(self, corpus, tmp_path, flag, value):
         out = tmp_path / "m.stae"
         r = run("train-ae", "--corpus", str(corpus), "--out", str(out), flag, value)
@@ -249,13 +253,21 @@ class TestFuse:
         assert f"error: argument {flag}: " in r.stderr
         assert not out.exists()
 
-    @pytest.mark.parametrize("edit", ["oracle=99", "oracle=-1", "frames=3", "profiles"])
+    @pytest.mark.parametrize("edit", ["oracle=99", "oracle=-1", "frames=3", "profiles",
+                                      "stream T", "stream C"])
     def test_manifest_contradicting_corpus_exits_3(self, corpus, tmp_path, edit):
         copy = tmp_path / "corpus"
         shutil.copytree(corpus, copy)
         manifest = copy / "manifest.txt"
         first, *rest = manifest.read_text().splitlines()
-        if edit == "profiles":
+        if edit.startswith("stream"):
+            # One frame short of the manifest's frames, or one class more
+            # than hmm.json's states.
+            path = copy / "utt0000_s01.strm"
+            s = storage.read_stream(path)
+            probs = s.probs[:-1] if edit == "stream T" else np.pad(s.probs, ((0, 0), (0, 1)))
+            storage.write_stream(dataclasses.replace(s, probs=probs), path)
+        elif edit == "profiles":
             first = first.rsplit(";", 1)[0]  # drop the last stream's profile
         else:
             key = edit.split("=")[0]
@@ -265,6 +277,8 @@ class TestFuse:
         r = run("fuse", "--corpus", str(copy), "--out", str(out), "--method", "oracle")
         assert r.returncode == 3
         assert "utt 0:" in r.stderr
+        if edit.startswith("stream"):
+            assert "utt0000_s01.strm" in r.stderr
         assert "Traceback" not in r.stderr
         assert not out.exists()
 

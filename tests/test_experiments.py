@@ -57,7 +57,8 @@ def test_n_sweep_rows_equal_per_n_evaluation(hrm_corpus, method):
         (f"{method}:n={n}", experiments.evaluate_method(hrm_corpus, method, n=n))
         for n in range(1, M + 1)
     ]
-    assert experiments.n_sweep(hrm_corpus, method) == expected
+    got = experiments.evaluate_corpus(hrm_corpus, baselines=False, sweep=method)
+    assert got == expected
 
 
 def test_decode_reports_scores_each_stream_on_its_own_span():
@@ -90,6 +91,10 @@ def test_one_pass_equals_per_system_loops(hrm_corpus, fused_dirs, sweep):
     swept = ref.n_sweep_ref(hrm_corpus, sweep)
     got = experiments.evaluate_corpus(hrm_corpus, fused_dirs=fused_dirs, sweep=sweep)
     assert got == baselines + fused + swept
-    assert experiments.evaluate_single_streams(hrm_corpus) == baselines
-    assert [experiments.evaluate_fused_dir(hrm_corpus, d) for d in fused_dirs] == fused
-    assert experiments.n_sweep(hrm_corpus, sweep) == swept
+    # Each part alone gives the same rows.
+    assert experiments.evaluate_corpus(hrm_corpus) == baselines
+    assert [
+        experiments.evaluate_corpus(hrm_corpus, baselines=False, fused_dirs=[d])[0]
+        for d in fused_dirs
+    ] == fused
+    assert experiments.evaluate_corpus(hrm_corpus, baselines=False, sweep=sweep) == swept

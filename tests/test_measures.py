@@ -9,27 +9,39 @@ from hypothesis import strategies as st
 
 import reference as ref
 from conftest import random_simplex, random_stream, random_stream_set
-from streamfuse.core import PosteriorStream, StreamSet
+from streamfuse.core import PosteriorStream, StreamSet, inverse_weights
 from streamfuse.errors import WindowTooShort
 from streamfuse.measures import (
     DEFAULT_SPANS,
     ENTROPY_FLOOR,
     MMeasureConfig,
     binary_window_attention,
-    delta_m_measure,
-    entropy,
     entropy_attention,
     entropy_rows,
-    inverse_entropy_weights,
     m_measure,
-    symmetric_kld,
-    weights_from_entropies,
+    symmetric_kld_rows,
 )
 
 
 def alternating_stream(T=100, p=0.9):
     rows = np.tile([[p, 1 - p], [1 - p, p]], (T // 2, 1))
     return PosteriorStream(probs=rows)
+
+
+def entropy(p) -> float:
+    """entropy_rows of the 1-row matrix [p]."""
+    return float(entropy_rows(np.array([p], dtype=np.float64))[0])
+
+
+def frame_weights(frames) -> np.ndarray:
+    """Inverse-entropy weights of one time instant, from M posterior rows."""
+    ents = entropy_rows(np.array(frames, dtype=np.float64))
+    return inverse_weights(ents[None], ENTROPY_FLOOR)[0]
+
+
+def symmetric_kld(p, q) -> float:
+    """symmetric_kld_rows of the 1-row matrices [p] and [q]."""
+    return float(symmetric_kld_rows(np.array([p]), np.array([q]))[0])
 
 
 class TestEntropy:
@@ -46,7 +58,7 @@ class TestEntropy:
     def test_rows_matches_scalar(self, rng):
         mat = random_simplex(rng, 7, 5)
         np.testing.assert_allclose(
-            entropy_rows(mat), [entropy(r) for r in mat], atol=1e-12
+            entropy_rows(mat), [ref.entropy_ref(r) for r in mat], atol=1e-12
         )
 
     @settings(deadline=None)
@@ -74,17 +86,17 @@ class TestEntropy:
 
 class TestInverseEntropyWeights:
     def test_equal_entropies_equal_weights(self):
-        np.testing.assert_allclose(weights_from_entropies(np.array([1.5, 1.5])), [0.5, 0.5])
+        np.testing.assert_allclose(
+            inverse_weights(np.array([[1.5, 1.5]]), ENTROPY_FLOOR), [[0.5, 0.5]]
+        )
 
     def test_entropies_one_and_two(self):
         np.testing.assert_allclose(
-            weights_from_entropies(np.array([1.0, 2.0])), [2 / 3, 1 / 3], atol=1e-12
+            inverse_weights(np.array([[1.0, 2.0]]), ENTROPY_FLOOR), [[2 / 3, 1 / 3]], atol=1e-12
         )
 
     def test_one_hot_vs_uniform_floored(self):
-        w = inverse_entropy_weights(
-            [np.array([1.0, 0.0, 0.0, 0.0]), np.full(4, 0.25)]
-        )
+        w = frame_weights([np.array([1.0, 0.0, 0.0, 0.0]), np.full(4, 0.25)])
         expect = ref.inverse_entropy_weights_ref([0.0, math.log(4)])
         np.testing.assert_allclose(w, expect, rtol=1e-9)
         assert w[0] > 0.999
@@ -95,7 +107,7 @@ class TestInverseEntropyWeights:
         rng = np.random.default_rng(seed)
         M = int(rng.integers(2, 6))
         frames = [random_simplex(rng, 1, 5)[0] for _ in range(M)]
-        w = inverse_entropy_weights(frames)
+        w = frame_weights(frames)
         assert w.sum() == pytest.approx(1.0, abs=1e-12)
         assert np.all(w > 0)
         ents = [entropy(f) for f in frames]
@@ -130,20 +142,20 @@ class TestSymmetricKld:
 class TestMMeasure:
     def test_constant_stream_zero(self):
         s = PosteriorStream(np.tile([0.7, 0.2, 0.1], (80, 1)))
-        assert m_measure(s).value == pytest.approx(0.0, abs=1e-12)
+        assert m_measure(s) == pytest.approx(0.0, abs=1e-12)
 
     def test_alternating_stream_value(self):
         # Pairs at odd spans alternate between the two rows; even spans pair
         # identical rows.  Only span 5 of the defaults is odd.
         s = alternating_stream(100)
         expect = (1.6 * math.log(9)) / len(DEFAULT_SPANS)
-        assert m_measure(s).value == pytest.approx(expect, rel=1e-9)
+        assert m_measure(s) == pytest.approx(expect, rel=1e-9)
 
     def test_matches_reference(self, rng):
         s = random_stream(rng, 40, 3)
         cfg = MMeasureConfig(spans=(2, 5, 7))
         expect = ref.m_measure_ref(s.probs.tolist(), (2, 5, 7))
-        assert m_measure(s, cfg).value == pytest.approx(expect, rel=1e-9)
+        assert m_measure(s, cfg) == pytest.approx(expect, rel=1e-9)
 
     def test_window_too_short(self, rng):
         with pytest.raises(WindowTooShort):
@@ -156,14 +168,14 @@ class TestMMeasure:
         v1 = ref.m_measure_ref(s.probs[:10].tolist(), (1, 2))
         v2 = ref.m_measure_ref(s.probs[10:].tolist(), (1, 2))
         expect = (10 * v1 + 15 * v2) / 25
-        assert m_measure(s, cfg).value == pytest.approx(expect, rel=1e-9)
+        assert m_measure(s, cfg) == pytest.approx(expect, rel=1e-9)
 
     def test_class_permutation_invariant(self, rng):
         s = random_stream(rng, 30, 4)
         perm = rng.permutation(4)
         sp = PosteriorStream(s.probs[:, perm])
         cfg = MMeasureConfig(spans=(1, 3))
-        assert m_measure(s, cfg).value == pytest.approx(m_measure(sp, cfg).value, rel=1e-12)
+        assert m_measure(s, cfg) == pytest.approx(m_measure(sp, cfg), rel=1e-12)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -177,26 +189,26 @@ class TestMMeasure:
 class TestDeltaMMeasure:
     def test_constant_stream_zero(self):
         s = PosteriorStream(np.tile([0.7, 0.3], (80, 1)))
-        assert delta_m_measure(s).value == pytest.approx(0.0, abs=1e-12)
+        assert m_measure(s, delta=True) == pytest.approx(0.0, abs=1e-12)
 
     def test_equals_m_when_every_pair_changes_argmax(self):
         # Alternating stream: every odd-span pair flips argmax, every
         # even-span pair is identical (zero divergence both ways).
         s = alternating_stream(100)
-        assert delta_m_measure(s).value == pytest.approx(m_measure(s).value, rel=1e-12)
+        assert m_measure(s, delta=True) == pytest.approx(m_measure(s), rel=1e-12)
 
     def test_zero_when_argmax_never_changes(self):
         rows = np.tile([[0.9, 0.1], [0.6, 0.4]], (40, 1))
         s = PosteriorStream(rows)
         cfg = MMeasureConfig(spans=(1, 2))
-        assert delta_m_measure(s, cfg).value == 0.0
-        assert m_measure(s, cfg).value > 0.1
+        assert m_measure(s, cfg, delta=True) == 0.0
+        assert m_measure(s, cfg) > 0.1
 
     def test_matches_gated_reference(self, rng):
         s = random_stream(rng, 40, 3)
         cfg = MMeasureConfig(spans=(2, 5, 7))
         expect = ref.m_measure_ref(s.probs.tolist(), (2, 5, 7), gate_on_argmax=True)
-        assert delta_m_measure(s, cfg).value == pytest.approx(expect, rel=1e-9)
+        assert m_measure(s, cfg, delta=True) == pytest.approx(expect, rel=1e-9)
 
 
 class TestBinaryWindowAttention:
@@ -227,19 +239,50 @@ class TestBinaryWindowAttention:
         np.testing.assert_array_equal(sched.weights[:10], np.tile([1.0, 0.0], (10, 1)))
         np.testing.assert_array_equal(sched.weights[10:], np.tile([0.0, 1.0], (10, 1)))
 
-    def test_unknown_measure_rejected(self, rng):
-        with pytest.raises(ValueError):
-            binary_window_attention(random_stream_set(rng, 2, 10, 2), measure="bogus")
-
     @settings(deadline=None)
     @given(st.integers(0, 10**6))
     def test_rows_are_one_hot(self, seed):
         rng = np.random.default_rng(seed)
         sset = random_stream_set(rng, 3, 20, 3)
-        for measure in ("m", "delta_m"):
-            sched = binary_window_attention(sset, MMeasureConfig(spans=(1, 4)), measure)
+        for delta in (False, True):
+            sched = binary_window_attention(sset, MMeasureConfig(spans=(1, 4)), delta=delta)
             np.testing.assert_array_equal(sched.weights.sum(axis=1), np.ones(20))
             assert set(np.unique(sched.weights)) <= {0.0, 1.0}
+
+
+class TestWindowScores:
+    @settings(deadline=None, max_examples=80)
+    @given(
+        M=st.integers(2, 5),
+        T=st.integers(11, 60),
+        spans=st.lists(st.integers(1, 10), min_size=1, max_size=3, unique=True).map(
+            lambda xs: tuple(sorted(xs))
+        ),
+        extra=st.one_of(st.none(), st.integers(1, 60)),
+        delta=st.booleans(),
+        seed=st.integers(0, 10**6),
+    )
+    def test_matches_the_two_window_loops_bit_for_bit(self, M, T, spans, extra, delta, seed):
+        rng = np.random.default_rng(seed)
+        C = int(rng.integers(2, 5))
+        # Rows of small integer counts, normalized, and some streams copying
+        # earlier ones, so argmax ties occur within rows and score ties
+        # across streams.
+        probs = []
+        for m in range(M):
+            if m and rng.random() < 0.4:
+                probs.append(probs[int(rng.integers(m))].copy())
+                continue
+            counts = rng.integers(0, 4, size=(T, C)).astype(np.float64)
+            counts[counts.sum(axis=1) == 0, 0] = 1.0
+            probs.append(counts / counts.sum(axis=1, keepdims=True))
+        sset = StreamSet([PosteriorStream(p, stream_id=m) for m, p in enumerate(probs)])
+        cfg = MMeasureConfig(spans=spans, window=None if extra is None else max(spans) + extra)
+        got = binary_window_attention(sset, cfg, delta=delta)
+        want = ref.binary_window_attention_ref(sset, cfg, gate_on_argmax=delta)
+        assert np.array_equal(got.weights, want.weights)
+        for s in sset.streams:
+            assert m_measure(s, cfg, delta=delta) == ref.m_measure_loop_ref(s, cfg, delta)
 
 
 class TestEntropyAttention:
@@ -259,5 +302,7 @@ class TestEntropyAttention:
         sset = random_stream_set(rng, 3, 8, 4)
         sched = entropy_attention(sset)
         for t in range(8):
-            expect = inverse_entropy_weights([s.probs[t] for s in sset.streams])
+            expect = ref.inverse_entropy_weights_ref(
+                [ref.entropy_ref(s.probs[t]) for s in sset.streams]
+            )
             np.testing.assert_allclose(sched.weights[t], expect, atol=1e-12)

@@ -128,7 +128,7 @@ class TestCorrupt:
         np.testing.assert_allclose(
             out.probs, np.tile(mean / mean.sum(), (40, 1)), atol=1e-9
         )
-        assert m_measure(out, MMeasureConfig(spans=(1, 5))).value <= 1e-12
+        assert m_measure(out, MMeasureConfig(spans=(1, 5))) <= 1e-12
 
     def test_failed_stream_near_uniform(self, rng):
         s = self.make_stream(rng, C=10)
@@ -182,7 +182,7 @@ class TestCorrupt:
         s = self.make_stream(rng, T=80)
         cfg = MMeasureConfig(spans=(1, 3, 5))
         vals = [
-            m_measure(corrupt(s, CorruptionProfile(smear_width=w), seed=0), cfg).value
+            m_measure(corrupt(s, CorruptionProfile(smear_width=w), seed=0), cfg)
             for w in (0, 3, 9, 27)
         ]
         assert all(b <= a + 1e-9 for a, b in zip(vals, vals[1:]))
