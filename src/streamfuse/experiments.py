@@ -17,12 +17,25 @@ Fusion output directory layout:
 
 Reports are tab-separated tables with a header row; lines starting with
 "#" carry the config hash.
+
+When each check runs: load_corpus reads corpus.cfg, hmm.json, the manifest,
+every label file and every stream file's header, and checks them against
+each other (oracle index, profile count, label count, each stream's frames,
+classes and frame_offset, each file's size), so a corpus that contradicts
+itself fails before any output exists.  A stream's payload is read, and its
+rows checked to be on the simplex, only when its utterance is taken from
+the corpus's utterances, so fuse_corpus, evaluate_corpus and
+evaluate_method hold one utterance at a time.  evaluate_corpus checks each
+fused directory's fuse.cfg (present, from this corpus) before the first
+utterance, and each fused stream's shape as it reads it.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import operator
+from collections.abc import Sequence
 from pathlib import Path
 
 import numpy as np
@@ -38,7 +51,7 @@ from .core import (
     overlap_range,
 )
 from .decoder import ErrorReport, HmmModel, combine_reports, score, viterbi_batch
-from .errors import MissingModel, StreamFuseError
+from .errors import FormatError, MissingModel, StreamFuseError
 
 
 def config_hash(pairs: dict) -> str:
@@ -156,19 +169,79 @@ def write_corpus(scenario: simulator.Scenario, outdir):
     storage.write_manifest(records, outdir / "manifest.txt")
 
 
-def _read_stream_shaped(path: Path, shape: tuple[int, int], where: str) -> PosteriorStream:
-    """A stream file whose (frames, classes) must equal shape."""
-    stream = storage.read_stream(path)
-    if stream.probs.shape != shape:
+def _read_checked(read, path: Path, shape: tuple[int, int], where: str, offset=None):
+    """read(path), a stream or its StreamHeader, once its fields match.
+
+    Its (frames, classes) must equal shape, and its frame_offset offset
+    unless that is None.  Every error names where and the file.
+    """
+    try:
+        found = read(path)
+    except FormatError as e:
+        raise type(e)(f"{where}: {path.name}: {e}") from None
+    if (found.num_frames, found.num_classes) != shape:
         raise StreamFuseError(
-            f"{where}: {path.name} holds {stream.num_frames} frames x "
-            f"{stream.num_classes} classes, not frames={shape[0]} x {shape[1]} HMM states"
+            f"{where}: {path.name} holds {found.num_frames} frames x "
+            f"{found.num_classes} classes, not frames={shape[0]} x {shape[1]} HMM states"
         )
-    return stream
+    if offset is not None and found.frame_offset != offset:
+        raise StreamFuseError(
+            f"{where}: {path.name} has frame_offset {found.frame_offset}, "
+            f"but its manifest profile says off:{offset}"
+        )
+    return found
+
+
+def _utterance_streams(read, indir: Path, manifest: Path, rec, num_classes: int) -> list:
+    """read(path) of an utterance's stream files, _s00 .. then _clean, each checked.
+
+    Every stream spans the manifest's frames over the HMM's states, and
+    each corrupted stream's frame_offset is its profile's off.
+    """
+    tag = f"utt{rec.utt_id:04d}"
+    files = [(f"{tag}_s{m:02d}.strm", p.offset) for m, p in enumerate(rec.profiles)]
+    files.append((f"{tag}_clean.strm", None))
+    shape, where = (rec.num_frames, num_classes), f"{manifest}: utt {rec.utt_id}"
+    return [_read_checked(read, indir / name, shape, where, offset) for name, offset in files]
+
+
+class _DiskUtterances(Sequence):
+    """The utterances of a corpus directory, read from disk each time one is taken.
+
+    Taking one reads and simplex-validates its stream payloads; nothing is
+    cached, so a pass over the corpus holds one utterance's streams at a time.
+    """
+
+    def __init__(self, indir: Path, manifest: Path, num_classes: int, entries: list):
+        self._indir, self._manifest, self._num_classes = indir, manifest, num_classes
+        self._entries = entries  # (UtteranceRecord, labels) per utterance
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def __getitem__(self, i: int) -> simulator.Utterance:
+        rec, labels = self._entries[operator.index(i)]
+        *streams, clean = _utterance_streams(
+            storage.read_stream, self._indir, self._manifest, rec, self._num_classes
+        )
+        return simulator.Utterance(
+            utt_id=rec.utt_id,
+            labels=labels,
+            clean=clean,
+            streams=StreamSet(streams),
+            oracle_stream=rec.oracle_stream,
+        )
 
 
 def load_corpus(indir) -> simulator.Scenario:
-    """Read a corpus directory back into the Scenario write_corpus was given."""
+    """Read a corpus directory back into the Scenario write_corpus was given.
+
+    corpus.cfg, hmm.json, the manifest, every label file and every stream
+    header are read and checked against each other here, so a directory that
+    contradicts itself fails before any output exists.  The scenario's
+    utterances are a read-only sequence that reads an utterance's stream
+    payloads, and checks their rows are on the simplex, only when it is taken.
+    """
     indir = Path(indir)
     cfg_path = indir / "corpus.cfg"
     cfg = read_config(cfg_path)
@@ -181,8 +254,8 @@ def load_corpus(indir) -> simulator.Scenario:
     hmm = _hmm_from_json(json.loads((indir / "hmm.json").read_text()))
     manifest = indir / "manifest.txt"
     records = storage.read_manifest(manifest)
-    M = spec.num_streams
-    utterances = []
+    M, C = spec.num_streams, len(hmm.priors)
+    entries = []
     for rec in records:
         tag = f"utt{rec.utt_id:04d}"
         if not 0 <= rec.oracle_stream < M:
@@ -203,23 +276,15 @@ def load_corpus(indir) -> simulator.Scenario:
                 f"{manifest}: utt {rec.utt_id}: frames={rec.num_frames}, "
                 f"but {tag}.ref holds {len(labels)} labels"
             )
-        # Every stream spans the utterance's frames over the HMM's states.
-        shape, where = (rec.num_frames, len(hmm.priors)), f"{manifest}: utt {rec.utt_id}"
-        streams = StreamSet(
-            [_read_stream_shaped(indir / f"{tag}_s{m:02d}.strm", shape, where) for m in range(M)]
-        )
-        utterances.append(
-            simulator.Utterance(
-                utt_id=rec.utt_id,
-                labels=labels,
-                clean=_read_stream_shaped(indir / f"{tag}_clean.strm", shape, where),
-                streams=streams,
-                oracle_stream=rec.oracle_stream,
-            )
-        )
+        _utterance_streams(storage.read_stream_header, indir, manifest, rec, C)
+        entries.append((rec, labels))
     profiles = records[0].profiles if records else []
     return simulator.Scenario(
-        name=name, spec=spec, hmm=hmm, profiles=profiles, utterances=utterances
+        name=name,
+        spec=spec,
+        hmm=hmm,
+        profiles=profiles,
+        utterances=_DiskUtterances(indir, manifest, C, entries),
     )
 
 
@@ -366,6 +431,21 @@ def decode_reports(
     return reports
 
 
+def _fused_name(fused_dir: Path, chash: str) -> str:
+    """The report row of a complete fuse output made from the corpus whose hash is chash."""
+    path = fused_dir / "fuse.cfg"
+    if not path.is_file():
+        raise StreamFuseError(f"{fused_dir}: no fuse.cfg, so not a complete fuse output")
+    fcfg = read_config(path)
+    if fcfg.get("corpus_hash") != chash:
+        raise StreamFuseError(
+            f"{path}: corpus_hash={fcfg.get('corpus_hash', '')}, but the corpus "
+            f"being scored has {chash}: fused from another corpus"
+        )
+    n = fcfg.get("n")
+    return _cfg_value(fcfg, "method", str, path) + (f":n={n}" if n else "")
+
+
 def evaluate_corpus(
     corpus: simulator.Scenario,
     *,
@@ -386,22 +466,22 @@ def evaluate_corpus(
     stream it needs in one Viterbi batch, and a sweep computes its
     schedule once and truncates it to each n.
     """
-    M = corpus.spec.num_streams
+    M, C = corpus.spec.num_streams, len(corpus.hmm.priors)
     fused_dirs = [Path(d) for d in fused_dirs]
     names = [*(f"stream:{m}" for m in range(M)), "clean"] if baselines else []
-    for d in fused_dirs:
-        fcfg = read_config(d / "fuse.cfg")
-        names.append(fcfg["method"] + (f":n={fcfg['n']}" if fcfg.get("n") else ""))
+    chash = corpus_hash(corpus)
+    names += [_fused_name(d, chash) for d in fused_dirs]
     if sweep is not None:
         names += [f"{sweep}:n={n}" for n in range(1, M + 1)]
     per_system: list[list[ErrorReport]] = [[] for _ in names]
     for utt in corpus.utterances:
-        lo, _ = overlap_range(utt.streams)
+        lo, length = overlap_range(utt.streams)
         aligned = align_streams(utt.streams) if baselines or sweep is not None else None
         streams = [*aligned.streams, utt.clean] if baselines else []
-        streams += [
-            storage.read_stream(d / f"utt{utt.utt_id:04d}_fused.strm") for d in fused_dirs
-        ]
+        for d in fused_dirs:
+            path = d / f"utt{utt.utt_id:04d}_fused.strm"
+            where = f"{d}: utt {utt.utt_id}"
+            streams.append(_read_checked(storage.read_stream, path, (length, C), where))
         if sweep is not None:
             # n = M keeps every weight, so this is the untruncated schedule of
             # the method (for max_n, of its base method) that each n cuts down.

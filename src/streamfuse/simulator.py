@@ -10,6 +10,7 @@ profile: mixing toward uniform, temporal smearing, outright failure
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -204,11 +205,15 @@ class Utterance:
 
 @dataclass
 class Scenario:
+    """A corpus.  build_scenario's utterances are a list in memory;
+    experiments.load_corpus gives a read-only sequence that reads each
+    utterance from disk when it is taken."""
+
     name: str
     spec: CorpusSpec
     hmm: HmmModel
     profiles: list[CorruptionProfile]
-    utterances: list[Utterance]
+    utterances: Sequence[Utterance]
 
 
 _OFFSET_CYCLE = (0, 1, -1, 2, -2)

@@ -23,10 +23,15 @@ key=value fields (utt, frames, oracle, profiles); profiles is a
 semicolon-joined list of per-stream "lam:..,smear:..,fail:..,off:.."
 entries.  Unknown fields raise ManifestError naming the line.
 
-Readers validate simplex rows: a row whose sum is further than 1e-6 from 1
-is rejected; rows inside the tolerance but beyond float32 promotion noise
-(1e-7) are renormalized; rows within promotion noise are kept untouched so
-write -> read -> write is byte-stable.
+Stream and schedule readers check the fixed-size header first: magic,
+version, dtype code, and a file size of exactly header + rows * columns * 4
+bytes, so a hostile row or column count fails before any payload is read
+or allocated.  read_stream_header stops there, which lets a corpus check
+every stream's shape at load and read its payload only on use.  Readers
+of a payload then validate simplex rows: a row whose sum is further than
+1e-6 from 1 is rejected; rows inside the tolerance but beyond float32
+promotion noise (1e-7) are renormalized; rows within promotion noise are
+kept untouched so write -> read -> write is byte-stable.
 """
 
 from __future__ import annotations
@@ -34,6 +39,7 @@ from __future__ import annotations
 import os
 import struct
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,6 +47,7 @@ from .aemonitor import AeModel, FrontEnd, Layer
 from .core import SIMPLEX_ATOL, AttentionSchedule, PosteriorStream
 from .errors import (
     BadMagic,
+    FormatError,
     InvalidSimplex,
     ManifestError,
     PayloadTruncated,
@@ -114,31 +121,65 @@ def _write_matrix(path, hdr: struct.Struct, magic: bytes, mat: np.ndarray, *extr
         f.write(_to_f32_payload(mat).tobytes())
 
 
+def _read_matrix_header(f, hdr: struct.Struct, magic: bytes, what: str) -> tuple[int, int, list]:
+    """Rows, columns and extra fields of an open _write_matrix file, left at its payload.
+
+    The file must hold exactly rows * columns f32 values after the header.
+    """
+    found, version, cols, rows, *extra, dtype = hdr.unpack(
+        _read_exact(f, hdr.size, f"{what} header")
+    )
+    _check_header(found, magic, version)
+    if dtype != 0:
+        raise VersionUnsupported(f"unknown dtype code {dtype}")
+    size, left = rows * cols * 4, os.fstat(f.fileno()).st_size - hdr.size
+    if size > left:
+        raise PayloadTruncated(f"{what} payload: expected {size} bytes, {left} left in file")
+    if size < left:
+        raise PayloadTruncated(f"trailing bytes after {what} payload")
+    if rows and not cols:
+        # No such row sums to 1, and its row sums would take 8 bytes a row.
+        raise InvalidSimplex(f"{what}: {rows} rows of 0 columns")
+    return rows, cols, extra
+
+
 def _read_matrix(path, hdr: struct.Struct, magic: bytes, what: str) -> tuple[np.ndarray, list]:
     """The validated (rows, columns) matrix of a _write_matrix file, and its extra fields."""
     with open(path, "rb") as f:
-        found, version, cols, rows, *extra, dtype = hdr.unpack(
-            _read_exact(f, hdr.size, f"{what} header")
-        )
-        _check_header(found, magic, version)
-        if dtype != 0:
-            raise VersionUnsupported(f"unknown dtype code {dtype}")
+        rows, cols, extra = _read_matrix_header(f, hdr, magic, what)
         payload = _read_exact(f, rows * cols * 4, f"{what} payload")
-        if f.read(1):
-            raise PayloadTruncated(f"trailing bytes after {what} payload")
     mat = np.frombuffer(payload, dtype="<f4").astype(np.float64).reshape(rows, cols)
     return _validate_rows(mat, what), extra
 
 
+class StreamHeader(NamedTuple):
+    """A stream file's header, named as PosteriorStream names its fields."""
+
+    num_frames: int
+    num_classes: int
+    stream_id: int
+    frame_offset: int
+
+
+def _signed(sid: int) -> int:
+    return sid if sid < 0x80000000 else sid - 0x100000000
+
+
 def write_stream(stream: PosteriorStream, path):
-    sid = stream.stream_id & 0xFFFFFFFF  # u32 on disk; read_stream restores the sign
+    sid = stream.stream_id & 0xFFFFFFFF  # u32 on disk; the readers restore the sign
     _write_matrix(path, _STREAM_HDR, b"SATN", stream.probs, sid, stream.frame_offset)
+
+
+def read_stream_header(path) -> StreamHeader:
+    """A stream file's checked header (as read_stream checks it), without its payload."""
+    with open(path, "rb", buffering=0) as f:  # one small read: skip the buffer
+        T, C, (sid, offset) = _read_matrix_header(f, _STREAM_HDR, b"SATN", "stream")
+    return StreamHeader(T, C, _signed(sid), offset)
 
 
 def read_stream(path) -> PosteriorStream:
     probs, (sid, offset) = _read_matrix(path, _STREAM_HDR, b"SATN", "stream")
-    sid = sid if sid < 0x80000000 else sid - 0x100000000
-    return PosteriorStream(probs=probs, stream_id=sid, frame_offset=offset)
+    return PosteriorStream(probs=probs, stream_id=_signed(sid), frame_offset=offset)
 
 
 def write_schedule(sched: AttentionSchedule, path):
@@ -210,7 +251,10 @@ def read_model(path) -> AeModel:
             layers.append(Layer(weight=w, bias=b, activation=_ACT_NAMES[act], offsets=offsets))
         if f.read(1):
             raise PayloadTruncated("trailing bytes after model payload")
-    fe = FrontEnd(pca_mean=mean, pca_basis=basis, logit_clamp=clamp)
+    try:
+        fe = FrontEnd(pca_mean=mean, pca_basis=basis, logit_clamp=clamp)
+    except ValueError as e:
+        raise FormatError(f"model front end: {e}") from None
     return AeModel(front_end=fe, layers=layers, context=(left, right))
 
 

@@ -254,7 +254,7 @@ class TestFuse:
         assert not out.exists()
 
     @pytest.mark.parametrize("edit", ["oracle=99", "oracle=-1", "frames=3", "profiles",
-                                      "stream T", "stream C"])
+                                      "stream T", "stream C", "off"])
     def test_manifest_contradicting_corpus_exits_3(self, corpus, tmp_path, edit):
         copy = tmp_path / "corpus"
         shutil.copytree(corpus, copy)
@@ -269,6 +269,13 @@ class TestFuse:
             storage.write_stream(dataclasses.replace(s, probs=probs), path)
         elif edit == "profiles":
             first = first.rsplit(";", 1)[0]  # drop the last stream's profile
+        elif edit == "off":
+            # Stream 1's profile one frame later than its header's frame_offset.
+            head, profiles = first.split("profiles=")
+            profiles = profiles.split(";")
+            rest_of_profile, off = profiles[1].rsplit("off:", 1)
+            profiles[1] = f"{rest_of_profile}off:{int(off) + 1}"
+            first = head + "profiles=" + ";".join(profiles)
         else:
             key = edit.split("=")[0]
             first = re.sub(rf"\b{key}=\S+", edit, first)
@@ -277,10 +284,29 @@ class TestFuse:
         r = run("fuse", "--corpus", str(copy), "--out", str(out), "--method", "oracle")
         assert r.returncode == 3
         assert "utt 0:" in r.stderr
-        if edit.startswith("stream"):
+        if edit.startswith("stream") or edit == "off":
             assert "utt0000_s01.strm" in r.stderr
         assert "Traceback" not in r.stderr
         assert not out.exists()
+
+    def test_off_simplex_payload_in_last_utterance_exits_3(self, corpus, tmp_path):
+        # Headers are checked at load, payloads as each utterance is taken:
+        # the error comes after earlier utterances were fused, and fuse.cfg,
+        # written last, must not appear.
+        copy = tmp_path / "corpus"
+        shutil.copytree(corpus, copy)
+        path = copy / "utt0003_s02.strm"
+        data = bytearray(path.read_bytes())
+        first = struct.calcsize("<4sHIIIiB")  # row 0, class 0
+        data[first : first + 4] = struct.pack("<f", 2.0)
+        path.write_bytes(bytes(data))
+        out = tmp_path / "x"
+        r = run("fuse", "--corpus", str(copy), "--out", str(out), "--method", "entropy")
+        assert r.returncode == 3
+        assert "utt 3: utt0003_s02.strm" in r.stderr and "row 0" in r.stderr
+        assert "Traceback" not in r.stderr
+        assert (out / "utt0000_fused.strm").exists()
+        assert not (out / "fuse.cfg").exists()
 
     def test_autoencoder_with_model(self, corpus, model, tmp_path):
         out = tmp_path / "ae"
@@ -445,6 +471,47 @@ class TestEvaluate:
                 "--out", str(tmp_path / "r.tsv"))
         assert r.returncode == 2
         assert "maybe" in r.stderr
+
+    def test_fused_dir_from_another_corpus_exits_3(self, corpus, tmp_path):
+        other = tmp_path / "other"
+        flags = [*SIM_FLAGS]
+        flags[flags.index("--seed") + 1] = "6"
+        assert run("simulate", "--out", str(other), *flags).returncode == 0
+        fused = tmp_path / "entropy"
+        r = run("fuse", "--corpus", str(other), "--out", str(fused), "--method", "entropy")
+        assert r.returncode == 0, r.stderr
+        report = tmp_path / "r.tsv"
+        r = run("evaluate", "--corpus", str(corpus), "--out", str(report), "--fused", str(fused))
+        assert r.returncode == 3
+        assert str(fused / "fuse.cfg") in r.stderr and "corpus_hash" in r.stderr
+        assert "Traceback" not in r.stderr
+        assert not report.exists()
+
+    def test_fused_stream_of_wrong_shape_exits_3(self, corpus, tmp_path):
+        fused = tmp_path / "equal"
+        r = run("fuse", "--corpus", str(corpus), "--out", str(fused), "--method", "equal")
+        assert r.returncode == 0, r.stderr
+        path = fused / "utt0002_fused.strm"
+        s = storage.read_stream(path)
+        storage.write_stream(dataclasses.replace(s, probs=s.probs[:-1]), path)
+        report = tmp_path / "r.tsv"
+        r = run("evaluate", "--corpus", str(corpus), "--out", str(report), "--fused", str(fused))
+        assert r.returncode == 3
+        assert f"{fused}: utt 2: utt0002_fused.strm holds" in r.stderr
+        assert "Traceback" not in r.stderr
+        assert not report.exists()
+
+    def test_fused_dir_without_fuse_cfg_exits_3(self, corpus, tmp_path):
+        fused = tmp_path / "equal"
+        r = run("fuse", "--corpus", str(corpus), "--out", str(fused), "--method", "equal")
+        assert r.returncode == 0, r.stderr
+        (fused / "fuse.cfg").unlink()
+        report = tmp_path / "r.tsv"
+        r = run("evaluate", "--corpus", str(corpus), "--out", str(report), "--fused", str(fused))
+        assert r.returncode == 3
+        assert f"{fused}: no fuse.cfg, so not a complete fuse output" in r.stderr
+        assert "Errno" not in r.stderr and "Traceback" not in r.stderr
+        assert not report.exists()
 
     def test_deterministic_reports(self, corpus, tmp_path):
         a, b = tmp_path / "a.tsv", tmp_path / "b.tsv"

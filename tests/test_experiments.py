@@ -1,5 +1,7 @@
 """In-memory experiment orchestration over a corpus on disk."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -98,3 +100,33 @@ def test_one_pass_equals_per_system_loops(hrm_corpus, fused_dirs, sweep):
         for d in fused_dirs
     ] == fused
     assert experiments.evaluate_corpus(hrm_corpus, baselines=False, sweep=sweep) == swept
+
+
+def _pipeline_peak_bytes(root, num_utterances: int) -> int:
+    """tracemalloc peak of load_corpus, fuse_corpus and evaluate_corpus on a disk corpus."""
+    spec = CorpusSpec(
+        num_utterances=num_utterances,
+        frames_min=60,
+        frames_max=60,
+        num_classes=12,
+        num_streams=6,
+        seed=3,
+    )
+    corpus_dir, fused = root / f"corpus{num_utterances}", root / f"fused{num_utterances}"
+    experiments.write_corpus(build_scenario("hrm_like", spec, hmm=make_hmm(12, 3)), corpus_dir)
+    tracemalloc.start()
+    try:
+        corpus = experiments.load_corpus(corpus_dir)
+        experiments.fuse_corpus(corpus, "entropy", fused)
+        experiments.evaluate_corpus(corpus, fused_dirs=[fused], sweep="entropy")
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_pipeline_holds_one_utterance_at_a_time(tmp_path):
+    # Same utterance shape, 4x the utterances: a corpus held in memory would
+    # grow the peak about 4x; one utterance at a time keeps it flat.
+    _pipeline_peak_bytes(tmp_path, 1)  # first-call allocations out of the way
+    small, large = (_pipeline_peak_bytes(tmp_path, n) for n in (4, 16))
+    assert large <= 1.5 * small, (small, large)

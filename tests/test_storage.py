@@ -1,5 +1,8 @@
 """Binary stream/schedule/model files and the text manifest."""
 
+from __future__ import annotations
+
+import re
 import struct
 
 import numpy as np
@@ -8,10 +11,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_schedule, random_simplex, random_stream
-from streamfuse.aemonitor import TrainConfig, reconstruction_errors, train_ae
+from streamfuse.aemonitor import (
+    AeModel,
+    FrontEnd,
+    Layer,
+    TrainConfig,
+    reconstruction_errors,
+    train_ae,
+)
 from streamfuse.core import AttentionSchedule, PosteriorStream
 from streamfuse.errors import (
     BadMagic,
+    FormatError,
     InvalidSimplex,
     ManifestError,
     PayloadTruncated,
@@ -24,6 +35,7 @@ from streamfuse.storage import (
     read_model,
     read_schedule,
     read_stream,
+    read_stream_header,
     write_manifest,
     write_model,
     write_schedule,
@@ -338,3 +350,155 @@ class TestManifest:
         with pytest.raises(ManifestError) as exc:
             read_manifest(path)
         assert "line 1" in str(exc.value)
+
+
+class TestStreamHeader:
+    def test_fields_match_read_stream(self, rng, tmp_path):
+        path = tmp_path / "a.strm"
+        write_stream(random_stream(rng, 7, 3, stream_id=-2, frame_offset=4), path)
+        s = read_stream(path)
+        assert read_stream_header(path) == (s.num_frames, s.num_classes, -2, 4)
+
+    def test_size_contradicting_header_rejected(self, rng, tmp_path):
+        path = tmp_path / "a.strm"
+        write_stream(random_stream(rng, 7, 3), path)
+        data = path.read_bytes()
+        for bad in (data[:-1], data + b"\x00"):
+            path.write_bytes(bad)
+            with pytest.raises(PayloadTruncated):
+                read_stream_header(path)
+
+    def test_payload_not_checked(self, tmp_path):
+        # The simplex check is read_stream's, on use.
+        path = tmp_path / "x.strm"
+        path.write_bytes(stream_bytes(np.array([[0.5, 0.49]], dtype="<f4")))
+        assert read_stream_header(path).num_frames == 1
+        with pytest.raises(InvalidSimplex):
+            read_stream(path)
+
+    def test_rows_of_zero_columns_rejected_without_allocating(self, tmp_path):
+        # T = 2**32 - 1 rows of C = 0 classes: a 0-byte payload matches the
+        # size check, but its row sums would take 32 GiB.
+        path = tmp_path / "x.strm"
+        path.write_bytes(struct.pack("<4sHIIIiB", b"SATN", 1, 0, 0xFFFFFFFF, 0, 0, 0))
+        for reader in (read_stream, read_stream_header):
+            with pytest.raises(InvalidSimplex):
+                reader(path)
+
+
+def _small_model() -> AeModel:
+    rng = np.random.default_rng(0)
+    front = FrontEnd(pca_mean=rng.normal(size=3), pca_basis=np.eye(3)[:, :2], logit_clamp=1e-3)
+    layers = [
+        Layer(rng.normal(size=(4, 3)), rng.normal(size=3), "relu", (-1, 1)),
+        Layer(rng.normal(size=(3, 2)), rng.normal(size=2), "linear", (0,)),
+    ]
+    return AeModel(front_end=front, layers=layers, context=(-1, 1))
+
+
+def _written(writer, obj, path) -> bytes:
+    writer(obj, path)
+    return path.read_bytes()
+
+
+# Mutations of a valid file: flip bits of one byte, cut the file short, or
+# overwrite one header field with boundary or random bytes.  Huge counts
+# must fail the size checks, which run before any payload is read or
+# allocated.
+_BYTE_EDIT = st.one_of(
+    st.tuples(st.just("flip"), st.integers(0, 10**6), st.integers(1, 255)),
+    st.tuples(st.just("cut"), st.integers(0, 10**6)),
+)
+_FIELD_VALUE = st.one_of(
+    st.sampled_from([b"\x00" * 8, b"\xff" * 8, b"\x01" + b"\x00" * 7, b"\xff\xff\xff\x7f" * 2]),
+    st.binary(min_size=8, max_size=8),
+)
+
+
+def _edit_bytes(data: bytes, edit) -> bytes:
+    kind, where, *flip = edit
+    if kind == "cut":
+        return data[: where % len(data)]
+    buf = bytearray(data)
+    buf[where % len(buf)] ^= flip[0]
+    return bytes(buf)
+
+
+def _field_spans(fmt: str, start: int = 0) -> list[tuple[int, int]]:
+    """(offset, size) of each field of a little-endian struct format placed at start."""
+    spans, at = [], start
+    for code in re.findall(r"\d*[a-zA-Z]", fmt.lstrip("<")):
+        size = struct.calcsize("<" + code)
+        spans.append((at, size))
+        at += size
+    return spans
+
+
+@pytest.fixture(scope="module")
+def valid_files(tmp_path_factory):
+    """Valid bytes and header-field spans for each binary reader."""
+    rng = np.random.default_rng(7)
+    tmp = tmp_path_factory.mktemp("valid")
+    stream = write_stream, random_stream(rng, 5, 3, stream_id=2, frame_offset=-1), "<4sHIIIiB"
+    model = _small_model()
+    C, K = model.front_end.pca_basis.shape
+    layers_at = struct.calcsize("<4sHIIdii") + 8 * (C + C * K)
+    files = {
+        read_stream: stream,
+        read_stream_header: stream,
+        read_schedule: (write_schedule, random_schedule(rng, 4, 3), "<4sHIIB"),
+        read_model: (write_model, model, "<4sHIIdii"),
+    }
+    out = {}
+    for reader, (writer, obj, header) in files.items():
+        spans = _field_spans(header)
+        if reader is read_model:  # the layer count and layer 0's header
+            spans += _field_spans("<HIIBH", layers_at)
+        out[reader] = _written(writer, obj, tmp / reader.__name__), spans
+    return out
+
+
+_READERS = pytest.mark.parametrize(
+    "reader", [read_stream, read_stream_header, read_schedule, read_model],
+    ids=lambda f: f.__name__,
+)
+
+
+def _read_or_format_error(reader, path, data: bytes) -> FormatError | None:
+    path.write_bytes(data)
+    try:
+        reader(path)
+    except FormatError as e:
+        return e
+    return None
+
+
+@_READERS
+@settings(max_examples=60, deadline=None)
+@given(edits=st.lists(_BYTE_EDIT, min_size=1, max_size=3))
+def test_flipped_or_cut_files_raise_only_format_errors(valid_files, tmp_path_factory, reader,
+                                                        edits):
+    data, _ = valid_files[reader]
+    for edit in edits:
+        if data:
+            data = _edit_bytes(data, edit)
+    _read_or_format_error(reader, tmp_path_factory.getbasetemp() / "fuzz-bytes", data)
+
+
+@_READERS
+@settings(max_examples=60, deadline=None)
+@given(field=st.integers(0, 11), value=_FIELD_VALUE)
+def test_mutated_header_fields_raise_only_format_errors(valid_files, tmp_path_factory, reader,
+                                                        field, value):
+    data, fields = valid_files[reader]
+    at, size = fields[field % len(fields)]
+    mutated = data[:at] + value[:size] + data[at + size :]
+    error = _read_or_format_error(reader, tmp_path_factory.getbasetemp() / "fuzz-field", mutated)
+    if reader is not read_model and mutated[:4] == data[:4] and mutated[4:6] == data[4:6]:
+        # Columns and rows follow magic and version: a payload size they no
+        # longer match fails the size check.
+        def payload_bytes(b):
+            return 4 * struct.unpack_from("<I", b, 6)[0] * struct.unpack_from("<I", b, 10)[0]
+
+        if payload_bytes(mutated) != payload_bytes(data):
+            assert isinstance(error, PayloadTruncated), error
