@@ -16,6 +16,7 @@ determines the result.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -175,27 +176,31 @@ def front_end_apply(fe: FrontEnd, prob_rows: np.ndarray) -> np.ndarray:
     return (z - fe.pca_mean) @ fe.pca_basis
 
 
-def _splice(h: np.ndarray, offsets: tuple[int, ...]) -> np.ndarray:
+def _splice(h: np.ndarray, offsets: tuple[int, ...], out: np.ndarray | None = None) -> np.ndarray:
     """(T, len(offsets) * width) frames at the given offsets, edges repeated.
 
     Each offset's column block is filled from one contiguous slice of h,
     with the first and last frame standing in for frames beyond the ends.
-    The zero-offset plan returns h itself.
+    The result is written into the first T rows of out when given (a
+    fresh array otherwise).  The zero-offset plan returns h itself.
     """
     if offsets == (0,):
         return h
     T, W = h.shape
-    x = np.empty((T, len(offsets), W))
+    x = np.empty((T, len(offsets) * W)) if out is None else out[:T]
+    x3 = x.reshape(T, len(offsets), W)
     for k, o in enumerate(offsets):
         # Rows lo..hi-1 read frame t + o inside the sequence.
         lo, hi = min(max(-o, 0), T), min(max(T - o, 0), T)
-        x[:lo, k] = h[0]
-        x[lo:hi, k] = h[lo + o : hi + o]
-        x[hi:, k] = h[T - 1]
-    return x.reshape(T, -1)
+        x3[:lo, k] = h[0]
+        x3[lo:hi, k] = h[lo + o : hi + o]
+        x3[hi:, k] = h[T - 1]
+    return x
 
 
-def _unsplice(dx: np.ndarray, offsets: tuple[int, ...]) -> np.ndarray:
+def _unsplice(
+    dx: np.ndarray, offsets: tuple[int, ...], out: np.ndarray | None = None
+) -> np.ndarray:
     """Sum a (T, len(offsets) * width) splice gradient onto the frames it read.
 
     Bit-exact with numpy's unbuffered scatter-add over the clipped
@@ -204,14 +209,17 @@ def _unsplice(dx: np.ndarray, offsets: tuple[int, ...]) -> np.ndarray:
     read unclamped, from t = r - offsets[k], so ascending t is descending
     offset: one shifted slice-add per offset in that order.  Frames 0 and
     T-1 also collect the clamped reads and are summed term by term.  The
-    zero-offset plan is the identity: its gradient is a GEMM product, which
-    holds no -0.0, so adding it to 0.0 would change no bit.
+    sums go into the first T rows of out when given (a fresh array
+    otherwise).  The zero-offset plan is the identity: its gradient is a
+    GEMM product, which holds no -0.0, so adding it to 0.0 would change no
+    bit.
     """
     if offsets == (0,):
         return dx
     T = dx.shape[0]
     dx = dx.reshape(T, len(offsets), -1)
-    out = np.zeros((T, dx.shape[2]))
+    out = np.empty((T, dx.shape[2])) if out is None else out[:T]
+    out.fill(0.0)
     for k in sorted(range(len(offsets)), key=lambda k: (-offsets[k], k)):
         o = offsets[k]
         lo, hi = max(1, o), min(T - 1, T + o)
@@ -265,16 +273,70 @@ def build_architecture(
     return layers
 
 
-def forward(layers: list[Layer], z: np.ndarray) -> np.ndarray:
-    """Network output over a whole (T, K) feature sequence."""
-    h = np.ascontiguousarray(z, dtype=np.float64)
-    for ly in layers:
-        a = _splice(h, ly.offsets) @ ly.weight
-        a += ly.bias
+def _rows(flat: np.ndarray, rows: int, cols: int) -> np.ndarray:
+    """The (rows, cols) C-ordered view of the start of a flat buffer."""
+    return flat[: rows * cols].reshape(rows, cols)
+
+
+class _Buffers:
+    """Work buffers for forward and loss_and_grads on up to `frames` frames.
+
+    For the backward pass each layer keeps its splice input (none for the
+    zero-offset plan) and its output, and the set adds the two buffers the
+    backward pass alternates between, wide enough for any layer's input or
+    output, and one weight and one bias scratch for the gradients of the
+    layer being done.  A forward-only set holds one splice buffer that
+    every layer reuses and two output buffers that layers alternate
+    between, since no layer's values are read once the next layer has run.
+    Calls that share a set overwrite each other's results.
+    """
+
+    def __init__(self, layers: list[Layer], frames: int, backward: bool = True):
+        fan_in = [ly.weight.shape[0] for ly in layers]
+        width = [ly.weight.shape[1] for ly in layers]
+        if backward:
+            self.x = [
+                None if ly.offsets == (0,) else np.empty((frames, f))
+                for ly, f in zip(layers, fan_in)
+            ]
+            self.h = [np.empty((frames, w)) for w in width]
+            size = frames * max(*fan_in, *width)
+            self.back = (np.empty(size), np.empty(size))
+            self.grad_w = np.empty(max(ly.weight.size for ly in layers))
+            self.grad_b = np.empty(max(width))
+        else:
+            x = np.empty(frames * max(fan_in))
+            h = (np.empty(frames * max(width)), np.empty(frames * max(width)))
+            self.x = [_rows(x, frames, f) for f in fan_in]
+            self.h = [_rows(h[i % 2], frames, w) for i, w in enumerate(width)]
+
+
+def _forward(layers: list[Layer], h: np.ndarray, work: _Buffers) -> list:
+    """(spliced input, output) of every layer over contiguous (T, K) features h.
+
+    Both are views into work.  ReLU runs in place on the layer's output.
+    """
+    T = h.shape[0]
+    caches = []
+    for ly, x_buf, h_buf in zip(layers, work.x, work.h):
+        x = _splice(h, ly.offsets, out=x_buf)
+        h = np.matmul(x, ly.weight, out=h_buf[:T])
+        h += ly.bias
         if ly.activation == "relu":
-            np.maximum(a, 0.0, out=a)
-        h = a
-    return h
+            np.maximum(h, 0.0, out=h)
+        caches.append((x, h))
+    return caches
+
+
+def forward(layers: list[Layer], z: np.ndarray, work: _Buffers | None = None) -> np.ndarray:
+    """Network output over a whole (T, K) feature sequence.
+
+    The output is a view into work when given (a fresh forward-only set
+    otherwise), so the next call on the same set overwrites it.
+    """
+    z = np.ascontiguousarray(z, dtype=np.float64)
+    work = work or _Buffers(layers, z.shape[0], backward=False)
+    return _forward(layers, z, work)[-1][1]
 
 
 def loss_and_grads(
@@ -282,46 +344,70 @@ def loss_and_grads(
     z: np.ndarray,
     target: np.ndarray,
     rows: np.ndarray | None = None,
+    work: _Buffers | None = None,
+    step: Callable[[int, np.ndarray, np.ndarray], None] | None = None,
 ) -> tuple[float, list[tuple[np.ndarray, np.ndarray]]]:
     """MSE over the selected frames and its gradients w.r.t. every layer.
 
     The full sequence is run (splices reach across frames); the loss only
-    counts the frames in `rows` (all frames when None).
+    counts the frames in `rows` (all frames when None).  Everything is
+    computed in work when given (a fresh set otherwise).  Layer i's
+    gradients go to step(i, grad_w, grad_b), top layer first, once the
+    pass has read that layer's weights for the last time, so step may
+    update them in place; the gradient arrays are scratch that the next
+    layer's overwrite, and the returned list is empty.  Without step, the
+    list holds a copy of every layer's (grad_w, grad_b).
     """
     z = np.ascontiguousarray(z, dtype=np.float64)
-    caches = []
-    h = z
-    for ly in layers:
-        x = _splice(h, ly.offsets)
-        a = x @ ly.weight
-        a += ly.bias
-        h = np.maximum(a, 0.0) if ly.activation == "relu" else a
-        caches.append((x, a))
+    T = z.shape[0]
+    work = work or _Buffers(layers, T)
+    caches = _forward(layers, z, work)
+    h = caches[-1][1]
     diff = h - target
     if rows is None:
-        rows = np.arange(z.shape[0])
+        rows = np.arange(T)
     n = rows.size * h.shape[1]
     loss = float(np.sum(diff[rows] ** 2) / n)
-    d = np.zeros_like(h)
+    back = work.back
+    d = _rows(back[0], *h.shape)
+    d.fill(0.0)
     d[rows] = 2.0 * diff[rows] / n
-    grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(layers)
+    grads: list[tuple[np.ndarray, np.ndarray]] = []
+    if step is None:
+        grads = [None] * len(layers)
+
+        def step(i, gw, gb):
+            grads[i] = (gw.copy(), gb.copy())
+
     for i in range(len(layers) - 1, -1, -1):
         ly = layers[i]
-        x, a = caches[i]
+        x, h = caches[i]
         if ly.activation == "relu":
-            d *= a > 0
-        grads[i] = (x.T @ d, d.sum(axis=0))
+            d *= h > 0  # h > 0 exactly where the pre-activation is
+        gw = np.matmul(x.T, d, out=_rows(work.grad_w, *ly.weight.shape))
+        gb = np.sum(d, axis=0, out=work.grad_b[: ly.bias.size])
         if i > 0:
-            d = _unsplice(d @ ly.weight.T, ly.offsets)
+            dx = np.matmul(d, ly.weight.T, out=_rows(back[1], T, ly.weight.shape[0]))
+            d = _unsplice(dx, ly.offsets, out=_rows(back[0], T, layers[i - 1].bias.size))
+            if d is dx:  # the zero-offset plan: d now lives in back[1]
+                back = back[::-1]
+        step(i, gw, gb)
     return loss, grads
 
 
-def evaluate_mse(layers: list[Layer], z_list: list[np.ndarray]) -> float:
-    """Mean reconstruction MSE over all frames of all sequences."""
+def evaluate_mse(
+    layers: list[Layer], z_list: list[np.ndarray], work: _Buffers | None = None
+) -> float:
+    """Mean reconstruction MSE over all frames of all sequences.
+
+    Every forward pass runs in work when given (one fresh forward-only set
+    otherwise).
+    """
+    work = work or _Buffers(layers, max(z.shape[0] for z in z_list), backward=False)
     total = 0.0
     frames = 0
     for z in z_list:
-        out = forward(layers, z)
+        out = forward(layers, z, work)
         total += float(np.sum((out - z) ** 2))
         frames += z.shape[0]
     return total / (frames * z_list[0].shape[1])
@@ -352,26 +438,30 @@ def train_ae(
     velocity = [
         (np.zeros_like(ly.weight), np.zeros_like(ly.bias)) for ly in layers
     ]
-    losses = [evaluate_mse(layers, z_list)]
+
+    def update(i, grad_w, grad_b):
+        # In place, rounding exactly like w += mc * v - lr * g.
+        for w, v, g in zip((layers[i].weight, layers[i].bias), velocity[i], (grad_w, grad_b)):
+            g *= cfg.learning_rate
+            if cfg.optimizer == "momentum":
+                v *= cfg.momentum_coeff
+                v -= g
+                w += v
+            else:
+                w -= g
+
+    # One buffer set for every pass: the longest sequence sizes it.
+    work = _Buffers(layers, max(z.shape[0] for z in z_list))
+    losses = [evaluate_mse(layers, z_list, work)]
     for _ in range(cfg.epochs):
         for z in z_list:
             T = z.shape[0]
             for start in range(0, T, cfg.batch_size):
                 rows = np.arange(start, min(start + cfg.batch_size, T))
-                loss, grads = loss_and_grads(layers, z, z, rows)
+                loss, _ = loss_and_grads(layers, z, z, rows, work, update)
                 if not np.isfinite(loss):
                     raise DivergedTraining(f"training loss became {loss}")
-                # In place, rounding exactly like w += mc * v - lr * g.
-                for ly, vel, grad in zip(layers, velocity, grads):
-                    for w, v, g in zip((ly.weight, ly.bias), vel, grad):
-                        g *= cfg.learning_rate
-                        if cfg.optimizer == "momentum":
-                            v *= cfg.momentum_coeff
-                            v -= g
-                            w += v
-                        else:
-                            w -= g
-        epoch_mse = evaluate_mse(layers, z_list)
+        epoch_mse = evaluate_mse(layers, z_list, work)
         if not np.isfinite(epoch_mse):
             raise DivergedTraining(f"training loss became {epoch_mse}")
         losses.append(epoch_mse)

@@ -154,10 +154,9 @@ def cmd_train_ae(args, parser) -> int:
         batch_size=args.batch_size,
         seed=args.seed,
     )
-    clean = [u.clean for u in corpus.utterances]
-    rows = np.vstack([s.probs for s in clean])
+    clean = corpus.utterances.clean_streams()
     front_end = aemonitor.fit_front_end(
-        rows,
+        np.vstack([s.probs for s in clean]),
         min(clean[0].num_classes, aemonitor.DEFAULT_PCA_DIM),
         logit_clamp=args.logit_clamp,
     )

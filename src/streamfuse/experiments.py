@@ -192,14 +192,18 @@ def _read_checked(read, path: Path, shape: tuple[int, int], where: str, offset=N
     return found
 
 
-def _utterance_streams(read, indir: Path, manifest: Path, rec, num_classes: int) -> list:
+def _utterance_streams(
+    read, indir: Path, manifest: Path, rec, num_classes: int, clean_only: bool = False
+) -> list:
     """read(path) of an utterance's stream files, _s00 .. then _clean, each checked.
 
     Every stream spans the manifest's frames over the HMM's states, and
-    each corrupted stream's frame_offset is its profile's off.
+    each corrupted stream's frame_offset is its profile's off.  clean_only
+    reads the _clean file alone.
     """
     tag = f"utt{rec.utt_id:04d}"
-    files = [(f"{tag}_s{m:02d}.strm", p.offset) for m, p in enumerate(rec.profiles)]
+    profiles = [] if clean_only else rec.profiles
+    files = [(f"{tag}_s{m:02d}.strm", p.offset) for m, p in enumerate(profiles)]
     files.append((f"{tag}_clean.strm", None))
     shape, where = (rec.num_frames, num_classes), f"{manifest}: utt {rec.utt_id}"
     return [_read_checked(read, indir / name, shape, where, offset) for name, offset in files]
@@ -232,6 +236,17 @@ class _DiskUtterances(Sequence):
             oracle_stream=rec.oracle_stream,
         )
 
+    def clean_streams(self) -> list[PosteriorStream]:
+        """Every utterance's clean stream, read and checked without its
+        corrupted streams."""
+        return [
+            _utterance_streams(
+                storage.read_stream, self._indir, self._manifest, rec, self._num_classes,
+                clean_only=True,
+            )[0]
+            for rec, _ in self._entries
+        ]
+
 
 def load_corpus(indir) -> simulator.Scenario:
     """Read a corpus directory back into the Scenario write_corpus was given.
@@ -240,7 +255,8 @@ def load_corpus(indir) -> simulator.Scenario:
     header are read and checked against each other here, so a directory that
     contradicts itself fails before any output exists.  The scenario's
     utterances are a read-only sequence that reads an utterance's stream
-    payloads, and checks their rows are on the simplex, only when it is taken.
+    payloads, and checks their rows are on the simplex, only when it is taken;
+    its clean_streams() reads the clean streams alone.
     """
     indir = Path(indir)
     cfg_path = indir / "corpus.cfg"

@@ -1,6 +1,7 @@
 """Autoencoder monitor: front-end, splicing, training and attention weights."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -273,13 +274,23 @@ class TestBitExactKernels:
         rng = np.random.default_rng(seed)
         h = rng.standard_normal((T, W))
         want, idx = ref.splice_gather_ref(h, offsets)
-        assert_bits_equal(aemonitor._splice(h, offsets), want)
         # A backward input as the GEMM makes it: some rows exactly zero.
         dx = rng.standard_normal((T, len(offsets) * W))
         dx[rng.random(T) < 0.3] = 0.0
-        assert_bits_equal(
-            aemonitor._unsplice(dx, offsets), ref.splice_scatter_ref(dx, idx, W)
-        )
+        want_back = ref.splice_scatter_ref(dx, idx, W)
+        assert_bits_equal(aemonitor._splice(h, offsets), want)
+        assert_bits_equal(aemonitor._unsplice(dx, offsets), want_back)
+        # Into buffers left with more rows by a longer sequence, here all
+        # NaN: a stale row that leaked into the result would show.
+        rows = T + int(rng.integers(1, 9))
+        out = np.full((rows, len(offsets) * W), np.nan)
+        got = aemonitor._splice(h, offsets, out=out)
+        assert_bits_equal(got, want)
+        assert offsets == (0,) or np.shares_memory(got, out)
+        out = np.full((rows, W), np.nan)
+        got = aemonitor._unsplice(dx, offsets, out=out)
+        assert_bits_equal(got, want_back)
+        assert offsets == (0,) or np.shares_memory(got, out)
 
     @settings(deadline=None, max_examples=150)
     @given(st.sampled_from(PLAN_CONTEXTS), st.integers(1, 40), st.integers(1, 5),
@@ -295,8 +306,8 @@ class TestBitExactKernels:
 
     @settings(deadline=None, max_examples=100)
     @given(st.sampled_from(PLAN_CONTEXTS), st.integers(1, 40), st.integers(0, 2**32 - 1),
-           st.booleans())
-    def test_forward_loss_and_grads(self, context, T, seed, subset):
+           st.booleans(), st.integers(1, 12))
+    def test_forward_loss_and_grads(self, context, T, seed, subset, longer):
         rng = np.random.default_rng(seed)
         K = 3
         layers = small_spliced_stack(rng, SPLICE_PLANS[context], K)
@@ -305,13 +316,50 @@ class TestBitExactKernels:
         if subset:
             start = int(rng.integers(0, T))
             rows = np.arange(start, min(T, start + int(rng.integers(1, 17))))
-        assert_bits_equal(forward(layers, z), ref.forward_ref(layers, z))
-        loss, grads = loss_and_grads(layers, z, z, rows)
+        want = ref.forward_ref(layers, z)
         loss_ref, grads_ref = ref.loss_and_grads_ref(layers, z, z, rows)
-        assert loss == loss_ref
-        for (gw, gb), (rw, rb) in zip(grads, grads_ref):
-            assert_bits_equal(gw, rw)
-            assert_bits_equal(gb, rb)
+        # A buffer set that a longer sequence used first, and fresh sets.
+        work = aemonitor._Buffers(layers, T + longer)
+        z_long = rng.standard_normal((T + longer, K))
+        loss_and_grads(layers, z_long, z_long, None, work)
+        for shared in (work, None):
+            assert_bits_equal(forward(layers, z, shared), want)
+            loss, grads = loss_and_grads(layers, z, z, rows, shared)
+            assert loss == loss_ref
+            for (gw, gb), (rw, rb) in zip(grads, grads_ref):
+                assert_bits_equal(gw, rw)
+                assert_bits_equal(gb, rb)
+
+    @settings(deadline=None, max_examples=20)
+    @given(
+        st.sampled_from(PLAN_CONTEXTS),
+        st.lists(st.integers(1, 12), min_size=1, max_size=4),
+        st.integers(0, 16),
+        st.sampled_from(["momentum", "sgd"]),
+        st.integers(1, 2),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_ragged_training_matches_reference_loop(self, context, lengths, batch_extra,
+                                                    optimizer, epochs, seed):
+        # Ragged sequences (the longest anywhere, down to one frame) and
+        # batches from one frame to more than the longest sequence, so
+        # one-row tails and one-batch sequences both occur.
+        rng = np.random.default_rng(seed)
+        C, K = 4, 3
+        data = [PosteriorStream(random_simplex(rng, T, C, 2.0), stream_id=-1) for T in lengths]
+        fe = FrontEnd(pca_mean=np.zeros(C), pca_basis=np.eye(C)[:, :K])
+        batch_size = 1 + batch_extra % (max(lengths) + 4)
+        cfg = TrainConfig(
+            learning_rate=1e-4, epochs=epochs, batch_size=batch_size, seed=seed,
+            optimizer=optimizer,
+        )
+        model, losses = train_ae(data, cfg, context=context, front_end=fe)
+        layers = build_architecture(K, context, rng=np.random.default_rng(seed))
+        z_list = [front_end_apply(fe, s.probs) for s in data]
+        assert losses == ref.train_loop_ref(layers, z_list, cfg)
+        for got, want in zip(model.layers, layers):
+            assert_bits_equal(got.weight, want.weight)
+            assert_bits_equal(got.bias, want.bias)
 
     @pytest.mark.parametrize("optimizer", ["momentum", "sgd"])
     def test_training_matches_reference_loop(self, rng, optimizer):
@@ -330,6 +378,25 @@ class TestBitExactKernels:
         for got, want in zip(model.layers, layers):
             assert_bits_equal(got.weight, want.weight)
             assert_bits_equal(got.bias, want.bias)
+
+    def test_training_peak_memory(self, rng):
+        # One reused buffer set and one gradient scratch: the peak stays
+        # within a small multiple of the weights (the weights themselves,
+        # their velocities, the largest layer's gradient and activations).
+        data = [
+            PosteriorStream(random_simplex(rng, T, 8, 2.0), stream_id=-1)
+            for T in (24, 30, 27)
+        ]
+        fe = fit_front_end(np.vstack([s.probs for s in data]), 8)
+        cfg = TrainConfig(epochs=1, batch_size=16, seed=3)
+        tracemalloc.start()
+        try:
+            model, _ = train_ae(data, cfg, context=(-16, 12), front_end=fe)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        params = sum(ly.weight.nbytes + ly.bias.nbytes for ly in model.layers)
+        assert peak <= 3.4 * params
 
 
 class TestTraining:

@@ -182,6 +182,36 @@ class TestTrainAe:
         assert r.returncode == 0, r.stderr
         assert storage.read_model(path).context == (-16, 12)
 
+    def test_reads_only_the_clean_streams(self, corpus, tmp_path, monkeypatch):
+        reads = []
+        read_stream = storage.read_stream
+
+        def counted(path):
+            reads.append(path.name)
+            return read_stream(path)
+
+        monkeypatch.setattr(storage, "read_stream", counted)
+        rc = cli.main(["train-ae", "--corpus", str(corpus), "--out", str(tmp_path / "m.stae"),
+                       "--epochs", "1"])
+        assert rc == 0
+        assert len(reads) == len(storage.read_manifest(corpus / "manifest.txt"))
+        assert sorted(reads) == sorted(p.name for p in corpus.glob("*_clean.strm"))
+
+    def test_off_simplex_clean_payload_exits_3(self, corpus, tmp_path):
+        copy = tmp_path / "corpus"
+        shutil.copytree(corpus, copy)
+        path = copy / "utt0003_clean.strm"
+        data = bytearray(path.read_bytes())
+        first = struct.calcsize("<4sHIIIiB")  # row 0, class 0
+        data[first : first + 4] = struct.pack("<f", 2.0)
+        path.write_bytes(bytes(data))
+        out = tmp_path / "m.stae"
+        r = run("train-ae", "--corpus", str(copy), "--out", str(out))
+        assert r.returncode == 3
+        assert "utt 3: utt0003_clean.strm" in r.stderr and "row 0" in r.stderr
+        assert "Traceback" not in r.stderr
+        assert not out.exists()
+
     def test_missing_corpus_exits_3(self, tmp_path):
         r = run("train-ae", "--corpus", str(tmp_path / "nope"),
                 "--out", str(tmp_path / "m.stae"))
