@@ -8,7 +8,7 @@ of the reconstruction error measures train/test mismatch per frame and
 stream; inverting and normalizing the errors across streams gives the
 attention weights.
 
-Training is plain (momentum) SGD on the MSE criterion, from scratch on
+Training is momentum SGD on the MSE criterion, from scratch on
 numpy, single-threaded with a fixed accumulation order so a seed fully
 determines the result.
 """
@@ -25,7 +25,7 @@ import numpy as np
 from .core import AttentionSchedule, PosteriorStream, StreamSet, check_range, inverse_weights
 from .errors import DegenerateData, DimensionMismatch, DivergedTraining
 
-DEFAULT_LOGIT_CLAMP = 1e-6
+DEFAULT_LOGIT_CLAMP = 1e-3
 # The open (lo, hi) range of the logit clamp: 0 leaves log(0) in, and at
 # 0.5 every probability clips to one value.
 LOGIT_CLAMP_RANGE = (0.0, 0.5)
@@ -107,6 +107,8 @@ class AeModel:
         return [ly.offsets for ly in self.layers]
 
 
+# Momentum coefficient of every training update.
+MOMENTUM = 0.9
 # The closed (lo, hi) range of each numeric TrainConfig field but the seed.
 TRAIN_RANGES = {
     "learning_rate": (0.0, math.inf),  # zero makes a no-op run
@@ -121,14 +123,10 @@ class TrainConfig:
     epochs: int = 15
     batch_size: int = 128  # frames per gradient update
     seed: int = 0
-    optimizer: str = "momentum"  # "sgd" | "momentum"
-    momentum_coeff: float = 0.9
 
     def __post_init__(self):
         for name, bounds in TRAIN_RANGES.items():
             check_range(name, getattr(self, name), bounds)
-        if self.optimizer not in ("sgd", "momentum"):
-            raise ValueError(f"unknown optimizer {self.optimizer!r}")
 
 
 def logit_transform(probs: np.ndarray, clamp: float = DEFAULT_LOGIT_CLAMP) -> np.ndarray:
@@ -443,12 +441,9 @@ def train_ae(
         # In place, rounding exactly like w += mc * v - lr * g.
         for w, v, g in zip((layers[i].weight, layers[i].bias), velocity[i], (grad_w, grad_b)):
             g *= cfg.learning_rate
-            if cfg.optimizer == "momentum":
-                v *= cfg.momentum_coeff
-                v -= g
-                w += v
-            else:
-                w -= g
+            v *= MOMENTUM
+            v -= g
+            w += v
 
     # One buffer set for every pass: the longest sequence sizes it.
     work = _Buffers(layers, max(z.shape[0] for z in z_list))

@@ -197,11 +197,12 @@ def cmd_evaluate(args, parser) -> int:
         parser.error("nothing to score: --no-baselines needs --fused or --sweep")
     corpus = experiments.load_corpus(args.corpus)
     model = storage.read_model(args.model) if args.sweep and args.model else None
+    sweep = range(1, corpus.spec.num_streams + 1) if args.sweep else ()
     rows = experiments.evaluate_corpus(
         corpus,
         baselines=not args.no_baselines,
         fused_dirs=args.fused or [],
-        sweep=args.method if args.sweep else None,
+        methods=[(args.method, n) for n in sweep],
         model=model,
     )
     report = experiments.format_report(rows, experiments.corpus_hash(corpus))
@@ -222,7 +223,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="generate a synthetic multi-stream corpus")
     p.add_argument("--out", required=True, help="output corpus directory")
-    p.add_argument("--scenario", required=True, choices=("ldc_like", "hrm_like", "custom"))
+    # The library's "custom" scenario takes profiles no flag can give.
+    p.add_argument("--scenario", required=True, choices=("ldc_like", "hrm_like"))
     p.add_argument("--streams", required=True, type=_in_range(int, spec_range["num_streams"]),
                    help="number of parallel streams (M)")
     p.add_argument("--utterances", required=True,
@@ -253,10 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="corpus directory (clean streams are the data)")
     p.add_argument("--out", required=True, help="output model file")
     p.add_argument("--context", type=_parse_context, default="0,0", help="temporal context")
-    # Not aemonitor.DEFAULT_LOGIT_CLAMP (1e-6): models trained here use 1e-3
-    # and the library's tested training uses 1e-6, so changing either one
-    # changes outputs.
-    p.add_argument("--logit-clamp", type=_logit_clamp, default=1e-3,
+    p.add_argument("--logit-clamp", type=_logit_clamp, default=aemonitor.DEFAULT_LOGIT_CLAMP,
                    help="front-end probability clamp")
     p.add_argument("--epochs", type=_in_range(int, train_range["epochs"]),
                    default=train.epochs, help="training epochs")

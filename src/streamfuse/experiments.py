@@ -20,12 +20,13 @@ Reports are tab-separated tables with a header row; lines starting with
 
 When each check runs: load_corpus reads corpus.cfg, hmm.json, the manifest,
 every label file and every stream file's header, and checks them against
-each other (oracle index, profile count, label count, each stream's frames,
-classes and frame_offset, each file's size), so a corpus that contradicts
+each other (record count, distinct utterance ids, oracle index, profile
+count, label count, each stream's frames, classes and frame_offset, each
+file's size), so a corpus that contradicts
 itself fails before any output exists.  A stream's payload is read, and its
 rows checked to be on the simplex, only when its utterance is taken from
-the corpus's utterances, so fuse_corpus, evaluate_corpus and
-evaluate_method hold one utterance at a time.  evaluate_corpus checks each
+the corpus's utterances, so fuse_corpus and evaluate_corpus hold one
+utterance at a time.  evaluate_corpus checks each
 fused directory's fuse.cfg (present, from this corpus) before the first
 utterance, and each fused stream's shape as it reads it.
 """
@@ -51,7 +52,7 @@ from .core import (
     overlap_range,
 )
 from .decoder import ErrorReport, HmmModel, combine_reports, score, viterbi_batch
-from .errors import FormatError, MissingModel, StreamFuseError
+from .errors import DimensionMismatch, FormatError, MissingModel, StreamFuseError
 
 
 def config_hash(pairs: dict) -> str:
@@ -95,12 +96,17 @@ def _hmm_to_json(hmm: HmmModel) -> dict:
     }
 
 
-def _hmm_from_json(obj: dict) -> HmmModel:
-    return HmmModel(
-        transitions=np.array(obj["transitions"]),
-        priors=np.array(obj["priors"]),
-        labels=tuple(obj["labels"]),
-    )
+def _read_hmm(path: Path) -> HmmModel:
+    """The HMM an hmm.json file holds, the keys of _hmm_to_json and no others.
+
+    A bad file raises StreamFuseError naming it and the missing or unknown
+    key or the wrong type.
+    """
+    try:
+        return HmmModel(**json.loads(path.read_text()))
+    # IndexError: a scalar where HmmModel takes the shape of an array.
+    except (TypeError, ValueError, IndexError, DimensionMismatch) as e:
+        raise StreamFuseError(f"{path}: {e}") from None
 
 
 # One row per spec key of corpus.cfg: (key, CorpusSpec field, type).
@@ -267,9 +273,15 @@ def load_corpus(indir) -> simulator.Scenario:
         spec = simulator.CorpusSpec(**fields)
     except ValueError as e:
         raise StreamFuseError(f"{cfg_path}: {e}") from None
-    hmm = _hmm_from_json(json.loads((indir / "hmm.json").read_text()))
+    hmm = _read_hmm(indir / "hmm.json")
     manifest = indir / "manifest.txt"
     records = storage.read_manifest(manifest)
+    distinct = len({rec.utt_id for rec in records})
+    if not len(records) == distinct == spec.num_utterances:
+        raise StreamFuseError(
+            f"{manifest}: {len(records)} records of {distinct} distinct utterances, "
+            f"but {cfg_path} says utterances={spec.num_utterances}"
+        )
     M, C = spec.num_streams, len(hmm.priors)
     entries = []
     for rec in records:
@@ -284,9 +296,11 @@ def load_corpus(indir) -> simulator.Scenario:
                 f"{manifest}: utt {rec.utt_id}: "
                 f"{len(rec.profiles)} profiles for {M} streams"
             )
-        labels = np.array(
-            [int(x) for x in (indir / f"{tag}.ref").read_text().split()], dtype=np.intp
-        )
+        ref = indir / f"{tag}.ref"
+        try:
+            labels = np.array([int(x) for x in ref.read_text().split()], dtype=np.intp)
+        except ValueError as e:
+            raise StreamFuseError(f"{ref}: {e}") from None
         if rec.num_frames != len(labels):
             raise StreamFuseError(
                 f"{manifest}: utt {rec.utt_id}: frames={rec.num_frames}, "
@@ -294,12 +308,11 @@ def load_corpus(indir) -> simulator.Scenario:
             )
         _utterance_streams(storage.read_stream_header, indir, manifest, rec, C)
         entries.append((rec, labels))
-    profiles = records[0].profiles if records else []
     return simulator.Scenario(
         name=name,
         spec=spec,
         hmm=hmm,
-        profiles=profiles,
+        profiles=records[0].profiles,
         utterances=_DiskUtterances(indir, manifest, C, entries),
     )
 
@@ -341,6 +354,18 @@ FUSION_METHODS = (*FRAME_METHODS, "max_n")
 DEFAULT_BASE = "entropy"
 
 
+def _frame_method(method: str, n: int | None, base: str = DEFAULT_BASE) -> tuple[str, int | None]:
+    """The frame-wise method and the truncation n that method and n stand for.
+
+    "max_n" is base truncated to n, 1 when n is None.
+    """
+    if method == "max_n":
+        method, n = base, 1 if n is None else n
+    if method not in FRAME_METHODS:
+        raise StreamFuseError(f"unknown fusion method {method!r}")
+    return method, n
+
+
 def compute_schedule(
     method: str,
     aligned: StreamSet,
@@ -357,24 +382,11 @@ def compute_schedule(
     method; method "max_n" is winner-takes-all (n defaults to 1) over the
     frame-wise base method.
     """
-    if method == "max_n":
-        method, n = base, 1 if n is None else n
-    if method not in FRAME_METHODS:
-        raise StreamFuseError(f"unknown fusion method {method!r}")
+    method, n = _frame_method(method, n, base)
     sched = FRAME_METHODS[method](
         aligned, model=model, oracle_stream=oracle_stream, mcfg=mcfg
     )
     return sched if n is None else n_best_truncate(sched, n)
-
-
-def _utterance_schedule(
-    utt: simulator.Utterance, method: str, **kwargs
-) -> tuple[int, StreamSet, AttentionSchedule]:
-    """Overlap start, aligned streams and attention schedule of one utterance."""
-    lo, _ = overlap_range(utt.streams)
-    aligned = align_streams(utt.streams)
-    sched = compute_schedule(method, aligned, oracle_stream=utt.oracle_stream, **kwargs)
-    return lo, aligned, sched
 
 
 def _model_digest(model: aemonitor.AeModel) -> str:
@@ -413,8 +425,10 @@ def fuse_corpus(
     }
     cfg["config_hash"] = config_hash(cfg)
     for utt in corpus.utterances:
-        _, aligned, sched = _utterance_schedule(
-            utt, method, model=model, mcfg=mcfg, n=n, base=base
+        aligned = align_streams(utt.streams)
+        sched = compute_schedule(
+            method, aligned, model=model, oracle_stream=utt.oracle_stream, mcfg=mcfg, n=n,
+            base=base,
         )
         tag = f"utt{utt.utt_id:04d}"
         storage.write_schedule(sched, outdir / f"{tag}.schd")
@@ -447,6 +461,11 @@ def decode_reports(
     return reports
 
 
+def _row_name(method: str, n) -> str:
+    """The report row of method truncated to n (no truncation when n is None or "")."""
+    return method + (f":n={n}" if n else "")
+
+
 def _fused_name(fused_dir: Path, chash: str) -> str:
     """The report row of a complete fuse output made from the corpus whose hash is chash."""
     path = fused_dir / "fuse.cfg"
@@ -458,8 +477,7 @@ def _fused_name(fused_dir: Path, chash: str) -> str:
             f"{path}: corpus_hash={fcfg.get('corpus_hash', '')}, but the corpus "
             f"being scored has {chash}: fused from another corpus"
         )
-    n = fcfg.get("n")
-    return _cfg_value(fcfg, "method", str, path) + (f":n={n}" if n else "")
+    return _row_name(_cfg_value(fcfg, "method", str, path), fcfg.get("n"))
 
 
 def evaluate_corpus(
@@ -467,44 +485,46 @@ def evaluate_corpus(
     *,
     baselines: bool = True,
     fused_dirs=(),
-    sweep: str | None = None,
+    methods: Sequence[tuple[str, int | None]] = (),
     model: aemonitor.AeModel | None = None,
-    mcfg: measures.MMeasureConfig | None = None,
 ) -> list[tuple[str, ErrorReport]]:
     """The report rows of every system, from one pass over the utterances.
 
     Rows come in this order: with baselines, stream:0 .. stream:M-1 and
-    clean; one per fused directory, named by its fuse.cfg; with sweep, the
-    method's n-best rows n = 1..M (row n equals evaluate_method(corpus,
-    sweep, n=n)).  Single and fused streams are scored on the utterance's
-    common overlap range, so their numbers are comparable; the clean
-    stream is scored on its full length.  Each utterance decodes every
-    stream it needs in one Viterbi batch, and a sweep computes its
-    schedule once and truncates it to each n.
+    clean; one per fused directory, named by its fuse.cfg; one per
+    (method, n) pair of methods, fused in memory as compute_schedule
+    fuses it and named method, plus ":n=N" when n is not None.  Single
+    and fused streams are scored on the utterance's common overlap range,
+    so their numbers are comparable; the clean stream is scored on its
+    full length.  Each utterance decodes every stream it needs in one
+    Viterbi batch, and computes the untruncated schedule of each distinct
+    frame-wise method once, which each pair then truncates to its n.
     """
     M, C = corpus.spec.num_streams, len(corpus.hmm.priors)
     fused_dirs = [Path(d) for d in fused_dirs]
     names = [*(f"stream:{m}" for m in range(M)), "clean"] if baselines else []
     chash = corpus_hash(corpus)
     names += [_fused_name(d, chash) for d in fused_dirs]
-    if sweep is not None:
-        names += [f"{sweep}:n={n}" for n in range(1, M + 1)]
+    names += [_row_name(method, n) for method, n in methods]
+    truncations = [_frame_method(method, n) for method, n in methods]
+    frame_methods = list(dict.fromkeys(frame for frame, _ in truncations))
     per_system: list[list[ErrorReport]] = [[] for _ in names]
     for utt in corpus.utterances:
         lo, length = overlap_range(utt.streams)
-        aligned = align_streams(utt.streams) if baselines or sweep is not None else None
+        aligned = align_streams(utt.streams) if baselines or methods else None
         streams = [*aligned.streams, utt.clean] if baselines else []
         for d in fused_dirs:
             path = d / f"utt{utt.utt_id:04d}_fused.strm"
             where = f"{d}: utt {utt.utt_id}"
             streams.append(_read_checked(storage.read_stream, path, (length, C), where))
-        if sweep is not None:
-            # n = M keeps every weight, so this is the untruncated schedule of
-            # the method (for max_n, of its base method) that each n cuts down.
-            full = compute_schedule(
-                sweep, aligned, model=model, oracle_stream=utt.oracle_stream, mcfg=mcfg, n=M
-            )
-            streams += [fuse(aligned, n_best_truncate(full, n)) for n in range(1, M + 1)]
+        full = {
+            frame: compute_schedule(frame, aligned, model=model, oracle_stream=utt.oracle_stream)
+            for frame in frame_methods
+        }
+        streams += [
+            fuse(aligned, full[frame] if n is None else n_best_truncate(full[frame], n))
+            for frame, n in truncations
+        ]
         starts = [lo] * len(streams)
         if baselines:
             starts[M] = 0  # the clean stream is scored on its full length
@@ -512,25 +532,6 @@ def evaluate_corpus(
         for reps, rep in zip(per_system, reports):
             reps.append(rep)
     return [(name, combine_reports(reps)) for name, reps in zip(names, per_system)]
-
-
-def evaluate_method(
-    corpus: simulator.Scenario,
-    method: str,
-    *,
-    model: aemonitor.AeModel | None = None,
-    mcfg: measures.MMeasureConfig | None = None,
-    n: int | None = None,
-    base: str = DEFAULT_BASE,
-) -> ErrorReport:
-    """Fuse in memory and score, without touching disk."""
-    reports = []
-    for utt in corpus.utterances:
-        lo, aligned, sched = _utterance_schedule(
-            utt, method, model=model, mcfg=mcfg, n=n, base=base
-        )
-        reports += decode_reports([fuse(aligned, sched)], utt.labels, corpus.hmm, [lo])
-    return combine_reports(reports)
 
 
 REPORT_HEADER = (

@@ -20,7 +20,7 @@ import numpy as np
 
 from streamfuse import aemonitor, storage
 from streamfuse.core import LOG_EPS as PACKAGE_LOG_EPS
-from streamfuse.core import AttentionSchedule, align_streams, fuse, n_best_truncate, overlap_range
+from streamfuse.core import AttentionSchedule, align_streams, fuse, overlap_range
 from streamfuse.decoder import combine_reports, score, viterbi_batch
 from streamfuse.experiments import compute_schedule, read_config
 from streamfuse.measures import _mean_time_distance, _window_bounds
@@ -231,14 +231,10 @@ def train_loop_ref(layers, z_list, cfg):
                 rows = np.arange(start, min(start + cfg.batch_size, T))
                 _, grads = loss_and_grads_ref(layers, z, z, rows)
                 for ly, vel, (gw, gb) in zip(layers, velocity, grads):
-                    if cfg.optimizer == "momentum":
-                        vel[0][...] = cfg.momentum_coeff * vel[0] - cfg.learning_rate * gw
-                        vel[1][...] = cfg.momentum_coeff * vel[1] - cfg.learning_rate * gb
-                        ly.weight += vel[0]
-                        ly.bias += vel[1]
-                    else:
-                        ly.weight -= cfg.learning_rate * gw
-                        ly.bias -= cfg.learning_rate * gb
+                    vel[0][...] = aemonitor.MOMENTUM * vel[0] - cfg.learning_rate * gw
+                    vel[1][...] = aemonitor.MOMENTUM * vel[1] - cfg.learning_rate * gb
+                    ly.weight += vel[0]
+                    ly.bias += vel[1]
         losses.append(evaluate_mse_ref(layers, z_list))
     return losses
 
@@ -288,19 +284,21 @@ def evaluate_fused_dir_ref(corpus, fused_dir):
     return name, combine_reports(reports)
 
 
-def n_sweep_ref(corpus, method, *, model=None, mcfg=None):
-    M = corpus.spec.num_streams
-    per_n = [[] for _ in range(M)]
-    for utt in corpus.utterances:
-        lo, _ = overlap_range(utt.streams)
-        aligned = align_streams(utt.streams)
-        full = compute_schedule(
-            method, aligned, oracle_stream=utt.oracle_stream, model=model, mcfg=mcfg, n=M
-        )
-        fused = [fuse(aligned, n_best_truncate(full, n)) for n in range(1, M + 1)]
-        for k, rep in enumerate(decode_reports_ref(fused, utt.labels, corpus.hmm, start=lo)):
-            per_n[k].append(rep)
-    return [(f"{method}:n={k + 1}", combine_reports(reps)) for k, reps in enumerate(per_n)]
+def evaluate_methods_ref(corpus, methods, *, model=None):
+    """One row per (method, n) pair: a pass of its own that computes each
+    utterance's schedule under that method and n, fuses and scores it."""
+    rows = []
+    for method, n in methods:
+        reports = []
+        for utt in corpus.utterances:
+            lo, _ = overlap_range(utt.streams)
+            aligned = align_streams(utt.streams)
+            sched = compute_schedule(
+                method, aligned, oracle_stream=utt.oracle_stream, model=model, n=n
+            )
+            reports += decode_reports_ref([fuse(aligned, sched)], utt.labels, corpus.hmm, start=lo)
+        rows.append((method + ("" if n is None else f":n={n}"), combine_reports(reports)))
+    return rows
 
 
 # --- The M-measures' window loops as first written (bit-exactness oracles)

@@ -237,8 +237,10 @@ def test_criterion_4_matched_scenario_ranking(ldc_corpus, ldc_baselines):
     even naive equal weighting must stay within 10% of it.
     """
     best = best_stream_ter(ldc_baselines)
-    ent = experiments.evaluate_method(ldc_corpus, "entropy").token_error_rate
-    eq = experiments.evaluate_method(ldc_corpus, "equal").token_error_rate
+    rows = dict(experiments.evaluate_corpus(
+        ldc_corpus, baselines=False, methods=[("entropy", None), ("equal", None)]
+    ))
+    ent, eq = (rows[name].token_error_rate for name in ("entropy", "equal"))
     ok = ent <= best + 1e-12 and eq <= 1.1 * best
     verdict(4, ok, f"best stream {best:.4f}, entropy {ent:.4f}, equal {eq:.4f}")
 
@@ -252,11 +254,13 @@ def test_criterion_5_mismatched_scenario_ranking(
     the inverse-entropy and autoencoder monitors beat that stream.
     """
     best = best_stream_ter(hrm_baselines)
-    eq = experiments.evaluate_method(hrm_corpus, "equal").token_error_rate
-    ent = experiments.evaluate_method(hrm_corpus, "entropy").token_error_rate
-    ae = experiments.evaluate_method(
-        hrm_corpus, "autoencoder", model=monitor_model
-    ).token_error_rate
+    rows = dict(experiments.evaluate_corpus(
+        hrm_corpus,
+        baselines=False,
+        methods=[("equal", None), ("entropy", None), ("autoencoder", None)],
+        model=monitor_model,
+    ))
+    eq, ent, ae = (rows[name].token_error_rate for name in ("equal", "entropy", "autoencoder"))
     ok = eq > 1.5 * best and ent < best and ae < best
     verdict(
         5,
@@ -284,7 +288,8 @@ def test_criterion_6_window_selection(hrm_corpus):
 
 def test_criterion_7_n_best_sweep(hrm_corpus):
     """n-best re-weighting: too few streams hurts, all streams is near-best."""
-    rows = experiments.evaluate_corpus(hrm_corpus, baselines=False, sweep="entropy")
+    sweep = [("entropy", n) for n in range(1, hrm_corpus.spec.num_streams + 1)]
+    rows = experiments.evaluate_corpus(hrm_corpus, baselines=False, methods=sweep)
     ters = [rep.token_error_rate for _, rep in rows]
     best_mid = min(ters[1:-1])
     overall = min(ters)

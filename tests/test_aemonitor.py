@@ -335,12 +335,11 @@ class TestBitExactKernels:
         st.sampled_from(PLAN_CONTEXTS),
         st.lists(st.integers(1, 12), min_size=1, max_size=4),
         st.integers(0, 16),
-        st.sampled_from(["momentum", "sgd"]),
         st.integers(1, 2),
         st.integers(0, 2**32 - 1),
     )
     def test_ragged_training_matches_reference_loop(self, context, lengths, batch_extra,
-                                                    optimizer, epochs, seed):
+                                                    epochs, seed):
         # Ragged sequences (the longest anywhere, down to one frame) and
         # batches from one frame to more than the longest sequence, so
         # one-row tails and one-batch sequences both occur.
@@ -349,10 +348,7 @@ class TestBitExactKernels:
         data = [PosteriorStream(random_simplex(rng, T, C, 2.0), stream_id=-1) for T in lengths]
         fe = FrontEnd(pca_mean=np.zeros(C), pca_basis=np.eye(C)[:, :K])
         batch_size = 1 + batch_extra % (max(lengths) + 4)
-        cfg = TrainConfig(
-            learning_rate=1e-4, epochs=epochs, batch_size=batch_size, seed=seed,
-            optimizer=optimizer,
-        )
+        cfg = TrainConfig(learning_rate=1e-4, epochs=epochs, batch_size=batch_size, seed=seed)
         model, losses = train_ae(data, cfg, context=context, front_end=fe)
         layers = build_architecture(K, context, rng=np.random.default_rng(seed))
         z_list = [front_end_apply(fe, s.probs) for s in data]
@@ -361,16 +357,13 @@ class TestBitExactKernels:
             assert_bits_equal(got.weight, want.weight)
             assert_bits_equal(got.bias, want.bias)
 
-    @pytest.mark.parametrize("optimizer", ["momentum", "sgd"])
-    def test_training_matches_reference_loop(self, rng, optimizer):
+    def test_training_matches_reference_loop(self, rng):
         data = [
             PosteriorStream(random_simplex(rng, T, 8, 2.0), stream_id=-1)
             for T in (40, 23, 37)
         ]
         fe = fit_front_end(np.vstack([s.probs for s in data]), 8)
-        cfg = TrainConfig(
-            learning_rate=1e-3, epochs=2, batch_size=16, seed=3, optimizer=optimizer
-        )
+        cfg = TrainConfig(learning_rate=1e-3, epochs=2, batch_size=16, seed=3)
         model, losses = train_ae(data, cfg, context=(-16, 12), front_end=fe)
         layers = build_architecture(8, (-16, 12), rng=np.random.default_rng(cfg.seed))
         z_list = [front_end_apply(fe, s.probs) for s in data]
@@ -411,8 +404,6 @@ class TestTraining:
             TrainConfig(learning_rate=-1.0)
         with pytest.raises(ValueError):
             TrainConfig(epochs=0)
-        with pytest.raises(ValueError):
-            TrainConfig(optimizer="adam")
         TrainConfig(learning_rate=0.0)  # zero is allowed (makes a no-op run)
 
     def test_linear_ae_learns_identity(self, rng):
@@ -454,12 +445,6 @@ class TestTraining:
         cfg = TrainConfig(learning_rate=1e9, epochs=5)
         with pytest.raises(DivergedTraining), np.errstate(all="ignore"):
             train_ae(data, cfg, hidden_widths=(4,))
-
-    def test_plain_sgd_supported(self, rng):
-        data = self.make_data(rng, n=2, T=40)
-        cfg = TrainConfig(learning_rate=0.02, epochs=25, optimizer="sgd")
-        _, losses = train_ae(data, cfg, hidden_widths=(3,))
-        assert losses[-1] < losses[0]
 
     def test_empty_data_rejected(self):
         with pytest.raises(ValueError):

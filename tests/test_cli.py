@@ -113,6 +113,14 @@ class TestSimulate:
                 "--streams", "2", "--utterances", "2", "--seed", "1")
         assert r.returncode == 2
 
+    def test_custom_scenario_exits_2(self, tmp_path):
+        # The library's custom scenario needs profiles that no flag can give.
+        r = run("simulate", "--out", str(tmp_path / "x"), "--scenario", "custom",
+                "--streams", "2", "--utterances", "2", "--seed", "1")
+        assert r.returncode == 2
+        assert "argument --scenario: invalid choice: 'custom'" in r.stderr
+        assert not (tmp_path / "x").exists()
+
     def test_config_file_supplies_flags(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(
@@ -284,7 +292,8 @@ class TestFuse:
         assert not out.exists()
 
     @pytest.mark.parametrize("edit", ["oracle=99", "oracle=-1", "frames=3", "profiles",
-                                      "stream T", "stream C", "off"])
+                                      "stream T", "stream C", "off", "empty", "repeat",
+                                      "ref"])
     def test_manifest_contradicting_corpus_exits_3(self, corpus, tmp_path, edit):
         copy = tmp_path / "corpus"
         shutil.copytree(corpus, copy)
@@ -306,14 +315,23 @@ class TestFuse:
             rest_of_profile, off = profiles[1].rsplit("off:", 1)
             profiles[1] = f"{rest_of_profile}off:{int(off) + 1}"
             first = head + "profiles=" + ";".join(profiles)
-        else:
+        elif edit == "repeat":
+            rest[0] = first  # utt 0's record twice, utt 1's none
+        elif edit == "ref":
+            (copy / "utt0000.ref").write_text("0 1 x\n")
+        elif edit != "empty":
             key = edit.split("=")[0]
             first = re.sub(rf"\b{key}=\S+", edit, first)
-        manifest.write_text("\n".join([first, *rest]) + "\n")
+        manifest.write_text("" if edit == "empty" else "\n".join([first, *rest]) + "\n")
         out = tmp_path / "x"
         r = run("fuse", "--corpus", str(copy), "--out", str(out), "--method", "oracle")
         assert r.returncode == 3
-        assert "utt 0:" in r.stderr
+        expected = {
+            "empty": "0 records of 0 distinct utterances, but",
+            "repeat": "4 records of 3 distinct utterances, but",
+            "ref": "utt0000.ref: invalid literal",
+        }
+        assert expected.get(edit, "utt 0:") in r.stderr
         if edit.startswith("stream") or edit == "off":
             assert "utt0000_s01.strm" in r.stderr
         assert "Traceback" not in r.stderr
@@ -566,6 +584,22 @@ class TestEvaluate:
         assert "stream payload" in r.stderr
         assert "Traceback" not in r.stderr
 
+    @pytest.mark.parametrize("text, expected", [
+        ('{"priors": [1]}', "arguments: 'transitions'"),
+        ("[1, 2]", "must be a mapping, not list"),
+        ('{"transitions": 5, "priors": [1], "labels": ["a"]}', "hmm.json: "),
+        ('{"transitions": [[1]], "priors": [1], "labels": 5}', "not iterable"),
+        ('{"transitions": [[1]], "priors": [1], "labels": ["a"], "x": 1}', "argument 'x'"),
+    ], ids=["no transitions", "list", "scalar transitions", "scalar labels", "unknown key"])
+    def test_bad_hmm_json_exits_3(self, corpus, tmp_path, text, expected):
+        copy = tmp_path / "corpus"
+        shutil.copytree(corpus, copy)
+        (copy / "hmm.json").write_text(text)
+        r = run("evaluate", "--corpus", str(copy), "--out", str(tmp_path / "r.tsv"))
+        assert r.returncode == 3
+        assert "hmm.json: " in r.stderr and expected in r.stderr
+        assert "Traceback" not in r.stderr
+
     @pytest.mark.parametrize("bad", ["missing", "streams=abc"])
     def test_bad_corpus_cfg_exits_3(self, corpus, tmp_path, bad):
         copy = tmp_path / "corpus"
@@ -596,13 +630,13 @@ class TestParser:
         train = parse(["train-ae", "--corpus", "c", "--out", "m"])
         cfg = aemonitor.TrainConfig()
         for flag, library in [(train.epochs, cfg.epochs), (train.lr, cfg.learning_rate),
-                              (train.batch_size, cfg.batch_size), (train.seed, cfg.seed)]:
+                              (train.batch_size, cfg.batch_size), (train.seed, cfg.seed),
+                              (train.logit_clamp, aemonitor.DEFAULT_LOGIT_CLAMP)]:
             assert flag == library and type(flag) is type(library)
         assert train.context == (0, 0)
 
         fuse = parse(["fuse", "--corpus", "c", "--out", "f", "--method", "max_n"])
-        for fn in (experiments.compute_schedule, experiments.fuse_corpus,
-                   experiments.evaluate_method):
+        for fn in (experiments.compute_schedule, experiments.fuse_corpus):
             assert fuse.base == inspect.signature(fn).parameters["base"].default
 
 

@@ -54,13 +54,16 @@ def test_load_corpus_round_trips_the_scenario(written, hrm_corpus):
 
 @pytest.mark.parametrize("method", ["entropy", "max_n"])
 def test_n_sweep_rows_equal_per_n_evaluation(hrm_corpus, method):
-    M = hrm_corpus.spec.num_streams
+    # The sweep's rows share one schedule per utterance; each n alone
+    # computes its own.
+    sweep = [(method, n) for n in range(1, hrm_corpus.spec.num_streams + 1)]
     expected = [
-        (f"{method}:n={n}", experiments.evaluate_method(hrm_corpus, method, n=n))
-        for n in range(1, M + 1)
+        experiments.evaluate_corpus(hrm_corpus, baselines=False, methods=[pair])[0]
+        for pair in sweep
     ]
-    got = experiments.evaluate_corpus(hrm_corpus, baselines=False, sweep=method)
+    got = experiments.evaluate_corpus(hrm_corpus, baselines=False, methods=sweep)
     assert got == expected
+    assert [name for name, _ in got] == [f"{method}:n={n}" for _, n in sweep]
 
 
 def test_decode_reports_scores_each_stream_on_its_own_span():
@@ -88,10 +91,14 @@ def test_one_pass_equals_per_system_loops(hrm_corpus, fused_dirs, sweep):
     assert any(
         overlap_range(u.streams)[1] < len(u.labels) for u in hrm_corpus.utterances
     )
+    # An n-best sweep, then untruncated rows: max_n alone is n=1 of entropy,
+    # and entropy shares its schedule with a max_n sweep.
+    methods = [(sweep, n) for n in range(1, hrm_corpus.spec.num_streams + 1)]
+    methods += [("entropy", None), ("max_n", None), ("equal", None)]
     baselines = ref.evaluate_single_streams_ref(hrm_corpus)
     fused = [ref.evaluate_fused_dir_ref(hrm_corpus, d) for d in fused_dirs]
-    swept = ref.n_sweep_ref(hrm_corpus, sweep)
-    got = experiments.evaluate_corpus(hrm_corpus, fused_dirs=fused_dirs, sweep=sweep)
+    swept = ref.evaluate_methods_ref(hrm_corpus, methods)
+    got = experiments.evaluate_corpus(hrm_corpus, fused_dirs=fused_dirs, methods=methods)
     assert got == baselines + fused + swept
     # Each part alone gives the same rows.
     assert experiments.evaluate_corpus(hrm_corpus) == baselines
@@ -99,7 +106,7 @@ def test_one_pass_equals_per_system_loops(hrm_corpus, fused_dirs, sweep):
         experiments.evaluate_corpus(hrm_corpus, baselines=False, fused_dirs=[d])[0]
         for d in fused_dirs
     ] == fused
-    assert experiments.evaluate_corpus(hrm_corpus, baselines=False, sweep=sweep) == swept
+    assert experiments.evaluate_corpus(hrm_corpus, baselines=False, methods=methods) == swept
 
 
 def _pipeline_peak_bytes(root, num_utterances: int) -> int:
@@ -118,7 +125,8 @@ def _pipeline_peak_bytes(root, num_utterances: int) -> int:
     try:
         corpus = experiments.load_corpus(corpus_dir)
         experiments.fuse_corpus(corpus, "entropy", fused)
-        experiments.evaluate_corpus(corpus, fused_dirs=[fused], sweep="entropy")
+        methods = [("entropy", n) for n in range(1, spec.num_streams + 1)]
+        experiments.evaluate_corpus(corpus, fused_dirs=[fused], methods=methods)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
