@@ -193,10 +193,13 @@ def cmd_fuse(args, parser) -> int:
 def cmd_evaluate(args, parser) -> int:
     if args.sweep and args.method is None:
         parser.error("--sweep requires --method")
+    for flag, value in (("--method", args.method), ("--model", args.model)):
+        if value is not None and not args.sweep:
+            parser.error(f"{flag} requires --sweep")
     if args.no_baselines and not args.fused and not args.sweep:
         parser.error("nothing to score: --no-baselines needs --fused or --sweep")
     corpus = experiments.load_corpus(args.corpus)
-    model = storage.read_model(args.model) if args.sweep and args.model else None
+    model = storage.read_model(args.model) if args.model else None
     sweep = range(1, corpus.spec.num_streams + 1) if args.sweep else ()
     rows = experiments.evaluate_corpus(
         corpus,

@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidN, OverlapEmpty
+from .errors import DimensionMismatch, InvalidN, InvalidSimplex, OverlapEmpty
 
 # Absolute tolerance on simplex row sums.  Rows inside the tolerance are
 # accepted (classifier outputs carry float noise); rows outside are rejected.
@@ -25,7 +25,8 @@ LOG_EPS = 1e-10
 class PosteriorStream:
     """Per-frame class posteriors of one stream.
 
-    probs: (T, C) float64, rows on the simplex within SIMPLEX_ATOL.
+    probs: (T, C) float64 rows, meant to lie on the simplex; only the shape
+        is checked here (check_simplex runs in storage and in fuse).
     frame_offset: signed shift (in frames) of this stream's content relative
         to the common time base; frame k of the reference appears at index
         k + frame_offset of this stream.
@@ -71,7 +72,7 @@ class StreamSet:
 
 @dataclass
 class AttentionSchedule:
-    """Per-frame convex weights over streams: (T, M), rows summing to 1."""
+    """Per-frame convex weights over streams: (T, M), shape checked here only."""
 
     weights: np.ndarray
 
@@ -87,6 +88,23 @@ class AttentionSchedule:
     @property
     def num_streams(self) -> int:
         return self.weights.shape[1]
+
+
+def check_simplex(mat: np.ndarray, what: str, atol: float = SIMPLEX_ATOL) -> np.ndarray:
+    """The row sums of mat (rows along its last axis), once each row is on the simplex.
+
+    The package's one test of the rule: InvalidSimplex naming what unless
+    every entry is finite and >= 0 and every row sums to 1 within atol.
+    """
+    sums = mat.sum(axis=-1)
+    # NaN fails ">= 0"; +inf passes it but makes its row sum infinite.
+    if not (np.all(mat >= 0) and np.all(np.isfinite(sums))):
+        raise InvalidSimplex(f"{what}: negative or non-finite entries")
+    off = np.abs(sums - 1.0)
+    if np.any(off > atol):
+        t = int(np.argmax(off))
+        raise InvalidSimplex(f"{what}: row {t} sums to {sums.flat[t]:.8f}")
+    return sums
 
 
 def renormalize_rows(mat: np.ndarray) -> np.ndarray:
@@ -145,7 +163,12 @@ def align_streams(sset: StreamSet) -> StreamSet:
 
 
 def fuse(sset: StreamSet, sched: AttentionSchedule) -> PosteriorStream:
-    """Per-frame convex combination of stream posteriors under the schedule."""
+    """Per-frame convex combination of stream posteriors under the schedule.
+
+    The schedule and the fused rows pass check_simplex; the inputs are not
+    checked one by one: a NaN or infinite entry always reaches its fused row,
+    a negative one once its weight moves that row off the simplex.
+    """
     if not sset.aligned():
         raise DimensionMismatch("fuse requires an aligned stream set (all offsets 0)")
     T = sset.streams[0].num_frames
@@ -159,9 +182,11 @@ def fuse(sset: StreamSet, sched: AttentionSchedule) -> PosteriorStream:
         )
     if len({s.num_classes for s in sset.streams}) > 1:
         raise DimensionMismatch("class-count mismatch across streams")
+    check_simplex(sched.weights, "schedule")
     stacked = np.stack([s.probs for s in sset.streams])  # (M, T, C)
     fused = np.einsum("tm,mtc->tc", sched.weights, stacked)
-    return PosteriorStream(probs=renormalize_rows(fused), stream_id=-1)
+    sums = check_simplex(fused, "fused stream")
+    return PosteriorStream(probs=fused / sums[:, None], stream_id=-1)
 
 
 def n_best_truncate(sched: AttentionSchedule, n: int) -> AttentionSchedule:

@@ -13,8 +13,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LOG_EPS, PosteriorStream, check_range
+from .core import LOG_EPS, PosteriorStream, check_range, check_simplex
 from .errors import DimensionMismatch
+
+# Row-sum tolerance of HmmModel: an HMM is float64 end to end, so it is
+# held tighter than core.SIMPLEX_ATOL.
+HMM_ATOL = 1e-9
 
 
 @dataclass
@@ -34,10 +38,8 @@ class HmmModel:
             raise DimensionMismatch("transitions must be (C, C), priors (C,)")
         if len(self.labels) != C:
             raise DimensionMismatch("label alphabet size must equal C")
-        if np.max(np.abs(self.transitions.sum(axis=1) - 1.0)) > 1e-9:
-            raise ValueError("transition rows must sum to 1 within 1e-9")
-        if abs(self.priors.sum() - 1.0) > 1e-9 or np.any(self.priors < 0):
-            raise ValueError("priors must lie on the simplex")
+        check_simplex(self.transitions, "transitions", atol=HMM_ATOL)
+        check_simplex(self.priors[None], "priors", atol=HMM_ATOL)
 
     @property
     def num_states(self) -> int:

@@ -54,7 +54,10 @@ class PayloadTruncated(FormatError):
 
 
 class InvalidSimplex(FormatError):
-    """A stored probability row is too far from the simplex."""
+    """A probability row is negative, non-finite or too far from the simplex.
+
+    core.check_simplex raises it, for rows in a file and in memory alike.
+    """
 
 
 class ManifestError(FormatError):

@@ -21,12 +21,14 @@ Reports are tab-separated tables with a header row; lines starting with
 When each check runs: load_corpus reads corpus.cfg, hmm.json, the manifest,
 every label file and every stream file's header, and checks them against
 each other (record count, distinct utterance ids, oracle index, profile
-count, label count, each stream's frames, classes and frame_offset, each
-file's size), so a corpus that contradicts
-itself fails before any output exists.  A stream's payload is read, and its
-rows checked to be on the simplex, only when its utterance is taken from
-the corpus's utterances, so fuse_corpus and evaluate_corpus hold one
-utterance at a time.  evaluate_corpus checks each
+count, label count and range, each stream's frames, classes and
+frame_offset, each file's size), so a corpus that contradicts itself fails
+before any output exists.  hmm.json's rows pass core.check_simplex in
+HmmModel.  A stream's payload is read, and its rows checked by
+core.check_simplex, only when its utterance is taken from the corpus's
+utterances, so fuse_corpus and evaluate_corpus hold one utterance at a
+time.  fuse checks each schedule and fused stream, and the storage writers
+check every matrix before they write it.  evaluate_corpus checks each
 fused directory's fuse.cfg (present, from this corpus) before the first
 utterance, and each fused stream's shape as it reads it.
 """
@@ -52,7 +54,7 @@ from .core import (
     overlap_range,
 )
 from .decoder import ErrorReport, HmmModel, combine_reports, score, viterbi_batch
-from .errors import DimensionMismatch, FormatError, MissingModel, StreamFuseError
+from .errors import FormatError, MissingModel, StreamFuseError
 
 
 def config_hash(pairs: dict) -> str:
@@ -100,12 +102,13 @@ def _read_hmm(path: Path) -> HmmModel:
     """The HMM an hmm.json file holds, the keys of _hmm_to_json and no others.
 
     A bad file raises StreamFuseError naming it and the missing or unknown
-    key or the wrong type.
+    key, the wrong type or shape, or the row off the simplex.
     """
     try:
         return HmmModel(**json.loads(path.read_text()))
-    # IndexError: a scalar where HmmModel takes the shape of an array.
-    except (TypeError, ValueError, IndexError, DimensionMismatch) as e:
+    # IndexError: a scalar where HmmModel takes the shape of an array;
+    # StreamFuseError: a shape mismatch or a row off the simplex.
+    except (TypeError, ValueError, IndexError, StreamFuseError) as e:
         raise StreamFuseError(f"{path}: {e}") from None
 
 
@@ -301,6 +304,11 @@ def load_corpus(indir) -> simulator.Scenario:
             labels = np.array([int(x) for x in ref.read_text().split()], dtype=np.intp)
         except ValueError as e:
             raise StreamFuseError(f"{ref}: {e}") from None
+        outside = labels[(labels < 0) | (labels >= C)]
+        if outside.size:
+            raise StreamFuseError(
+                f"{ref}: label {outside[0]} is not in [0, {C}) for the hmm.json states"
+            )
         if rec.num_frames != len(labels):
             raise StreamFuseError(
                 f"{manifest}: utt {rec.utt_id}: frames={rec.num_frames}, "

@@ -28,14 +28,17 @@ version, dtype code, and a file size of exactly header + rows * columns * 4
 bytes, so a hostile row or column count fails before any payload is read
 or allocated.  read_stream_header stops there, which lets a corpus check
 every stream's shape at load and read its payload only on use.  Readers
-of a payload then validate simplex rows: a row whose sum is further than
-1e-6 from 1 is rejected; rows inside the tolerance but beyond float32
-promotion noise (1e-7) are renormalized; rows within promotion noise are
-kept untouched so write -> read -> write is byte-stable.
+of a payload then run core.check_simplex on its rows (finite, >= 0, sum
+within SIMPLEX_ATOL = 1e-6 of 1); rows beyond float32 promotion noise
+(1e-7) are renormalized, rows within it are kept untouched so
+write -> read -> write is byte-stable.  Writers run the same check before
+they open the file, so no writer makes a file its reader rejects.  The
+model reader rejects non-finite values in any array it reads.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 from dataclasses import dataclass
@@ -44,7 +47,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .aemonitor import AeModel, FrontEnd, Layer
-from .core import SIMPLEX_ATOL, AttentionSchedule, PosteriorStream
+from .core import AttentionSchedule, PosteriorStream, check_simplex
 from .errors import (
     BadMagic,
     FormatError,
@@ -84,14 +87,9 @@ def _check_header(magic: bytes, expect: bytes, version: int):
 
 
 def _validate_rows(mat: np.ndarray, what: str) -> np.ndarray:
-    if np.any(mat < 0) or not np.all(np.isfinite(mat)):
-        raise InvalidSimplex(f"{what}: negative or non-finite entries")
-    sums = mat.sum(axis=1)
-    off = np.abs(sums - 1.0)
-    if np.any(off > SIMPLEX_ATOL):
-        t = int(np.argmax(off))
-        raise InvalidSimplex(f"{what}: row {t} sums to {sums[t]:.8f}")
-    fix = off > _EXACT_ATOL
+    """mat once check_simplex passes it, rows beyond _EXACT_ATOL of 1 renormalized in place."""
+    sums = check_simplex(mat, what)
+    fix = np.abs(sums - 1.0) > _EXACT_ATOL
     if np.any(fix):
         mat[fix] /= sums[fix, None]
     return mat
@@ -114,8 +112,12 @@ def _to_f32_payload(mat: np.ndarray) -> np.ndarray:
     return out
 
 
-def _write_matrix(path, hdr: struct.Struct, magic: bytes, mat: np.ndarray, *extra):
-    """Header (magic, version, columns, rows, *extra, dtype 0) and an f32 payload."""
+def _write_matrix(path, hdr: struct.Struct, magic: bytes, what: str, mat: np.ndarray, *extra):
+    """Header (magic, version, columns, rows, *extra, dtype 0) and an f32 payload.
+
+    The rows are checked first, so a matrix the reader would reject is never written.
+    """
+    check_simplex(mat, what)
     with open(path, "wb") as f:
         f.write(hdr.pack(magic, VERSION, mat.shape[1], mat.shape[0], *extra, 0))
         f.write(_to_f32_payload(mat).tobytes())
@@ -167,7 +169,7 @@ def _signed(sid: int) -> int:
 
 def write_stream(stream: PosteriorStream, path):
     sid = stream.stream_id & 0xFFFFFFFF  # u32 on disk; the readers restore the sign
-    _write_matrix(path, _STREAM_HDR, b"SATN", stream.probs, sid, stream.frame_offset)
+    _write_matrix(path, _STREAM_HDR, b"SATN", "stream", stream.probs, sid, stream.frame_offset)
 
 
 def read_stream_header(path) -> StreamHeader:
@@ -183,7 +185,7 @@ def read_stream(path) -> PosteriorStream:
 
 
 def write_schedule(sched: AttentionSchedule, path):
-    _write_matrix(path, _SCHED_HDR, b"SATW", sched.weights)
+    _write_matrix(path, _SCHED_HDR, b"SATW", "schedule", sched.weights)
 
 
 def read_schedule(path) -> AttentionSchedule:
@@ -215,18 +217,22 @@ def write_model(model: AeModel, path):
             f.write(np.ascontiguousarray(ly.bias, dtype="<f8").tobytes())
 
 
+def _read_f8(f, shape: tuple[int, ...], what: str) -> np.ndarray:
+    """The next prod(shape) f8 values of f as an array of that shape, every one finite."""
+    arr = np.frombuffer(_read_exact(f, math.prod(shape) * 8, what), dtype="<f8")
+    if not np.all(np.isfinite(arr)):
+        raise FormatError(f"{what}: non-finite values")
+    return arr.reshape(shape).copy()
+
+
 def read_model(path) -> AeModel:
     with open(path, "rb") as f:
         hdr = struct.Struct("<4sHIId")
         magic, version, C, K, clamp = hdr.unpack(_read_exact(f, hdr.size, "model header"))
         _check_header(magic, b"STAE", version)
         left, right = struct.unpack("<ii", _read_exact(f, 8, "model context"))
-        mean = np.frombuffer(_read_exact(f, C * 8, "pca mean"), dtype="<f8").copy()
-        basis = (
-            np.frombuffer(_read_exact(f, C * K * 8, "pca basis"), dtype="<f8")
-            .reshape(C, K)
-            .copy()
-        )
+        mean = _read_f8(f, (C,), "pca mean")
+        basis = _read_f8(f, (C, K), "pca basis")
         (num_layers,) = struct.unpack("<H", _read_exact(f, 2, "layer count"))
         layers = []
         for i in range(num_layers):
@@ -238,16 +244,8 @@ def read_model(path) -> AeModel:
             offsets = struct.unpack(
                 f"<{n_off}i", _read_exact(f, 4 * n_off, f"layer {i} offsets")
             )
-            w = (
-                np.frombuffer(
-                    _read_exact(f, fan_in * width * 8, f"layer {i} weights"), dtype="<f8"
-                )
-                .reshape(fan_in, width)
-                .copy()
-            )
-            b = np.frombuffer(
-                _read_exact(f, width * 8, f"layer {i} bias"), dtype="<f8"
-            ).copy()
+            w = _read_f8(f, (fan_in, width), f"layer {i} weights")
+            b = _read_f8(f, (width,), f"layer {i} bias")
             layers.append(Layer(weight=w, bias=b, activation=_ACT_NAMES[act], offsets=offsets))
         if f.read(1):
             raise PayloadTruncated("trailing bytes after model payload")

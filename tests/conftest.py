@@ -41,6 +41,18 @@ def random_schedule(rng, T, M):
     return AttentionSchedule(random_simplex(rng, T, M))
 
 
+# One table of matrices off the simplex, each bad in row 0 alone (row 1 of
+# the 2 x 2 ones is valid): every boundary that takes rows in must reject
+# each of them with InvalidSimplex.
+BAD_SIMPLEX = pytest.mark.parametrize("bad", [
+    pytest.param(np.array([[np.nan, 1.0], [0.5, 0.5]]), id="nan"),
+    pytest.param(np.array([[np.inf, 0.0], [0.5, 0.5]]), id="inf"),
+    pytest.param(np.array([[1.25, -0.25], [0.5, 0.5]]), id="negative"),
+    pytest.param(np.array([[0.5, 0.5 + 2e-6], [0.5, 0.5]]), id="sum 1+2e-6"),
+    pytest.param(np.empty((2, 0)), id="0 columns"),
+])
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)

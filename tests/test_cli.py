@@ -293,7 +293,7 @@ class TestFuse:
 
     @pytest.mark.parametrize("edit", ["oracle=99", "oracle=-1", "frames=3", "profiles",
                                       "stream T", "stream C", "off", "empty", "repeat",
-                                      "ref"])
+                                      "ref", "ref label"])
     def test_manifest_contradicting_corpus_exits_3(self, corpus, tmp_path, edit):
         copy = tmp_path / "corpus"
         shutil.copytree(corpus, copy)
@@ -319,6 +319,10 @@ class TestFuse:
             rest[0] = first  # utt 0's record twice, utt 1's none
         elif edit == "ref":
             (copy / "utt0000.ref").write_text("0 1 x\n")
+        elif edit == "ref label":
+            # The right count of labels, every one outside the 6 HMM states.
+            ref = copy / "utt0000.ref"
+            ref.write_text(" ".join("99" for _ in ref.read_text().split()) + "\n")
         elif edit != "empty":
             key = edit.split("=")[0]
             first = re.sub(rf"\b{key}=\S+", edit, first)
@@ -330,6 +334,7 @@ class TestFuse:
             "empty": "0 records of 0 distinct utterances, but",
             "repeat": "4 records of 3 distinct utterances, but",
             "ref": "utt0000.ref: invalid literal",
+            "ref label": "utt0000.ref: label 99 is not in [0, 6)",
         }
         assert expected.get(edit, "utt 0:") in r.stderr
         if edit.startswith("stream") or edit == "off":
@@ -425,6 +430,19 @@ class TestFuse:
         assert "layer 0 weights" in r.stderr
         assert "Traceback" not in r.stderr
 
+    def test_non_finite_model_exits_3_before_writing(self, corpus, model, tmp_path):
+        bad = storage.read_model(model)
+        bad.layers[0].bias[0] = np.nan
+        path = tmp_path / "nan.stae"
+        storage.write_model(bad, path)
+        out = tmp_path / "ae"
+        r = run("fuse", "--corpus", str(corpus), "--out", str(out),
+                "--method", "autoencoder", "--model", str(path))
+        assert r.returncode == 3
+        assert "layer 0 bias: non-finite values" in r.stderr
+        assert "Traceback" not in r.stderr
+        assert not out.exists()
+
 
 class TestEvaluate:
     def test_report_rows_and_hash(self, corpus, tmp_path):
@@ -461,6 +479,15 @@ class TestEvaluate:
         r = run("evaluate", "--corpus", str(corpus), "--out", str(tmp_path / "r.tsv"),
                 "--sweep")
         assert r.returncode == 2
+
+    @pytest.mark.parametrize("flag, value", [("--method", "entropy"),
+                                             ("--model", "nonexistent.stae")])
+    def test_sweep_flag_without_sweep_exits_2(self, corpus, tmp_path, flag, value):
+        report = tmp_path / "r.tsv"
+        r = run("evaluate", "--corpus", str(corpus), "--out", str(report), flag, value)
+        assert r.returncode == 2
+        assert f"{flag} requires --sweep" in r.stderr
+        assert not report.exists()
 
     def test_nothing_to_score_exits_2(self, tmp_path):
         # The corpus does not exist: the usage error comes before it is read.
@@ -590,7 +617,14 @@ class TestEvaluate:
         ('{"transitions": 5, "priors": [1], "labels": ["a"]}', "hmm.json: "),
         ('{"transitions": [[1]], "priors": [1], "labels": 5}', "not iterable"),
         ('{"transitions": [[1]], "priors": [1], "labels": ["a"], "x": 1}', "argument 'x'"),
-    ], ids=["no transitions", "list", "scalar transitions", "scalar labels", "unknown key"])
+        ('{"transitions": [[NaN, 1], [0.5, 0.5]], "priors": [NaN, 0.5], "labels": ["a", "b"]}',
+         "transitions: negative or non-finite entries"),
+        ('{"transitions": [[1.42, -0.42], [0.5, 0.5]], "priors": [0.5, 0.5], "labels": ["a", "b"]}',
+         "transitions: negative or non-finite entries"),
+        ('{"transitions": [[1, 0], [0, 1]], "priors": [0.5, 0.6], "labels": ["a", "b"]}',
+         "priors: row 0 sums to 1.10000000"),
+    ], ids=["no transitions", "list", "scalar transitions", "scalar labels", "unknown key",
+            "nan", "negative", "priors sum"])
     def test_bad_hmm_json_exits_3(self, corpus, tmp_path, text, expected):
         copy = tmp_path / "corpus"
         shutil.copytree(corpus, copy)

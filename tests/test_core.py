@@ -5,17 +5,38 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_schedule, random_simplex, random_stream, random_stream_set
+from conftest import (
+    BAD_SIMPLEX,
+    random_schedule,
+    random_simplex,
+    random_stream,
+    random_stream_set,
+)
 from streamfuse.core import (
     AttentionSchedule,
     PosteriorStream,
     StreamSet,
     align_streams,
+    check_simplex,
     fuse,
     n_best_truncate,
     overlap_range,
 )
-from streamfuse.errors import DimensionMismatch, InvalidN, OverlapEmpty
+from streamfuse.errors import DimensionMismatch, InvalidN, InvalidSimplex, OverlapEmpty
+
+
+class TestCheckSimplex:
+    @BAD_SIMPLEX
+    def test_bad_rows_rejected(self, bad):
+        with pytest.raises(InvalidSimplex, match="^probs: "):
+            check_simplex(bad, "probs")
+
+    def test_returns_row_sums_within_atol(self):
+        mat = np.array([[0.5, 0.5 + 5e-7], [1.0, 0.0]])
+        np.testing.assert_array_equal(check_simplex(mat, "probs"), mat.sum(axis=1))
+        with pytest.raises(InvalidSimplex, match="row 0 sums to 1.00000050"):
+            check_simplex(mat, "probs", atol=1e-7)
+        assert check_simplex(np.empty((0, 3)), "probs").shape == (0,)
 
 
 class TestAlignment:
@@ -103,6 +124,35 @@ class TestFuse:
             fuse(sset, random_schedule(rng, 4, 2))  # wrong T
         with pytest.raises(DimensionMismatch):
             fuse(sset, random_schedule(rng, 5, 3))  # wrong M
+
+    @BAD_SIMPLEX
+    def test_bad_stream_rejected(self, rng, bad):
+        # All weight on the bad stream: its rows are the fused rows.
+        good = np.full(bad.shape, 0.5)  # the table's matrices have 2 or 0 columns
+        sset = StreamSet([PosteriorStream(bad), PosteriorStream(good, stream_id=1)])
+        with pytest.raises(InvalidSimplex, match="^fused stream: "):
+            fuse(sset, AttentionSchedule(np.array([[1.0, 0.0], [1.0, 0.0]])))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_stream_rejected_at_zero_weight(self, rng, value):
+        bad = random_simplex(rng, 2, 3)
+        bad[1, 2] = value
+        sset = StreamSet([PosteriorStream(bad), random_stream(rng, 2, 3, stream_id=1)])
+        with pytest.raises(InvalidSimplex, match="^fused stream: "):
+            fuse(sset, AttentionSchedule(np.array([[0.0, 1.0], [0.0, 1.0]])))
+
+    @BAD_SIMPLEX
+    def test_bad_schedule_rejected(self, rng, bad):
+        sset = random_stream_set(rng, 2, 2, 3)
+        # A schedule of 0 columns weights no stream: its shape fails first.
+        expected = InvalidSimplex if bad.shape[1] else DimensionMismatch
+        with pytest.raises(expected):
+            fuse(sset, AttentionSchedule(bad))
+
+    def test_negative_schedule_not_renormalized_away(self, rng):
+        sset = random_stream_set(rng, 2, 2, 3)
+        with pytest.raises(InvalidSimplex, match="^schedule: negative"):
+            fuse(sset, AttentionSchedule(np.full((2, 2), -3.0)))
 
     @settings(deadline=None)
     @given(st.integers(0, 10**6))

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference as ref
-from conftest import random_simplex, random_stream
+from conftest import BAD_SIMPLEX, random_simplex, random_stream
 from streamfuse.core import AttentionSchedule, PosteriorStream, StreamSet, fuse
 from streamfuse.decoder import (
     LOG_EPS,
@@ -21,7 +21,7 @@ from streamfuse.decoder import (
     viterbi,
     viterbi_batch,
 )
-from streamfuse.errors import DimensionMismatch
+from streamfuse.errors import DimensionMismatch, InvalidSimplex
 
 
 def random_hmm(rng, C):
@@ -52,7 +52,7 @@ class TestMakeHmm:
         )
 
     def test_model_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidSimplex):
             HmmModel(
                 transitions=np.array([[0.5, 0.4], [0.5, 0.5]]),
                 priors=np.array([0.5, 0.5]),
@@ -62,6 +62,23 @@ class TestMakeHmm:
             HmmModel(
                 transitions=np.eye(2), priors=np.array([0.5, 0.5]), labels=("a",)
             )
+
+    @BAD_SIMPLEX
+    def test_bad_rows_rejected(self, bad):
+        C = bad.shape[1]
+        labels = tuple(f"s{i}" for i in range(C))
+        with pytest.raises(InvalidSimplex, match="^priors: "):
+            HmmModel(transitions=np.eye(C), priors=bad[0], labels=labels)
+        if bad.shape == (C, C):
+            with pytest.raises(InvalidSimplex, match="^transitions: "):
+                HmmModel(transitions=bad, priors=np.full(C, 1 / C), labels=labels)
+
+    def test_row_sum_bound_is_1e_9(self):
+        trans = np.array([[0.5, 0.5 + 2e-9], [0.5, 0.5]])
+        with pytest.raises(InvalidSimplex, match="^transitions: row 0"):
+            HmmModel(transitions=trans, priors=np.array([0.5, 0.5]), labels=("a", "b"))
+        trans[0, 1] = 0.5 + 5e-10
+        HmmModel(transitions=trans, priors=np.array([0.5, 0.5]), labels=("a", "b"))
 
 
 class TestViterbi:

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_schedule, random_simplex, random_stream
+from conftest import BAD_SIMPLEX, random_schedule, random_simplex, random_stream
 from streamfuse.aemonitor import (
     AeModel,
     FrontEnd,
@@ -47,6 +47,37 @@ def stream_bytes(probs_f32: np.ndarray, stream_id=0, offset=0, version=1, magic=
     T, C = probs_f32.shape
     hdr = struct.pack("<4sHIIIiB", magic, version, C, T, stream_id & 0xFFFFFFFF, offset, dtype)
     return hdr + np.ascontiguousarray(probs_f32, dtype="<f4").tobytes()
+
+
+def schedule_bytes(weights_f32: np.ndarray) -> bytes:
+    T, M = weights_f32.shape
+    hdr = struct.pack("<4sHIIB", b"SATW", 1, M, T, 0)
+    return hdr + np.ascontiguousarray(weights_f32, dtype="<f4").tobytes()
+
+
+# (reader, writer, file bytes of a matrix, the matrix as the writer's argument)
+_MATRIX_FILES = pytest.mark.parametrize("reader, writer, to_bytes, wrap", [
+    (read_stream, write_stream, stream_bytes, PosteriorStream),
+    (read_schedule, write_schedule, schedule_bytes, AttentionSchedule),
+], ids=["stream", "schedule"])
+
+
+@BAD_SIMPLEX
+@_MATRIX_FILES
+def test_bad_rows_rejected_on_read(tmp_path, bad, reader, writer, to_bytes, wrap):
+    path = tmp_path / "x.bin"
+    path.write_bytes(to_bytes(bad.astype("<f4")))
+    with pytest.raises(InvalidSimplex):
+        reader(path)
+
+
+@BAD_SIMPLEX
+@_MATRIX_FILES
+def test_bad_rows_rejected_before_writing(tmp_path, bad, reader, writer, to_bytes, wrap):
+    path = tmp_path / "x.bin"
+    with pytest.raises(InvalidSimplex):
+        writer(wrap(bad), path)
+    assert not path.exists()
 
 
 class TestStreamFiles:
@@ -247,6 +278,18 @@ class TestModelFiles:
         path.write_bytes(b"NOPE" + data[4:])
         with pytest.raises(BadMagic):
             read_model(path)
+
+    @pytest.mark.parametrize("array", ["pca mean", "pca basis", "layer 0 weights",
+                                       "layer 1 bias"])
+    def test_non_finite_array_rejected(self, tmp_path, array):
+        model = _small_model()
+        fe, layers = model.front_end, model.layers
+        target = {"pca mean": fe.pca_mean, "pca basis": fe.pca_basis,
+                  "layer 0 weights": layers[0].weight, "layer 1 bias": layers[1].bias}[array]
+        target.flat[-1] = np.nan
+        write_model(model, tmp_path / "m.stae")
+        with pytest.raises(FormatError, match=f"^{array}: non-finite values"):
+            read_model(tmp_path / "m.stae")
 
     def test_huge_declared_layer_rejected_before_reading(self, tmp_path):
         # A valid C=2, K=1 front end, then one layer declaring a
