@@ -122,18 +122,21 @@ def _parse_context(text: str) -> tuple[int, int]:
 
 
 def cmd_simulate(args, parser) -> int:
-    spec = simulator.CorpusSpec(
-        num_utterances=args.utterances,
-        frames_min=args.frames_min,
-        frames_max=args.frames_max,
-        num_classes=args.classes,
-        num_streams=args.streams,
-        seed=args.seed,
-        alpha_true=args.alpha_true,
-        alpha_other=args.alpha_other,
-        conf_prob=args.conf_prob,
-        conf_len=args.conf_len,
-    )
+    try:
+        spec = simulator.CorpusSpec(
+            num_utterances=args.utterances,
+            frames_min=args.frames_min,
+            frames_max=args.frames_max,
+            num_classes=args.classes,
+            num_streams=args.streams,
+            seed=args.seed,
+            alpha_true=args.alpha_true,
+            alpha_other=args.alpha_other,
+            conf_prob=args.conf_prob,
+            conf_len=args.conf_len,
+        )
+    except ValueError as e:  # each flag is in range, so frames_max < frames_min
+        parser.error(f"argument --frames-max: {args.frames_max}: {e}")
     hmm = make_hmm(spec.num_classes, spec.seed, self_loop=args.self_loop)
     scenario = simulator.build_scenario(args.scenario, spec, hmm=hmm)
     experiments.write_corpus(scenario, args.out)
@@ -173,7 +176,24 @@ def cmd_train_ae(args, parser) -> int:
     return EXIT_OK
 
 
+def _check_reads(parser, method: str, base: str, window, model) -> None:
+    """Reject --window or --model unless the frame-wise method that method
+    and base resolve to reads it, and that method without a model it reads."""
+    frame, _ = experiments._frame_method(method, None, base)
+    _, reads = experiments.FRAME_METHODS[frame]
+    for flag, value, setting in (("--window", window, "mcfg"), ("--model", model, "model")):
+        if value is not None and reads != setting:
+            parser.error(f"argument {flag}: the {frame} method does not read it")
+    if reads == "model" and model is None:
+        parser.error(f"the {frame} method needs --model")
+
+
 def cmd_fuse(args, parser) -> int:
+    base = vars(args).get("base")  # --base has no parsed default: None unless given
+    if base is not None and args.method != "max_n":
+        parser.error("argument --base: only --method max_n reads it")
+    base = base or experiments.DEFAULT_BASE
+    _check_reads(parser, args.method, base, args.window, args.model)
     try:
         mcfg = MMeasureConfig(window=args.window)
     except ValueError as e:
@@ -184,7 +204,7 @@ def cmd_fuse(args, parser) -> int:
         parser.error(f"argument --n: {args.n} is more than the corpus's {M} streams")
     model = storage.read_model(args.model) if args.model else None
     experiments.fuse_corpus(
-        corpus, args.method, args.out, model=model, mcfg=mcfg, n=args.n, base=args.base
+        corpus, args.method, args.out, model=model, mcfg=mcfg, n=args.n, base=base
     )
     print(f"wrote fused streams to {args.out}: method={args.method}")
     return EXIT_OK
@@ -198,6 +218,8 @@ def cmd_evaluate(args, parser) -> int:
             parser.error(f"{flag} requires --sweep")
     if args.no_baselines and not args.fused and not args.sweep:
         parser.error("nothing to score: --no-baselines needs --fused or --sweep")
+    if args.sweep:
+        _check_reads(parser, args.method, experiments.DEFAULT_BASE, None, args.model)
     corpus = experiments.load_corpus(args.corpus)
     model = storage.read_model(args.model) if args.model else None
     sweep = range(1, corpus.spec.num_streams + 1) if args.sweep else ()
@@ -275,8 +297,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", required=True, choices=experiments.FUSION_METHODS)
     p.add_argument("--model", help="model file (autoencoder method)")
     p.add_argument("--n", type=_positive_int, help="n-best truncation of the schedule")
-    p.add_argument("--base", default=experiments.DEFAULT_BASE,
-                   choices=tuple(experiments.FRAME_METHODS), help="base method for max_n")
+    # No parsed default, so that a --base given to another method is seen.
+    p.add_argument("--base", default=argparse.SUPPRESS, choices=tuple(experiments.FRAME_METHODS),
+                   help=f"base method for max_n (default: {experiments.DEFAULT_BASE})")
     p.add_argument("--window", type=_positive_int, help="finite M-measure window (frames)")
     p.set_defaults(func=cmd_fuse)
 

@@ -22,15 +22,16 @@ When each check runs: load_corpus reads corpus.cfg, hmm.json, the manifest,
 every label file and every stream file's header, and checks them against
 each other (record count, distinct utterance ids, oracle index, profile
 count, label count and range, each stream's frames, classes and
-frame_offset, each file's size), so a corpus that contradicts itself fails
-before any output exists.  hmm.json's rows pass core.check_simplex in
-HmmModel.  A stream's payload is read, and its rows checked by
-core.check_simplex, only when its utterance is taken from the corpus's
-utterances, so fuse_corpus and evaluate_corpus hold one utterance at a
-time.  fuse checks each schedule and fused stream, and the storage writers
-check every matrix before they write it.  evaluate_corpus checks each
-fused directory's fuse.cfg (present, from this corpus) before the first
-utterance, and each fused stream's shape as it reads it.
+frame_offset: its profile's off, 0 for the clean stream; each file's
+size), so a corpus that contradicts itself fails before any output exists.
+hmm.json's rows pass core.check_simplex in HmmModel.  A stream's payload
+is read, and its rows checked by core.check_simplex, only when its
+utterance is taken from the corpus's utterances, so fuse_corpus and
+evaluate_corpus hold one utterance at a time.  fuse checks each schedule
+and fused stream, and the storage writers check every matrix before they
+write it.  evaluate_corpus checks each fused directory's fuse.cfg
+(present, from this corpus) before the first utterance, and each fused
+stream's shape and frame_offset (0) as it reads it.
 """
 
 from __future__ import annotations
@@ -178,11 +179,9 @@ def write_corpus(scenario: simulator.Scenario, outdir):
     storage.write_manifest(records, outdir / "manifest.txt")
 
 
-def _read_checked(read, path: Path, shape: tuple[int, int], where: str, offset=None):
-    """read(path), a stream or its StreamHeader, once its fields match.
-
-    Its (frames, classes) must equal shape, and its frame_offset offset
-    unless that is None.  Every error names where and the file.
+def _read_checked(read, path: Path, shape: tuple[int, int], where: str, offset: int = 0):
+    """read(path), a stream or its StreamHeader, once its (frames, classes) equal
+    shape and its frame_offset offset.  Every error names where and the file.
     """
     try:
         found = read(path)
@@ -193,10 +192,9 @@ def _read_checked(read, path: Path, shape: tuple[int, int], where: str, offset=N
             f"{where}: {path.name} holds {found.num_frames} frames x "
             f"{found.num_classes} classes, not frames={shape[0]} x {shape[1]} HMM states"
         )
-    if offset is not None and found.frame_offset != offset:
+    if found.frame_offset != offset:
         raise StreamFuseError(
-            f"{where}: {path.name} has frame_offset {found.frame_offset}, "
-            f"but its manifest profile says off:{offset}"
+            f"{where}: {path.name} has frame_offset {found.frame_offset}, not {offset}"
         )
     return found
 
@@ -206,14 +204,14 @@ def _utterance_streams(
 ) -> list:
     """read(path) of an utterance's stream files, _s00 .. then _clean, each checked.
 
-    Every stream spans the manifest's frames over the HMM's states, and
-    each corrupted stream's frame_offset is its profile's off.  clean_only
-    reads the _clean file alone.
+    Every stream spans the manifest's frames over the HMM's states; each
+    corrupted stream's frame_offset is its profile's off, and the clean
+    stream's is 0.  clean_only reads the _clean file alone.
     """
     tag = f"utt{rec.utt_id:04d}"
     profiles = [] if clean_only else rec.profiles
     files = [(f"{tag}_s{m:02d}.strm", p.offset) for m, p in enumerate(profiles)]
-    files.append((f"{tag}_clean.strm", None))
+    files.append((f"{tag}_clean.strm", 0))
     shape, where = (rec.num_frames, num_classes), f"{manifest}: utt {rec.utt_id}"
     return [_read_checked(read, indir / name, shape, where, offset) for name, offset in files]
 
@@ -325,18 +323,18 @@ def load_corpus(indir) -> simulator.Scenario:
     )
 
 
-def _equal(aligned: StreamSet, **_) -> AttentionSchedule:
+def _equal(aligned: StreamSet) -> AttentionSchedule:
     M = aligned.num_streams
     return AttentionSchedule(np.full((aligned.streams[0].num_frames, M), 1.0 / M))
 
 
-def _autoencoder(aligned: StreamSet, *, model, **_) -> AttentionSchedule:
+def _autoencoder(aligned: StreamSet, model) -> AttentionSchedule:
     if model is None:
         raise MissingModel("autoencoder method requires a trained model")
     return aemonitor.ae_attention(aligned, model)
 
 
-def _oracle(aligned: StreamSet, *, oracle_stream, **_) -> AttentionSchedule:
+def _oracle(aligned: StreamSet, oracle_stream) -> AttentionSchedule:
     if oracle_stream is None:
         raise StreamFuseError("oracle method requires the corpus manifest")
     w = np.zeros((aligned.streams[0].num_frames, aligned.num_streams))
@@ -344,18 +342,15 @@ def _oracle(aligned: StreamSet, *, oracle_stream, **_) -> AttentionSchedule:
     return AttentionSchedule(w)
 
 
-# The schedule function of each frame-wise fusion method, called as
-# fn(aligned, model=, oracle_stream=, mcfg=).  Entries call the monitors
-# through their modules.
+# Each frame-wise fusion method: (schedule function, the compute_schedule
+# keyword it reads or None).  Entries call the monitors through their modules.
 FRAME_METHODS = {
-    "equal": _equal,
-    "entropy": lambda aligned, **_: measures.entropy_attention(aligned),
-    "m_measure": lambda aligned, *, mcfg, **_: measures.binary_window_attention(aligned, mcfg),
-    "delta_m": lambda aligned, *, mcfg, **_: measures.binary_window_attention(
-        aligned, mcfg, delta=True
-    ),
-    "autoencoder": _autoencoder,
-    "oracle": _oracle,
+    "equal": (_equal, None),
+    "entropy": (lambda a: measures.entropy_attention(a), None),
+    "m_measure": (lambda a, mcfg: measures.binary_window_attention(a, mcfg), "mcfg"),
+    "delta_m": (lambda a, mcfg: measures.binary_window_attention(a, mcfg, delta=True), "mcfg"),
+    "autoencoder": (_autoencoder, "model"),
+    "oracle": (_oracle, "oracle_stream"),
 }
 FUSION_METHODS = (*FRAME_METHODS, "max_n")
 # The frame-wise method that max_n truncates unless told otherwise.
@@ -363,10 +358,8 @@ DEFAULT_BASE = "entropy"
 
 
 def _frame_method(method: str, n: int | None, base: str = DEFAULT_BASE) -> tuple[str, int | None]:
-    """The frame-wise method and the truncation n that method and n stand for.
-
-    "max_n" is base truncated to n, 1 when n is None.
-    """
+    """The frame-wise method and the truncation n that method and n stand for:
+    "max_n" is base truncated to n, 1 when n is None."""
     if method == "max_n":
         method, n = base, 1 if n is None else n
     if method not in FRAME_METHODS:
@@ -381,20 +374,29 @@ def compute_schedule(
     model: aemonitor.AeModel | None = None,
     oracle_stream: int | None = None,
     mcfg: measures.MMeasureConfig | None = None,
-    n: int | None = None,
-    base: str = DEFAULT_BASE,
 ) -> AttentionSchedule:
-    """Attention schedule for one aligned utterance under a fusion method.
-
-    An explicit n applies n-best truncation on top of any frame-wise
-    method; method "max_n" is winner-takes-all (n defaults to 1) over the
-    frame-wise base method.
+    """Attention schedule for one aligned utterance under a frame-wise method,
+    which reads only its own setting.  max_n is not one: see _frame_method.
     """
-    method, n = _frame_method(method, n, base)
-    sched = FRAME_METHODS[method](
-        aligned, model=model, oracle_stream=oracle_stream, mcfg=mcfg
-    )
-    return sched if n is None else n_best_truncate(sched, n)
+    if method not in FRAME_METHODS:
+        raise StreamFuseError(f"{method!r} is not a frame-wise fusion method")
+    fn, reads = FRAME_METHODS[method]
+    if reads is None:
+        return fn(aligned)
+    return fn(aligned, {"model": model, "oracle_stream": oracle_stream, "mcfg": mcfg}[reads])
+
+
+def _fuse_utterance(aligned: StreamSet, oracle_stream, truncations, *, model=None, mcfg=None):
+    """The schedules and the fused streams of the (frame method, n) pairs of truncations.
+
+    Each distinct frame method's schedule is computed once, then truncated
+    for each pair with an n.
+    """
+    settings = {"model": model, "oracle_stream": oracle_stream, "mcfg": mcfg}
+    frames = dict.fromkeys(f for f, _ in truncations)
+    full = {f: compute_schedule(f, aligned, **settings) for f in frames}
+    scheds = [full[f] if n is None else n_best_truncate(full[f], n) for f, n in truncations]
+    return scheds, [fuse(aligned, sched) for sched in scheds]
 
 
 def _model_digest(model: aemonitor.AeModel) -> str:
@@ -421,6 +423,7 @@ def fuse_corpus(
     base: str = DEFAULT_BASE,
 ):
     """Fuse every utterance of a corpus and write the results."""
+    truncation = [_frame_method(method, n, base)]
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     cfg = {
@@ -434,13 +437,11 @@ def fuse_corpus(
     cfg["config_hash"] = config_hash(cfg)
     for utt in corpus.utterances:
         aligned = align_streams(utt.streams)
-        sched = compute_schedule(
-            method, aligned, model=model, oracle_stream=utt.oracle_stream, mcfg=mcfg, n=n,
-            base=base,
-        )
+        [sched], [fused] = _fuse_utterance(aligned, utt.oracle_stream, truncation, model=model,
+                                           mcfg=mcfg)
         tag = f"utt{utt.utt_id:04d}"
         storage.write_schedule(sched, outdir / f"{tag}.schd")
-        storage.write_stream(fuse(aligned, sched), outdir / f"{tag}_fused.strm")
+        storage.write_stream(fused, outdir / f"{tag}_fused.strm")
     # Written last, so only a directory that holds every utterance has one.
     write_config(cfg, outdir / "fuse.cfg")
 
@@ -450,21 +451,17 @@ def decode_reports(
 ) -> list[ErrorReport]:
     """Decode one utterance's streams in one Viterbi batch and score each one.
 
-    Index j of stream b's path maps to reference frame starts[b] + j - offset.
-    Streams that score the same hypothesis on the same reference span share
-    one score() and so one report.
+    Every stream has frame_offset 0, so index j of stream b's path is
+    reference frame starts[b] + j.  Streams that score the same hypothesis
+    on the same reference span share one score() and so one report.
     """
     paths = viterbi_batch([s.probs for s in streams], hmm)
     memo: dict[tuple[int, bytes], ErrorReport] = {}
     reports = []
-    for path, s, start in zip(paths, streams, starts):
-        o, T = s.frame_offset, len(path)
-        jlo = max(0, o - start)
-        jhi = min(T - 1, len(labels) - 1 - start + o)
-        hyp, r0 = path[jlo : jhi + 1], start + jlo - o
-        key = (r0, hyp.tobytes())
+    for path, start in zip(paths, starts):
+        key = (start, path.tobytes())
         if key not in memo:
-            memo[key] = score(hyp, labels[r0 : r0 + len(hyp)])
+            memo[key] = score(path, labels[start : start + len(path)])
         reports.append(memo[key])
     return reports
 
@@ -500,13 +497,12 @@ def evaluate_corpus(
 
     Rows come in this order: with baselines, stream:0 .. stream:M-1 and
     clean; one per fused directory, named by its fuse.cfg; one per
-    (method, n) pair of methods, fused in memory as compute_schedule
-    fuses it and named method, plus ":n=N" when n is not None.  Single
+    (method, n) pair of methods, fused in memory by the step fuse_corpus
+    takes and named method, plus ":n=N" when n is not None.  Single
     and fused streams are scored on the utterance's common overlap range,
     so their numbers are comparable; the clean stream is scored on its
     full length.  Each utterance decodes every stream it needs in one
-    Viterbi batch, and computes the untruncated schedule of each distinct
-    frame-wise method once, which each pair then truncates to its n.
+    Viterbi batch.
     """
     M, C = corpus.spec.num_streams, len(corpus.hmm.priors)
     fused_dirs = [Path(d) for d in fused_dirs]
@@ -515,7 +511,6 @@ def evaluate_corpus(
     names += [_fused_name(d, chash) for d in fused_dirs]
     names += [_row_name(method, n) for method, n in methods]
     truncations = [_frame_method(method, n) for method, n in methods]
-    frame_methods = list(dict.fromkeys(frame for frame, _ in truncations))
     per_system: list[list[ErrorReport]] = [[] for _ in names]
     for utt in corpus.utterances:
         lo, length = overlap_range(utt.streams)
@@ -525,14 +520,7 @@ def evaluate_corpus(
             path = d / f"utt{utt.utt_id:04d}_fused.strm"
             where = f"{d}: utt {utt.utt_id}"
             streams.append(_read_checked(storage.read_stream, path, (length, C), where))
-        full = {
-            frame: compute_schedule(frame, aligned, model=model, oracle_stream=utt.oracle_stream)
-            for frame in frame_methods
-        }
-        streams += [
-            fuse(aligned, full[frame] if n is None else n_best_truncate(full[frame], n))
-            for frame, n in truncations
-        ]
+        streams += _fuse_utterance(aligned, utt.oracle_stream, truncations, model=model)[1]
         starts = [lo] * len(streams)
         if baselines:
             starts[M] = 0  # the clean stream is scored on its full length

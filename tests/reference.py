@@ -20,7 +20,7 @@ import numpy as np
 
 from streamfuse import aemonitor, storage
 from streamfuse.core import LOG_EPS as PACKAGE_LOG_EPS
-from streamfuse.core import AttentionSchedule, align_streams, fuse, overlap_range
+from streamfuse.core import AttentionSchedule, align_streams, fuse, n_best_truncate, overlap_range
 from streamfuse.decoder import combine_reports, score, viterbi_batch
 from streamfuse.experiments import compute_schedule, read_config
 from streamfuse.measures import _mean_time_distance, _window_bounds
@@ -286,16 +286,18 @@ def evaluate_fused_dir_ref(corpus, fused_dir):
 
 def evaluate_methods_ref(corpus, methods, *, model=None):
     """One row per (method, n) pair: a pass of its own that computes each
-    utterance's schedule under that method and n, fuses and scores it."""
+    utterance's schedule under that method and n, fuses and scores it.
+    max_n is entropy truncated to n, 1 when n is None."""
     rows = []
     for method, n in methods:
+        frame, keep = ("entropy", 1 if n is None else n) if method == "max_n" else (method, n)
         reports = []
         for utt in corpus.utterances:
             lo, _ = overlap_range(utt.streams)
             aligned = align_streams(utt.streams)
-            sched = compute_schedule(
-                method, aligned, oracle_stream=utt.oracle_stream, model=model, n=n
-            )
+            sched = compute_schedule(frame, aligned, oracle_stream=utt.oracle_stream, model=model)
+            if keep is not None:
+                sched = n_best_truncate(sched, keep)
             reports += decode_reports_ref([fuse(aligned, sched)], utt.labels, corpus.hmm, start=lo)
         rows.append((method + ("" if n is None else f":n={n}"), combine_reports(reports)))
     return rows

@@ -92,10 +92,11 @@ class TestSimulate:
         assert "--seed" in r.stderr
         assert not (tmp_path / "x").exists()
 
-    # Each value is outside the range the library accepts for the flag.
+    # Each value is outside the range the library accepts for the flag
+    # (--frames-max 70 is below the default --frames-min, 80).
     @pytest.mark.parametrize("flag, value", [
         ("--self-loop", "1.5"), ("--streams", "1"), ("--utterances", "0"),
-        ("--classes", "1"), ("--frames-min", "0"), ("--frames-max", "0"),
+        ("--classes", "1"), ("--frames-min", "0"), ("--frames-max", "0"), ("--frames-max", "70"),
         ("--alpha-true", "-1"), ("--alpha-true", "nan"), ("--alpha-other", "-0.5"),
         ("--conf-prob", "1.5"), ("--conf-len", "0.5"), ("--conf-len", "inf"),
     ])
@@ -269,17 +270,36 @@ class TestFuse:
         assert set(np.unique(w)) <= {0.0, 1.0}
         np.testing.assert_array_equal(w.sum(axis=1), 1.0)
 
-    def test_autoencoder_without_model_exits_3(self, corpus, tmp_path):
-        r = run("fuse", "--corpus", str(corpus), "--out", str(tmp_path / "ae"),
-                "--method", "autoencoder")
-        assert r.returncode == 3
-        assert "model" in r.stderr.lower()
-        assert not (tmp_path / "ae" / "fuse.cfg").exists()  # only complete runs write it
+    # A flag the resolved frame-wise method would not read, or an
+    # autoencoder without its model.  The model file is never opened.
+    @pytest.mark.parametrize("flags, expected", [
+        (["--method", "entropy", "--window", "60"], "argument --window: the entropy method"),
+        (["--method", "entropy", "--window", "60", "--base", "m_measure", "--model", "m.stae"],
+         "argument --base: only --method max_n"),
+        (["--method", "max_n", "--window", "60"], "argument --window: the entropy method"),
+        (["--method", "max_n", "--base", "oracle", "--model", "m.stae"],
+         "argument --model: the oracle method"),
+        (["--method", "autoencoder", "--window", "60", "--model", "m.stae"],
+         "argument --window: the autoencoder method"),
+        (["--method", "autoencoder"], "the autoencoder method needs --model"),
+        (["--method", "max_n", "--base", "autoencoder", "--n", "2"],
+         "the autoencoder method needs --model"),
+    ], ids=["window", "repro", "max_n window", "max_n model", "ae window", "ae no model",
+            "max_n ae no model"])
+    def test_flag_the_method_does_not_read_exits_2(self, corpus, tmp_path, flags, expected):
+        out = tmp_path / "x"
+        r = run("fuse", "--corpus", str(corpus), "--out", str(out), *flags)
+        assert r.returncode == 2
+        assert r.stderr.startswith("usage: streamfuse fuse")
+        assert f"error: {expected}" in r.stderr
+        assert "Traceback" not in r.stderr
+        assert not out.exists()
 
     # The corpus has 3 streams; the M-measure spans need a window >= 51.
+    # m_measure reads neither --base nor a model.
     @pytest.mark.parametrize("flag, value", [
         ("--window", "abc"), ("--window", "0"), ("--window", "50"),
-        ("--n", "abc"), ("--n", "0"), ("--n", "4"),
+        ("--n", "abc"), ("--n", "0"), ("--n", "4"), ("--base", "m_measure"), ("--model", "m.stae"),
     ])
     def test_bad_flag_value_exits_2(self, corpus, tmp_path, flag, value):
         out = tmp_path / "x"
@@ -293,7 +313,7 @@ class TestFuse:
 
     @pytest.mark.parametrize("edit", ["oracle=99", "oracle=-1", "frames=3", "profiles",
                                       "stream T", "stream C", "off", "empty", "repeat",
-                                      "ref", "ref label"])
+                                      "ref", "ref label", "clean off"])
     def test_manifest_contradicting_corpus_exits_3(self, corpus, tmp_path, edit):
         copy = tmp_path / "corpus"
         shutil.copytree(corpus, copy)
@@ -306,6 +326,10 @@ class TestFuse:
             s = storage.read_stream(path)
             probs = s.probs[:-1] if edit == "stream T" else np.pad(s.probs, ((0, 0), (0, 1)))
             storage.write_stream(dataclasses.replace(s, probs=probs), path)
+        elif edit == "clean off":
+            path = copy / "utt0000_clean.strm"
+            storage.write_stream(dataclasses.replace(storage.read_stream(path), frame_offset=3),
+                                 path)
         elif edit == "profiles":
             first = first.rsplit(";", 1)[0]  # drop the last stream's profile
         elif edit == "off":
@@ -335,6 +359,7 @@ class TestFuse:
             "repeat": "4 records of 3 distinct utterances, but",
             "ref": "utt0000.ref: invalid literal",
             "ref label": "utt0000.ref: label 99 is not in [0, 6)",
+            "clean off": "utt 0: utt0000_clean.strm has frame_offset 3, not 0",
         }
         assert expected.get(edit, "utt 0:") in r.stderr
         if edit.startswith("stream") or edit == "off":
@@ -397,16 +422,22 @@ class TestFuse:
         perturbed = storage.read_model(model)
         perturbed.layers[0].bias[0] += 1e-9
         storage.write_model(perturbed, other)
+        # m_measure reads the window; its spans need >= 51 aligned frames.
+        long_corpus = tmp_path / "long"
+        flags = [*SIM_FLAGS]
+        flags[flags.index("--frames-min") + 1], flags[flags.index("--frames-max") + 1] = "70", "80"
+        assert run("simulate", "--out", str(long_corpus), *flags).returncode == 0
         runs = {
-            "window 60": ["--method", "equal", "--window", "60"],
-            "window 70": ["--method", "equal", "--window", "70"],
+            "window 60": ["--method", "m_measure", "--window", "60"],
+            "window 70": ["--method", "m_measure", "--window", "70"],
             "model": ["--method", "autoencoder", "--model", str(model)],
             "other model": ["--method", "autoencoder", "--model", str(other)],
         }
         hashes = {}
         for name, flags in runs.items():
             out = tmp_path / name.replace(" ", "_")
-            r = run("fuse", "--corpus", str(corpus), "--out", str(out), *flags)
+            source = long_corpus if name.startswith("window") else corpus
+            r = run("fuse", "--corpus", str(source), "--out", str(out), *flags)
             assert r.returncode == 0, r.stderr
             cfg = dict(ln.split("=", 1) for ln in (out / "fuse.cfg").read_text().split())
             hashes[name] = cfg["config_hash"]
@@ -487,6 +518,22 @@ class TestEvaluate:
         r = run("evaluate", "--corpus", str(corpus), "--out", str(report), flag, value)
         assert r.returncode == 2
         assert f"{flag} requires --sweep" in r.stderr
+        assert not report.exists()
+
+    @pytest.mark.parametrize("method, model, expected", [
+        ("entropy", "nonexistent.stae", "argument --model: the entropy method"),
+        ("max_n", "nonexistent.stae", "argument --model: the entropy method"),
+        ("autoencoder", None, "the autoencoder method needs --model"),
+    ], ids=["entropy model", "max_n model", "ae no model"])
+    def test_sweep_model_the_method_does_not_read_exits_2(self, corpus, tmp_path, method,
+                                                          model, expected):
+        report = tmp_path / "r.tsv"
+        flags = [] if model is None else ["--model", model]
+        r = run("evaluate", "--corpus", str(corpus), "--out", str(report), "--sweep",
+                "--method", method, *flags)
+        assert r.returncode == 2
+        assert f"error: {expected}" in r.stderr
+        assert "Traceback" not in r.stderr
         assert not report.exists()
 
     def test_nothing_to_score_exits_2(self, tmp_path):
@@ -576,6 +623,19 @@ class TestEvaluate:
         assert "Traceback" not in r.stderr
         assert not report.exists()
 
+    def test_fused_stream_off_the_time_base_exits_3(self, corpus, tmp_path):
+        fused = tmp_path / "equal"
+        r = run("fuse", "--corpus", str(corpus), "--out", str(fused), "--method", "equal")
+        assert r.returncode == 0, r.stderr
+        path = fused / "utt0002_fused.strm"
+        storage.write_stream(dataclasses.replace(storage.read_stream(path), frame_offset=3), path)
+        report = tmp_path / "r.tsv"
+        r = run("evaluate", "--corpus", str(corpus), "--out", str(report), "--fused", str(fused))
+        assert r.returncode == 3
+        assert f"{fused}: utt 2: utt0002_fused.strm has frame_offset 3, not 0" in r.stderr
+        assert "Traceback" not in r.stderr
+        assert not report.exists()
+
     def test_fused_dir_without_fuse_cfg_exits_3(self, corpus, tmp_path):
         fused = tmp_path / "equal"
         r = run("fuse", "--corpus", str(corpus), "--out", str(fused), "--method", "equal")
@@ -650,7 +710,7 @@ class TestEvaluate:
 
 
 class TestParser:
-    def test_defaults_are_the_library_values(self):
+    def test_defaults_are_the_library_values(self, capsys):
         parse = cli.build_parser().parse_args
         sim = parse(["simulate", "--out", "c", "--scenario", "ldc_like", "--streams", "2",
                      "--utterances", "1", "--seed", "0"])
@@ -669,9 +729,14 @@ class TestParser:
             assert flag == library and type(flag) is type(library)
         assert train.context == (0, 0)
 
-        fuse = parse(["fuse", "--corpus", "c", "--out", "f", "--method", "max_n"])
-        for fn in (experiments.compute_schedule, experiments.fuse_corpus):
-            assert fuse.base == inspect.signature(fn).parameters["base"].default
+        # --base has no parsed default (a --base given to another method is
+        # rejected), so max_n's default base is the library's, named in --help.
+        base = inspect.signature(experiments.fuse_corpus).parameters["base"].default
+        assert base == experiments.DEFAULT_BASE
+        with pytest.raises(SystemExit):
+            parse(["fuse", "--help"])
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert f"base method for max_n (default: {base})" in help_text
 
 
 _FUSE_KEYS = ("corpus", "out", "method", "model", "n", "base", "window", "no_such_key", "")

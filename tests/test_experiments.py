@@ -7,9 +7,10 @@ import pytest
 
 import reference as ref
 from streamfuse import experiments
-from streamfuse.core import PosteriorStream, overlap_range
+from streamfuse.core import PosteriorStream, align_streams, overlap_range
 from streamfuse.decoder import score
 from streamfuse.decoder import make_hmm
+from streamfuse.errors import StreamFuseError
 from streamfuse.simulator import CorpusSpec, build_scenario
 
 
@@ -64,6 +65,13 @@ def test_n_sweep_rows_equal_per_n_evaluation(hrm_corpus, method):
     got = experiments.evaluate_corpus(hrm_corpus, baselines=False, methods=sweep)
     assert got == expected
     assert [name for name, _ in got] == [f"{method}:n={n}" for _, n in sweep]
+
+
+def test_compute_schedule_takes_frame_wise_methods_only(hrm_corpus):
+    # max_n is a truncation; _frame_method resolves it and the caller truncates.
+    aligned = align_streams(hrm_corpus.utterances[0].streams)
+    with pytest.raises(StreamFuseError, match="'max_n' is not a frame-wise fusion method"):
+        experiments.compute_schedule("max_n", aligned)
 
 
 def test_decode_reports_scores_each_stream_on_its_own_span():
