@@ -10,14 +10,18 @@ attention weights.
 
 Training is momentum SGD on the MSE criterion, from scratch on
 numpy, single-threaded with a fixed accumulation order so a seed fully
-determines the result.
+determines the result.  Training and the model stay float64; the
+monitor's inference runs the network on float32 copies of the layers,
+and forward, its splices and its buffers take their dtype from the
+weights they are given.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -106,6 +110,18 @@ class AeModel:
     def splice_plan(self) -> list[tuple[int, ...]]:
         return [ly.offsets for ly in self.layers]
 
+    @cached_property
+    def inference_layers(self) -> list[Layer]:
+        """float32 copies of the layers, made on first use, that the monitor runs.
+
+        The float64 layers stay the model: training, model files and
+        digests read them.  A change to the layers after the first use
+        does not reach these copies.
+        """
+        f32 = np.float32
+        return [replace(ly, weight=ly.weight.astype(f32), bias=ly.bias.astype(f32))
+                for ly in self.layers]
+
 
 # Momentum coefficient of every training update.
 MOMENTUM = 0.9
@@ -180,12 +196,13 @@ def _splice(h: np.ndarray, offsets: tuple[int, ...], out: np.ndarray | None = No
     Each offset's column block is filled from one contiguous slice of h,
     with the first and last frame standing in for frames beyond the ends.
     The result is written into the first T rows of out when given (a
-    fresh array otherwise).  The zero-offset plan returns h itself.
+    fresh array of h's dtype otherwise).  The zero-offset plan returns h
+    itself.
     """
     if offsets == (0,):
         return h
     T, W = h.shape
-    x = np.empty((T, len(offsets) * W)) if out is None else out[:T]
+    x = np.empty((T, len(offsets) * W), dtype=h.dtype) if out is None else out[:T]
     x3 = x.reshape(T, len(offsets), W)
     for k, o in enumerate(offsets):
         # Rows lo..hi-1 read frame t + o inside the sequence.
@@ -207,16 +224,16 @@ def _unsplice(
     read unclamped, from t = r - offsets[k], so ascending t is descending
     offset: one shifted slice-add per offset in that order.  Frames 0 and
     T-1 also collect the clamped reads and are summed term by term.  The
-    sums go into the first T rows of out when given (a fresh array
-    otherwise).  The zero-offset plan is the identity: its gradient is a
-    GEMM product, which holds no -0.0, so adding it to 0.0 would change no
-    bit.
+    sums go into the first T rows of out when given (a fresh array of
+    dx's dtype otherwise).  The zero-offset plan is the identity: its
+    gradient is a GEMM product, which holds no -0.0, so adding it to 0.0
+    would change no bit.
     """
     if offsets == (0,):
         return dx
     T = dx.shape[0]
     dx = dx.reshape(T, len(offsets), -1)
-    out = np.empty((T, dx.shape[2])) if out is None else out[:T]
+    out = np.empty((T, dx.shape[2]), dtype=dx.dtype) if out is None else out[:T]
     out.fill(0.0)
     for k in sorted(range(len(offsets)), key=lambda k: (-offsets[k], k)):
         o = offsets[k]
@@ -286,25 +303,28 @@ class _Buffers:
     layer being done.  A forward-only set holds one splice buffer that
     every layer reuses and two output buffers that layers alternate
     between, since no layer's values are read once the next layer has run.
-    Calls that share a set overwrite each other's results.
+    Calls that share a set overwrite each other's results.  Every buffer
+    has the dtype of the layers' weights: fed another dtype, numpy's
+    matmul would leave BLAS for a slower mixed-dtype loop.
     """
 
     def __init__(self, layers: list[Layer], frames: int, backward: bool = True):
         fan_in = [ly.weight.shape[0] for ly in layers]
         width = [ly.weight.shape[1] for ly in layers]
+        dt = layers[0].weight.dtype
         if backward:
             self.x = [
-                None if ly.offsets == (0,) else np.empty((frames, f))
+                None if ly.offsets == (0,) else np.empty((frames, f), dt)
                 for ly, f in zip(layers, fan_in)
             ]
-            self.h = [np.empty((frames, w)) for w in width]
+            self.h = [np.empty((frames, w), dt) for w in width]
             size = frames * max(*fan_in, *width)
-            self.back = (np.empty(size), np.empty(size))
-            self.grad_w = np.empty(max(ly.weight.size for ly in layers))
-            self.grad_b = np.empty(max(width))
+            self.back = (np.empty(size, dt), np.empty(size, dt))
+            self.grad_w = np.empty(max(ly.weight.size for ly in layers), dt)
+            self.grad_b = np.empty(max(width), dt)
         else:
-            x = np.empty(frames * max(fan_in))
-            h = (np.empty(frames * max(width)), np.empty(frames * max(width)))
+            x = np.empty(frames * max(fan_in), dt)
+            h = (np.empty(frames * max(width), dt), np.empty(frames * max(width), dt))
             self.x = [_rows(x, frames, f) for f in fan_in]
             self.h = [_rows(h[i % 2], frames, w) for i, w in enumerate(width)]
 
@@ -329,10 +349,11 @@ def _forward(layers: list[Layer], h: np.ndarray, work: _Buffers) -> list:
 def forward(layers: list[Layer], z: np.ndarray, work: _Buffers | None = None) -> np.ndarray:
     """Network output over a whole (T, K) feature sequence.
 
+    z is cast to the dtype of the layers' weights, and so is the output.
     The output is a view into work when given (a fresh forward-only set
     otherwise), so the next call on the same set overwrites it.
     """
-    z = np.ascontiguousarray(z, dtype=np.float64)
+    z = np.ascontiguousarray(z, dtype=layers[0].weight.dtype)
     work = work or _Buffers(layers, z.shape[0], backward=False)
     return _forward(layers, z, work)[-1][1]
 
@@ -464,18 +485,31 @@ def train_ae(
     return model, losses
 
 
-def reconstruction_errors(model: AeModel, stream: PosteriorStream) -> np.ndarray:
-    """Per-frame squared l2 reconstruction error in front-end feature space."""
+def reconstruction_errors(
+    model: AeModel, stream: PosteriorStream, work: _Buffers | None = None
+) -> np.ndarray:
+    """Per-frame squared l2 reconstruction error in front-end feature space.
+
+    The front end and the error sum run in float64, the network in float32
+    on the model's inference_layers, in work when given (a fresh
+    forward-only set otherwise).
+    """
     if stream.num_classes != model.front_end.num_classes:
         raise DimensionMismatch("stream and model disagree on class count")
     z = front_end_apply(model.front_end, stream.probs)
-    out = forward(model.layers, z)
+    out = forward(model.inference_layers, z, work)
+    # float32 out widens exactly to z's float64 before the subtraction.
     return np.sum((out - z) ** 2, axis=1)
 
 
 def ae_attention(sset: StreamSet, model: AeModel) -> AttentionSchedule:
-    """Inverse reconstruction-error attention over an aligned stream set."""
+    """Inverse reconstruction-error attention over an aligned stream set.
+
+    One forward-only buffer set serves every stream.
+    """
+    frames = max(s.num_frames for s in sset.streams)
+    work = _Buffers(model.inference_layers, frames, backward=False)
     errs = np.stack(
-        [reconstruction_errors(model, s) for s in sset.streams], axis=1
+        [reconstruction_errors(model, s, work) for s in sset.streams], axis=1
     )  # (T, M)
     return AttentionSchedule(inverse_weights(errs, ERROR_FLOOR))

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import aemonitor, experiments, simulator, storage
 from .decoder import DEFAULT_SELF_LOOP, SELF_LOOP_RANGE, make_hmm
-from .errors import DivergedTraining, StreamFuseError
+from .errors import DivergedTraining, SettingError, StreamFuseError
 from .measures import MMeasureConfig
 
 EXIT_OK = 0
@@ -176,24 +176,16 @@ def cmd_train_ae(args, parser) -> int:
     return EXIT_OK
 
 
-def _check_reads(parser, method: str, base: str, window, model) -> None:
-    """Reject --window or --model unless the frame-wise method that method
-    and base resolve to reads it, and that method without a model it reads."""
-    frame, _ = experiments._frame_method(method, None, base)
-    _, reads = experiments.FRAME_METHODS[frame]
-    for flag, value, setting in (("--window", window, "mcfg"), ("--model", model, "model")):
-        if value is not None and reads != setting:
-            parser.error(f"argument {flag}: the {frame} method does not read it")
-    if reads == "model" and model is None:
-        parser.error(f"the {frame} method needs --model")
+def _check_settings(parser, method: str, **settings) -> None:
+    """experiments.check_settings, its SettingError a usage error naming the flag."""
+    try:
+        experiments.check_settings(method, **settings)
+    except SettingError as e:
+        parser.error(f"argument --{e.setting}: {e.reason}")
 
 
 def cmd_fuse(args, parser) -> int:
-    base = vars(args).get("base")  # --base has no parsed default: None unless given
-    if base is not None and args.method != "max_n":
-        parser.error("argument --base: only --method max_n reads it")
-    base = base or experiments.DEFAULT_BASE
-    _check_reads(parser, args.method, base, args.window, args.model)
+    _check_settings(parser, args.method, base=args.base, window=args.window, model=args.model)
     try:
         mcfg = MMeasureConfig(window=args.window)
     except ValueError as e:
@@ -204,7 +196,7 @@ def cmd_fuse(args, parser) -> int:
         parser.error(f"argument --n: {args.n} is more than the corpus's {M} streams")
     model = storage.read_model(args.model) if args.model else None
     experiments.fuse_corpus(
-        corpus, args.method, args.out, model=model, mcfg=mcfg, n=args.n, base=base
+        corpus, args.method, args.out, model=model, mcfg=mcfg, n=args.n, base=args.base
     )
     print(f"wrote fused streams to {args.out}: method={args.method}")
     return EXIT_OK
@@ -219,7 +211,7 @@ def cmd_evaluate(args, parser) -> int:
     if args.no_baselines and not args.fused and not args.sweep:
         parser.error("nothing to score: --no-baselines needs --fused or --sweep")
     if args.sweep:
-        _check_reads(parser, args.method, experiments.DEFAULT_BASE, None, args.model)
+        _check_settings(parser, args.method, model=args.model)
     corpus = experiments.load_corpus(args.corpus)
     model = storage.read_model(args.model) if args.model else None
     sweep = range(1, corpus.spec.num_streams + 1) if args.sweep else ()
@@ -297,9 +289,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", required=True, choices=experiments.FUSION_METHODS)
     p.add_argument("--model", help="model file (autoencoder method)")
     p.add_argument("--n", type=_positive_int, help="n-best truncation of the schedule")
-    # No parsed default, so that a --base given to another method is seen.
-    p.add_argument("--base", default=argparse.SUPPRESS, choices=tuple(experiments.FRAME_METHODS),
-                   help=f"base method for max_n (default: {experiments.DEFAULT_BASE})")
+    p.add_argument("--base", default=experiments.DEFAULT_BASE,
+                   choices=tuple(experiments.FRAME_METHODS), help="base method for max_n")
     p.add_argument("--window", type=_positive_int, help="finite M-measure window (frames)")
     p.set_defaults(func=cmd_fuse)
 

@@ -37,6 +37,17 @@ class MissingModel(StreamFuseError):
     """A fusion method requiring a trained model was invoked without one."""
 
 
+class SettingError(StreamFuseError):
+    """A fusion setting the method does not read, or a model it needs and lacks.
+
+    setting is the keyword at fault, which is also the name of its flag.
+    """
+
+    def __init__(self, setting: str, reason: str):
+        super().__init__(f"{setting}: {reason}")
+        self.setting, self.reason = setting, reason
+
+
 class FormatError(StreamFuseError):
     """Base class for file-format errors."""
 

@@ -55,7 +55,7 @@ from .core import (
     overlap_range,
 )
 from .decoder import ErrorReport, HmmModel, combine_reports, score, viterbi_batch
-from .errors import FormatError, MissingModel, StreamFuseError
+from .errors import FormatError, MissingModel, SettingError, StreamFuseError, WindowTooShort
 
 
 def config_hash(pairs: dict) -> str:
@@ -367,6 +367,25 @@ def _frame_method(method: str, n: int | None, base: str = DEFAULT_BASE) -> tuple
     return method, n
 
 
+def check_settings(method: str, *, base: str = DEFAULT_BASE, window=None, model=None) -> None:
+    """Raise SettingError unless the frame-wise method that method and base
+    stand for reads every setting given, and has the model it needs.
+
+    base is read by max_n alone, window by the M-measures, model by the
+    autoencoder.  A base of DEFAULT_BASE and a window or model of None are
+    not given.
+    """
+    if base != DEFAULT_BASE and method != "max_n":
+        raise SettingError("base", "only the max_n method reads it")
+    frame, _ = _frame_method(method, None, base)
+    _, reads = FRAME_METHODS[frame]
+    for setting, value, keyword in (("window", window, "mcfg"), ("model", model, "model")):
+        if value is not None and reads != keyword:
+            raise SettingError(setting, f"the {frame} method does not read it")
+    if reads == "model" and model is None:
+        raise SettingError("model", f"the {frame} method needs it")
+
+
 def compute_schedule(
     method: str,
     aligned: StreamSet,
@@ -386,15 +405,20 @@ def compute_schedule(
     return fn(aligned, {"model": model, "oracle_stream": oracle_stream, "mcfg": mcfg}[reads])
 
 
-def _fuse_utterance(aligned: StreamSet, oracle_stream, truncations, *, model=None, mcfg=None):
-    """The schedules and the fused streams of the (frame method, n) pairs of truncations.
+def _fuse_utterance(utt, aligned: StreamSet, truncations, *, model=None, mcfg=None):
+    """The schedules and the fused streams of utterance utt, aligned, under the
+    (frame method, n) pairs of truncations.
 
     Each distinct frame method's schedule is computed once, then truncated
-    for each pair with an n.
+    for each pair with an n.  A window too short for the M-measure spans
+    raises WindowTooShort naming the utterance.
     """
-    settings = {"model": model, "oracle_stream": oracle_stream, "mcfg": mcfg}
+    settings = {"model": model, "oracle_stream": utt.oracle_stream, "mcfg": mcfg}
     frames = dict.fromkeys(f for f, _ in truncations)
-    full = {f: compute_schedule(f, aligned, **settings) for f in frames}
+    try:
+        full = {f: compute_schedule(f, aligned, **settings) for f in frames}
+    except WindowTooShort as e:
+        raise WindowTooShort(f"utt {utt.utt_id}: {e}") from None
     scheds = [full[f] if n is None else n_best_truncate(full[f], n) for f, n in truncations]
     return scheds, [fuse(aligned, sched) for sched in scheds]
 
@@ -422,7 +446,12 @@ def fuse_corpus(
     n: int | None = None,
     base: str = DEFAULT_BASE,
 ):
-    """Fuse every utterance of a corpus and write the results."""
+    """Fuse every utterance of a corpus and write the results.
+
+    A setting the method does not read raises SettingError (check_settings)
+    before anything is written.
+    """
+    check_settings(method, base=base, window=None if mcfg is None else mcfg.window, model=model)
     truncation = [_frame_method(method, n, base)]
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -437,8 +466,7 @@ def fuse_corpus(
     cfg["config_hash"] = config_hash(cfg)
     for utt in corpus.utterances:
         aligned = align_streams(utt.streams)
-        [sched], [fused] = _fuse_utterance(aligned, utt.oracle_stream, truncation, model=model,
-                                           mcfg=mcfg)
+        [sched], [fused] = _fuse_utterance(utt, aligned, truncation, model=model, mcfg=mcfg)
         tag = f"utt{utt.utt_id:04d}"
         storage.write_schedule(sched, outdir / f"{tag}.schd")
         storage.write_stream(fused, outdir / f"{tag}_fused.strm")
@@ -520,7 +548,7 @@ def evaluate_corpus(
             path = d / f"utt{utt.utt_id:04d}_fused.strm"
             where = f"{d}: utt {utt.utt_id}"
             streams.append(_read_checked(storage.read_stream, path, (length, C), where))
-        streams += _fuse_utterance(aligned, utt.oracle_stream, truncations, model=model)[1]
+        streams += _fuse_utterance(utt, aligned, truncations, model=model)[1]
         starts = [lo] * len(streams)
         if baselines:
             starts[M] = 0  # the clean stream is scored on its full length

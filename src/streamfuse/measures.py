@@ -83,12 +83,8 @@ def _window_bounds(T: int, window: int | None) -> list[tuple[int, int]]:
 
 
 def _mean_time_distance(probs: np.ndarray, spans: tuple[int, ...], delta: bool) -> float:
-    """Average pairwise divergence over spans within one window of frames."""
-    T = probs.shape[0]
-    if T < max(spans) + 1:
-        raise WindowTooShort(
-            f"window of {T} frames cannot host span {max(spans)}"
-        )
+    """Average pairwise divergence over spans within one window of at least
+    max(spans) + 1 frames."""
     per_span = []
     for d in spans:
         div = symmetric_kld_rows(probs[:-d], probs[d:])
@@ -107,9 +103,17 @@ def window_scores(
     """Analysis windows of an aligned stream set and their (windows, M) scores.
 
     Cell (w, m) is stream m's mean time distance over window w; delta=True
-    counts only frame pairs whose argmax class differs.
+    counts only frame pairs whose argmax class differs.  A window too short
+    for the longest span raises WindowTooShort naming cfg's window and spans.
     """
     bounds = _window_bounds(sset.streams[0].num_frames, cfg.window)
+    shortest = min(b - a for a, b in bounds)
+    if shortest < max(cfg.spans) + 1:
+        scope = "over the utterance" if cfg.window is None else f"window={cfg.window}"
+        raise WindowTooShort(
+            f"window of {shortest} frames cannot host span {max(cfg.spans)} "
+            f"(M-measure {scope}, spans={','.join(map(str, cfg.spans))})"
+        )
     scores = np.array([
         [_mean_time_distance(s.probs[a:b], cfg.spans, delta) for s in sset.streams]
         for a, b in bounds

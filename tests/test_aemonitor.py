@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference as ref
-from conftest import random_simplex, random_stream
-from streamfuse import aemonitor
+from conftest import random_simplex, random_stream, random_stream_set
+from streamfuse import aemonitor, experiments, storage
 from streamfuse.aemonitor import (
     DEFAULT_LOGIT_CLAMP,
     ERROR_FLOOR,
@@ -31,7 +31,7 @@ from streamfuse.aemonitor import (
     reconstruction_errors,
     train_ae,
 )
-from streamfuse.core import PosteriorStream, StreamSet
+from streamfuse.core import PosteriorStream, StreamSet, check_simplex, inverse_weights
 from streamfuse.errors import DegenerateData, DivergedTraining
 
 
@@ -522,3 +522,68 @@ class TestReconstructionErrorsAndAttention:
             for lam in (0.0, 0.25, 0.5, 0.75)
         ]
         assert all(b > a for a, b in zip(medians, medians[1:]))
+
+
+class TestFloat32Inference:
+    """The monitor runs float32 copies of the model's float64 layers."""
+
+    @staticmethod
+    def spliced_model(rng, C=6, K=4):
+        fe = fit_front_end(random_simplex(rng, 200, C), K)
+        layers = small_spliced_stack(rng, SPLICE_PLANS[(-16, 12)], K)
+        return AeModel(front_end=fe, layers=layers, context=(-16, 12))
+
+    def test_every_buffer_and_splice_stays_float32(self, rng):
+        layers = self.spliced_model(rng).inference_layers
+        assert all(ly.weight.dtype == ly.bias.dtype == np.float32 for ly in layers)
+        T = 23
+        z = rng.standard_normal((T, 4))  # float64 features are cast on entry
+        work = aemonitor._Buffers(layers, T, backward=False)
+        assert forward(layers, z, work).dtype == np.float32
+        assert all(a.dtype == np.float32 for a in (*work.x, *work.h))
+        assert forward(layers, z).dtype == np.float32  # a fresh set
+        back = aemonitor._Buffers(layers, T)
+        arrays = [a for a in back.x if a is not None] + back.h
+        arrays += [*back.back, back.grad_w, back.grad_b]
+        assert all(a.dtype == np.float32 for a in arrays)
+        h = z.astype(np.float32)
+        for ly in layers:
+            assert aemonitor._splice(h, ly.offsets).dtype == np.float32
+
+    def test_output_matches_float64_reference(self, rng):
+        model = self.spliced_model(rng)
+        z = rng.standard_normal((31, 4))
+        want = ref.forward_ref(model.layers, z)
+        got = forward(model.inference_layers, z)
+        np.testing.assert_allclose(got, want, rtol=1e-4, atol=1e-4 * np.abs(want).max())
+        s = random_stream(rng, 31, 6)
+        feats = front_end_apply(model.front_end, s.probs)
+        want = np.sum((ref.forward_ref(model.layers, feats) - feats) ** 2, axis=1)
+        errs = reconstruction_errors(model, s)
+        assert errs.dtype == np.float64
+        np.testing.assert_allclose(errs, want, rtol=1e-4)
+
+    def test_attention_on_simplex_with_shared_buffers(self, rng):
+        model = self.spliced_model(rng)
+        sset = random_stream_set(rng, 5, 17, 6)
+        w = ae_attention(sset, model).weights
+        assert w.dtype == np.float64
+        check_simplex(w, "ae attention")
+        # One buffer set for all streams gives what a fresh set per stream gives.
+        errs = np.stack([reconstruction_errors(model, s) for s in sset.streams], axis=1)
+        np.testing.assert_array_equal(w, inverse_weights(errs, ERROR_FLOOR))
+
+    def test_inference_leaves_the_float64_model_unchanged(self, rng, tmp_path):
+        model = self.spliced_model(rng)
+        before = [(ly.weight.copy(), ly.bias.copy()) for ly in model.layers]
+        digest = experiments._model_digest(model)
+        storage.write_model(model, tmp_path / "before.stae")
+        ae_attention(random_stream_set(rng, 3, 15, 6), model)
+        assert model.inference_layers is model.inference_layers  # made once
+        for ly, (w, b) in zip(model.layers, before):
+            assert ly.weight.dtype == ly.bias.dtype == np.float64
+            assert_bits_equal(ly.weight, w)
+            assert_bits_equal(ly.bias, b)
+        assert experiments._model_digest(model) == digest
+        storage.write_model(model, tmp_path / "after.stae")
+        assert (tmp_path / "after.stae").read_bytes() == (tmp_path / "before.stae").read_bytes()

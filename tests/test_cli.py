@@ -275,15 +275,15 @@ class TestFuse:
     @pytest.mark.parametrize("flags, expected", [
         (["--method", "entropy", "--window", "60"], "argument --window: the entropy method"),
         (["--method", "entropy", "--window", "60", "--base", "m_measure", "--model", "m.stae"],
-         "argument --base: only --method max_n"),
+         "argument --base: only the max_n method reads it"),
         (["--method", "max_n", "--window", "60"], "argument --window: the entropy method"),
         (["--method", "max_n", "--base", "oracle", "--model", "m.stae"],
          "argument --model: the oracle method"),
         (["--method", "autoencoder", "--window", "60", "--model", "m.stae"],
          "argument --window: the autoencoder method"),
-        (["--method", "autoencoder"], "the autoencoder method needs --model"),
+        (["--method", "autoencoder"], "argument --model: the autoencoder method needs it"),
         (["--method", "max_n", "--base", "autoencoder", "--n", "2"],
-         "the autoencoder method needs --model"),
+         "argument --model: the autoencoder method needs it"),
     ], ids=["window", "repro", "max_n window", "max_n model", "ae window", "ae no model",
             "max_n ae no model"])
     def test_flag_the_method_does_not_read_exits_2(self, corpus, tmp_path, flags, expected):
@@ -523,7 +523,7 @@ class TestEvaluate:
     @pytest.mark.parametrize("method, model, expected", [
         ("entropy", "nonexistent.stae", "argument --model: the entropy method"),
         ("max_n", "nonexistent.stae", "argument --model: the entropy method"),
-        ("autoencoder", None, "the autoencoder method needs --model"),
+        ("autoencoder", None, "argument --model: the autoencoder method needs it"),
     ], ids=["entropy model", "max_n model", "ae no model"])
     def test_sweep_model_the_method_does_not_read_exits_2(self, corpus, tmp_path, method,
                                                           model, expected):
@@ -709,6 +709,31 @@ class TestEvaluate:
         assert "Traceback" not in r.stderr
 
 
+@pytest.fixture(scope="module")
+def short_corpus(tmp_path_factory):
+    """hrm_like, 4 streams x 3 utterances x 8 classes of 40-60 frames: utterance 1
+    aligns to 39 frames, too few for the M-measure's longest span, 50."""
+    out = tmp_path_factory.mktemp("cli-short") / "corpus"
+    r = run("simulate", "--out", str(out), "--scenario", "hrm_like", "--streams", "4",
+            "--utterances", "3", "--seed", "5", "--classes", "8", "--frames-min", "40",
+            "--frames-max", "60")
+    assert r.returncode == 0, r.stderr
+    return out
+
+
+@pytest.mark.parametrize("argv, scope", [
+    (["fuse", "--out", "f", "--method", "m_measure", "--window", "60"], "window=60"),
+    (["evaluate", "--out", "r.tsv", "--sweep", "--method", "m_measure"], "over the utterance"),
+], ids=["fuse", "evaluate sweep"])
+def test_window_too_short_names_utterance_and_settings(short_corpus, tmp_path, argv, scope):
+    r = run(*argv, "--corpus", str(short_corpus), cwd=tmp_path)
+    assert r.returncode == 3
+    assert r.stderr == (
+        "error: utt 1: window of 39 frames cannot host span 50 "
+        f"(M-measure {scope}, spans=5,10,20,30,40,50)\n"
+    )
+
+
 class TestParser:
     def test_defaults_are_the_library_values(self, capsys):
         parse = cli.build_parser().parse_args
@@ -729,8 +754,7 @@ class TestParser:
             assert flag == library and type(flag) is type(library)
         assert train.context == (0, 0)
 
-        # --base has no parsed default (a --base given to another method is
-        # rejected), so max_n's default base is the library's, named in --help.
+        # --base defaults to the library's default base, named in --help.
         base = inspect.signature(experiments.fuse_corpus).parameters["base"].default
         assert base == experiments.DEFAULT_BASE
         with pytest.raises(SystemExit):

@@ -10,7 +10,8 @@ from streamfuse import experiments
 from streamfuse.core import PosteriorStream, align_streams, overlap_range
 from streamfuse.decoder import score
 from streamfuse.decoder import make_hmm
-from streamfuse.errors import StreamFuseError
+from streamfuse.errors import SettingError, StreamFuseError
+from streamfuse.measures import MMeasureConfig
 from streamfuse.simulator import CorpusSpec, build_scenario
 
 
@@ -91,6 +92,33 @@ def fused_dirs(hrm_corpus, tmp_path_factory):
         dirs.append(root / method)
         experiments.fuse_corpus(hrm_corpus, method, dirs[-1], n=n)
     return dirs
+
+
+# A setting the method does not read, or a model the method needs and lacks:
+# fuse_corpus raises before it writes anything, with the check the CLI uses.
+@pytest.mark.parametrize("method, settings, message", [
+    ("entropy", {"base": "m_measure", "mcfg": MMeasureConfig(window=60)},
+     "base: only the max_n method reads it"),
+    ("entropy", {"mcfg": MMeasureConfig(window=60)}, "window: the entropy method does not read it"),
+    ("max_n", {"base": "oracle", "model": object()}, "model: the oracle method does not read it"),
+    ("autoencoder", {}, "model: the autoencoder method needs it"),
+], ids=["repro", "window", "max_n model", "ae no model"])
+def test_fuse_corpus_rejects_unread_settings(hrm_corpus, tmp_path, method, settings, message):
+    out = tmp_path / "fused"
+    with pytest.raises(SettingError, match=f"^{message}$"):
+        experiments.fuse_corpus(hrm_corpus, method, out, **settings)
+    assert not out.exists()
+
+
+def test_fuse_corpus_accepts_the_default_settings(hrm_corpus, tmp_path):
+    # What the CLI passes for every method: the default base and window=None.
+    a, b = tmp_path / "a", tmp_path / "b"
+    experiments.fuse_corpus(hrm_corpus, "entropy", a)
+    experiments.fuse_corpus(hrm_corpus, "entropy", b, base=experiments.DEFAULT_BASE,
+                            mcfg=MMeasureConfig(window=None))
+    assert [p.read_bytes() for p in sorted(a.iterdir())] == [
+        p.read_bytes() for p in sorted(b.iterdir())
+    ]
 
 
 @pytest.mark.parametrize("sweep", ["entropy", "max_n"])
