@@ -13,14 +13,17 @@ numpy, single-threaded with a fixed accumulation order so a seed fully
 determines the result.  Training and the model stay float64; the
 monitor's inference runs the network on float32 copies of the layers,
 and forward, its splices and its buffers take their dtype from the
-weights they are given.
+weights they are given.  forward and its splices take a leading batch
+axis, so the monitor runs all M streams of an utterance in one pass: one
+GEMM per layer on their M * T stacked frames, in a buffer set the model
+holds.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from pathlib import Path
 
@@ -105,6 +108,8 @@ class AeModel:
     front_end: FrontEnd
     layers: list[Layer]
     context: tuple[int, int]
+    # The forward-only buffer set the monitor runs inference_layers in.
+    _work: _Buffers | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def splice_plan(self) -> list[tuple[int, ...]]:
@@ -121,6 +126,17 @@ class AeModel:
         f32 = np.float32
         return [replace(ly, weight=ly.weight.astype(f32), bias=ly.bias.astype(f32))
                 for ly in self.layers]
+
+    def _inference_work(self, rows: int) -> _Buffers:
+        """The model's forward-only set for inference_layers, holding >= rows rows.
+
+        Made on first use and regrown only for more rows; the old set is
+        dropped before the larger one is made, so the two never coexist.
+        """
+        if self._work is None or self._work.rows < rows:
+            self._work = None
+            self._work = _Buffers(self.inference_layers, rows, backward=False)
+        return self._work
 
 
 # Momentum coefficient of every training update.
@@ -191,26 +207,28 @@ def front_end_apply(fe: FrontEnd, prob_rows: np.ndarray) -> np.ndarray:
 
 
 def _splice(h: np.ndarray, offsets: tuple[int, ...], out: np.ndarray | None = None) -> np.ndarray:
-    """(T, len(offsets) * width) frames at the given offsets, edges repeated.
+    """(..., T, len(offsets) * W) frames at the given offsets, edges repeated.
 
-    Each offset's column block is filled from one contiguous slice of h,
-    with the first and last frame standing in for frames beyond the ends.
-    The result is written into the first T rows of out when given (a
-    fresh array of h's dtype otherwise).  The zero-offset plan returns h
-    itself.
+    h holds (T, W) sequences along any leading batch axes.  Each offset's
+    column block is filled from one contiguous slice of every sequence,
+    with its own first and last frame standing in for frames beyond its
+    ends, so no sequence reads another.  The result is written into the
+    first (batch size) * T rows of a 2-D out when given (a fresh array of
+    h's dtype otherwise).  The zero-offset plan returns h itself.
     """
     if offsets == (0,):
         return h
-    T, W = h.shape
-    x = np.empty((T, len(offsets) * W), dtype=h.dtype) if out is None else out[:T]
-    x3 = x.reshape(T, len(offsets), W)
+    *lead, T, W = h.shape
+    rows = math.prod(lead) * T
+    x = np.empty((rows, len(offsets) * W), dtype=h.dtype) if out is None else out[:rows]
+    x4 = x.reshape(*lead, T, len(offsets), W)
     for k, o in enumerate(offsets):
         # Rows lo..hi-1 read frame t + o inside the sequence.
         lo, hi = min(max(-o, 0), T), min(max(T - o, 0), T)
-        x3[:lo, k] = h[0]
-        x3[lo:hi, k] = h[lo + o : hi + o]
-        x3[hi:, k] = h[T - 1]
-    return x
+        x4[..., :lo, k, :] = h[..., :1, :]
+        x4[..., lo:hi, k, :] = h[..., lo + o : hi + o, :]
+        x4[..., hi:, k, :] = h[..., T - 1 :, :]
+    return x.reshape(*lead, T, len(offsets) * W)
 
 
 def _unsplice(
@@ -294,68 +312,82 @@ def _rows(flat: np.ndarray, rows: int, cols: int) -> np.ndarray:
 
 
 class _Buffers:
-    """Work buffers for forward and loss_and_grads on up to `frames` frames.
+    """Work buffers for forward and loss_and_grads on up to `rows` rows.
 
+    A row is one frame of one sequence: training runs one sequence at a
+    time, the monitor all M streams of an utterance at once (M * T rows).
     For the backward pass each layer keeps its splice input (none for the
     zero-offset plan) and its output, and the set adds the two buffers the
     backward pass alternates between, wide enough for any layer's input or
     output, and one weight and one bias scratch for the gradients of the
     layer being done.  A forward-only set holds one splice buffer that
     every layer reuses and two output buffers that layers alternate
-    between, since no layer's values are read once the next layer has run.
+    between, since no layer's values are read once the next layer has run;
+    the monitor's set lives on the model (AeModel._inference_work).
     Calls that share a set overwrite each other's results.  Every buffer
     has the dtype of the layers' weights: fed another dtype, numpy's
     matmul would leave BLAS for a slower mixed-dtype loop.
     """
 
-    def __init__(self, layers: list[Layer], frames: int, backward: bool = True):
+    def __init__(self, layers: list[Layer], rows: int, backward: bool = True):
+        self.rows = rows
         fan_in = [ly.weight.shape[0] for ly in layers]
         width = [ly.weight.shape[1] for ly in layers]
         dt = layers[0].weight.dtype
         if backward:
             self.x = [
-                None if ly.offsets == (0,) else np.empty((frames, f), dt)
+                None if ly.offsets == (0,) else np.empty((rows, f), dt)
                 for ly, f in zip(layers, fan_in)
             ]
-            self.h = [np.empty((frames, w), dt) for w in width]
-            size = frames * max(*fan_in, *width)
+            self.h = [np.empty((rows, w), dt) for w in width]
+            size = rows * max(*fan_in, *width)
             self.back = (np.empty(size, dt), np.empty(size, dt))
             self.grad_w = np.empty(max(ly.weight.size for ly in layers), dt)
             self.grad_b = np.empty(max(width), dt)
         else:
-            x = np.empty(frames * max(fan_in), dt)
-            h = (np.empty(frames * max(width), dt), np.empty(frames * max(width), dt))
-            self.x = [_rows(x, frames, f) for f in fan_in]
-            self.h = [_rows(h[i % 2], frames, w) for i, w in enumerate(width)]
+            # One block, so that a regrown model's set hands all of the old
+            # one back: as three blocks, the allocator kept part of them and
+            # a benchmark fuse step peaked 2 MB higher.
+            nx, nh = rows * max(fan_in), rows * max(width)
+            flat = np.empty(nx + 2 * nh, dt)
+            x, h = flat[:nx], (flat[nx : nx + nh], flat[nx + nh :])
+            self.x = [_rows(x, rows, f) for f in fan_in]
+            self.h = [_rows(h[i % 2], rows, w) for i, w in enumerate(width)]
 
 
 def _forward(layers: list[Layer], h: np.ndarray, work: _Buffers) -> list:
-    """(spliced input, output) of every layer over contiguous (T, K) features h.
+    """(spliced input, output) of every layer over contiguous (..., T, K) features h.
 
-    Both are views into work.  ReLU runs in place on the layer's output.
+    Both are (rows, ·) views into work, one row per frame of every
+    sequence, so each layer is one GEMM over all of them.  ReLU runs in
+    place on the layer's output.
     """
-    T = h.shape[0]
+    lead = h.shape[:-1]
+    rows = math.prod(lead)
     caches = []
     for ly, x_buf, h_buf in zip(layers, work.x, work.h):
-        x = _splice(h, ly.offsets, out=x_buf)
-        h = np.matmul(x, ly.weight, out=h_buf[:T])
-        h += ly.bias
+        x = _splice(h, ly.offsets, out=x_buf).reshape(rows, -1)
+        out = np.matmul(x, ly.weight, out=h_buf[:rows])
+        out += ly.bias
         if ly.activation == "relu":
-            np.maximum(h, 0.0, out=h)
-        caches.append((x, h))
+            np.maximum(out, 0.0, out=out)
+        caches.append((x, out))
+        h = out.reshape(*lead, -1)
     return caches
 
 
 def forward(layers: list[Layer], z: np.ndarray, work: _Buffers | None = None) -> np.ndarray:
-    """Network output over a whole (T, K) feature sequence.
+    """Network output over (..., T, K) features: (T, K) sequences on any leading axes.
 
-    z is cast to the dtype of the layers' weights, and so is the output.
-    The output is a view into work when given (a fresh forward-only set
-    otherwise), so the next call on the same set overwrites it.
+    Each sequence is spliced on its own, and each layer runs one GEMM on
+    the frames of all of them.  z is cast to the dtype of the layers'
+    weights, and so is the output.  The output is a view into work when
+    given (a fresh forward-only set otherwise), so the next call on the
+    same set overwrites it.
     """
     z = np.ascontiguousarray(z, dtype=layers[0].weight.dtype)
-    work = work or _Buffers(layers, z.shape[0], backward=False)
-    return _forward(layers, z, work)[-1][1]
+    work = work or _Buffers(layers, math.prod(z.shape[:-1]), backward=False)
+    return _forward(layers, z, work)[-1][1].reshape(z.shape[:-1] + (-1,))
 
 
 def loss_and_grads(
@@ -485,31 +517,40 @@ def train_ae(
     return model, losses
 
 
-def reconstruction_errors(
-    model: AeModel, stream: PosteriorStream, work: _Buffers | None = None
-) -> np.ndarray:
+def _stacked_errors(model: AeModel, streams: list[PosteriorStream]) -> np.ndarray:
+    """(M, T) per-frame squared l2 reconstruction errors of M T-frame streams.
+
+    The front end runs per stream and the error sum in float64; the
+    network runs once, in float32 on the model's inference_layers and in
+    its buffer set, on the M feature sequences stacked as (M, T, K).
+    """
+    C = model.front_end.num_classes
+    if any(s.num_classes != C for s in streams):
+        raise DimensionMismatch("stream and model disagree on class count")
+    z = np.stack([front_end_apply(model.front_end, s.probs) for s in streams])
+    out = forward(model.inference_layers, z, model._inference_work(z.shape[0] * z.shape[1]))
+    # float32 out widens exactly to z's float64 before the subtraction.
+    return np.sum((out - z) ** 2, axis=-1)
+
+
+def reconstruction_errors(model: AeModel, stream: PosteriorStream) -> np.ndarray:
     """Per-frame squared l2 reconstruction error in front-end feature space.
 
-    The front end and the error sum run in float64, the network in float32
-    on the model's inference_layers, in work when given (a fresh
-    forward-only set otherwise).
+    The stream is a stack of one on the path ae_attention runs.
     """
-    if stream.num_classes != model.front_end.num_classes:
-        raise DimensionMismatch("stream and model disagree on class count")
-    z = front_end_apply(model.front_end, stream.probs)
-    out = forward(model.inference_layers, z, work)
-    # float32 out widens exactly to z's float64 before the subtraction.
-    return np.sum((out - z) ** 2, axis=1)
+    return _stacked_errors(model, [stream])[0]
 
 
 def ae_attention(sset: StreamSet, model: AeModel) -> AttentionSchedule:
     """Inverse reconstruction-error attention over an aligned stream set.
 
-    One forward-only buffer set serves every stream.
+    The network runs once on all M streams: one GEMM per layer.  Raises
+    DimensionMismatch, before any work, on a set that is not aligned
+    (a frame_offset or a length that differs) or on a stream whose class
+    count is not the model's.
     """
-    frames = max(s.num_frames for s in sset.streams)
-    work = _Buffers(model.inference_layers, frames, backward=False)
-    errs = np.stack(
-        [reconstruction_errors(model, s, work) for s in sset.streams], axis=1
-    )  # (T, M)
+    if not sset.aligned():
+        raise DimensionMismatch("ae_attention needs an aligned stream set (offsets 0, one length)")
+    # (T, M) in C order, so each row's sum adds its M errors as before.
+    errs = np.ascontiguousarray(_stacked_errors(model, sset.streams).T)
     return AttentionSchedule(inverse_weights(errs, ERROR_FLOOR))

@@ -32,7 +32,12 @@ from streamfuse.aemonitor import (
     train_ae,
 )
 from streamfuse.core import PosteriorStream, StreamSet, check_simplex, inverse_weights
-from streamfuse.errors import DegenerateData, DivergedTraining
+from streamfuse.errors import (
+    DegenerateData,
+    DimensionMismatch,
+    DivergedTraining,
+    StreamFuseError,
+)
 
 
 def zero_output_model(C=2, clamp=DEFAULT_LOGIT_CLAMP) -> AeModel:
@@ -249,6 +254,8 @@ def assert_bits_equal(got, want):
 
 PLAN_CONTEXTS = sorted(SPLICE_PLANS)
 offset_lists = st.lists(st.integers(-9, 9), min_size=1, max_size=5).map(tuple)
+# Every layer's offsets in every splice plan.
+PLAN_OFFSETS = sorted({offs for plan in SPLICE_PLANS.values() for offs in plan})
 
 
 def small_spliced_stack(rng, plan, K):
@@ -303,6 +310,23 @@ class TestBitExactKernels:
     @given(offset_lists, st.integers(1, 40), st.integers(1, 5), st.integers(0, 2**32 - 1))
     def test_any_offsets_splice_and_scatter(self, offsets, T, W, seed):
         self.check_splice_pair(offsets, T, W, seed)
+
+    @settings(deadline=None, max_examples=150)
+    @given(st.one_of(st.sampled_from(PLAN_OFFSETS), offset_lists), st.integers(1, 4),
+           st.integers(1, 40), st.integers(1, 5), st.integers(0, 2**32 - 1))
+    def test_batched_splice_splices_each_sequence_alone(self, offsets, B, T, W, seed):
+        rng = np.random.default_rng(seed)
+        h = rng.standard_normal((B, T, W))
+        # Into a NaN-filled buffer with more rows than the B * T needed.
+        rows = B * T + int(rng.integers(1, 9))
+        out = np.full((rows, len(offsets) * W), np.nan)
+        got = aemonitor._splice(h, offsets, out=out)
+        assert got.shape == (B, T, len(offsets) * W)
+        for b in range(B):
+            assert_bits_equal(got[b], ref.splice_gather_ref(h[b], offsets)[0])
+        if offsets != (0,):
+            assert np.shares_memory(got, out)
+            assert np.isnan(out[B * T :]).all()
 
     @settings(deadline=None, max_examples=100)
     @given(st.sampled_from(PLAN_CONTEXTS), st.integers(1, 40), st.integers(0, 2**32 - 1),
@@ -494,6 +518,24 @@ class TestReconstructionErrorsAndAttention:
         wp = ae_attention(StreamSet([sset.streams[m] for m in perm]), model).weights
         np.testing.assert_allclose(wp, w[:, perm], atol=1e-12)
 
+    @pytest.mark.parametrize(
+        "lengths, offsets, classes",
+        [((5, 7), (0, 0), (3, 3)), ((6, 6), (0, 1), (3, 3)), ((6, 6), (0, 0), (3, 4))],
+        ids=["lengths", "frame_offset", "classes"],
+    )
+    def test_unaligned_set_or_class_count_raises_before_any_work(
+        self, rng, lengths, offsets, classes
+    ):
+        model = zero_output_model(C=3)
+        sset = StreamSet([
+            random_stream(rng, T, C, stream_id=m, frame_offset=o)
+            for m, (T, o, C) in enumerate(zip(lengths, offsets, classes))
+        ])
+        with pytest.raises(DimensionMismatch) as err:
+            ae_attention(sset, model)
+        assert isinstance(err.value, StreamFuseError)
+        assert "inference_layers" not in vars(model) and model._work is None
+
     def test_corruption_raises_median_error(self, rng):
         # Train on peaked posteriors, then compare errors on a held-out
         # clean stream vs increasingly uniform-mixed copies of it.
@@ -570,6 +612,37 @@ class TestFloat32Inference:
         assert w.dtype == np.float64
         check_simplex(w, "ae attention")
         # One buffer set for all streams gives what a fresh set per stream gives.
+        errs = np.stack([reconstruction_errors(model, s) for s in sset.streams], axis=1)
+        np.testing.assert_array_equal(w, inverse_weights(errs, ERROR_FLOOR))
+
+    def test_model_buffer_set_regrows_only_for_more_rows(self, rng):
+        model = self.spliced_model(rng)
+        M = 4
+        sets = [random_stream_set(rng, M, T, 6) for T in (29, 11, 29, 35)]
+        held = []
+        for sset in sets:
+            fresh = AeModel(front_end=model.front_end, layers=model.layers,
+                            context=model.context)
+            assert_bits_equal(ae_attention(sset, model).weights,
+                              ae_attention(sset, fresh).weights)
+            held.append(model._work)
+        # Made for the first utterance, kept for the shorter and the equal
+        # one, and regrown (not added to) for the longer one.
+        assert held[0] is held[1] is held[2] is not held[3]
+        assert (held[0].rows, held[3].rows) == (M * 29, M * 35)
+
+    def test_stacked_pass_matches_per_stream_on_the_published_stack(self, rng):
+        # The benchmark's shapes: published widths at (-16, 12), K = 40.  A
+        # 90-frame stream is big enough that each GEMM, alone or stacked,
+        # runs BLAS's blocked kernel: OpenBLAS has a small-matrix kernel,
+        # used below about 1e6 multiply-adds on AVX-512 hosts, whose bits
+        # differ.
+        C, K = 48, 40
+        fe = fit_front_end(random_simplex(rng, 400, C), K)
+        layers = build_architecture(K, (-16, 12), rng=rng)
+        model = AeModel(front_end=fe, layers=layers, context=(-16, 12))
+        sset = random_stream_set(rng, 3, 90, C)
+        w = ae_attention(sset, model).weights
         errs = np.stack([reconstruction_errors(model, s) for s in sset.streams], axis=1)
         np.testing.assert_array_equal(w, inverse_weights(errs, ERROR_FLOOR))
 
