@@ -25,7 +25,6 @@ import math
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from pathlib import Path
 
 import numpy as np
 
@@ -43,27 +42,17 @@ ERROR_FLOOR = 1e-6
 PAPER_HIDDEN_WIDTHS = (512, 512, 24, 512, 512)
 DEFAULT_PCA_DIM = 40
 
-_PLAN_PATH = Path(__file__).with_name("splice_plans.cfg")
-
-
-def _load_splice_plans(path: Path = _PLAN_PATH) -> dict:
-    plans: dict[tuple[int, int], list[tuple[int, ...]]] = {}
-    key = None
-    for raw in path.read_text().splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("[context"):
-            _, left, right = line.strip("[]").split()
-            key = (int(left), int(right))
-            plans[key] = []
-        else:
-            _, offsets = line.split(":", 1)
-            plans[key].append(tuple(int(o) for o in offsets.split(",")))
-    return plans
-
-
-SPLICE_PLANS = _load_splice_plans()
+# Per-layer frame-offset splice plans of the 6-layer autoencoder, one per
+# temporal context: layer i's input concatenates the previous layer's
+# output at these frame offsets.  Each plan's composed receptive field
+# equals its context.
+SPLICE_PLANS = {
+    (0, 0): [(0,), (0,), (0,), (0,), (0,), (0,)],
+    (-8, 5): [(-2, -1, 0, 1), (-3, 0, 2), (-3, 0, 2), (0,), (0,), (0,)],
+    (-13, 10): [(-2, -1, 0, 1, 2), (-3, 0, 3), (-4, 0, 4), (-4, 0, 1), (0,), (0,)],
+    (-16, 12): [(-2, -1, 0, 1, 2), (-4, 0, 4), (-5, 0, 5), (-5, 0, 1), (0,), (0,)],
+    (-20, 14): [(-2, -1, 0, 1, 2), (-5, 0, 5), (-6, 0, 6), (-7, 0, 1), (0,), (0,)],
+}
 
 
 def check_logit_clamp(value: float) -> None:
@@ -193,10 +182,15 @@ def fit_pca(data: np.ndarray, K: int, logit_clamp: float = DEFAULT_LOGIT_CLAMP) 
 
 
 def fit_front_end(
-    prob_rows: np.ndarray, K: int, logit_clamp: float = DEFAULT_LOGIT_CLAMP
+    prob_rows: np.ndarray, K: int | None = None, logit_clamp: float = DEFAULT_LOGIT_CLAMP
 ) -> FrontEnd:
-    """Fit the Logit + PCA front-end on raw posterior rows."""
+    """Fit the Logit + PCA front-end on raw (N, C) posterior rows.
+
+    K=None keeps min(C, DEFAULT_PCA_DIM) components.
+    """
     check_logit_clamp(logit_clamp)
+    if K is None:
+        K = min(prob_rows.shape[1], DEFAULT_PCA_DIM)
     return fit_pca(logit_transform(prob_rows, logit_clamp), K, logit_clamp)
 
 
@@ -446,15 +440,8 @@ def loss_and_grads(
     return loss, grads
 
 
-def evaluate_mse(
-    layers: list[Layer], z_list: list[np.ndarray], work: _Buffers | None = None
-) -> float:
-    """Mean reconstruction MSE over all frames of all sequences.
-
-    Every forward pass runs in work when given (one fresh forward-only set
-    otherwise).
-    """
-    work = work or _Buffers(layers, max(z.shape[0] for z in z_list), backward=False)
+def evaluate_mse(layers: list[Layer], z_list: list[np.ndarray], work: _Buffers) -> float:
+    """Mean reconstruction MSE over all frames of all sequences, each forward pass in work."""
     total = 0.0
     frames = 0
     for z in z_list:
@@ -481,8 +468,7 @@ def train_ae(
     if len({s.num_classes for s in data}) > 1:
         raise DimensionMismatch("training streams disagree on class count")
     if front_end is None:
-        all_rows = np.vstack([s.probs for s in data])
-        front_end = fit_front_end(all_rows, min(data[0].num_classes, DEFAULT_PCA_DIM))
+        front_end = fit_front_end(np.vstack([s.probs for s in data]))
     z_list = [front_end_apply(front_end, s.probs) for s in data]
     rng = np.random.default_rng(cfg.seed)
     layers = build_architecture(front_end.output_dim, context, hidden_widths, rng)

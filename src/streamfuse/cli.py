@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import aemonitor, experiments, simulator, storage
+from .core import check_range
 from .decoder import DEFAULT_SELF_LOOP, SELF_LOOP_RANGE, make_hmm
 from .errors import DivergedTraining, SettingError, StreamFuseError
 from .measures import MMeasureConfig
@@ -76,37 +77,33 @@ class _CommandParser(argparse.ArgumentParser):
         return flags
 
 
-def _in_range(typ, bounds: tuple):
-    """An argparse type=: a finite typ value in the closed range bounds = (lo, hi)."""
-    lo, hi = bounds
-    kind = "an integer" if typ is int else "a finite number"
-    where = f">= {lo}" if hi == math.inf else f"in [{lo}, {hi}]"
+def _checked(typ, check, allowed: str):
+    """An argparse type=: the text as a typ value that passes check(value).
+
+    check is the library's own test of the setting; a ValueError from it or
+    from typ is the usage error "'TEXT' is not ALLOWED".
+    """
 
     def parse(text: str):
         try:
             value = typ(text)
+            check(value)
         except ValueError:
-            value = math.nan
-        if not lo <= value <= hi or value == math.inf:
-            raise argparse.ArgumentTypeError(f"{text!r} is not {kind} {where}")
+            raise argparse.ArgumentTypeError(f"{text!r} is not {allowed}") from None
         return value
 
     return parse
 
 
+def _in_range(typ, bounds: tuple):
+    """_checked by core.check_range over the closed range bounds = (lo, hi)."""
+    lo, hi = bounds
+    kind = "an integer" if typ is int else "a finite number"
+    where = f">= {lo}" if hi == math.inf else f"in [{lo}, {hi}]"
+    return _checked(typ, lambda value: check_range("value", value, bounds), f"{kind} {where}")
+
+
 _positive_int = _in_range(int, (1, math.inf))
-
-
-def _logit_clamp(text: str) -> float:
-    """An argparse type=: a number in the open range aemonitor.LOGIT_CLAMP_RANGE."""
-    try:
-        value = float(text)
-        aemonitor.check_logit_clamp(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"{text!r} is not a number in {aemonitor.LOGIT_CLAMP_RANGE}"
-        ) from None
-    return value
 
 
 def _parse_context(text: str) -> tuple[int, int]:
@@ -122,19 +119,10 @@ def _parse_context(text: str) -> tuple[int, int]:
 
 
 def cmd_simulate(args, parser) -> int:
+    # Each flag's dest is its corpus.cfg key.
+    fields = {attr: getattr(args, key) for key, attr, _ in experiments.CORPUS_KEYS}
     try:
-        spec = simulator.CorpusSpec(
-            num_utterances=args.utterances,
-            frames_min=args.frames_min,
-            frames_max=args.frames_max,
-            num_classes=args.classes,
-            num_streams=args.streams,
-            seed=args.seed,
-            alpha_true=args.alpha_true,
-            alpha_other=args.alpha_other,
-            conf_prob=args.conf_prob,
-            conf_len=args.conf_len,
-        )
+        spec = simulator.CorpusSpec(**fields)
     except ValueError as e:  # each flag is in range, so frames_max < frames_min
         parser.error(f"argument --frames-max: {args.frames_max}: {e}")
     hmm = make_hmm(spec.num_classes, spec.seed, self_loop=args.self_loop)
@@ -158,10 +146,9 @@ def cmd_train_ae(args, parser) -> int:
         seed=args.seed,
     )
     clean = corpus.utterances.clean_streams()
+    # No name holds the stacked rows, so training does not keep them alive.
     front_end = aemonitor.fit_front_end(
-        np.vstack([s.probs for s in clean]),
-        min(clean[0].num_classes, aemonitor.DEFAULT_PCA_DIM),
-        logit_clamp=args.logit_clamp,
+        np.vstack([s.probs for s in clean]), logit_clamp=args.logit_clamp
     )
     model, losses = aemonitor.train_ae(
         clean, cfg, context=args.context, front_end=front_end
@@ -192,8 +179,11 @@ def cmd_fuse(args, parser) -> int:
         parser.error(f"argument --window: {args.window}: {e}")
     corpus = experiments.load_corpus(args.corpus)
     M = corpus.spec.num_streams
-    if args.n is not None and args.n > M:
-        parser.error(f"argument --n: {args.n} is more than the corpus's {M} streams")
+    if args.n is not None:
+        try:
+            check_range("n", args.n, (1, M))
+        except ValueError:
+            parser.error(f"argument --n: {args.n} is more than the corpus's {M} streams")
     model = storage.read_model(args.model) if args.model else None
     experiments.fuse_corpus(
         corpus, args.method, args.out, model=model, mcfg=mcfg, n=args.n, base=args.base
@@ -272,7 +262,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="corpus directory (clean streams are the data)")
     p.add_argument("--out", required=True, help="output model file")
     p.add_argument("--context", type=_parse_context, default="0,0", help="temporal context")
-    p.add_argument("--logit-clamp", type=_logit_clamp, default=aemonitor.DEFAULT_LOGIT_CLAMP,
+    p.add_argument("--logit-clamp", default=aemonitor.DEFAULT_LOGIT_CLAMP,
+                   type=_checked(float, aemonitor.check_logit_clamp,
+                                 f"a number in {aemonitor.LOGIT_CLAMP_RANGE}"),
                    help="front-end probability clamp")
     p.add_argument("--epochs", type=_in_range(int, train_range["epochs"]),
                    default=train.epochs, help="training epochs")

@@ -8,6 +8,7 @@ streams.  Fusion is the weighted sum of the per-stream posterior rows.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -119,10 +120,14 @@ def inverse_weights(scores: np.ndarray, floor: float) -> np.ndarray:
 
 
 def check_range(name: str, value, bounds: tuple) -> None:
-    """Raise ValueError unless value lies in the closed range bounds = (lo, hi)."""
+    """Raise ValueError unless value is finite and lies in the closed range bounds = (lo, hi).
+
+    The package's one closed-range test of a number: NaN, inf and -inf fail
+    whatever the bounds, so hi = inf only leaves the range open above.
+    """
     lo, hi = bounds
-    if not lo <= value <= hi:
-        raise ValueError(f"{name}={value!r} is not in [{lo}, {hi}]")
+    if not (lo <= value <= hi and -math.inf < value < math.inf):
+        raise ValueError(f"{name}={value!r} is not a finite number in [{lo}, {hi}]")
 
 
 def overlap_range(sset: StreamSet) -> tuple[int, int]:

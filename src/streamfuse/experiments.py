@@ -114,8 +114,9 @@ def _read_hmm(path: Path) -> HmmModel:
 
 
 # One row per spec key of corpus.cfg: (key, CorpusSpec field, type).
-# write_corpus writes these keys and load_corpus parses them back.
-_CORPUS_KEYS = (
+# write_corpus writes these keys, load_corpus parses them back, and each
+# is the dest of the simulate flag that sets its field.
+CORPUS_KEYS = (
     ("utterances", "num_utterances", int),
     ("frames_min", "frames_min", int),
     ("frames_max", "frames_max", int),
@@ -133,7 +134,7 @@ def _corpus_cfg(scenario: simulator.Scenario) -> dict:
     # Each value passes through its type, so a spec hashes the same before
     # write_corpus and after load_corpus (an int alpha_true is written 100.0).
     cfg = {"scenario": scenario.name}
-    for key, attr, typ in _CORPUS_KEYS:
+    for key, attr, typ in CORPUS_KEYS:
         cfg[key] = typ(getattr(scenario.spec, attr))
     return cfg
 
@@ -269,7 +270,7 @@ def load_corpus(indir) -> simulator.Scenario:
     cfg_path = indir / "corpus.cfg"
     cfg = read_config(cfg_path)
     name = _cfg_value(cfg, "scenario", str, cfg_path)
-    fields = {attr: _cfg_value(cfg, key, typ, cfg_path) for key, attr, typ in _CORPUS_KEYS}
+    fields = {attr: _cfg_value(cfg, key, typ, cfg_path) for key, attr, typ in CORPUS_KEYS}
     try:
         spec = simulator.CorpusSpec(**fields)
     except ValueError as e:

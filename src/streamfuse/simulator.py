@@ -81,10 +81,8 @@ class CorruptionProfile:
     offset: int = 0
 
     def __post_init__(self):
-        if not 0.0 <= self.uniform_mix <= 1.0:
-            raise ValueError("uniform_mix must be in [0, 1]")
-        if self.smear_width < 0:
-            raise ValueError("smear_width must be >= 0")
+        check_range("uniform_mix", self.uniform_mix, (0.0, 1.0))
+        check_range("smear_width", self.smear_width, (0, math.inf))
 
 
 def sample_labels(hmm: HmmModel, num_frames: int, rng: np.random.Generator) -> np.ndarray:
@@ -101,8 +99,8 @@ def emit_posteriors(
     alpha_true: float,
     alpha_other: float,
     rng: np.random.Generator,
-    conf_prob: float = 0.0,
-    conf_len: float = 5.0,
+    conf_prob: float,
+    conf_len: float,
 ) -> np.ndarray:
     """Dirichlet-peaked posterior rows concentrated on the true class.
 
@@ -131,6 +129,13 @@ def emit_posteriors(
     return renormalize_rows(np.maximum(g, 1e-300))
 
 
+def _emit(spec: CorpusSpec, labels: np.ndarray, key: list[int]) -> np.ndarray:
+    """emit_posteriors of labels under spec's emission model, drawing from the generator of key."""
+    rng = np.random.default_rng(key)
+    return emit_posteriors(labels, spec.num_classes, spec.alpha_true, spec.alpha_other, rng,
+                           spec.conf_prob, spec.conf_len)
+
+
 def _utterance_frames(spec: CorpusSpec, utt: int) -> int:
     rng = np.random.default_rng([spec.seed, utt, 0])
     return int(rng.integers(spec.frames_min, spec.frames_max + 1))
@@ -144,15 +149,7 @@ def generate_reference(
     for u in range(spec.num_utterances):
         T = _utterance_frames(spec, u)
         lab = sample_labels(hmm, T, np.random.default_rng([spec.seed, u, _KEY_LABELS]))
-        probs = emit_posteriors(
-            lab,
-            spec.num_classes,
-            spec.alpha_true,
-            spec.alpha_other,
-            np.random.default_rng([spec.seed, u, _KEY_CLEAN]),
-            spec.conf_prob,
-            spec.conf_len,
-        )
+        probs = _emit(spec, lab, [spec.seed, u, _KEY_CLEAN])
         labels.append(lab)
         cleans.append(PosteriorStream(probs=probs, stream_id=-1))
     return labels, cleans
@@ -290,16 +287,7 @@ def build_scenario(
         streams = []
         for m, prof in enumerate(profiles):
             emitted = PosteriorStream(
-                probs=emit_posteriors(
-                    labels[u],
-                    spec.num_classes,
-                    spec.alpha_true,
-                    spec.alpha_other,
-                    np.random.default_rng([spec.seed, u, _KEY_EMIT + m]),
-                    spec.conf_prob,
-                    spec.conf_len,
-                ),
-                stream_id=m,
+                probs=_emit(spec, labels[u], [spec.seed, u, _KEY_EMIT + m]), stream_id=m
             )
             streams.append(
                 corrupt(emitted, prof, seed=[spec.seed, u, _KEY_CORRUPT + m])

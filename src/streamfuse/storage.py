@@ -33,7 +33,10 @@ within SIMPLEX_ATOL = 1e-6 of 1); rows beyond float32 promotion noise
 (1e-7) are renormalized, rows within it are kept untouched so
 write -> read -> write is byte-stable.  Writers run the same check before
 they open the file, so no writer makes a file its reader rejects.  The
-model reader rejects non-finite values in any array it reads.
+model reader rejects non-finite values in any array it reads, and a
+layer stack that does not chain: no layers, a fan_in other than the
+previous width (K for layer 0) times the layer's offset count, or a last
+width other than K.
 """
 
 from __future__ import annotations
@@ -225,6 +228,21 @@ def _read_f8(f, shape: tuple[int, ...], what: str) -> np.ndarray:
     return arr.reshape(shape).copy()
 
 
+def _check_layer_chain(layers: list[Layer], K: int) -> None:
+    """FormatError naming the layer unless each layer's fan_in is the width before
+    it (K for layer 0) times its offset count, and the last width is K."""
+    if not layers:
+        raise FormatError("model has no layers")
+    width = K
+    for i, ly in enumerate(layers):
+        if ly.weight.shape[0] != width * len(ly.offsets):
+            raise FormatError(f"layer {i}: fan_in {ly.weight.shape[0]} is not input width "
+                              f"{width} x offset count {len(ly.offsets)}")
+        width = ly.weight.shape[1]
+    if width != K:
+        raise FormatError(f"layer {len(layers) - 1}: width {width} is not the front end's K={K}")
+
+
 def read_model(path) -> AeModel:
     with open(path, "rb") as f:
         hdr = struct.Struct("<4sHIId")
@@ -249,6 +267,7 @@ def read_model(path) -> AeModel:
             layers.append(Layer(weight=w, bias=b, activation=_ACT_NAMES[act], offsets=offsets))
         if f.read(1):
             raise PayloadTruncated("trailing bytes after model payload")
+    _check_layer_chain(layers, K)
     try:
         fe = FrontEnd(pca_mean=mean, pca_basis=basis, logit_clamp=clamp)
     except ValueError as e:

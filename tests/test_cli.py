@@ -99,6 +99,7 @@ class TestSimulate:
         ("--classes", "1"), ("--frames-min", "0"), ("--frames-max", "0"), ("--frames-max", "70"),
         ("--alpha-true", "-1"), ("--alpha-true", "nan"), ("--alpha-other", "-0.5"),
         ("--conf-prob", "1.5"), ("--conf-len", "0.5"), ("--conf-len", "inf"),
+        ("--self-loop", "nan"),
     ])
     def test_out_of_range_flag_exits_2(self, tmp_path, flag, value):
         out = tmp_path / "x"
@@ -167,7 +168,7 @@ class TestTrainAe:
     @pytest.mark.parametrize("flag, value", [
         ("--lr", "-1"), ("--lr", "nan"), ("--batch-size", "0"),
         ("--logit-clamp", "0"), ("--logit-clamp", "0.5"), ("--logit-clamp", "0.7"),
-        ("--logit-clamp", "-1"), ("--logit-clamp", "nan"),
+        ("--logit-clamp", "-1"), ("--logit-clamp", "nan"), ("--lr", "inf"), ("--epochs", "inf"),
     ])
     def test_out_of_range_flag_exits_2(self, corpus, tmp_path, flag, value):
         out = tmp_path / "m.stae"
@@ -471,6 +472,26 @@ class TestFuse:
                 "--method", "autoencoder", "--model", str(path))
         assert r.returncode == 3
         assert "layer 0 bias: non-finite values" in r.stderr
+        assert "Traceback" not in r.stderr
+        assert not out.exists()
+
+    # Layer weight shapes over a C=6, K=4 front end that do not map K
+    # features back to K, and the error each must give.
+    @pytest.mark.parametrize("shapes, message", [
+        ([], "model has no layers"),
+        ([(4, 8), (5, 4)], "layer 1: fan_in 5 is not input width 8 x offset count 1"),
+        ([(4, 1)], "layer 0: width 1 is not the front end's K=4"),
+    ], ids=["no layers", "broken chain", "last width 1"])
+    def test_unchained_model_exits_3_before_writing(self, corpus, tmp_path, shapes, message):
+        front_end = aemonitor.FrontEnd(pca_mean=np.zeros(6), pca_basis=np.eye(6)[:, :4])
+        layers = [aemonitor.Layer(np.ones(s), np.zeros(s[1]), "relu") for s in shapes]
+        path = tmp_path / "unchained.stae"
+        storage.write_model(aemonitor.AeModel(front_end, layers, (0, 0)), path)
+        out = tmp_path / "ae"
+        r = run("fuse", "--corpus", str(corpus), "--out", str(out),
+                "--method", "autoencoder", "--model", str(path))
+        assert r.returncode == 3
+        assert message in r.stderr
         assert "Traceback" not in r.stderr
         assert not out.exists()
 

@@ -1,4 +1,6 @@
-"""Core types: alignment, fusion and n-best truncation."""
+"""Core types and checks: ranges, simplex rows, alignment, fusion and n-best truncation."""
+
+import math
 
 import numpy as np
 import pytest
@@ -12,17 +14,48 @@ from conftest import (
     random_stream,
     random_stream_set,
 )
+from streamfuse.aemonitor import TRAIN_RANGES, TrainConfig
 from streamfuse.core import (
     AttentionSchedule,
     PosteriorStream,
     StreamSet,
     align_streams,
+    check_range,
     check_simplex,
     fuse,
     n_best_truncate,
     overlap_range,
 )
+from streamfuse.decoder import make_hmm
 from streamfuse.errors import DimensionMismatch, InvalidN, InvalidSimplex, OverlapEmpty
+from streamfuse.simulator import SPEC_RANGES, CorpusSpec, CorruptionProfile
+
+_SPEC = dict(num_utterances=2, frames_min=5, frames_max=9, num_classes=3, num_streams=2, seed=0)
+
+# (setting, a call that sets it to the value it is given): every setting
+# the library range-checks.
+_RANGED = [
+    *((name, lambda v, name=name: CorpusSpec(**{**_SPEC, name: v})) for name in SPEC_RANGES),
+    *((name, lambda v, name=name: TrainConfig(**{name: v})) for name in TRAIN_RANGES),
+    *((name, lambda v, name=name: CorruptionProfile(**{name: v}))
+      for name in ("uniform_mix", "smear_width")),
+    ("self_loop", lambda v: make_hmm(4, self_loop=v)),
+]
+
+
+class TestCheckRange:
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("name, build", _RANGED, ids=[name for name, _ in _RANGED])
+    def test_non_finite_setting_rejected(self, name, build, value):
+        with pytest.raises(ValueError, match=f"^{name}={value!r} is not a finite number in "):
+            build(value)
+
+    def test_closed_range_and_unbounded_ints(self):
+        check_range("x", 0.0, (0.0, 1.0))
+        check_range("x", 1.0, (0.0, 1.0))
+        check_range("x", 10**400, (1, math.inf))  # exact int comparison, no float cast
+        with pytest.raises(ValueError, match=r"^x=1.5 is not a finite number in \[0.0, 1.0\]$"):
+            check_range("x", 1.5, (0.0, 1.0))
 
 
 class TestCheckSimplex:

@@ -73,7 +73,7 @@ class TestLabelsAndEmissions:
 
     def test_peaked_emissions_track_labels(self, rng):
         labels = rng.integers(6, size=200)
-        probs = emit_posteriors(labels, 6, 1e6, 1e-3, rng)
+        probs = emit_posteriors(labels, 6, 1e6, 1e-3, rng, 0.0, 5.0)
         np.testing.assert_array_equal(np.argmax(probs, axis=1), labels)
 
     def test_emission_rows_on_simplex(self, rng):
@@ -108,7 +108,7 @@ class TestLabelsAndEmissions:
 class TestCorrupt:
     def make_stream(self, rng, T=60, C=6):
         labels = rng.integers(C, size=T)
-        return PosteriorStream(emit_posteriors(labels, C, 50.0, 0.5, rng), stream_id=0)
+        return PosteriorStream(emit_posteriors(labels, C, 50.0, 0.5, rng, 0.0, 5.0), stream_id=0)
 
     def test_identity_profile(self, rng):
         s = self.make_stream(rng)
