@@ -18,7 +18,6 @@ import numpy as np
 
 from . import aemonitor, experiments, simulator, storage
 from .core import check_range
-from .decoder import DEFAULT_SELF_LOOP, SELF_LOOP_RANGE, make_hmm
 from .errors import DivergedTraining, SettingError, StreamFuseError
 from .measures import MMeasureConfig
 
@@ -125,8 +124,7 @@ def cmd_simulate(args, parser) -> int:
         spec = simulator.CorpusSpec(**fields)
     except ValueError as e:  # each flag is in range, so frames_max < frames_min
         parser.error(f"argument --frames-max: {args.frames_max}: {e}")
-    hmm = make_hmm(spec.num_classes, spec.seed, self_loop=args.self_loop)
-    scenario = simulator.build_scenario(args.scenario, spec, hmm=hmm)
+    scenario = simulator.build_scenario(args.scenario, spec)
     experiments.write_corpus(scenario, args.out)
     frames = sum(len(u.labels) for u in scenario.utterances)
     print(
@@ -251,8 +249,6 @@ def build_parser() -> argparse.ArgumentParser:
                    default=spec.conf_prob, help="per-frame confusion-burst entry probability")
     p.add_argument("--conf-len", type=_in_range(float, spec_range["conf_len"]),
                    default=spec.conf_len, help="mean confusion-burst length in frames")
-    p.add_argument("--self-loop", type=_in_range(float, SELF_LOOP_RANGE),
-                   default=DEFAULT_SELF_LOOP, help="HMM self-loop")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("train-ae", help="train the autoencoder monitor")

@@ -18,20 +18,20 @@ Fusion output directory layout:
 Reports are tab-separated tables with a header row; lines starting with
 "#" carry the config hash.
 
-When each check runs: load_corpus reads corpus.cfg, hmm.json, the manifest,
-every label file and every stream file's header, and checks them against
-each other (record count, distinct utterance ids, oracle index, profile
-count, label count and range, each stream's frames, classes and
-frame_offset: its profile's off, 0 for the clean stream; each file's
+When each check runs: load_corpus reads corpus.cfg (read_written_config),
+hmm.json, the manifest, every label file and every stream file's header, and
+checks them against each other (record count, distinct utterance ids, oracle
+index, profile count, label count and range, each stream's frames, classes
+and frame_offset: its profile's off, 0 for the clean stream; each file's
 size), so a corpus that contradicts itself fails before any output exists.
-hmm.json's rows pass core.check_simplex in HmmModel.  A stream's payload
-is read, and its rows checked by core.check_simplex, only when its
-utterance is taken from the corpus's utterances, so fuse_corpus and
-evaluate_corpus hold one utterance at a time.  fuse checks each schedule
-and fused stream, and the storage writers check every matrix before they
-write it.  evaluate_corpus checks each fused directory's fuse.cfg
-(present, from this corpus) before the first utterance, and each fused
-stream's shape and frame_offset (0) as it reads it.
+hmm.json's rows pass core.check_simplex in HmmModel.  A stream's payload is
+read, and its rows checked by core.check_simplex, only when its utterance is
+taken from the corpus's utterances, so fuse_corpus and evaluate_corpus hold
+one utterance at a time.  fuse checks each schedule and fused stream, and
+the storage writers check every matrix before they write it.  Before the
+first utterance, evaluate_corpus reads each fused directory's fuse.cfg by
+read_written_config and checks its method and corpus hash; it checks each
+fused stream's shape and frame_offset (0) as it reads it.
 """
 
 from __future__ import annotations
@@ -80,15 +80,28 @@ def read_config_pairs(path) -> list[tuple[str, str]]:
     return pairs
 
 
-def read_config(path) -> dict:
-    """read_config_pairs as a dict: a repeated key keeps its last value."""
-    return dict(read_config_pairs(path))
-
-
 def write_config(pairs: dict, path):
+    """pairs and their config_hash, one sorted key=value line each."""
+    pairs = {**pairs, "config_hash": config_hash(pairs)}
     with open(path, "w") as f:
         for k in sorted(pairs):
             f.write(f"{k}={pairs[k]}\n")
+
+
+def read_written_config(path, types: dict) -> dict:
+    """The values of a write_config file whose lines are the keys of types and a
+    config_hash of their values, each parsed by its type; else FormatError."""
+    lines = Path(path).read_text().splitlines()
+    fields = storage.exact_fields(lines, "=", (*types, "config_hash"), str(path))
+    values = {}
+    for key, typ in types.items():
+        try:
+            values[key] = typ(fields[key])
+        except ValueError:
+            raise FormatError(f"{path}: bad value {fields[key]!r} for key {key!r}") from None
+    if fields["config_hash"] != config_hash(values):
+        raise FormatError(f"{path}: key 'config_hash' is not the hash of the other keys")
+    return values
 
 
 def _hmm_to_json(hmm: HmmModel) -> dict:
@@ -128,6 +141,8 @@ CORPUS_KEYS = (
     ("conf_prob", "conf_prob", float),
     ("conf_len", "conf_len", float),
 )
+# The keys of fuse.cfg but config_hash, in the order fuse_corpus lists their values.
+FUSE_KEYS = ("method", "n", "base", "window", "model_digest", "corpus_hash")
 
 
 def _corpus_cfg(scenario: simulator.Scenario) -> dict:
@@ -144,21 +159,10 @@ def corpus_hash(scenario: simulator.Scenario) -> str:
     return config_hash(_corpus_cfg(scenario))
 
 
-def _cfg_value(cfg: dict, key: str, typ, path):
-    try:
-        return typ(cfg[key])
-    except KeyError:
-        raise StreamFuseError(f"{path}: missing key {key!r}") from None
-    except ValueError:
-        raise StreamFuseError(f"{path}: bad value {cfg[key]!r} for key {key!r}") from None
-
-
 def write_corpus(scenario: simulator.Scenario, outdir):
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    cfg = _corpus_cfg(scenario)
-    cfg["config_hash"] = config_hash(cfg)
-    write_config(cfg, outdir / "corpus.cfg")
+    write_config(_corpus_cfg(scenario), outdir / "corpus.cfg")
     (outdir / "hmm.json").write_text(json.dumps(_hmm_to_json(scenario.hmm)))
     records = []
     for utt in scenario.utterances:
@@ -268,11 +272,10 @@ def load_corpus(indir) -> simulator.Scenario:
     """
     indir = Path(indir)
     cfg_path = indir / "corpus.cfg"
-    cfg = read_config(cfg_path)
-    name = _cfg_value(cfg, "scenario", str, cfg_path)
-    fields = {attr: _cfg_value(cfg, key, typ, cfg_path) for key, attr, typ in CORPUS_KEYS}
+    types = {"scenario": str, **{key: typ for key, _, typ in CORPUS_KEYS}}
+    cfg = read_written_config(cfg_path, types)
     try:
-        spec = simulator.CorpusSpec(**fields)
+        spec = simulator.CorpusSpec(**{attr: cfg[key] for key, attr, _ in CORPUS_KEYS})
     except ValueError as e:
         raise StreamFuseError(f"{cfg_path}: {e}") from None
     hmm = _read_hmm(indir / "hmm.json")
@@ -316,7 +319,7 @@ def load_corpus(indir) -> simulator.Scenario:
         _utterance_streams(storage.read_stream_header, indir, manifest, rec, C)
         entries.append((rec, labels))
     return simulator.Scenario(
-        name=name,
+        name=cfg["scenario"],
         spec=spec,
         hmm=hmm,
         profiles=records[0].profiles,
@@ -456,15 +459,15 @@ def fuse_corpus(
     truncation = [_frame_method(method, n, base)]
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    cfg = {
-        "method": method,
-        "n": "" if n is None else n,
-        "base": base,
-        "window": "" if mcfg is None or mcfg.window is None else mcfg.window,
-        "model_digest": "" if model is None else _model_digest(model),
-        "corpus_hash": corpus_hash(corpus),
-    }
-    cfg["config_hash"] = config_hash(cfg)
+    values = (
+        method,
+        "" if n is None else n,
+        base,
+        "" if mcfg is None or mcfg.window is None else mcfg.window,
+        "" if model is None else _model_digest(model),
+        corpus_hash(corpus),
+    )
+    cfg = dict(zip(FUSE_KEYS, values, strict=True))
     for utt in corpus.utterances:
         aligned = align_streams(utt.streams)
         [sched], [fused] = _fuse_utterance(utt, aligned, truncation, model=model, mcfg=mcfg)
@@ -505,13 +508,15 @@ def _fused_name(fused_dir: Path, chash: str) -> str:
     path = fused_dir / "fuse.cfg"
     if not path.is_file():
         raise StreamFuseError(f"{fused_dir}: no fuse.cfg, so not a complete fuse output")
-    fcfg = read_config(path)
-    if fcfg.get("corpus_hash") != chash:
+    fcfg = read_written_config(path, dict.fromkeys(FUSE_KEYS, str))
+    if fcfg["corpus_hash"] != chash:
         raise StreamFuseError(
-            f"{path}: corpus_hash={fcfg.get('corpus_hash', '')}, but the corpus "
+            f"{path}: corpus_hash={fcfg['corpus_hash']}, but the corpus "
             f"being scored has {chash}: fused from another corpus"
         )
-    return _row_name(_cfg_value(fcfg, "method", str, path), fcfg.get("n"))
+    if fcfg["method"] not in FUSION_METHODS:
+        raise FormatError(f"{path}: method={fcfg['method']} is not a fusion method")
+    return _row_name(fcfg["method"], fcfg["n"])
 
 
 def evaluate_corpus(

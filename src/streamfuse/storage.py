@@ -21,7 +21,8 @@ model file ("STAE"):
 manifest: plain text, one record per line of whitespace-separated
 key=value fields (utt, frames, oracle, profiles); profiles is a
 semicolon-joined list of per-stream "lam:..,smear:..,fail:..,off:.."
-entries.  Unknown fields raise ManifestError naming the line.
+entries.  exact_fields reads each line and each profile, so an error names
+the file, the line and the token or key.
 
 Stream and schedule readers check the fixed-size header first: magic,
 version, dtype code, and a file size of exactly header + rows * columns * 4
@@ -275,6 +276,25 @@ def read_model(path) -> AeModel:
     return AeModel(front_end=fe, layers=layers, context=(left, right))
 
 
+def exact_fields(tokens, sep: str, keys: tuple, where: str, error=FormatError) -> dict:
+    """The key<sep>value tokens as a dict if each of keys comes once and no other
+    key comes; otherwise raises error naming where and the token or key."""
+    fields = {}
+    for token in tokens:
+        key, found, val = token.partition(sep)
+        if not found:
+            raise error(f"{where}: bad token {token!r}")
+        if key not in keys:
+            raise error(f"{where}: unknown key {key!r}")
+        if key in fields:
+            raise error(f"{where}: repeated key {key!r}")
+        fields[key] = val
+    missing = [k for k in keys if k not in fields]
+    if missing:
+        raise error(f"{where}: missing key {missing[0]!r}")
+    return fields
+
+
 @dataclass
 class UtteranceRecord:
     utt_id: int
@@ -287,28 +307,15 @@ def _profile_to_text(p: CorruptionProfile) -> str:
     return f"lam:{p.uniform_mix!r},smear:{p.smear_width},fail:{int(p.fail)},off:{p.offset}"
 
 
-def _profile_from_text(text: str, lineno: int) -> CorruptionProfile:
-    fields = {}
-    for part in text.split(","):
-        try:
-            key, val = part.split(":", 1)
-        except ValueError:
-            raise ManifestError(f"line {lineno}: bad profile token {part!r}") from None
-        fields[key] = val
-    try:
-        profile = CorruptionProfile(
-            uniform_mix=float(fields.pop("lam")),
-            smear_width=int(fields.pop("smear")),
-            fail=bool(int(fields.pop("fail"))),
-            offset=int(fields.pop("off")),
-        )
-    except KeyError as e:
-        raise ManifestError(f"line {lineno}: profile missing field {e}") from None
-    if fields:
-        raise ManifestError(
-            f"line {lineno}: unknown profile field {sorted(fields)[0]!r}"
-        )
-    return profile
+def _profile_from_text(text: str, where: str) -> CorruptionProfile:
+    keys = ("lam", "smear", "fail", "off")
+    fields = exact_fields(text.split(","), ":", keys, where, ManifestError)
+    return CorruptionProfile(
+        uniform_mix=float(fields["lam"]),
+        smear_width=int(fields["smear"]),
+        fail=bool(int(fields["fail"])),
+        offset=int(fields["off"]),
+    )
 
 
 def write_manifest(records: list[UtteranceRecord], path):
@@ -331,21 +338,12 @@ def read_manifest(path) -> list[UtteranceRecord]:
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
-            fields = {}
-            for token in line.split():
-                if "=" not in token:
-                    raise ManifestError(f"line {lineno}: bad token {token!r}")
-                key, val = token.split("=", 1)
-                if key not in _MANIFEST_KEYS:
-                    raise ManifestError(f"line {lineno}: unknown field {key!r}")
-                fields[key] = val
-            missing = [k for k in _MANIFEST_KEYS if k not in fields]
-            if missing:
-                raise ManifestError(f"line {lineno}: missing fields {missing}")
+            where = f"{path}: line {lineno}"
+            fields = exact_fields(line.split(), "=", _MANIFEST_KEYS, where, ManifestError)
             try:
                 profiles = [
-                    _profile_from_text(p, lineno)
-                    for p in fields["profiles"].split(";")
+                    _profile_from_text(p, f"{where}: profile {m}")
+                    for m, p in enumerate(fields["profiles"].split(";"))
                 ]
                 records.append(
                     UtteranceRecord(
@@ -356,5 +354,5 @@ def read_manifest(path) -> list[UtteranceRecord]:
                     )
                 )
             except ValueError as e:
-                raise ManifestError(f"line {lineno}: {e}") from None
+                raise ManifestError(f"{where}: {e}") from None
     return records

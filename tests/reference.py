@@ -22,7 +22,7 @@ from streamfuse import aemonitor, storage
 from streamfuse.core import LOG_EPS as PACKAGE_LOG_EPS
 from streamfuse.core import AttentionSchedule, align_streams, fuse, n_best_truncate, overlap_range
 from streamfuse.decoder import combine_reports, score, viterbi_batch
-from streamfuse.experiments import compute_schedule, read_config
+from streamfuse.experiments import compute_schedule, read_config_pairs
 from streamfuse.measures import _mean_time_distance, _window_bounds
 
 LOG_EPS = 1e-10
@@ -272,7 +272,7 @@ def evaluate_single_streams_ref(corpus):
 
 
 def evaluate_fused_dir_ref(corpus, fused_dir):
-    fcfg = read_config(fused_dir / "fuse.cfg")
+    fcfg = dict(read_config_pairs(fused_dir / "fuse.cfg"))
     name = fcfg["method"]
     if fcfg.get("n"):
         name += f":n={fcfg['n']}"

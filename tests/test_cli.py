@@ -1,7 +1,9 @@
 """End-to-end CLI behaviour, mostly through subprocess invocations."""
 
+import contextlib
 import dataclasses
 import inspect
+import io
 import re
 import shutil
 import struct
@@ -14,7 +16,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from streamfuse import aemonitor, cli, experiments, simulator, storage
-from streamfuse.decoder import make_hmm
 
 CLI = [sys.executable, "-m", "streamfuse.cli"]
 
@@ -44,6 +45,14 @@ def run(*args, cwd=None):
 def corpus(tmp_path_factory):
     out = tmp_path_factory.mktemp("cli") / "corpus"
     r = run("simulate", "--out", str(out), *SIM_FLAGS)
+    assert r.returncode == 0, r.stderr
+    return out
+
+
+@pytest.fixture(scope="module")
+def fused_entropy(corpus, tmp_path_factory):
+    out = tmp_path_factory.mktemp("cli-fused") / "entropy"
+    r = run("fuse", "--corpus", str(corpus), "--out", str(out), "--method", "entropy")
     assert r.returncode == 0, r.stderr
     return out
 
@@ -95,11 +104,10 @@ class TestSimulate:
     # Each value is outside the range the library accepts for the flag
     # (--frames-max 70 is below the default --frames-min, 80).
     @pytest.mark.parametrize("flag, value", [
-        ("--self-loop", "1.5"), ("--streams", "1"), ("--utterances", "0"),
+        ("--streams", "1"), ("--utterances", "0"),
         ("--classes", "1"), ("--frames-min", "0"), ("--frames-max", "0"), ("--frames-max", "70"),
         ("--alpha-true", "-1"), ("--alpha-true", "nan"), ("--alpha-other", "-0.5"),
         ("--conf-prob", "1.5"), ("--conf-len", "0.5"), ("--conf-len", "inf"),
-        ("--self-loop", "nan"),
     ])
     def test_out_of_range_flag_exits_2(self, tmp_path, flag, value):
         out = tmp_path / "x"
@@ -314,7 +322,8 @@ class TestFuse:
 
     @pytest.mark.parametrize("edit", ["oracle=99", "oracle=-1", "frames=3", "profiles",
                                       "stream T", "stream C", "off", "empty", "repeat",
-                                      "ref", "ref label", "clean off"])
+                                      "ref", "ref label", "clean off", "oracle twice",
+                                      "lam twice"])
     def test_manifest_contradicting_corpus_exits_3(self, corpus, tmp_path, edit):
         copy = tmp_path / "corpus"
         shutil.copytree(corpus, copy)
@@ -342,6 +351,10 @@ class TestFuse:
             first = head + "profiles=" + ";".join(profiles)
         elif edit == "repeat":
             rest[0] = first  # utt 0's record twice, utt 1's none
+        elif edit == "oracle twice":
+            first = re.sub(r"\boracle=\S+", lambda m: f"{m[0]} {m[0]}", first)
+        elif edit == "lam twice":
+            first = re.sub(r"profiles=(lam:[^,]+),", r"profiles=\1,\1,", first)
         elif edit == "ref":
             (copy / "utt0000.ref").write_text("0 1 x\n")
         elif edit == "ref label":
@@ -361,6 +374,8 @@ class TestFuse:
             "ref": "utt0000.ref: invalid literal",
             "ref label": "utt0000.ref: label 99 is not in [0, 6)",
             "clean off": "utt 0: utt0000_clean.strm has frame_offset 3, not 0",
+            "oracle twice": f"{manifest}: line 1: repeated key 'oracle'",
+            "lam twice": f"{manifest}: line 1: profile 0: repeated key 'lam'",
         }
         assert expected.get(edit, "utt 0:") in r.stderr
         if edit.startswith("stream") or edit == "off":
@@ -715,19 +730,112 @@ class TestEvaluate:
         assert "hmm.json: " in r.stderr and expected in r.stderr
         assert "Traceback" not in r.stderr
 
-    @pytest.mark.parametrize("bad", ["missing", "streams=abc"])
-    def test_bad_corpus_cfg_exits_3(self, corpus, tmp_path, bad):
+    # Each case drops the lines that start with drop (none when it is
+    # empty), appends the lines of add and names key in its error.
+    @pytest.mark.parametrize("drop, add, key", [
+        ("streams=", [], "streams"),
+        ("streams=", ["streams=abc"], "streams"),
+        ("", ["streams=3"], "streams"),
+        ("config_hash=", ["config_hash=0000"], "config_hash"),
+        ("config_hash=", [], "config_hash"),
+        ("config_hash=", ["cnfig_hash=1"], "cnfig_hash"),
+        ("", ["base4=1"], "base4"),
+    ], ids=["missing", "streams=abc", "streams twice", "config_hash=0000", "no config_hash",
+            "cnfig_hash=1", "base4=1"])
+    def test_bad_corpus_cfg_exits_3(self, corpus, tmp_path, drop, add, key):
         copy = tmp_path / "corpus"
         shutil.copytree(corpus, copy)
         cfg = copy / "corpus.cfg"
-        lines = [ln for ln in cfg.read_text().splitlines() if not ln.startswith("streams=")]
-        if bad != "missing":
-            lines.append(bad)
-        cfg.write_text("\n".join(lines) + "\n")
-        r = run("evaluate", "--corpus", str(copy), "--out", str(tmp_path / "r.tsv"))
+        lines = [ln for ln in cfg.read_text().splitlines() if not (drop and ln.startswith(drop))]
+        cfg.write_text("\n".join([*lines, *add]) + "\n")
+        report = tmp_path / "r.tsv"
+        r = run("evaluate", "--corpus", str(copy), "--out", str(report))
         assert r.returncode == 3
-        assert "'streams'" in r.stderr
+        assert f"{cfg}: " in r.stderr and f"'{key}'" in r.stderr
         assert "Traceback" not in r.stderr
+        assert not report.exists()
+
+    # As for corpus.cfg; rehash rewrites config_hash as the hash of the
+    # edited keys, so only the method check is left to catch the edit.
+    @pytest.mark.parametrize("drop, add, rehash, key", [
+        ("method=", ["method=bogus"], False, "'config_hash'"),
+        ("method=", ["method=bogus"], True, "method=bogus"),
+        ("config_hash=", ["config_hash=0000"], False, "'config_hash'"),
+        ("config_hash=", [], False, "'config_hash'"),
+        ("config_hash=", ["cnfig_hash=1"], False, "'cnfig_hash'"),
+        ("", ["base4=1"], False, "'base4'"),
+        ("", ["n="], False, "'n'"),
+    ], ids=["method=bogus", "method=bogus rehashed", "config_hash=0000", "no config_hash",
+            "cnfig_hash=1", "base4=1", "n twice"])
+    def test_bad_fuse_cfg_exits_3(self, corpus, fused_entropy, tmp_path, drop, add, rehash,
+                                  key):
+        fused = tmp_path / "entropy"
+        shutil.copytree(fused_entropy, fused)
+        cfg = fused / "fuse.cfg"
+        lines = [ln for ln in cfg.read_text().splitlines() if not (drop and ln.startswith(drop))]
+        lines += add
+        if rehash:
+            pairs = dict(ln.split("=", 1) for ln in lines if not ln.startswith("config_hash="))
+            experiments.write_config(pairs, cfg)
+        else:
+            cfg.write_text("\n".join(lines) + "\n")
+        report = tmp_path / "r.tsv"
+        r = run("evaluate", "--corpus", str(corpus), "--out", str(report), "--fused", str(fused))
+        assert r.returncode == 3
+        assert f"{cfg}: " in r.stderr and key in r.stderr
+        assert "Traceback" not in r.stderr
+        assert not report.exists()
+
+
+@pytest.fixture(scope="module")
+def mutable_copy(corpus, fused_entropy, tmp_path_factory):
+    """A copy of the corpus and of its entropy fused dir, and the bytes of
+    the evaluate report that scores both."""
+    root = tmp_path_factory.mktemp("cli-mutate")
+    shutil.copytree(corpus, root / "corpus")
+    shutil.copytree(fused_entropy, root / "fused")
+    rc, err = _evaluate_in_process(root, root / "want.tsv")
+    assert rc == 0, err
+    return root, (root / "want.tsv").read_bytes()
+
+
+def _evaluate_in_process(root, report) -> tuple[int, str]:
+    """cli.main's exit code and stderr for evaluate --fused on mutable_copy's root."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        rc = cli.main(["evaluate", "--corpus", str(root / "corpus"), "--out", str(report),
+                       "--fused", str(root / "fused")])
+    return rc, err.getvalue()
+
+
+# One character of one text file the evaluate step reads, replaced.  An
+# exception out of cli.main (a traceback from the command line) fails the
+# test, and so does any exit but 0 or 3.  Exit 3 must come before the
+# report is written, and exit 0 must give the unmutated report unless the
+# labels changed.
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    name=st.sampled_from(("corpus.cfg", "manifest.txt", "hmm.json", "utt0001.ref", "fuse.cfg")),
+    char=st.sampled_from("0123456789.-+eE=:;,_ \nabflnrstu#[]{}\""),
+    data=st.data(),
+)
+def test_one_character_edit_exits_0_with_the_same_report_or_3(mutable_copy, name, char, data):
+    root, want = mutable_copy
+    path = root / ("fused" if name == "fuse.cfg" else "corpus") / name
+    text = path.read_text()
+    at = data.draw(st.integers(0, len(text) - 1), label="at")
+    report = root / "report.tsv"
+    report.unlink(missing_ok=True)
+    path.write_text(text[:at] + char + text[at + 1 :])
+    try:
+        rc, err = _evaluate_in_process(root, report)
+    finally:
+        path.write_text(text)
+    assert rc in (0, 3), err
+    if rc == 3:
+        assert err.startswith("error: ") and not report.exists()
+    elif name != "utt0001.ref":
+        assert report.read_bytes() == want
 
 
 @pytest.fixture(scope="module")
@@ -764,8 +872,6 @@ class TestParser:
             library = getattr(simulator.CorpusSpec, key)
             assert getattr(sim, key) == library
             assert type(getattr(sim, key)) is type(library)
-        self_loop = inspect.signature(make_hmm).parameters["self_loop"].default
-        assert sim.self_loop == self_loop and type(sim.self_loop) is float
 
         train = parse(["train-ae", "--corpus", "c", "--out", "m"])
         cfg = aemonitor.TrainConfig()

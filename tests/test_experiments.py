@@ -50,7 +50,7 @@ def test_load_corpus_round_trips_the_scenario(written, hrm_corpus):
         for gs, ss in zip([g.clean, *g.streams.streams], [s.clean, *s.streams.streams]):
             assert (gs.stream_id, gs.frame_offset) == (ss.stream_id, ss.frame_offset)
             np.testing.assert_allclose(gs.probs, ss.probs, rtol=1e-6, atol=1e-12)
-    stored = experiments.read_config(outdir / "corpus.cfg")["config_hash"]
+    stored = dict(experiments.read_config_pairs(outdir / "corpus.cfg"))["config_hash"]
     assert experiments.corpus_hash(got) == experiments.corpus_hash(scen) == stored
 
 

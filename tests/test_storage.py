@@ -358,7 +358,7 @@ class TestManifest:
         path.write_text(path.read_text() + "garbage\n")
         with pytest.raises(ManifestError) as exc:
             read_manifest(path)
-        assert "line 3" in str(exc.value)
+        assert f"{path}: line 3: bad token 'garbage'" in str(exc.value)
 
     def test_unknown_field_rejected(self, tmp_path):
         path = tmp_path / "manifest.txt"
@@ -373,6 +373,19 @@ class TestManifest:
         with pytest.raises(ManifestError) as exc:
             read_manifest(path)
         assert "oracle" in str(exc.value)
+
+    @pytest.mark.parametrize("line, error", [
+        ("utt=0 frames=5 oracle=0 oracle=0 profiles=lam:0.0,smear:0,fail:0,off:0",
+         "line 1: repeated key 'oracle'"),
+        ("utt=0 frames=5 oracle=0 profiles=lam:0.0,smear:0,fail:0,off:0,lam:0.0",
+         "line 1: profile 0: repeated key 'lam'"),
+    ], ids=["field", "profile field"])
+    def test_repeated_key_rejected(self, tmp_path, line, error):
+        path = tmp_path / "manifest.txt"
+        path.write_text(line + "\n")
+        with pytest.raises(ManifestError) as exc:
+            read_manifest(path)
+        assert f"{path}: {error}" in str(exc.value)
 
     def test_unknown_profile_field_rejected(self, tmp_path):
         path = tmp_path / "manifest.txt"
