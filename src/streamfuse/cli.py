@@ -228,8 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="generate a synthetic multi-stream corpus")
     p.add_argument("--out", required=True, help="output corpus directory")
-    # The library's "custom" scenario takes profiles no flag can give.
-    p.add_argument("--scenario", required=True, choices=("ldc_like", "hrm_like"))
+    p.add_argument("--scenario", required=True, choices=tuple(simulator.SCENARIO_PROFILES))
     p.add_argument("--streams", required=True, type=_in_range(int, spec_range["num_streams"]),
                    help="number of parallel streams (M)")
     p.add_argument("--utterances", required=True,

@@ -119,15 +119,15 @@ def inverse_weights(scores: np.ndarray, floor: float) -> np.ndarray:
     return inv / inv.sum(axis=-1, keepdims=True)
 
 
-def check_range(name: str, value, bounds: tuple) -> None:
-    """Raise ValueError unless value is finite and lies in the closed range bounds = (lo, hi).
+def check_range(name: str, value, bounds: tuple, error=ValueError) -> None:
+    """Raise error unless value is finite and lies in the closed range bounds = (lo, hi).
 
     The package's one closed-range test of a number: NaN, inf and -inf fail
     whatever the bounds, so hi = inf only leaves the range open above.
     """
     lo, hi = bounds
     if not (lo <= value <= hi and -math.inf < value < math.inf):
-        raise ValueError(f"{name}={value!r} is not a finite number in [{lo}, {hi}]")
+        raise error(f"{name}={value!r} is not a finite number in [{lo}, {hi}]")
 
 
 def overlap_range(sset: StreamSet) -> tuple[int, int]:
@@ -155,15 +155,14 @@ def align_streams(sset: StreamSet) -> StreamSet:
     Output streams all carry offset 0 and share length; applying the
     operation twice is a no-op.  Reference frame k of stream i lives at
     index k + offset_i, so the aligned index j maps to reference frame
-    lo + j with (lo, length) = overlap_range(sset).
+    lo + j with (lo, length) = overlap_range(sset).  Each output's probs is
+    a view of its input's rows, not a copy.
     """
     lo, length = overlap_range(sset)
     out = []
     for s in sset.streams:
         start = lo + s.frame_offset
-        out.append(
-            replace(s, probs=s.probs[start : start + length].copy(), frame_offset=0)
-        )
+        out.append(replace(s, probs=s.probs[start : start + length], frame_offset=0))
     return StreamSet(out)
 
 
@@ -201,8 +200,7 @@ def n_best_truncate(sched: AttentionSchedule, n: int) -> AttentionSchedule:
     n=M is the identity.
     """
     M = sched.num_streams
-    if not 1 <= n <= M:
-        raise InvalidN(f"n must be in [1, {M}], got {n}")
+    check_range("n", n, (1, M), InvalidN)
     if n == M:
         return AttentionSchedule(sched.weights.copy())
     # Stable sort on descending weight keeps equal weights in index order.

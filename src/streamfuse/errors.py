@@ -21,10 +21,6 @@ class WindowTooShort(StreamFuseError):
     """Analysis window too short for the configured time spans."""
 
 
-class ProfileMismatch(StreamFuseError):
-    """Corruption profile count does not match the stream count."""
-
-
 class DegenerateData(StreamFuseError):
     """Training data covariance has insufficient rank for PCA."""
 

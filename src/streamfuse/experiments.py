@@ -19,18 +19,18 @@ Reports are tab-separated tables with a header row; lines starting with
 "#" carry the config hash.
 
 When each check runs: load_corpus reads corpus.cfg (read_written_config),
-hmm.json, the manifest, every label file and every stream file's header, and
-checks them against each other (record count, distinct utterance ids, oracle
-index, profile count, label count and range, each stream's frames, classes
-and frame_offset: its profile's off, 0 for the clean stream; each file's
-size), so a corpus that contradicts itself fails before any output exists.
-hmm.json's rows pass core.check_simplex in HmmModel.  A stream's payload is
-read, and its rows checked by core.check_simplex, only when its utterance is
-taken from the corpus's utterances, so fuse_corpus and evaluate_corpus hold
-one utterance at a time.  fuse checks each schedule and fused stream, and
-the storage writers check every matrix before they write it.  Before the
-first utterance, evaluate_corpus reads each fused directory's fuse.cfg by
-read_written_config and checks its method and corpus hash; it checks each
+which decides the rest: hmm.json must be the bytes and the manifest the
+records that write_corpus writes for it.  It then checks every label file
+and every stream file's header against the manifest (label count and range,
+each stream's frames, classes and frame_offset: its profile's off, 0 for the
+clean stream; each file's size), so a corpus that contradicts itself fails
+before any output exists.  A stream's payload is read, and its rows checked
+by core.check_simplex, only when its utterance is taken from the corpus's
+utterances, so fuse_corpus and evaluate_corpus hold one utterance at a time.
+fuse checks each schedule and fused stream, and the storage writers check
+every matrix before they write it.  Before the first utterance,
+evaluate_corpus reads each fused directory's fuse.cfg by read_written_config
+and checks its settings (check_settings) and corpus hash; it checks each
 fused stream's shape and frame_offset (0) as it reads it.
 """
 
@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import operator
 from collections.abc import Sequence
 from pathlib import Path
@@ -50,6 +51,7 @@ from .core import (
     PosteriorStream,
     StreamSet,
     align_streams,
+    check_range,
     fuse,
     n_best_truncate,
     overlap_range,
@@ -104,28 +106,6 @@ def read_written_config(path, types: dict) -> dict:
     return values
 
 
-def _hmm_to_json(hmm: HmmModel) -> dict:
-    return {
-        "transitions": hmm.transitions.tolist(),
-        "priors": hmm.priors.tolist(),
-        "labels": list(hmm.labels),
-    }
-
-
-def _read_hmm(path: Path) -> HmmModel:
-    """The HMM an hmm.json file holds, the keys of _hmm_to_json and no others.
-
-    A bad file raises StreamFuseError naming it and the missing or unknown
-    key, the wrong type or shape, or the row off the simplex.
-    """
-    try:
-        return HmmModel(**json.loads(path.read_text()))
-    # IndexError: a scalar where HmmModel takes the shape of an array;
-    # StreamFuseError: a shape mismatch or a row off the simplex.
-    except (TypeError, ValueError, IndexError, StreamFuseError) as e:
-        raise StreamFuseError(f"{path}: {e}") from None
-
-
 # One row per spec key of corpus.cfg: (key, CorpusSpec field, type).
 # write_corpus writes these keys, load_corpus parses them back, and each
 # is the dest of the simulate flag that sets its field.
@@ -141,8 +121,19 @@ CORPUS_KEYS = (
     ("conf_prob", "conf_prob", float),
     ("conf_len", "conf_len", float),
 )
-# The keys of fuse.cfg but config_hash, in the order fuse_corpus lists their values.
-FUSE_KEYS = ("method", "n", "base", "window", "model_digest", "corpus_hash")
+
+
+def _count_or_empty(text: str):
+    """A fuse.cfg n or window: "" (not set) as itself, else an int >= 1."""
+    if text:
+        check_range("value", int(text), (1, math.inf))
+    return text and int(text)
+
+
+# The keys of fuse.cfg but config_hash, each with the type its value is read
+# by, in the order fuse_corpus lists their values.
+FUSE_KEYS = {"method": str, "n": _count_or_empty, "base": str, "window": _count_or_empty,
+             "model_digest": str, "corpus_hash": str}
 
 
 def _corpus_cfg(scenario: simulator.Scenario) -> dict:
@@ -159,12 +150,24 @@ def corpus_hash(scenario: simulator.Scenario) -> str:
     return config_hash(_corpus_cfg(scenario))
 
 
+def _corpus_files(name: str, spec: simulator.CorpusSpec) -> tuple:
+    """The facts scenario name fixes under spec (simulator.corpus_facts), and
+    the bytes of hmm.json and the manifest records that write_corpus writes."""
+    facts = simulator.corpus_facts(name, spec)
+    hmm = facts.hmm
+    fields = {"transitions": hmm.transitions.tolist(), "priors": hmm.priors.tolist(),
+              "labels": list(hmm.labels)}
+    records = [storage.UtteranceRecord(u, frames, facts.oracle_stream, facts.profiles)
+               for u, frames in enumerate(facts.frames)]
+    return facts, json.dumps(fields).encode(), records
+
+
 def write_corpus(scenario: simulator.Scenario, outdir):
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
+    _, hmm_json, records = _corpus_files(scenario.name, scenario.spec)
     write_config(_corpus_cfg(scenario), outdir / "corpus.cfg")
-    (outdir / "hmm.json").write_text(json.dumps(_hmm_to_json(scenario.hmm)))
-    records = []
+    (outdir / "hmm.json").write_bytes(hmm_json)
     for utt in scenario.utterances:
         tag = f"utt{utt.utt_id:04d}"
         (outdir / f"{tag}.ref").write_text(
@@ -173,14 +176,6 @@ def write_corpus(scenario: simulator.Scenario, outdir):
         storage.write_stream(utt.clean, outdir / f"{tag}_clean.strm")
         for m, stream in enumerate(utt.streams.streams):
             storage.write_stream(stream, outdir / f"{tag}_s{m:02d}.strm")
-        records.append(
-            storage.UtteranceRecord(
-                utt_id=utt.utt_id,
-                num_frames=len(utt.labels),
-                oracle_stream=utt.oracle_stream,
-                profiles=scenario.profiles,
-            )
-        )
     storage.write_manifest(records, outdir / "manifest.txt")
 
 
@@ -263,44 +258,41 @@ class _DiskUtterances(Sequence):
 def load_corpus(indir) -> simulator.Scenario:
     """Read a corpus directory back into the Scenario write_corpus was given.
 
-    corpus.cfg, hmm.json, the manifest, every label file and every stream
-    header are read and checked against each other here, so a directory that
-    contradicts itself fails before any output exists.  The scenario's
-    utterances are a read-only sequence that reads an utterance's stream
-    payloads, and checks their rows are on the simplex, only when it is taken;
-    its clean_streams() reads the clean streams alone.
+    corpus.cfg decides the corpus: hmm.json and the manifest must be what
+    write_corpus writes for it, and every label file and stream header must
+    fit the manifest, so a directory that contradicts itself fails here,
+    before any output exists.  The scenario's utterances are a read-only
+    sequence that reads an utterance's stream payloads, and checks their rows
+    are on the simplex, only when it is taken; its clean_streams() reads the
+    clean streams alone.
     """
     indir = Path(indir)
-    cfg_path = indir / "corpus.cfg"
+    cfg_path, hmm_path, manifest = (indir / n for n in ("corpus.cfg", "hmm.json", "manifest.txt"))
     types = {"scenario": str, **{key: typ for key, _, typ in CORPUS_KEYS}}
     cfg = read_written_config(cfg_path, types)
+    hmm_json, records = hmm_path.read_bytes(), storage.read_manifest(manifest)
+    hmm_mismatch = StreamFuseError(f"{hmm_path} is not the JSON of the HMM {cfg_path} gives")
+    manifest_mismatch = StreamFuseError(f"{manifest} is not the manifest {cfg_path} gives")
     try:
         spec = simulator.CorpusSpec(**{attr: cfg[key] for key, attr, _ in CORPUS_KEYS})
+        # hmm.json takes a byte or more for each of the classes**2 transitions,
+        # and the manifest holds utterances x streams profiles: settings too
+        # large for the files are refused before anything is derived at their size.
+        if spec.num_classes**2 > len(hmm_json):
+            raise hmm_mismatch
+        if spec.num_utterances * spec.num_streams > sum(len(r.profiles) for r in records):
+            raise manifest_mismatch
+        facts, want_hmm_json, want_records = _corpus_files(cfg["scenario"], spec)
     except ValueError as e:
         raise StreamFuseError(f"{cfg_path}: {e}") from None
-    hmm = _read_hmm(indir / "hmm.json")
-    manifest = indir / "manifest.txt"
-    records = storage.read_manifest(manifest)
-    distinct = len({rec.utt_id for rec in records})
-    if not len(records) == distinct == spec.num_utterances:
-        raise StreamFuseError(
-            f"{manifest}: {len(records)} records of {distinct} distinct utterances, "
-            f"but {cfg_path} says utterances={spec.num_utterances}"
-        )
-    M, C = spec.num_streams, len(hmm.priors)
+    if hmm_json != want_hmm_json:
+        raise hmm_mismatch
+    if records != want_records:
+        raise manifest_mismatch
+    C = spec.num_classes
     entries = []
     for rec in records:
         tag = f"utt{rec.utt_id:04d}"
-        if not 0 <= rec.oracle_stream < M:
-            raise StreamFuseError(
-                f"{manifest}: utt {rec.utt_id}: oracle={rec.oracle_stream} "
-                f"is not in [0, {M})"
-            )
-        if len(rec.profiles) != M:
-            raise StreamFuseError(
-                f"{manifest}: utt {rec.utt_id}: "
-                f"{len(rec.profiles)} profiles for {M} streams"
-            )
         ref = indir / f"{tag}.ref"
         try:
             labels = np.array([int(x) for x in ref.read_text().split()], dtype=np.intp)
@@ -321,8 +313,8 @@ def load_corpus(indir) -> simulator.Scenario:
     return simulator.Scenario(
         name=cfg["scenario"],
         spec=spec,
-        hmm=hmm,
-        profiles=records[0].profiles,
+        hmm=facts.hmm,
+        profiles=facts.profiles,
         utterances=_DiskUtterances(indir, manifest, C, entries),
     )
 
@@ -508,14 +500,17 @@ def _fused_name(fused_dir: Path, chash: str) -> str:
     path = fused_dir / "fuse.cfg"
     if not path.is_file():
         raise StreamFuseError(f"{fused_dir}: no fuse.cfg, so not a complete fuse output")
-    fcfg = read_written_config(path, dict.fromkeys(FUSE_KEYS, str))
+    fcfg = read_written_config(path, FUSE_KEYS)
     if fcfg["corpus_hash"] != chash:
         raise StreamFuseError(
             f"{path}: corpus_hash={fcfg['corpus_hash']}, but the corpus "
             f"being scored has {chash}: fused from another corpus"
         )
-    if fcfg["method"] not in FUSION_METHODS:
-        raise FormatError(f"{path}: method={fcfg['method']} is not a fusion method")
+    try:
+        check_settings(fcfg["method"], base=fcfg["base"], window=fcfg["window"] or None,
+                       model=fcfg["model_digest"] or None)
+    except StreamFuseError as e:  # an unknown method or base, or a SettingError
+        raise FormatError(f"{path}: {e}") from None
     return _row_name(fcfg["method"], fcfg["n"])
 
 

@@ -12,12 +12,12 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
 from .core import PosteriorStream, StreamSet, check_range, renormalize_rows
 from .decoder import HmmModel, make_hmm
-from .errors import ProfileMismatch
 
 # rng sub-key constants: one independent generator per (seed, utterance, key).
 _KEY_LABELS = 1
@@ -257,35 +257,48 @@ def oracle_stream_index(profiles: list[CorruptionProfile]) -> int:
     return min(working)[1]
 
 
-def build_scenario(
-    name: str,
-    spec: CorpusSpec,
-    profiles: list[CorruptionProfile] | None = None,
-    hmm: HmmModel | None = None,
-) -> Scenario:
-    """Generate a full ground-truthed corpus for a named scenario.
+# The stream profiles of each scenario, by name.
+SCENARIO_PROFILES = {"ldc_like": ldc_like_profiles, "hrm_like": hrm_like_profiles}
 
-    name is "ldc_like", "hrm_like" or "custom"; custom requires explicit
-    profiles.  Each stream gets an independent emission of the shared label
-    path before corruption.
+
+class CorpusFacts(NamedTuple):
+    """What a scenario name and a CorpusSpec fix before any label is drawn."""
+
+    hmm: HmmModel
+    profiles: list[CorruptionProfile]  # one per stream
+    oracle_stream: int
+    frames: list[int]  # per utterance
+
+
+def corpus_facts(name: str, spec: CorpusSpec) -> CorpusFacts:
+    """The HMM (make_hmm(classes, seed)), the stream profiles, the oracle stream
+    and each utterance's frame count of scenario name under spec.
+
+    An unknown name raises ValueError.
     """
-    if name == "ldc_like" and profiles is None:
-        profiles = ldc_like_profiles(spec.num_streams)
-    elif name == "hrm_like" and profiles is None:
-        profiles = hrm_like_profiles(spec.num_streams)
-    elif profiles is None:
-        raise ProfileMismatch(f"scenario {name!r} requires explicit profiles")
-    if len(profiles) != spec.num_streams:
-        raise ProfileMismatch(
-            f"{len(profiles)} profiles for {spec.num_streams} streams"
-        )
-    hmm = hmm or make_hmm(spec.num_classes, spec.seed)
-    oracle = oracle_stream_index(profiles)
-    labels, cleans = generate_reference(spec, hmm)
+    if name not in SCENARIO_PROFILES:
+        raise ValueError(f"unknown scenario {name!r}, not one of {', '.join(SCENARIO_PROFILES)}")
+    profiles = SCENARIO_PROFILES[name](spec.num_streams)
+    return CorpusFacts(
+        hmm=make_hmm(spec.num_classes, spec.seed),
+        profiles=profiles,
+        oracle_stream=oracle_stream_index(profiles),
+        frames=[_utterance_frames(spec, u) for u in range(spec.num_utterances)],
+    )
+
+
+def build_scenario(name: str, spec: CorpusSpec) -> Scenario:
+    """Generate a full ground-truthed corpus for a scenario of SCENARIO_PROFILES.
+
+    Each stream gets an independent emission of the shared label path
+    before corruption.
+    """
+    facts = corpus_facts(name, spec)
+    labels, cleans = generate_reference(spec, facts.hmm)
     utterances = []
     for u in range(spec.num_utterances):
         streams = []
-        for m, prof in enumerate(profiles):
+        for m, prof in enumerate(facts.profiles):
             emitted = PosteriorStream(
                 probs=_emit(spec, labels[u], [spec.seed, u, _KEY_EMIT + m]), stream_id=m
             )
@@ -298,7 +311,7 @@ def build_scenario(
                 labels=labels[u],
                 clean=cleans[u],
                 streams=StreamSet(streams),
-                oracle_stream=oracle,
+                oracle_stream=facts.oracle_stream,
             )
         )
-    return Scenario(name=name, spec=spec, hmm=hmm, profiles=list(profiles), utterances=utterances)
+    return Scenario(name, spec, facts.hmm, facts.profiles, utterances)

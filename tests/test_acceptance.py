@@ -67,7 +67,7 @@ def build_corpus(name, outdir) -> simulator.Scenario:
         num_streams=STREAMS,
         seed=SEED,
     )
-    scen = build_scenario(name, spec, hmm=make_hmm(CLASSES, SEED))
+    scen = build_scenario(name, spec)
     experiments.write_corpus(scen, outdir)
     return experiments.load_corpus(outdir)
 

@@ -4,6 +4,7 @@ import contextlib
 import dataclasses
 import inspect
 import io
+import json
 import re
 import shutil
 import struct
@@ -16,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from streamfuse import aemonitor, cli, experiments, simulator, storage
+from streamfuse.decoder import make_hmm
 
 CLI = [sys.executable, "-m", "streamfuse.cli"]
 
@@ -66,6 +68,13 @@ def model(corpus, tmp_path_factory):
     )
     assert r.returncode == 0, r.stderr
     return path
+
+
+def _hmm_json_text(hmm) -> str:
+    """The hmm.json text simulate writes for hmm."""
+    fields = {"transitions": hmm.transitions.tolist(), "priors": hmm.priors.tolist(),
+              "labels": list(hmm.labels)}
+    return json.dumps(fields)
 
 
 def tree_bytes(root):
@@ -124,7 +133,6 @@ class TestSimulate:
         assert r.returncode == 2
 
     def test_custom_scenario_exits_2(self, tmp_path):
-        # The library's custom scenario needs profiles that no flag can give.
         r = run("simulate", "--out", str(tmp_path / "x"), "--scenario", "custom",
                 "--streams", "2", "--utterances", "2", "--seed", "1")
         assert r.returncode == 2
@@ -320,26 +328,29 @@ class TestFuse:
         assert f"error: argument {flag}: " in r.stderr
         assert not out.exists()
 
+    # An edit "key=old→new" (or "key:old→new") replaces the first key=old of
+    # the manifest by key=new; both values are in range.
     @pytest.mark.parametrize("edit", ["oracle=99", "oracle=-1", "frames=3", "profiles",
-                                      "stream T", "stream C", "off", "empty", "repeat",
-                                      "ref", "ref label", "clean off", "oracle twice",
-                                      "lam twice"])
+                                      "stream T", "stream C", "off", "stream off", "empty",
+                                      "repeat", "ref", "ref label", "clean off",
+                                      "oracle twice", "lam twice", "oracle=0→2",
+                                      "lam:0.05→0.5"])
     def test_manifest_contradicting_corpus_exits_3(self, corpus, tmp_path, edit):
         copy = tmp_path / "corpus"
         shutil.copytree(corpus, copy)
         manifest = copy / "manifest.txt"
         first, *rest = manifest.read_text().splitlines()
-        if edit.startswith("stream"):
+        if edit.endswith(" off"):
+            path = copy / ("utt0000_clean.strm" if edit == "clean off" else "utt0000_s01.strm")
+            storage.write_stream(dataclasses.replace(storage.read_stream(path), frame_offset=3),
+                                 path)
+        elif edit.startswith("stream"):
             # One frame short of the manifest's frames, or one class more
             # than hmm.json's states.
             path = copy / "utt0000_s01.strm"
             s = storage.read_stream(path)
             probs = s.probs[:-1] if edit == "stream T" else np.pad(s.probs, ((0, 0), (0, 1)))
             storage.write_stream(dataclasses.replace(s, probs=probs), path)
-        elif edit == "clean off":
-            path = copy / "utt0000_clean.strm"
-            storage.write_stream(dataclasses.replace(storage.read_stream(path), frame_offset=3),
-                                 path)
         elif edit == "profiles":
             first = first.rsplit(";", 1)[0]  # drop the last stream's profile
         elif edit == "off":
@@ -355,6 +366,9 @@ class TestFuse:
             first = re.sub(r"\boracle=\S+", lambda m: f"{m[0]} {m[0]}", first)
         elif edit == "lam twice":
             first = re.sub(r"profiles=(lam:[^,]+),", r"profiles=\1,\1,", first)
+        elif "→" in edit:
+            key, old, new = re.fullmatch(r"(\w+[=:])(.+)→(.+)", edit).groups()
+            first = first.replace(key + old, key + new, 1)
         elif edit == "ref":
             (copy / "utt0000.ref").write_text("0 1 x\n")
         elif edit == "ref label":
@@ -369,16 +383,18 @@ class TestFuse:
         r = run("fuse", "--corpus", str(copy), "--out", str(out), "--method", "oracle")
         assert r.returncode == 3
         expected = {
-            "empty": "0 records of 0 distinct utterances, but",
-            "repeat": "4 records of 3 distinct utterances, but",
+            "stream T": "utt 0:",
+            "stream C": "utt 0:",
+            "stream off": "utt 0: utt0000_s01.strm has frame_offset 3, not 1",
             "ref": "utt0000.ref: invalid literal",
             "ref label": "utt0000.ref: label 99 is not in [0, 6)",
             "clean off": "utt 0: utt0000_clean.strm has frame_offset 3, not 0",
             "oracle twice": f"{manifest}: line 1: repeated key 'oracle'",
             "lam twice": f"{manifest}: line 1: profile 0: repeated key 'lam'",
         }
-        assert expected.get(edit, "utt 0:") in r.stderr
-        if edit.startswith("stream") or edit == "off":
+        mismatch = f"error: {manifest} is not the manifest {copy / 'corpus.cfg'} gives\n"
+        assert expected.get(edit, mismatch) in r.stderr
+        if edit.startswith("stream"):
             assert "utt0000_s01.strm" in r.stderr
         assert "Traceback" not in r.stderr
         assert not out.exists()
@@ -707,47 +723,51 @@ class TestEvaluate:
         assert "stream payload" in r.stderr
         assert "Traceback" not in r.stderr
 
-    @pytest.mark.parametrize("text, expected", [
-        ('{"priors": [1]}', "arguments: 'transitions'"),
-        ("[1, 2]", "must be a mapping, not list"),
-        ('{"transitions": 5, "priors": [1], "labels": ["a"]}', "hmm.json: "),
-        ('{"transitions": [[1]], "priors": [1], "labels": 5}', "not iterable"),
-        ('{"transitions": [[1]], "priors": [1], "labels": ["a"], "x": 1}', "argument 'x'"),
-        ('{"transitions": [[NaN, 1], [0.5, 0.5]], "priors": [NaN, 0.5], "labels": ["a", "b"]}',
-         "transitions: negative or non-finite entries"),
-        ('{"transitions": [[1.42, -0.42], [0.5, 0.5]], "priors": [0.5, 0.5], "labels": ["a", "b"]}',
-         "transitions: negative or non-finite entries"),
-        ('{"transitions": [[1, 0], [0, 1]], "priors": [0.5, 0.6], "labels": ["a", "b"]}',
-         "priors: row 0 sums to 1.10000000"),
+    # The last case is the hmm.json of a valid 6-state HMM of another seed.
+    @pytest.mark.parametrize("text", [
+        '{"priors": [1]}',
+        "[1, 2]",
+        '{"transitions": 5, "priors": [1], "labels": ["a"]}',
+        '{"transitions": [[1]], "priors": [1], "labels": 5}',
+        '{"transitions": [[1]], "priors": [1], "labels": ["a"], "x": 1}',
+        '{"transitions": [[NaN, 1], [0.5, 0.5]], "priors": [NaN, 0.5], "labels": ["a", "b"]}',
+        '{"transitions": [[1.42, -0.42], [0.5, 0.5]], "priors": [0.5, 0.5], "labels": ["a", "b"]}',
+        '{"transitions": [[1, 0], [0, 1]], "priors": [0.5, 0.6], "labels": ["a", "b"]}',
+        _hmm_json_text(make_hmm(6, 6)),
     ], ids=["no transitions", "list", "scalar transitions", "scalar labels", "unknown key",
-            "nan", "negative", "priors sum"])
-    def test_bad_hmm_json_exits_3(self, corpus, tmp_path, text, expected):
+            "nan", "negative", "priors sum", "another seed"])
+    def test_bad_hmm_json_exits_3(self, corpus, tmp_path, text):
         copy = tmp_path / "corpus"
         shutil.copytree(corpus, copy)
         (copy / "hmm.json").write_text(text)
-        r = run("evaluate", "--corpus", str(copy), "--out", str(tmp_path / "r.tsv"))
+        report = tmp_path / "r.tsv"
+        r = run("evaluate", "--corpus", str(copy), "--out", str(report))
         assert r.returncode == 3
-        assert "hmm.json: " in r.stderr and expected in r.stderr
-        assert "Traceback" not in r.stderr
+        assert r.stderr == (
+            f"error: {copy / 'hmm.json'} is not the JSON of the HMM {copy / 'corpus.cfg'} gives\n"
+        )
+        assert not report.exists()
 
     # Each case drops the lines that start with drop (none when it is
-    # empty), appends the lines of add and names key in its error.
-    @pytest.mark.parametrize("drop, add, key", [
-        ("streams=", [], "streams"),
-        ("streams=", ["streams=abc"], "streams"),
-        ("", ["streams=3"], "streams"),
-        ("config_hash=", ["config_hash=0000"], "config_hash"),
-        ("config_hash=", [], "config_hash"),
-        ("config_hash=", ["cnfig_hash=1"], "cnfig_hash"),
-        ("", ["base4=1"], "base4"),
+    # empty), appends the lines of add and names key in its error; rehash
+    # rewrites config_hash as the hash of the edited keys.
+    @pytest.mark.parametrize("drop, add, rehash, key", [
+        ("streams=", [], False, "streams"),
+        ("streams=", ["streams=abc"], False, "streams"),
+        ("", ["streams=3"], False, "streams"),
+        ("config_hash=", ["config_hash=0000"], False, "config_hash"),
+        ("config_hash=", [], False, "config_hash"),
+        ("config_hash=", ["cnfig_hash=1"], False, "cnfig_hash"),
+        ("", ["base4=1"], False, "base4"),
+        ("scenario=", ["scenario=custom"], True, "custom"),
     ], ids=["missing", "streams=abc", "streams twice", "config_hash=0000", "no config_hash",
-            "cnfig_hash=1", "base4=1"])
-    def test_bad_corpus_cfg_exits_3(self, corpus, tmp_path, drop, add, key):
+            "cnfig_hash=1", "base4=1", "scenario=custom rehashed"])
+    def test_bad_corpus_cfg_exits_3(self, corpus, tmp_path, drop, add, rehash, key):
         copy = tmp_path / "corpus"
         shutil.copytree(corpus, copy)
         cfg = copy / "corpus.cfg"
         lines = [ln for ln in cfg.read_text().splitlines() if not (drop and ln.startswith(drop))]
-        cfg.write_text("\n".join([*lines, *add]) + "\n")
+        _write_cfg_lines(cfg, [*lines, *add], rehash)
         report = tmp_path / "r.tsv"
         r = run("evaluate", "--corpus", str(copy), "--out", str(report))
         assert r.returncode == 3
@@ -755,36 +775,42 @@ class TestEvaluate:
         assert "Traceback" not in r.stderr
         assert not report.exists()
 
-    # As for corpus.cfg; rehash rewrites config_hash as the hash of the
-    # edited keys, so only the method check is left to catch the edit.
+    # As for corpus.cfg; a rehashed edit is left to the checks of the values.
     @pytest.mark.parametrize("drop, add, rehash, key", [
         ("method=", ["method=bogus"], False, "'config_hash'"),
-        ("method=", ["method=bogus"], True, "method=bogus"),
+        ("method=", ["method=bogus"], True, "unknown fusion method 'bogus'"),
         ("config_hash=", ["config_hash=0000"], False, "'config_hash'"),
         ("config_hash=", [], False, "'config_hash'"),
         ("config_hash=", ["cnfig_hash=1"], False, "'cnfig_hash'"),
         ("", ["base4=1"], False, "'base4'"),
         ("", ["n="], False, "'n'"),
+        ("n=", ["n=abc"], True, "bad value 'abc' for key 'n'"),
+        ("base=", ["base=m_measure"], True, "base: only the max_n method reads it"),
     ], ids=["method=bogus", "method=bogus rehashed", "config_hash=0000", "no config_hash",
-            "cnfig_hash=1", "base4=1", "n twice"])
+            "cnfig_hash=1", "base4=1", "n twice", "n=abc rehashed", "base=m_measure rehashed"])
     def test_bad_fuse_cfg_exits_3(self, corpus, fused_entropy, tmp_path, drop, add, rehash,
                                   key):
         fused = tmp_path / "entropy"
         shutil.copytree(fused_entropy, fused)
         cfg = fused / "fuse.cfg"
         lines = [ln for ln in cfg.read_text().splitlines() if not (drop and ln.startswith(drop))]
-        lines += add
-        if rehash:
-            pairs = dict(ln.split("=", 1) for ln in lines if not ln.startswith("config_hash="))
-            experiments.write_config(pairs, cfg)
-        else:
-            cfg.write_text("\n".join(lines) + "\n")
+        _write_cfg_lines(cfg, [*lines, *add], rehash)
         report = tmp_path / "r.tsv"
         r = run("evaluate", "--corpus", str(corpus), "--out", str(report), "--fused", str(fused))
         assert r.returncode == 3
         assert f"{cfg}: " in r.stderr and key in r.stderr
         assert "Traceback" not in r.stderr
         assert not report.exists()
+
+
+def _write_cfg_lines(cfg, lines, rehash):
+    """lines as the text of cfg; with rehash, its config_hash is made the hash of
+    the other lines."""
+    if rehash:
+        pairs = dict(ln.split("=", 1) for ln in lines if not ln.startswith("config_hash="))
+        experiments.write_config(pairs, cfg)
+    else:
+        cfg.write_text("\n".join(lines) + "\n")
 
 
 @pytest.fixture(scope="module")

@@ -1,6 +1,7 @@
 """Core types and checks: ranges, simplex rows, alignment, fusion and n-best truncation."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -238,8 +239,9 @@ class TestNBest:
 
     def test_out_of_range_n(self, rng):
         sched = random_schedule(rng, 5, 3)
-        for n in (0, 4, -1):
-            with pytest.raises(InvalidN):
+        for n in (0, 4, -1, math.nan):
+            message = re.escape(f"n={n!r} is not a finite number in [1, 3]")
+            with pytest.raises(InvalidN, match=message):
                 n_best_truncate(sched, n)
 
     def test_tie_keeps_lowest_index(self):

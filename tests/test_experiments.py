@@ -1,12 +1,14 @@
 """In-memory experiment orchestration over a corpus on disk."""
 
+import re
+import shutil
 import tracemalloc
 
 import numpy as np
 import pytest
 
 import reference as ref
-from streamfuse import experiments
+from streamfuse import experiments, simulator
 from streamfuse.core import PosteriorStream, align_streams, overlap_range
 from streamfuse.decoder import score
 from streamfuse.decoder import make_hmm
@@ -25,7 +27,7 @@ def written(tmp_path_factory):
         num_streams=5,
         seed=3,
     )
-    scen = build_scenario("hrm_like", spec, hmm=make_hmm(8, 3))
+    scen = build_scenario("hrm_like", spec)
     outdir = tmp_path_factory.mktemp("exp") / "hrm"
     experiments.write_corpus(scen, outdir)
     return scen, outdir
@@ -52,6 +54,30 @@ def test_load_corpus_round_trips_the_scenario(written, hrm_corpus):
             np.testing.assert_allclose(gs.probs, ss.probs, rtol=1e-6, atol=1e-12)
     stored = dict(experiments.read_config_pairs(outdir / "corpus.cfg"))["config_hash"]
     assert experiments.corpus_hash(got) == experiments.corpus_hash(scen) == stored
+
+
+def _not_derived(*args):
+    raise AssertionError("corpus_facts called")
+
+
+# A setting far above what hmm.json or the manifest holds, under a corpus.cfg
+# hash made right for it: load_corpus refuses it before corpus_facts would
+# allocate or loop at its size.
+@pytest.mark.parametrize("key, value, file", [
+    ("classes", 10**6, "hmm.json"),
+    ("utterances", 10**9, "manifest.txt"),
+    ("streams", 10**9, "manifest.txt"),
+])
+def test_load_corpus_refuses_settings_its_files_cannot_hold(written, tmp_path, monkeypatch,
+                                                            key, value, file):
+    corpus = tmp_path / "corpus"
+    shutil.copytree(written[1], corpus)
+    pairs = dict(experiments.read_config_pairs(corpus / "corpus.cfg"))
+    del pairs["config_hash"]
+    experiments.write_config({**pairs, key: value}, corpus / "corpus.cfg")
+    monkeypatch.setattr(simulator, "corpus_facts", _not_derived)
+    with pytest.raises(StreamFuseError, match=f"^{re.escape(str(corpus / file))}"):
+        experiments.load_corpus(corpus)
 
 
 @pytest.mark.parametrize("method", ["entropy", "max_n"])
@@ -156,7 +182,7 @@ def _pipeline_peak_bytes(root, num_utterances: int) -> int:
         seed=3,
     )
     corpus_dir, fused = root / f"corpus{num_utterances}", root / f"fused{num_utterances}"
-    experiments.write_corpus(build_scenario("hrm_like", spec, hmm=make_hmm(12, 3)), corpus_dir)
+    experiments.write_corpus(build_scenario("hrm_like", spec), corpus_dir)
     tracemalloc.start()
     try:
         corpus = experiments.load_corpus(corpus_dir)

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from streamfuse.core import PosteriorStream, StreamSet, align_streams
 from streamfuse.decoder import make_hmm, stationary
-from streamfuse.errors import ProfileMismatch
 from streamfuse.measures import MMeasureConfig, entropy_rows, m_measure
 from streamfuse.simulator import (
     CorpusSpec,
@@ -212,14 +211,6 @@ class TestScenarios:
     def test_oracle_tie_lowest_index(self):
         profiles = [CorruptionProfile(uniform_mix=0.2)] * 3
         assert oracle_stream_index(profiles) == 0
-
-    def test_custom_requires_profiles(self):
-        with pytest.raises(ProfileMismatch):
-            build_scenario("custom", small_spec())
-
-    def test_profile_count_checked(self):
-        with pytest.raises(ProfileMismatch):
-            build_scenario("custom", small_spec(), profiles=[CorruptionProfile()] * 3)
 
     def test_build_scenario_shapes_and_determinism(self):
         spec = small_spec()
