@@ -10,7 +10,7 @@ from .core import (
 )
 from .decoder import ErrorReport, HmmModel, make_hmm, score, viterbi
 from .measures import MMeasureConfig, binary_window_attention, entropy_attention, m_measure
-from .simulator import CorpusSpec, CorruptionProfile, build_scenario, corrupt
+from .simulator import CorpusSpec, CorruptionProfile, corrupt, simulate_utterance
 
 __version__ = "0.1.0"
 
@@ -25,7 +25,6 @@ __all__ = [
     "StreamSet",
     "align_streams",
     "binary_window_attention",
-    "build_scenario",
     "corrupt",
     "entropy_attention",
     "fuse",
@@ -33,6 +32,7 @@ __all__ = [
     "make_hmm",
     "n_best_truncate",
     "score",
+    "simulate_utterance",
     "viterbi",
     "__version__",
 ]

@@ -130,11 +130,12 @@ class AeModel:
 
 # Momentum coefficient of every training update.
 MOMENTUM = 0.9
-# The closed (lo, hi) range of each numeric TrainConfig field but the seed.
+# The closed (lo, hi) range of each numeric TrainConfig field.
 TRAIN_RANGES = {
     "learning_rate": (0.0, math.inf),  # zero makes a no-op run
     "epochs": (1, math.inf),
     "batch_size": (1, math.inf),
+    "seed": (0, math.inf),
 }
 
 

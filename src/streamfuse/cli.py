@@ -124,13 +124,11 @@ def cmd_simulate(args, parser) -> int:
         spec = simulator.CorpusSpec(**fields)
     except ValueError as e:  # each flag is in range, so frames_max < frames_min
         parser.error(f"argument --frames-max: {args.frames_max}: {e}")
-    scenario = simulator.build_scenario(args.scenario, spec)
-    experiments.write_corpus(scenario, args.out)
-    frames = sum(len(u.labels) for u in scenario.utterances)
+    facts = experiments.write_corpus(args.scenario, spec, args.out)
     print(
-        f"wrote corpus {args.out}: scenario={scenario.name} "
+        f"wrote corpus {args.out}: scenario={args.scenario} "
         f"utterances={spec.num_utterances} streams={spec.num_streams} "
-        f"classes={spec.num_classes} frames={frames}"
+        f"classes={spec.num_classes} frames={sum(facts.frames)}"
     )
     return EXIT_OK
 
@@ -233,7 +231,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="number of parallel streams (M)")
     p.add_argument("--utterances", required=True,
                    type=_in_range(int, spec_range["num_utterances"]), help="number of utterances")
-    p.add_argument("--seed", required=True, type=int, help="corpus seed")
+    p.add_argument("--seed", required=True, type=_in_range(int, spec_range["seed"]),
+                   help="corpus seed")
     p.add_argument("--classes", type=_in_range(int, spec_range["num_classes"]), default=40,
                    help="class count C")
     p.add_argument("--frames-min", type=_in_range(int, spec_range["frames_min"]), default=80,
@@ -267,7 +266,8 @@ def build_parser() -> argparse.ArgumentParser:
                    default=train.learning_rate, help="learning rate")
     p.add_argument("--batch-size", type=_in_range(int, train_range["batch_size"]),
                    default=train.batch_size, help="frames per gradient update")
-    p.add_argument("--seed", type=int, default=train.seed, help="training seed")
+    p.add_argument("--seed", type=_in_range(int, train_range["seed"]), default=train.seed,
+                   help="training seed")
     p.set_defaults(func=cmd_train_ae)
 
     p = sub.add_parser("fuse", help="fuse corpus streams under an attention method")

@@ -18,6 +18,10 @@ Fusion output directory layout:
 Reports are tab-separated tables with a header row; lines starting with
 "#" carry the config hash.
 
+A corpus has one form: write_corpus simulates it into a directory one
+utterance at a time (simulator.simulate_utterance), and load_corpus reads
+it back as a simulator.Scenario whose utterances are read from disk on use.
+
 When each check runs: load_corpus reads corpus.cfg (read_written_config),
 which decides the rest: hmm.json must be the bytes and the manifest the
 records that write_corpus writes for it.  It then checks every label file
@@ -136,18 +140,18 @@ FUSE_KEYS = {"method": str, "n": _count_or_empty, "base": str, "window": _count_
              "model_digest": str, "corpus_hash": str}
 
 
-def _corpus_cfg(scenario: simulator.Scenario) -> dict:
+def _corpus_cfg(name: str, spec: simulator.CorpusSpec) -> dict:
     # Each value passes through its type, so a spec hashes the same before
     # write_corpus and after load_corpus (an int alpha_true is written 100.0).
-    cfg = {"scenario": scenario.name}
+    cfg = {"scenario": name}
     for key, attr, typ in CORPUS_KEYS:
-        cfg[key] = typ(getattr(scenario.spec, attr))
+        cfg[key] = typ(getattr(spec, attr))
     return cfg
 
 
 def corpus_hash(scenario: simulator.Scenario) -> str:
     """The config_hash of a corpus, as corpus.cfg stores it."""
-    return config_hash(_corpus_cfg(scenario))
+    return config_hash(_corpus_cfg(scenario.name, scenario.spec))
 
 
 def _corpus_files(name: str, spec: simulator.CorpusSpec) -> tuple:
@@ -162,21 +166,23 @@ def _corpus_files(name: str, spec: simulator.CorpusSpec) -> tuple:
     return facts, json.dumps(fields).encode(), records
 
 
-def write_corpus(scenario: simulator.Scenario, outdir):
+def write_corpus(name: str, spec: simulator.CorpusSpec, outdir) -> simulator.CorpusFacts:
+    """Simulate corpus name under spec into outdir, one utterance at a time
+    (simulator.simulate_utterance) and the manifest last; return its facts."""
+    facts, hmm_json, records = _corpus_files(name, spec)
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    _, hmm_json, records = _corpus_files(scenario.name, scenario.spec)
-    write_config(_corpus_cfg(scenario), outdir / "corpus.cfg")
+    write_config(_corpus_cfg(name, spec), outdir / "corpus.cfg")
     (outdir / "hmm.json").write_bytes(hmm_json)
-    for utt in scenario.utterances:
-        tag = f"utt{utt.utt_id:04d}"
-        (outdir / f"{tag}.ref").write_text(
-            " ".join(str(int(x)) for x in utt.labels) + "\n"
-        )
+    for u in range(spec.num_utterances):
+        utt = simulator.simulate_utterance(spec, facts, u)
+        tag = f"utt{u:04d}"
+        (outdir / f"{tag}.ref").write_text(" ".join(str(int(x)) for x in utt.labels) + "\n")
         storage.write_stream(utt.clean, outdir / f"{tag}_clean.strm")
         for m, stream in enumerate(utt.streams.streams):
             storage.write_stream(stream, outdir / f"{tag}_s{m:02d}.strm")
     storage.write_manifest(records, outdir / "manifest.txt")
+    return facts
 
 
 def _read_checked(read, path: Path, shape: tuple[int, int], where: str, offset: int = 0):
@@ -256,7 +262,7 @@ class _DiskUtterances(Sequence):
 
 
 def load_corpus(indir) -> simulator.Scenario:
-    """Read a corpus directory back into the Scenario write_corpus was given.
+    """Read back, as a Scenario, a corpus directory that write_corpus wrote.
 
     corpus.cfg decides the corpus: hmm.json and the manifest must be what
     write_corpus writes for it, and every label file and stream header must
@@ -565,11 +571,8 @@ REPORT_HEADER = (
 )
 
 
-def format_report(rows: list[tuple[str, ErrorReport]], cfg_hash: str = "") -> str:
-    lines = []
-    if cfg_hash:
-        lines.append(f"# config_hash={cfg_hash}")
-    lines.append(REPORT_HEADER)
+def format_report(rows: list[tuple[str, ErrorReport]], cfg_hash: str) -> str:
+    lines = [f"# config_hash={cfg_hash}", REPORT_HEADER]
     for name, r in rows:
         lines.append(
             f"{name}\t{r.token_error_rate:.6f}\t{r.frame_error_rate:.6f}"

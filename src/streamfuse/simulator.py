@@ -5,6 +5,10 @@ the same path through its own Dirichlet-peaked emission noise (independent
 per stream, like independent microphones), then gets corrupted per its
 profile: mixing toward uniform, temporal smearing, outright failure
 (near-uniform output) and a frame offset, applied in that order.
+
+simulate_utterance makes one utterance from the facts corpus_facts derives;
+experiments.write_corpus writes each utterance as it is made, and
+experiments.load_corpus reads a corpus back as a Scenario.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ _KEY_CORRUPT = 2000  # + stream index
 # they are not exactly constant (keeps M-measure ties away).
 FAIL_JITTER = 0.01
 
-# The closed (lo, hi) range of each numeric CorpusSpec field but the seed.
+# The closed (lo, hi) range of each numeric CorpusSpec field.
 SPEC_RANGES = {
     "num_utterances": (1, math.inf),
     "frames_min": (1, math.inf),
@@ -40,6 +44,7 @@ SPEC_RANGES = {
     "alpha_other": (0.0, math.inf),
     "conf_prob": (0.0, 1.0),
     "conf_len": (1.0, math.inf),  # a burst lasts at least one frame
+    "seed": (0, math.inf),
 }
 
 
@@ -141,18 +146,19 @@ def _utterance_frames(spec: CorpusSpec, utt: int) -> int:
     return int(rng.integers(spec.frames_min, spec.frames_max + 1))
 
 
+def _reference(spec: CorpusSpec, hmm: HmmModel, u: int, num_frames: int):
+    """Utterance u's num_frames labels, sampled from hmm, and its clean stream."""
+    labels = sample_labels(hmm, num_frames, np.random.default_rng([spec.seed, u, _KEY_LABELS]))
+    return labels, PosteriorStream(_emit(spec, labels, [spec.seed, u, _KEY_CLEAN]), stream_id=-1)
+
+
 def generate_reference(
     spec: CorpusSpec, hmm: HmmModel
 ) -> tuple[list[np.ndarray], list[PosteriorStream]]:
-    """Sampled label paths and the matching clean posterior streams."""
-    labels, cleans = [], []
-    for u in range(spec.num_utterances):
-        T = _utterance_frames(spec, u)
-        lab = sample_labels(hmm, T, np.random.default_rng([spec.seed, u, _KEY_LABELS]))
-        probs = _emit(spec, lab, [spec.seed, u, _KEY_CLEAN])
-        labels.append(lab)
-        cleans.append(PosteriorStream(probs=probs, stream_id=-1))
-    return labels, cleans
+    """Each utterance's label path and clean stream, drawn as simulate_utterance draws them."""
+    pairs = [_reference(spec, hmm, u, _utterance_frames(spec, u))
+             for u in range(spec.num_utterances)]
+    return [labels for labels, _ in pairs], [clean for _, clean in pairs]
 
 
 def _smear(probs: np.ndarray, width: int) -> np.ndarray:
@@ -202,9 +208,8 @@ class Utterance:
 
 @dataclass
 class Scenario:
-    """A corpus.  build_scenario's utterances are a list in memory;
-    experiments.load_corpus gives a read-only sequence that reads each
-    utterance from disk when it is taken."""
+    """A corpus as experiments.load_corpus reads it: its utterances are a
+    read-only sequence that reads each utterance from disk when it is taken."""
 
     name: str
     spec: CorpusSpec
@@ -287,31 +292,17 @@ def corpus_facts(name: str, spec: CorpusSpec) -> CorpusFacts:
     )
 
 
-def build_scenario(name: str, spec: CorpusSpec) -> Scenario:
-    """Generate a full ground-truthed corpus for a scenario of SCENARIO_PROFILES.
+def simulate_utterance(spec: CorpusSpec, facts: CorpusFacts, u: int) -> Utterance:
+    """Utterance u of the corpus that spec and its facts (corpus_facts) fix.
 
-    Each stream gets an independent emission of the shared label path
-    before corruption.
+    Every draw comes from a generator keyed by [seed, u, ...], so utterances
+    can be made one at a time, in any order, with the same bits.  Each stream
+    gets an independent emission of the shared label path before corruption.
     """
-    facts = corpus_facts(name, spec)
-    labels, cleans = generate_reference(spec, facts.hmm)
-    utterances = []
-    for u in range(spec.num_utterances):
-        streams = []
-        for m, prof in enumerate(facts.profiles):
-            emitted = PosteriorStream(
-                probs=_emit(spec, labels[u], [spec.seed, u, _KEY_EMIT + m]), stream_id=m
-            )
-            streams.append(
-                corrupt(emitted, prof, seed=[spec.seed, u, _KEY_CORRUPT + m])
-            )
-        utterances.append(
-            Utterance(
-                utt_id=u,
-                labels=labels[u],
-                clean=cleans[u],
-                streams=StreamSet(streams),
-                oracle_stream=facts.oracle_stream,
-            )
-        )
-    return Scenario(name, spec, facts.hmm, facts.profiles, utterances)
+    labels, clean = _reference(spec, facts.hmm, u, facts.frames[u])
+    streams = [
+        corrupt(PosteriorStream(_emit(spec, labels, [spec.seed, u, _KEY_EMIT + m]), stream_id=m),
+                prof, seed=[spec.seed, u, _KEY_CORRUPT + m])
+        for m, prof in enumerate(facts.profiles)
+    ]
+    return Utterance(u, labels, clean, StreamSet(streams), facts.oracle_stream)

@@ -42,7 +42,7 @@ from streamfuse.measures import (
     m_measure,
     symmetric_kld_rows,
 )
-from streamfuse.simulator import CorpusSpec, CorruptionProfile, build_scenario, corrupt
+from streamfuse.simulator import CorpusSpec, CorruptionProfile, corrupt
 
 CLI = [sys.executable, "-m", "streamfuse.cli"]
 
@@ -67,8 +67,7 @@ def build_corpus(name, outdir) -> simulator.Scenario:
         num_streams=STREAMS,
         seed=SEED,
     )
-    scen = build_scenario(name, spec)
-    experiments.write_corpus(scen, outdir)
+    experiments.write_corpus(name, spec, outdir)
     return experiments.load_corpus(outdir)
 
 

@@ -116,7 +116,7 @@ class TestSimulate:
         ("--streams", "1"), ("--utterances", "0"),
         ("--classes", "1"), ("--frames-min", "0"), ("--frames-max", "0"), ("--frames-max", "70"),
         ("--alpha-true", "-1"), ("--alpha-true", "nan"), ("--alpha-other", "-0.5"),
-        ("--conf-prob", "1.5"), ("--conf-len", "0.5"), ("--conf-len", "inf"),
+        ("--conf-prob", "1.5"), ("--conf-len", "0.5"), ("--conf-len", "inf"), ("--seed", "-1"),
     ])
     def test_out_of_range_flag_exits_2(self, tmp_path, flag, value):
         out = tmp_path / "x"
@@ -185,6 +185,7 @@ class TestTrainAe:
         ("--lr", "-1"), ("--lr", "nan"), ("--batch-size", "0"),
         ("--logit-clamp", "0"), ("--logit-clamp", "0.5"), ("--logit-clamp", "0.7"),
         ("--logit-clamp", "-1"), ("--logit-clamp", "nan"), ("--lr", "inf"), ("--epochs", "inf"),
+        ("--seed", "-1"),
     ])
     def test_out_of_range_flag_exits_2(self, corpus, tmp_path, flag, value):
         out = tmp_path / "m.stae"

@@ -14,7 +14,7 @@ from streamfuse.decoder import score
 from streamfuse.decoder import make_hmm
 from streamfuse.errors import SettingError, StreamFuseError
 from streamfuse.measures import MMeasureConfig
-from streamfuse.simulator import CorpusSpec, build_scenario
+from streamfuse.simulator import CorpusSpec
 
 
 @pytest.fixture(scope="module")
@@ -27,33 +27,34 @@ def written(tmp_path_factory):
         num_streams=5,
         seed=3,
     )
-    scen = build_scenario("hrm_like", spec)
     outdir = tmp_path_factory.mktemp("exp") / "hrm"
-    experiments.write_corpus(scen, outdir)
-    return scen, outdir
+    facts = experiments.write_corpus("hrm_like", spec, outdir)
+    return spec, facts, outdir
 
 
 @pytest.fixture(scope="module")
 def hrm_corpus(written):
-    return experiments.load_corpus(written[1])
+    return experiments.load_corpus(written[2])
 
 
 def test_load_corpus_round_trips_the_scenario(written, hrm_corpus):
-    scen, outdir = written
+    spec, facts, outdir = written
     got = hrm_corpus
-    assert (got.name, got.spec, got.profiles) == (scen.name, scen.spec, scen.profiles)
-    np.testing.assert_array_equal(got.hmm.transitions, scen.hmm.transitions)
-    np.testing.assert_array_equal(got.hmm.priors, scen.hmm.priors)
-    assert got.hmm.labels == scen.hmm.labels
-    assert [u.utt_id for u in got.utterances] == [u.utt_id for u in scen.utterances]
-    for g, s in zip(got.utterances, scen.utterances):
+    assert (got.name, got.spec, got.profiles) == ("hrm_like", spec, facts.profiles)
+    np.testing.assert_array_equal(got.hmm.transitions, facts.hmm.transitions)
+    np.testing.assert_array_equal(got.hmm.priors, facts.hmm.priors)
+    assert got.hmm.labels == facts.hmm.labels
+    assert [u.utt_id for u in got.utterances] == list(range(spec.num_utterances))
+    for g in got.utterances:
+        s = simulator.simulate_utterance(spec, facts, g.utt_id)
         np.testing.assert_array_equal(g.labels, s.labels)
         assert g.oracle_stream == s.oracle_stream
         for gs, ss in zip([g.clean, *g.streams.streams], [s.clean, *s.streams.streams]):
             assert (gs.stream_id, gs.frame_offset) == (ss.stream_id, ss.frame_offset)
             np.testing.assert_allclose(gs.probs, ss.probs, rtol=1e-6, atol=1e-12)
     stored = dict(experiments.read_config_pairs(outdir / "corpus.cfg"))["config_hash"]
-    assert experiments.corpus_hash(got) == experiments.corpus_hash(scen) == stored
+    written_hash = experiments.config_hash(experiments._corpus_cfg("hrm_like", spec))
+    assert experiments.corpus_hash(got) == written_hash == stored
 
 
 def _not_derived(*args):
@@ -71,7 +72,7 @@ def _not_derived(*args):
 def test_load_corpus_refuses_settings_its_files_cannot_hold(written, tmp_path, monkeypatch,
                                                             key, value, file):
     corpus = tmp_path / "corpus"
-    shutil.copytree(written[1], corpus)
+    shutil.copytree(written[2], corpus)
     pairs = dict(experiments.read_config_pairs(corpus / "corpus.cfg"))
     del pairs["config_hash"]
     experiments.write_config({**pairs, key: value}, corpus / "corpus.cfg")
@@ -172,7 +173,7 @@ def test_one_pass_equals_per_system_loops(hrm_corpus, fused_dirs, sweep):
 
 
 def _pipeline_peak_bytes(root, num_utterances: int) -> int:
-    """tracemalloc peak of load_corpus, fuse_corpus and evaluate_corpus on a disk corpus."""
+    """tracemalloc peak of write_corpus, load_corpus, fuse_corpus and evaluate_corpus."""
     spec = CorpusSpec(
         num_utterances=num_utterances,
         frames_min=60,
@@ -182,9 +183,9 @@ def _pipeline_peak_bytes(root, num_utterances: int) -> int:
         seed=3,
     )
     corpus_dir, fused = root / f"corpus{num_utterances}", root / f"fused{num_utterances}"
-    experiments.write_corpus(build_scenario("hrm_like", spec), corpus_dir)
     tracemalloc.start()
     try:
+        experiments.write_corpus("hrm_like", spec, corpus_dir)
         corpus = experiments.load_corpus(corpus_dir)
         experiments.fuse_corpus(corpus, "entropy", fused)
         methods = [("entropy", n) for n in range(1, spec.num_streams + 1)]

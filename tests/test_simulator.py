@@ -14,7 +14,7 @@ from streamfuse.measures import MMeasureConfig, entropy_rows, m_measure
 from streamfuse.simulator import (
     CorpusSpec,
     CorruptionProfile,
-    build_scenario,
+    corpus_facts,
     corrupt,
     emit_posteriors,
     generate_reference,
@@ -22,6 +22,7 @@ from streamfuse.simulator import (
     ldc_like_profiles,
     oracle_stream_index,
     sample_labels,
+    simulate_utterance,
 )
 
 
@@ -212,18 +213,26 @@ class TestScenarios:
         profiles = [CorruptionProfile(uniform_mix=0.2)] * 3
         assert oracle_stream_index(profiles) == 0
 
-    def test_build_scenario_shapes_and_determinism(self):
+    def test_simulate_utterance_shapes_and_determinism(self):
         spec = small_spec()
-        a = build_scenario("ldc_like", spec)
-        b = build_scenario("ldc_like", spec)
-        assert len(a.utterances) == spec.num_utterances
-        for ua, ub in zip(a.utterances, b.utterances):
+        facts = corpus_facts("ldc_like", spec)
+        a = [simulate_utterance(spec, facts, u) for u in range(spec.num_utterances)]
+        # Made in reverse order from facts derived again: the same bits.
+        b = [simulate_utterance(spec, corpus_facts("ldc_like", spec), u)
+             for u in reversed(range(spec.num_utterances))][::-1]
+        assert [u.utt_id for u in a] == list(range(spec.num_utterances))
+        for ua, ub in zip(a, b):
             assert ua.streams.num_streams == spec.num_streams
             np.testing.assert_array_equal(ua.labels, ub.labels)
             for sa, sb in zip(ua.streams.streams, ub.streams.streams):
                 np.testing.assert_array_equal(sa.probs, sb.probs)
+        # generate_reference draws the same labels and clean streams.
+        labels, cleans = generate_reference(spec, facts.hmm)
+        for u, lab, clean in zip(a, labels, cleans):
+            np.testing.assert_array_equal(u.labels, lab)
+            np.testing.assert_array_equal(u.clean.probs, clean.probs)
 
     def test_streams_are_independent_emissions(self):
-        scen = build_scenario("ldc_like", small_spec())
-        s = scen.utterances[0].streams.streams
+        spec = small_spec()
+        s = simulate_utterance(spec, corpus_facts("ldc_like", spec), 0).streams.streams
         assert not np.array_equal(s[0].probs, s[1].probs)
