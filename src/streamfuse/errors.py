@@ -65,7 +65,3 @@ class InvalidSimplex(FormatError):
 
     core.check_simplex raises it, for rows in a file and in memory alike.
     """
-
-
-class ManifestError(FormatError):
-    """Malformed manifest line; message names the line number."""

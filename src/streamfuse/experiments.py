@@ -23,18 +23,20 @@ utterance at a time (simulator.simulate_utterance), and load_corpus reads
 it back as a simulator.Scenario whose utterances are read from disk on use.
 
 When each check runs: load_corpus reads corpus.cfg (read_written_config),
-which decides the rest: hmm.json must be the bytes and the manifest the
-records that write_corpus writes for it.  It then checks every label file
-and every stream file's header against the manifest (label count and range,
-each stream's frames, classes and frame_offset: its profile's off, 0 for the
-clean stream; each file's size), so a corpus that contradicts itself fails
-before any output exists.  A stream's payload is read, and its rows checked
-by core.check_simplex, only when its utterance is taken from the corpus's
-utterances, so fuse_corpus and evaluate_corpus hold one utterance at a time.
+which decides the rest: hmm.json and manifest.txt must be the bytes that
+write_corpus writes for it; neither file is parsed.  It then
+checks every label file and every stream file's header against the facts
+corpus.cfg gives (label count and range, each stream's frames, classes and
+frame_offset: its profile's off, 0 for the clean stream; each file's size),
+so a corpus that contradicts itself fails before any output exists.  A
+stream's payload is read, and its rows checked by core.check_simplex, only
+when its utterance is taken from the corpus's utterances, so fuse_corpus
+and evaluate_corpus hold one utterance at a time.
 fuse checks each schedule and fused stream, and the storage writers check
 every matrix before they write it.  Before the first utterance,
 evaluate_corpus reads each fused directory's fuse.cfg by read_written_config
-and checks its settings (check_settings) and corpus hash; it checks each
+and checks its settings (check_settings, and an n of at most the corpus's
+stream count) and corpus hash; it checks each
 fused stream's shape and frame_offset (0) as it reads it.
 """
 
@@ -156,20 +158,19 @@ def corpus_hash(scenario: simulator.Scenario) -> str:
 
 def _corpus_files(name: str, spec: simulator.CorpusSpec) -> tuple:
     """The facts scenario name fixes under spec (simulator.corpus_facts), and
-    the bytes of hmm.json and the manifest records that write_corpus writes."""
+    the bytes of hmm.json and manifest.txt that write_corpus writes."""
     facts = simulator.corpus_facts(name, spec)
     hmm = facts.hmm
     fields = {"transitions": hmm.transitions.tolist(), "priors": hmm.priors.tolist(),
               "labels": list(hmm.labels)}
-    records = [storage.UtteranceRecord(u, frames, facts.oracle_stream, facts.profiles)
-               for u, frames in enumerate(facts.frames)]
-    return facts, json.dumps(fields).encode(), records
+    manifest = storage.manifest_text(facts.frames, facts.oracle_stream, facts.profiles)
+    return facts, json.dumps(fields).encode(), manifest.encode()
 
 
 def write_corpus(name: str, spec: simulator.CorpusSpec, outdir) -> simulator.CorpusFacts:
     """Simulate corpus name under spec into outdir, one utterance at a time
     (simulator.simulate_utterance) and the manifest last; return its facts."""
-    facts, hmm_json, records = _corpus_files(name, spec)
+    facts, hmm_json, manifest = _corpus_files(name, spec)
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     write_config(_corpus_cfg(name, spec), outdir / "corpus.cfg")
@@ -181,7 +182,7 @@ def write_corpus(name: str, spec: simulator.CorpusSpec, outdir) -> simulator.Cor
         storage.write_stream(utt.clean, outdir / f"{tag}_clean.strm")
         for m, stream in enumerate(utt.streams.streams):
             storage.write_stream(stream, outdir / f"{tag}_s{m:02d}.strm")
-    storage.write_manifest(records, outdir / "manifest.txt")
+    (outdir / "manifest.txt").write_bytes(manifest)
     return facts
 
 
@@ -205,20 +206,18 @@ def _read_checked(read, path: Path, shape: tuple[int, int], where: str, offset: 
     return found
 
 
-def _utterance_streams(
-    read, indir: Path, manifest: Path, rec, num_classes: int, clean_only: bool = False
-) -> list:
-    """read(path) of an utterance's stream files, _s00 .. then _clean, each checked.
+def _utterance_streams(read, indir: Path, manifest: Path, u: int, shape: tuple[int, int],
+                       profiles: list) -> list:
+    """read(path) of utterance u's stream files, _s00 .. then _clean, each checked.
 
-    Every stream spans the manifest's frames over the HMM's states; each
-    corrupted stream's frame_offset is its profile's off, and the clean
-    stream's is 0.  clean_only reads the _clean file alone.
+    Every stream spans shape, the utterance's frames over the HMM's states;
+    stream m's frame_offset is profiles[m]'s off, and the clean stream's is 0.
+    With no profiles, the _clean file alone is read.
     """
-    tag = f"utt{rec.utt_id:04d}"
-    profiles = [] if clean_only else rec.profiles
+    tag = f"utt{u:04d}"
     files = [(f"{tag}_s{m:02d}.strm", p.offset) for m, p in enumerate(profiles)]
     files.append((f"{tag}_clean.strm", 0))
-    shape, where = (rec.num_frames, num_classes), f"{manifest}: utt {rec.utt_id}"
+    where = f"{manifest}: utt {u}"
     return [_read_checked(read, indir / name, shape, where, offset) for name, offset in files]
 
 
@@ -229,99 +228,92 @@ class _DiskUtterances(Sequence):
     cached, so a pass over the corpus holds one utterance's streams at a time.
     """
 
-    def __init__(self, indir: Path, manifest: Path, num_classes: int, entries: list):
-        self._indir, self._manifest, self._num_classes = indir, manifest, num_classes
-        self._entries = entries  # (UtteranceRecord, labels) per utterance
+    def __init__(self, indir: Path, manifest: Path, facts: simulator.CorpusFacts,
+                 num_classes: int, labels: list[np.ndarray]):
+        self._indir, self._manifest, self._facts = indir, manifest, facts
+        self._num_classes, self._labels = num_classes, labels  # labels per utterance
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._labels)
+
+    def _streams(self, u: int, profiles: list) -> list[PosteriorStream]:
+        shape = (self._facts.frames[u], self._num_classes)
+        return _utterance_streams(storage.read_stream, self._indir, self._manifest, u, shape,
+                                  profiles)
 
     def __getitem__(self, i: int) -> simulator.Utterance:
-        rec, labels = self._entries[operator.index(i)]
-        *streams, clean = _utterance_streams(
-            storage.read_stream, self._indir, self._manifest, rec, self._num_classes
-        )
-        return simulator.Utterance(
-            utt_id=rec.utt_id,
-            labels=labels,
-            clean=clean,
-            streams=StreamSet(streams),
-            oracle_stream=rec.oracle_stream,
-        )
+        u = range(len(self))[operator.index(i)]
+        *streams, clean = self._streams(u, self._facts.profiles)
+        return simulator.Utterance(u, self._labels[u], clean, StreamSet(streams),
+                                   self._facts.oracle_stream)
 
     def clean_streams(self) -> list[PosteriorStream]:
         """Every utterance's clean stream, read and checked without its
         corrupted streams."""
-        return [
-            _utterance_streams(
-                storage.read_stream, self._indir, self._manifest, rec, self._num_classes,
-                clean_only=True,
-            )[0]
-            for rec, _ in self._entries
-        ]
+        return [self._streams(u, [])[0] for u in range(len(self))]
 
 
 def load_corpus(indir) -> simulator.Scenario:
     """Read back, as a Scenario, a corpus directory that write_corpus wrote.
 
-    corpus.cfg decides the corpus: hmm.json and the manifest must be what
-    write_corpus writes for it, and every label file and stream header must
-    fit the manifest, so a directory that contradicts itself fails here,
-    before any output exists.  The scenario's utterances are a read-only
-    sequence that reads an utterance's stream payloads, and checks their rows
-    are on the simplex, only when it is taken; its clean_streams() reads the
-    clean streams alone.
+    corpus.cfg decides the corpus: hmm.json and manifest.txt must be the
+    bytes write_corpus writes for it, and every label file and stream header
+    must fit the facts it gives, so a directory that contradicts itself fails
+    here, before any output exists.  The scenario's utterances are a
+    read-only sequence that reads an utterance's stream payloads, and checks
+    their rows are on the simplex, only when it is taken; its clean_streams()
+    reads the clean streams alone.
     """
     indir = Path(indir)
     cfg_path, hmm_path, manifest = (indir / n for n in ("corpus.cfg", "hmm.json", "manifest.txt"))
     types = {"scenario": str, **{key: typ for key, _, typ in CORPUS_KEYS}}
     cfg = read_written_config(cfg_path, types)
-    hmm_json, records = hmm_path.read_bytes(), storage.read_manifest(manifest)
+    hmm_json, manifest_bytes = hmm_path.read_bytes(), manifest.read_bytes()
     hmm_mismatch = StreamFuseError(f"{hmm_path} is not the JSON of the HMM {cfg_path} gives")
     manifest_mismatch = StreamFuseError(f"{manifest} is not the manifest {cfg_path} gives")
     try:
         spec = simulator.CorpusSpec(**{attr: cfg[key] for key, attr, _ in CORPUS_KEYS})
         # hmm.json takes a byte or more for each of the classes**2 transitions,
-        # and the manifest holds utterances x streams profiles: settings too
-        # large for the files are refused before anything is derived at their size.
+        # and the manifest 28 or more for each of its utterances x streams
+        # profiles: settings too large for the files are refused before
+        # anything is derived at their size.
         if spec.num_classes**2 > len(hmm_json):
             raise hmm_mismatch
-        if spec.num_utterances * spec.num_streams > sum(len(r.profiles) for r in records):
+        if spec.num_utterances * spec.num_streams > len(manifest_bytes):
             raise manifest_mismatch
-        facts, want_hmm_json, want_records = _corpus_files(cfg["scenario"], spec)
+        facts, want_hmm_json, want_manifest = _corpus_files(cfg["scenario"], spec)
     except ValueError as e:
         raise StreamFuseError(f"{cfg_path}: {e}") from None
     if hmm_json != want_hmm_json:
         raise hmm_mismatch
-    if records != want_records:
+    if manifest_bytes != want_manifest:
         raise manifest_mismatch
     C = spec.num_classes
-    entries = []
-    for rec in records:
-        tag = f"utt{rec.utt_id:04d}"
-        ref = indir / f"{tag}.ref"
+    all_labels = []
+    for u, frames in enumerate(facts.frames):
+        ref = indir / f"utt{u:04d}.ref"
         try:
             labels = np.array([int(x) for x in ref.read_text().split()], dtype=np.intp)
-        except ValueError as e:
+        except (ValueError, OverflowError) as e:  # OverflowError: a label beyond intp
             raise StreamFuseError(f"{ref}: {e}") from None
         outside = labels[(labels < 0) | (labels >= C)]
         if outside.size:
             raise StreamFuseError(
                 f"{ref}: label {outside[0]} is not in [0, {C}) for the hmm.json states"
             )
-        if rec.num_frames != len(labels):
+        if frames != len(labels):
             raise StreamFuseError(
-                f"{manifest}: utt {rec.utt_id}: frames={rec.num_frames}, "
-                f"but {tag}.ref holds {len(labels)} labels"
+                f"{manifest}: utt {u}: frames={frames}, but {ref.name} holds {len(labels)} labels"
             )
-        _utterance_streams(storage.read_stream_header, indir, manifest, rec, C)
-        entries.append((rec, labels))
+        _utterance_streams(storage.read_stream_header, indir, manifest, u, (frames, C),
+                           facts.profiles)
+        all_labels.append(labels)
     return simulator.Scenario(
         name=cfg["scenario"],
         spec=spec,
         hmm=facts.hmm,
         profiles=facts.profiles,
-        utterances=_DiskUtterances(indir, manifest, C, entries),
+        utterances=_DiskUtterances(indir, manifest, facts, C, all_labels),
     )
 
 
@@ -501,8 +493,9 @@ def _row_name(method: str, n) -> str:
     return method + (f":n={n}" if n else "")
 
 
-def _fused_name(fused_dir: Path, chash: str) -> str:
-    """The report row of a complete fuse output made from the corpus whose hash is chash."""
+def _fused_name(fused_dir: Path, chash: str, num_streams: int) -> str:
+    """The report row of a complete fuse output made from the corpus whose hash
+    is chash and which has num_streams streams."""
     path = fused_dir / "fuse.cfg"
     if not path.is_file():
         raise StreamFuseError(f"{fused_dir}: no fuse.cfg, so not a complete fuse output")
@@ -515,7 +508,9 @@ def _fused_name(fused_dir: Path, chash: str) -> str:
     try:
         check_settings(fcfg["method"], base=fcfg["base"], window=fcfg["window"] or None,
                        model=fcfg["model_digest"] or None)
-    except StreamFuseError as e:  # an unknown method or base, or a SettingError
+        if fcfg["n"]:
+            check_range("n", fcfg["n"], (1, num_streams), StreamFuseError)
+    except StreamFuseError as e:  # an unknown method or base, a SettingError, n > M
         raise FormatError(f"{path}: {e}") from None
     return _row_name(fcfg["method"], fcfg["n"])
 
@@ -543,7 +538,7 @@ def evaluate_corpus(
     fused_dirs = [Path(d) for d in fused_dirs]
     names = [*(f"stream:{m}" for m in range(M)), "clean"] if baselines else []
     chash = corpus_hash(corpus)
-    names += [_fused_name(d, chash) for d in fused_dirs]
+    names += [_fused_name(d, chash, M) for d in fused_dirs]
     names += [_row_name(method, n) for method, n in methods]
     truncations = [_frame_method(method, n) for method, n in methods]
     per_system: list[list[ErrorReport]] = [[] for _ in names]

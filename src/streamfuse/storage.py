@@ -18,11 +18,11 @@ model file ("STAE"):
       fan_in u32 | width u32 | activation u8 (0 relu, 1 linear)
       | num_offsets u16 | offsets i32... | weight row-major f64 | bias f64
 
-manifest: plain text, one record per line of whitespace-separated
-key=value fields (utt, frames, oracle, profiles); profiles is a
-semicolon-joined list of per-stream "lam:..,smear:..,fail:..,off:.."
-entries.  exact_fields reads each line and each profile, so an error names
-the file, the line and the token or key.
+manifest (manifest_text): plain text, one line per utterance u,
+"utt=u frames=T oracle=O profiles=P" with P the semicolon-joined
+"lam:..,smear:..,fail:..,off:.." profile of every stream.  It is written,
+never parsed: experiments.load_corpus compares a manifest's bytes with the
+text of the facts its corpus.cfg gives.
 
 Stream and schedule readers check the fixed-size header first: magic,
 version, dtype code, and a file size of exactly header + rows * columns * 4
@@ -45,7 +45,6 @@ from __future__ import annotations
 import math
 import os
 import struct
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -56,7 +55,6 @@ from .errors import (
     BadMagic,
     FormatError,
     InvalidSimplex,
-    ManifestError,
     PayloadTruncated,
     VersionUnsupported,
 )
@@ -276,83 +274,33 @@ def read_model(path) -> AeModel:
     return AeModel(front_end=fe, layers=layers, context=(left, right))
 
 
-def exact_fields(tokens, sep: str, keys: tuple, where: str, error=FormatError) -> dict:
+def exact_fields(tokens, sep: str, keys: tuple, where: str) -> dict:
     """The key<sep>value tokens as a dict if each of keys comes once and no other
-    key comes; otherwise raises error naming where and the token or key."""
+    key comes; otherwise raises FormatError naming where and the token or key."""
     fields = {}
     for token in tokens:
         key, found, val = token.partition(sep)
         if not found:
-            raise error(f"{where}: bad token {token!r}")
+            raise FormatError(f"{where}: bad token {token!r}")
         if key not in keys:
-            raise error(f"{where}: unknown key {key!r}")
+            raise FormatError(f"{where}: unknown key {key!r}")
         if key in fields:
-            raise error(f"{where}: repeated key {key!r}")
+            raise FormatError(f"{where}: repeated key {key!r}")
         fields[key] = val
     missing = [k for k in keys if k not in fields]
     if missing:
-        raise error(f"{where}: missing key {missing[0]!r}")
+        raise FormatError(f"{where}: missing key {missing[0]!r}")
     return fields
-
-
-@dataclass
-class UtteranceRecord:
-    utt_id: int
-    num_frames: int
-    oracle_stream: int
-    profiles: list[CorruptionProfile]
 
 
 def _profile_to_text(p: CorruptionProfile) -> str:
     return f"lam:{p.uniform_mix!r},smear:{p.smear_width},fail:{int(p.fail)},off:{p.offset}"
 
 
-def _profile_from_text(text: str, where: str) -> CorruptionProfile:
-    keys = ("lam", "smear", "fail", "off")
-    fields = exact_fields(text.split(","), ":", keys, where, ManifestError)
-    return CorruptionProfile(
-        uniform_mix=float(fields["lam"]),
-        smear_width=int(fields["smear"]),
-        fail=bool(int(fields["fail"])),
-        offset=int(fields["off"]),
-    )
-
-
-def write_manifest(records: list[UtteranceRecord], path):
-    with open(path, "w") as f:
-        for r in records:
-            profs = ";".join(_profile_to_text(p) for p in r.profiles)
-            f.write(
-                f"utt={r.utt_id} frames={r.num_frames} oracle={r.oracle_stream} "
-                f"profiles={profs}\n"
-            )
-
-
-_MANIFEST_KEYS = ("utt", "frames", "oracle", "profiles")
-
-
-def read_manifest(path) -> list[UtteranceRecord]:
-    records = []
-    with open(path) as f:
-        for lineno, raw in enumerate(f, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            where = f"{path}: line {lineno}"
-            fields = exact_fields(line.split(), "=", _MANIFEST_KEYS, where, ManifestError)
-            try:
-                profiles = [
-                    _profile_from_text(p, f"{where}: profile {m}")
-                    for m, p in enumerate(fields["profiles"].split(";"))
-                ]
-                records.append(
-                    UtteranceRecord(
-                        utt_id=int(fields["utt"]),
-                        num_frames=int(fields["frames"]),
-                        oracle_stream=int(fields["oracle"]),
-                        profiles=profiles,
-                    )
-                )
-            except ValueError as e:
-                raise ManifestError(f"{where}: {e}") from None
-    return records
+def manifest_text(frames: list[int], oracle_stream: int,
+                  profiles: list[CorruptionProfile]) -> str:
+    """The manifest of a corpus whose utterance u has frames[u] frames: one line
+    per utterance, each naming the oracle stream and every stream's profile."""
+    profs = ";".join(_profile_to_text(p) for p in profiles)
+    return "".join(f"utt={u} frames={n} oracle={oracle_stream} profiles={profs}\n"
+                   for u, n in enumerate(frames))

@@ -384,29 +384,29 @@ def test_criterion_9_round_trips(tmp_path, rng):
         )
         model = aemonitor.AeModel(front_end=fe, layers=layers, context=(0, 0))
         byte_stable(storage.write_model, storage.read_model, model, f"m{k}")
+    # A corpus directory's text files, written, read back by load_corpus and
+    # written again from the corpus it read.
     for k in range(40):
-        recs = [
-            storage.UtteranceRecord(
-                utt_id=u,
-                num_frames=int(rng.integers(1, 200)),
-                oracle_stream=int(rng.integers(0, 4)),
-                profiles=[
-                    CorruptionProfile(
-                        uniform_mix=float(np.round(rng.uniform(0, 1), 6)),
-                        smear_width=int(rng.integers(0, 30)),
-                        fail=bool(rng.integers(2)),
-                        offset=int(rng.integers(-4, 5)),
-                    )
-                    for _ in range(int(rng.integers(2, 5)))
-                ],
-            )
-            for u in range(int(rng.integers(1, 4)))
-        ]
-
-        def mwrite(obj, p):
-            storage.write_manifest(obj, p)
-
-        byte_stable(mwrite, storage.read_manifest, recs, f"t{k}")
+        frames_min = int(rng.integers(1, 30))
+        spec = CorpusSpec(
+            num_utterances=int(rng.integers(1, 4)),
+            frames_min=frames_min,
+            frames_max=frames_min + int(rng.integers(0, 20)),
+            num_classes=int(rng.integers(2, 8)),
+            num_streams=int(rng.integers(2, 6)),
+            seed=int(rng.integers(0, 2**31)),
+            alpha_true=float(rng.uniform(1.0, 200.0)),
+            alpha_other=float(rng.uniform(0.01, 1.0)),
+            conf_prob=float(rng.uniform(0.0, 0.1)),
+            conf_len=float(rng.uniform(1.0, 10.0)),
+        )
+        a, b = tmp_path / f"c{k}.a", tmp_path / f"c{k}.b"
+        experiments.write_corpus(("ldc_like", "hrm_like")[k % 2], spec, a)
+        got = experiments.load_corpus(a)
+        experiments.write_corpus(got.name, got.spec, b)
+        cases += 1
+        failures += int(any((a / f).read_bytes() != (b / f).read_bytes()
+                            for f in ("corpus.cfg", "hmm.json", "manifest.txt")))
     verdict(9, cases >= 1000 and failures == 0, f"{failures}/{cases} round trips unstable")
 
 

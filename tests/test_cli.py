@@ -221,7 +221,7 @@ class TestTrainAe:
         rc = cli.main(["train-ae", "--corpus", str(corpus), "--out", str(tmp_path / "m.stae"),
                        "--epochs", "1"])
         assert rc == 0
-        assert len(reads) == len(storage.read_manifest(corpus / "manifest.txt"))
+        assert len(reads) == len(experiments.load_corpus(corpus).utterances)
         assert sorted(reads) == sorted(p.name for p in corpus.glob("*_clean.strm"))
 
     def test_off_simplex_clean_payload_exits_3(self, corpus, tmp_path):
@@ -275,7 +275,7 @@ class TestFuse:
         out = tmp_path / "oracle"
         r = run("fuse", "--corpus", str(corpus), "--out", str(out), "--method", "oracle")
         assert r.returncode == 0, r.stderr
-        oracle = storage.read_manifest(corpus / "manifest.txt")[0].oracle_stream
+        oracle = experiments.load_corpus(corpus).utterances[0].oracle_stream
         w = storage.read_schedule(sorted(out.glob("*.schd"))[0]).weights
         assert np.all(w[:, oracle] == 1.0)
         assert np.all(np.delete(w, oracle, axis=1) == 0.0)
@@ -330,12 +330,15 @@ class TestFuse:
         assert not out.exists()
 
     # An edit "key=old→new" (or "key:old→new") replaces the first key=old of
-    # the manifest by key=new; both values are in range.
+    # the manifest by key=new; both values are in range.  The manifest must
+    # be the bytes simulate writes, so reordered fields, a comment or a blank
+    # line contradict the corpus too.
     @pytest.mark.parametrize("edit", ["oracle=99", "oracle=-1", "frames=3", "profiles",
                                       "stream T", "stream C", "off", "stream off", "empty",
-                                      "repeat", "ref", "ref label", "clean off",
-                                      "oracle twice", "lam twice", "oracle=0→2",
-                                      "lam:0.05→0.5"])
+                                      "repeat", "ref", "ref label", "ref huge label",
+                                      "clean off", "oracle twice", "lam twice", "oracle=0→2",
+                                      "lam:0.05→0.5", "fields reordered", "comment line",
+                                      "blank line"])
     def test_manifest_contradicting_corpus_exits_3(self, corpus, tmp_path, edit):
         copy = tmp_path / "corpus"
         shutil.copytree(corpus, copy)
@@ -376,6 +379,18 @@ class TestFuse:
             # The right count of labels, every one outside the 6 HMM states.
             ref = copy / "utt0000.ref"
             ref.write_text(" ".join("99" for _ in ref.read_text().split()) + "\n")
+        elif edit == "ref huge label":
+            # The right count of labels, the first too large for an intp.
+            ref = copy / "utt0000.ref"
+            _, *labels = ref.read_text().split()
+            ref.write_text(" ".join(["9" * 30, *labels]) + "\n")
+        elif edit == "fields reordered":
+            utt, frames, tail = first.split(" ", 2)
+            first = f"{frames} {utt} {tail}"
+        elif edit == "comment line":
+            first, rest = "# x", [first, *rest]
+        elif edit == "blank line":
+            rest = ["", *rest]
         elif edit != "empty":
             key = edit.split("=")[0]
             first = re.sub(rf"\b{key}=\S+", edit, first)
@@ -389,9 +404,8 @@ class TestFuse:
             "stream off": "utt 0: utt0000_s01.strm has frame_offset 3, not 1",
             "ref": "utt0000.ref: invalid literal",
             "ref label": "utt0000.ref: label 99 is not in [0, 6)",
+            "ref huge label": "utt0000.ref: Python int too large",
             "clean off": "utt 0: utt0000_clean.strm has frame_offset 3, not 0",
-            "oracle twice": f"{manifest}: line 1: repeated key 'oracle'",
-            "lam twice": f"{manifest}: line 1: profile 0: repeated key 'lam'",
         }
         mismatch = f"error: {manifest} is not the manifest {copy / 'corpus.cfg'} gives\n"
         assert expected.get(edit, mismatch) in r.stderr
@@ -662,6 +676,22 @@ class TestEvaluate:
         assert "Traceback" not in r.stderr
         assert not report.exists()
 
+    def test_fuse_cfg_n_above_the_stream_count_exits_3(self, corpus, tmp_path):
+        # fuse refuses --n 4 on this 3-stream corpus; a fuse.cfg rehashed
+        # to say it is refused too, before any report row is scored.
+        fused = tmp_path / "max_n"
+        r = run("fuse", "--corpus", str(corpus), "--out", str(fused), "--method", "max_n",
+                "--n", "3")
+        assert r.returncode == 0, r.stderr
+        pairs = dict(experiments.read_config_pairs(fused / "fuse.cfg"))
+        del pairs["config_hash"]
+        experiments.write_config({**pairs, "n": 4}, fused / "fuse.cfg")
+        report = tmp_path / "r.tsv"
+        r = run("evaluate", "--corpus", str(corpus), "--out", str(report), "--fused", str(fused))
+        assert r.returncode == 3
+        assert r.stderr == f"error: {fused / 'fuse.cfg'}: n=4 is not a finite number in [1, 3]\n"
+        assert not report.exists()
+
     def test_fused_stream_of_wrong_shape_exits_3(self, corpus, tmp_path):
         fused = tmp_path / "equal"
         r = run("fuse", "--corpus", str(corpus), "--out", str(fused), "--method", "equal")
@@ -839,7 +869,8 @@ def _evaluate_in_process(root, report) -> tuple[int, str]:
 # exception out of cli.main (a traceback from the command line) fails the
 # test, and so does any exit but 0 or 3.  Exit 3 must come before the
 # report is written, and exit 0 must give the unmutated report unless the
-# labels changed.
+# labels changed.  manifest.txt and hmm.json are checked byte for byte, so
+# any change to either must exit 3.
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(
     name=st.sampled_from(("corpus.cfg", "manifest.txt", "hmm.json", "utt0001.ref", "fuse.cfg")),
@@ -853,12 +884,15 @@ def test_one_character_edit_exits_0_with_the_same_report_or_3(mutable_copy, name
     at = data.draw(st.integers(0, len(text) - 1), label="at")
     report = root / "report.tsv"
     report.unlink(missing_ok=True)
-    path.write_text(text[:at] + char + text[at + 1 :])
+    mutated = text[:at] + char + text[at + 1 :]
+    path.write_text(mutated)
     try:
         rc, err = _evaluate_in_process(root, report)
     finally:
         path.write_text(text)
     assert rc in (0, 3), err
+    if name in ("manifest.txt", "hmm.json") and mutated != text:
+        assert rc == 3, err
     if rc == 3:
         assert err.startswith("error: ") and not report.exists()
     elif name != "utt0001.ref":

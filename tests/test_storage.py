@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import re
+import shutil
 import struct
 
 import numpy as np
@@ -24,19 +25,18 @@ from streamfuse.errors import (
     BadMagic,
     FormatError,
     InvalidSimplex,
-    ManifestError,
     PayloadTruncated,
+    StreamFuseError,
     VersionUnsupported,
 )
-from streamfuse.simulator import CorruptionProfile
+from streamfuse.experiments import load_corpus, write_corpus
+from streamfuse.simulator import CorpusSpec, CorruptionProfile
 from streamfuse.storage import (
-    UtteranceRecord,
-    read_manifest,
+    manifest_text,
     read_model,
     read_schedule,
     read_stream,
     read_stream_header,
-    write_manifest,
     write_model,
     write_schedule,
     write_stream,
@@ -307,106 +307,99 @@ class TestModelFiles:
         assert "layer 0 weights" in str(exc.value)
 
 
+@pytest.fixture(scope="module")
+def tiny_corpus(tmp_path_factory):
+    """A 2-utterance, 2-stream corpus as write_corpus writes it."""
+    spec = CorpusSpec(num_utterances=2, frames_min=10, frames_max=12, num_classes=3,
+                      num_streams=2, seed=4)
+    out = tmp_path_factory.mktemp("manifest") / "corpus"
+    write_corpus("ldc_like", spec, out)
+    return out
+
+
+def _parse_manifest(text: str) -> list[tuple[int, int, int, list[dict]]]:
+    """(utt, frames, oracle, profile fields) per line of a manifest text."""
+    records = []
+    for line in text.splitlines():
+        fields = dict(token.split("=", 1) for token in line.split())
+        profiles = [dict(kv.split(":") for kv in p.split(","))
+                    for p in fields["profiles"].split(";")]
+        records.append((int(fields["utt"]), int(fields["frames"]), int(fields["oracle"]),
+                        profiles))
+    return records
+
+
 class TestManifest:
-    def records(self):
-        return [
-            UtteranceRecord(
-                utt_id=0,
-                num_frames=90,
-                oracle_stream=1,
-                profiles=[
-                    CorruptionProfile(uniform_mix=0.25, smear_width=3, offset=-1),
-                    CorruptionProfile(fail=True),
-                ],
-            ),
-            UtteranceRecord(
-                utt_id=1,
-                num_frames=120,
-                oracle_stream=0,
-                profiles=[CorruptionProfile(), CorruptionProfile(uniform_mix=0.6)],
-            ),
-        ]
+    """manifest.txt: manifest_text writes it, and load_corpus refuses any
+    other bytes in its place with one message."""
 
-    def test_round_trip(self, tmp_path):
-        path = tmp_path / "manifest.txt"
-        write_manifest(self.records(), path)
-        got = read_manifest(path)
-        assert got == self.records()
+    PROFILES = [CorruptionProfile(uniform_mix=0.1, smear_width=3, offset=-1),
+                CorruptionProfile(fail=True)]
 
-    def test_float_mix_round_trips_exactly(self, tmp_path):
-        recs = [
-            UtteranceRecord(
-                utt_id=0,
-                num_frames=5,
-                oracle_stream=0,
-                profiles=[CorruptionProfile(uniform_mix=0.1), CorruptionProfile()],
-            )
-        ]
-        path = tmp_path / "manifest.txt"
-        write_manifest(recs, path)
-        assert read_manifest(path)[0].profiles[0].uniform_mix == 0.1
+    def test_frozen_bytes(self):
+        # The format perfbench's read_shape and earlier corpora read.
+        assert manifest_text([90], 1, self.PROFILES) == (
+            "utt=0 frames=90 oracle=1 "
+            "profiles=lam:0.1,smear:3,fail:0,off:-1;lam:0.0,smear:0,fail:1,off:0\n"
+        )
 
-    def test_comments_and_blank_lines_skipped(self, tmp_path):
-        path = tmp_path / "manifest.txt"
-        write_manifest(self.records(), path)
-        path.write_text("# header\n\n" + path.read_text())
-        assert len(read_manifest(path)) == 2
+    def test_round_trip(self):
+        text = manifest_text([90, 120], 1, self.PROFILES)
+        want = [{"lam": "0.1", "smear": "3", "fail": "0", "off": "-1"},
+                {"lam": "0.0", "smear": "0", "fail": "1", "off": "0"}]
+        assert _parse_manifest(text) == [(0, 90, 1, want), (1, 120, 1, want)]
 
-    def test_bad_token_names_line(self, tmp_path):
-        path = tmp_path / "manifest.txt"
-        write_manifest(self.records(), path)
-        path.write_text(path.read_text() + "garbage\n")
-        with pytest.raises(ManifestError) as exc:
-            read_manifest(path)
-        assert f"{path}: line 3: bad token 'garbage'" in str(exc.value)
+    def test_float_mix_round_trips_exactly(self):
+        mixes = [0.1, 1 / 3, 0.6, 2.5e-17]
+        text = manifest_text([5], 0, [CorruptionProfile(uniform_mix=m) for m in mixes])
+        [(_, _, _, profiles)] = _parse_manifest(text)
+        assert [float(p["lam"]) for p in profiles] == mixes
 
-    def test_unknown_field_rejected(self, tmp_path):
-        path = tmp_path / "manifest.txt"
-        path.write_text("utt=0 frames=5 oracle=0 bogus=1 profiles=lam:0.0,smear:0,fail:0,off:0\n")
-        with pytest.raises(ManifestError) as exc:
-            read_manifest(path)
-        assert "bogus" in str(exc.value) and "line 1" in str(exc.value)
+    def refused(self, corpus, tmp_path, edit):
+        """load_corpus on a copy of corpus whose manifest lines edit(lines) gives."""
+        copy = tmp_path / "corpus"
+        shutil.copytree(corpus, copy)
+        manifest = copy / "manifest.txt"
+        lines = edit(manifest.read_text().splitlines())
+        manifest.write_text("".join(f"{line}\n" for line in lines))
+        with pytest.raises(StreamFuseError) as exc:
+            load_corpus(copy)
+        assert str(exc.value) == f"{manifest} is not the manifest {copy / 'corpus.cfg'} gives"
 
-    def test_missing_field_rejected(self, tmp_path):
-        path = tmp_path / "manifest.txt"
-        path.write_text("utt=0 frames=5 profiles=lam:0.0,smear:0,fail:0,off:0\n")
-        with pytest.raises(ManifestError) as exc:
-            read_manifest(path)
-        assert "oracle" in str(exc.value)
+    def test_comments_and_blank_lines_rejected(self, tiny_corpus, tmp_path):
+        self.refused(tiny_corpus, tmp_path, lambda lines: ["# header", "", *lines])
 
-    @pytest.mark.parametrize("line, error", [
-        ("utt=0 frames=5 oracle=0 oracle=0 profiles=lam:0.0,smear:0,fail:0,off:0",
-         "line 1: repeated key 'oracle'"),
-        ("utt=0 frames=5 oracle=0 profiles=lam:0.0,smear:0,fail:0,off:0,lam:0.0",
-         "line 1: profile 0: repeated key 'lam'"),
+    def test_bad_token_rejected(self, tiny_corpus, tmp_path):
+        self.refused(tiny_corpus, tmp_path, lambda lines: [*lines, "garbage"])
+
+    def test_unknown_field_rejected(self, tiny_corpus, tmp_path):
+        self.refused(tiny_corpus, tmp_path,
+                     lambda lines: [lines[0].replace(" profiles=", " bogus=1 profiles="),
+                                    *lines[1:]])
+
+    def test_missing_field_rejected(self, tiny_corpus, tmp_path):
+        self.refused(tiny_corpus, tmp_path,
+                     lambda lines: [re.sub(r"oracle=\S+ ", "", lines[0]), *lines[1:]])
+
+    @pytest.mark.parametrize("pattern, repeated", [
+        (r"(oracle=\S+)", r"\1 \1"),
+        (r"(lam:[^,]+),", r"\1,\1,"),
     ], ids=["field", "profile field"])
-    def test_repeated_key_rejected(self, tmp_path, line, error):
-        path = tmp_path / "manifest.txt"
-        path.write_text(line + "\n")
-        with pytest.raises(ManifestError) as exc:
-            read_manifest(path)
-        assert f"{path}: {error}" in str(exc.value)
+    def test_repeated_key_rejected(self, tiny_corpus, tmp_path, pattern, repeated):
+        self.refused(tiny_corpus, tmp_path,
+                     lambda lines: [re.sub(pattern, repeated, lines[0], count=1), *lines[1:]])
 
-    def test_unknown_profile_field_rejected(self, tmp_path):
-        path = tmp_path / "manifest.txt"
-        path.write_text("utt=0 frames=5 oracle=0 profiles=lam:0.0,smear:0,fail:0,off:0,extra:1\n")
-        with pytest.raises(ManifestError) as exc:
-            read_manifest(path)
-        assert "extra" in str(exc.value)
+    def test_unknown_profile_field_rejected(self, tiny_corpus, tmp_path):
+        self.refused(tiny_corpus, tmp_path, lambda lines: [lines[0] + ",extra:1", *lines[1:]])
 
-    def test_bad_profile_token_rejected(self, tmp_path):
-        path = tmp_path / "manifest.txt"
-        path.write_text("utt=0 frames=5 oracle=0 profiles=nonsense\n")
-        with pytest.raises(ManifestError):
-            read_manifest(path)
+    def test_bad_profile_token_rejected(self, tiny_corpus, tmp_path):
+        self.refused(tiny_corpus, tmp_path,
+                     lambda lines: [lines[0].split("profiles=")[0] + "profiles=nonsense",
+                                    *lines[1:]])
 
-    def test_non_numeric_value_rejected(self, tmp_path):
-        path = tmp_path / "manifest.txt"
-        path.write_text("utt=zero frames=5 oracle=0 profiles=lam:0.0,smear:0,fail:0,off:0\n")
-        with pytest.raises(ManifestError) as exc:
-            read_manifest(path)
-        assert "line 1" in str(exc.value)
-
+    def test_non_numeric_value_rejected(self, tiny_corpus, tmp_path):
+        self.refused(tiny_corpus, tmp_path,
+                     lambda lines: [lines[0].replace("utt=0", "utt=zero"), *lines[1:]])
 
 class TestStreamHeader:
     def test_fields_match_read_stream(self, rng, tmp_path):
