@@ -141,7 +141,7 @@ def cmd_train_ae(args, parser) -> int:
         batch_size=args.batch_size,
         seed=args.seed,
     )
-    clean = corpus.utterances.clean_streams()
+    clean = corpus.clean_streams()
     # No name holds the stacked rows, so training does not keep them alive.
     front_end = aemonitor.fit_front_end(
         np.vstack([s.probs for s in clean]), logit_clamp=args.logit_clamp
@@ -167,6 +167,17 @@ def _check_settings(parser, method: str, **settings) -> None:
         parser.error(f"argument --{e.setting}: {e.reason}")
 
 
+def _read_model(path, corpus: experiments.Corpus) -> aemonitor.AeModel | None:
+    """The model file at path (None for no path), once its class count is the corpus's."""
+    if not path:
+        return None
+    model = storage.read_model(path)
+    C, want = model.front_end.num_classes, corpus.spec.num_classes
+    if C != want:
+        raise StreamFuseError(f"{path}: the model has {C} classes, the corpus {want}")
+    return model
+
+
 def cmd_fuse(args, parser) -> int:
     _check_settings(parser, args.method, base=args.base, window=args.window, model=args.model)
     try:
@@ -180,7 +191,7 @@ def cmd_fuse(args, parser) -> int:
             check_range("n", args.n, (1, M))
         except ValueError:
             parser.error(f"argument --n: {args.n} is more than the corpus's {M} streams")
-    model = storage.read_model(args.model) if args.model else None
+    model = _read_model(args.model, corpus)
     experiments.fuse_corpus(
         corpus, args.method, args.out, model=model, mcfg=mcfg, n=args.n, base=args.base
     )
@@ -199,7 +210,7 @@ def cmd_evaluate(args, parser) -> int:
     if args.sweep:
         _check_settings(parser, args.method, model=args.model)
     corpus = experiments.load_corpus(args.corpus)
-    model = storage.read_model(args.model) if args.model else None
+    model = _read_model(args.model, corpus)
     sweep = range(1, corpus.spec.num_streams + 1) if args.sweep else ()
     rows = experiments.evaluate_corpus(
         corpus,

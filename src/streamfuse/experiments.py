@@ -20,7 +20,10 @@ Reports are tab-separated tables with a header row; lines starting with
 
 A corpus has one form: write_corpus simulates it into a directory one
 utterance at a time (simulator.simulate_utterance), and load_corpus reads
-it back as a simulator.Scenario whose utterances are read from disk on use.
+it back as a Corpus, the sequence of its utterances, each read from disk
+when it is taken.  manifest.txt and fuse.cfg are completion markers: each
+is removed before its directory is written and written last, so an
+interrupted rerun leaves no marker.
 
 When each check runs: load_corpus reads corpus.cfg (read_written_config),
 which decides the rest: hmm.json and manifest.txt must be the bytes that
@@ -30,8 +33,8 @@ corpus.cfg gives (label count and range, each stream's frames, classes and
 frame_offset: its profile's off, 0 for the clean stream; each file's size),
 so a corpus that contradicts itself fails before any output exists.  A
 stream's payload is read, and its rows checked by core.check_simplex, only
-when its utterance is taken from the corpus's utterances, so fuse_corpus
-and evaluate_corpus hold one utterance at a time.
+when its utterance is taken from the corpus, so fuse_corpus and
+evaluate_corpus hold one utterance at a time.
 fuse checks each schedule and fused stream, and the storage writers check
 every matrix before they write it.  Before the first utterance,
 evaluate_corpus reads each fused directory's fuse.cfg by read_written_config
@@ -98,9 +101,22 @@ def write_config(pairs: dict, path):
 
 def read_written_config(path, types: dict) -> dict:
     """The values of a write_config file whose lines are the keys of types and a
-    config_hash of their values, each parsed by its type; else FormatError."""
-    lines = Path(path).read_text().splitlines()
-    fields = storage.exact_fields(lines, "=", (*types, "config_hash"), str(path))
+    config_hash of their values, each once and parsed by its type; else
+    FormatError naming the file and the line or key."""
+    keys = (*types, "config_hash")
+    fields = {}
+    for line in Path(path).read_text().splitlines():
+        key, found, val = line.partition("=")
+        if not found:
+            raise FormatError(f"{path}: bad token {line!r}")
+        if key not in keys:
+            raise FormatError(f"{path}: unknown key {key!r}")
+        if key in fields:
+            raise FormatError(f"{path}: repeated key {key!r}")
+        fields[key] = val
+    missing = [k for k in keys if k not in fields]
+    if missing:
+        raise FormatError(f"{path}: missing key {missing[0]!r}")
     values = {}
     for key, typ in types.items():
         try:
@@ -151,9 +167,23 @@ def _corpus_cfg(name: str, spec: simulator.CorpusSpec) -> dict:
     return cfg
 
 
-def corpus_hash(scenario: simulator.Scenario) -> str:
+def corpus_hash(corpus: Corpus) -> str:
     """The config_hash of a corpus, as corpus.cfg stores it."""
-    return config_hash(_corpus_cfg(scenario.name, scenario.spec))
+    return config_hash(_corpus_cfg(corpus.name, corpus.spec))
+
+
+def _profile_to_text(p: simulator.CorruptionProfile) -> str:
+    return f"lam:{p.uniform_mix!r},smear:{p.smear_width},fail:{int(p.fail)},off:{p.offset}"
+
+
+def manifest_text(frames: list[int], oracle_stream: int,
+                  profiles: list[simulator.CorruptionProfile]) -> str:
+    """The manifest of a corpus whose utterance u has frames[u] frames: one line
+    per utterance, "utt=u frames=T oracle=O profiles=P" with P the
+    semicolon-joined profile of every stream.  It is written, never parsed."""
+    profs = ";".join(_profile_to_text(p) for p in profiles)
+    return "".join(f"utt={u} frames={n} oracle={oracle_stream} profiles={profs}\n"
+                   for u, n in enumerate(frames))
 
 
 def _corpus_files(name: str, spec: simulator.CorpusSpec) -> tuple:
@@ -163,16 +193,18 @@ def _corpus_files(name: str, spec: simulator.CorpusSpec) -> tuple:
     hmm = facts.hmm
     fields = {"transitions": hmm.transitions.tolist(), "priors": hmm.priors.tolist(),
               "labels": list(hmm.labels)}
-    manifest = storage.manifest_text(facts.frames, facts.oracle_stream, facts.profiles)
+    manifest = manifest_text(facts.frames, facts.oracle_stream, facts.profiles)
     return facts, json.dumps(fields).encode(), manifest.encode()
 
 
 def write_corpus(name: str, spec: simulator.CorpusSpec, outdir) -> simulator.CorpusFacts:
     """Simulate corpus name under spec into outdir, one utterance at a time
-    (simulator.simulate_utterance) and the manifest last; return its facts."""
+    (simulator.simulate_utterance), the manifest removed first and written
+    last; return its facts."""
     facts, hmm_json, manifest = _corpus_files(name, spec)
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
+    (outdir / "manifest.txt").unlink(missing_ok=True)
     write_config(_corpus_cfg(name, spec), outdir / "corpus.cfg")
     (outdir / "hmm.json").write_bytes(hmm_json)
     for u in range(spec.num_utterances):
@@ -206,63 +238,59 @@ def _read_checked(read, path: Path, shape: tuple[int, int], where: str, offset: 
     return found
 
 
-def _utterance_streams(read, indir: Path, manifest: Path, u: int, shape: tuple[int, int],
-                       profiles: list) -> list:
-    """read(path) of utterance u's stream files, _s00 .. then _clean, each checked.
+class Corpus(Sequence[simulator.Utterance]):
+    """A corpus directory that load_corpus checked: the sequence of its
+    utterances, each read from disk when it is taken, with its scenario name,
+    spec, facts (simulator.corpus_facts) and HMM.
 
-    Every stream spans shape, the utterance's frames over the HMM's states;
-    stream m's frame_offset is profiles[m]'s off, and the clean stream's is 0.
-    With no profiles, the _clean file alone is read.
-    """
-    tag = f"utt{u:04d}"
-    files = [(f"{tag}_s{m:02d}.strm", p.offset) for m, p in enumerate(profiles)]
-    files.append((f"{tag}_clean.strm", 0))
-    where = f"{manifest}: utt {u}"
-    return [_read_checked(read, indir / name, shape, where, offset) for name, offset in files]
-
-
-class _DiskUtterances(Sequence):
-    """The utterances of a corpus directory, read from disk each time one is taken.
-
-    Taking one reads and simplex-validates its stream payloads; nothing is
-    cached, so a pass over the corpus holds one utterance's streams at a time.
+    Taking an utterance reads and simplex-checks its stream payloads; nothing
+    is cached, so a pass over the corpus holds one utterance's streams at a
+    time.
     """
 
-    def __init__(self, indir: Path, manifest: Path, facts: simulator.CorpusFacts,
-                 num_classes: int, labels: list[np.ndarray]):
-        self._indir, self._manifest, self._facts = indir, manifest, facts
-        self._num_classes, self._labels = num_classes, labels  # labels per utterance
+    def __init__(self, indir: Path, name: str, spec: simulator.CorpusSpec,
+                 facts: simulator.CorpusFacts, labels: list[np.ndarray]):
+        self.name, self.spec, self.facts, self.hmm = name, spec, facts, facts.hmm
+        self._indir, self._labels = indir, labels  # labels per utterance
 
     def __len__(self) -> int:
         return len(self._labels)
 
-    def _streams(self, u: int, profiles: list) -> list[PosteriorStream]:
-        shape = (self._facts.frames[u], self._num_classes)
-        return _utterance_streams(storage.read_stream, self._indir, self._manifest, u, shape,
-                                  profiles)
+    def _streams(self, read, u: int, profiles: list) -> list:
+        """read(path) of utterance u's stream files, _s00 .. then _clean, each checked.
+
+        Every stream spans the utterance's frames over the HMM's states;
+        stream m's frame_offset is profiles[m]'s off, and the clean stream's
+        is 0.  With no profiles, the _clean file alone is read.
+        """
+        tag = f"utt{u:04d}"
+        files = [(f"{tag}_s{m:02d}.strm", p.offset) for m, p in enumerate(profiles)]
+        files.append((f"{tag}_clean.strm", 0))
+        shape = (self.facts.frames[u], self.spec.num_classes)
+        where = f"{self._indir / 'manifest.txt'}: utt {u}"
+        return [_read_checked(read, self._indir / f, shape, where, offset) for f, offset in files]
 
     def __getitem__(self, i: int) -> simulator.Utterance:
         u = range(len(self))[operator.index(i)]
-        *streams, clean = self._streams(u, self._facts.profiles)
+        *streams, clean = self._streams(storage.read_stream, u, self.facts.profiles)
         return simulator.Utterance(u, self._labels[u], clean, StreamSet(streams),
-                                   self._facts.oracle_stream)
+                                   self.facts.oracle_stream)
 
     def clean_streams(self) -> list[PosteriorStream]:
         """Every utterance's clean stream, read and checked without its
         corrupted streams."""
-        return [self._streams(u, [])[0] for u in range(len(self))]
+        return [self._streams(storage.read_stream, u, [])[0] for u in range(len(self))]
 
 
-def load_corpus(indir) -> simulator.Scenario:
-    """Read back, as a Scenario, a corpus directory that write_corpus wrote.
+def load_corpus(indir) -> Corpus:
+    """Read back, as a Corpus, a corpus directory that write_corpus wrote.
 
     corpus.cfg decides the corpus: hmm.json and manifest.txt must be the
     bytes write_corpus writes for it, and every label file and stream header
     must fit the facts it gives, so a directory that contradicts itself fails
-    here, before any output exists.  The scenario's utterances are a
-    read-only sequence that reads an utterance's stream payloads, and checks
-    their rows are on the simplex, only when it is taken; its clean_streams()
-    reads the clean streams alone.
+    here, before any output exists.  The corpus reads an utterance's stream
+    payloads, and checks their rows are on the simplex, only when it is
+    taken; its clean_streams() reads the clean streams alone.
     """
     indir = Path(indir)
     cfg_path, hmm_path, manifest = (indir / n for n in ("corpus.cfg", "hmm.json", "manifest.txt"))
@@ -289,7 +317,8 @@ def load_corpus(indir) -> simulator.Scenario:
     if manifest_bytes != want_manifest:
         raise manifest_mismatch
     C = spec.num_classes
-    all_labels = []
+    all_labels = []  # filled as each utterance passes its checks
+    corpus = Corpus(indir, cfg["scenario"], spec, facts, all_labels)
     for u, frames in enumerate(facts.frames):
         ref = indir / f"utt{u:04d}.ref"
         try:
@@ -305,16 +334,9 @@ def load_corpus(indir) -> simulator.Scenario:
             raise StreamFuseError(
                 f"{manifest}: utt {u}: frames={frames}, but {ref.name} holds {len(labels)} labels"
             )
-        _utterance_streams(storage.read_stream_header, indir, manifest, u, (frames, C),
-                           facts.profiles)
+        corpus._streams(storage.read_stream_header, u, facts.profiles)
         all_labels.append(labels)
-    return simulator.Scenario(
-        name=cfg["scenario"],
-        spec=spec,
-        hmm=facts.hmm,
-        profiles=facts.profiles,
-        utterances=_DiskUtterances(indir, manifest, facts, C, all_labels),
-    )
+    return corpus
 
 
 def _equal(aligned: StreamSet) -> AttentionSchedule:
@@ -431,7 +453,7 @@ def _model_digest(model: aemonitor.AeModel) -> str:
 
 
 def fuse_corpus(
-    corpus: simulator.Scenario,
+    corpus: Corpus,
     method: str,
     outdir,
     *,
@@ -443,12 +465,14 @@ def fuse_corpus(
     """Fuse every utterance of a corpus and write the results.
 
     A setting the method does not read raises SettingError (check_settings)
-    before anything is written.
+    before anything is written.  fuse.cfg is removed before the first
+    utterance and written last.
     """
     check_settings(method, base=base, window=None if mcfg is None else mcfg.window, model=model)
     truncation = [_frame_method(method, n, base)]
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
+    (outdir / "fuse.cfg").unlink(missing_ok=True)
     values = (
         method,
         "" if n is None else n,
@@ -458,13 +482,12 @@ def fuse_corpus(
         corpus_hash(corpus),
     )
     cfg = dict(zip(FUSE_KEYS, values, strict=True))
-    for utt in corpus.utterances:
+    for utt in corpus:
         aligned = align_streams(utt.streams)
         [sched], [fused] = _fuse_utterance(utt, aligned, truncation, model=model, mcfg=mcfg)
         tag = f"utt{utt.utt_id:04d}"
         storage.write_schedule(sched, outdir / f"{tag}.schd")
         storage.write_stream(fused, outdir / f"{tag}_fused.strm")
-    # Written last, so only a directory that holds every utterance has one.
     write_config(cfg, outdir / "fuse.cfg")
 
 
@@ -516,7 +539,7 @@ def _fused_name(fused_dir: Path, chash: str, num_streams: int) -> str:
 
 
 def evaluate_corpus(
-    corpus: simulator.Scenario,
+    corpus: Corpus,
     *,
     baselines: bool = True,
     fused_dirs=(),
@@ -542,7 +565,7 @@ def evaluate_corpus(
     names += [_row_name(method, n) for method, n in methods]
     truncations = [_frame_method(method, n) for method, n in methods]
     per_system: list[list[ErrorReport]] = [[] for _ in names]
-    for utt in corpus.utterances:
+    for utt in corpus:
         lo, length = overlap_range(utt.streams)
         aligned = align_streams(utt.streams) if baselines or methods else None
         streams = [*aligned.streams, utt.clean] if baselines else []

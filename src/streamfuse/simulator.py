@@ -8,13 +8,13 @@ profile: mixing toward uniform, temporal smearing, outright failure
 
 simulate_utterance makes one utterance from the facts corpus_facts derives;
 experiments.write_corpus writes each utterance as it is made, and
-experiments.load_corpus reads a corpus back as a Scenario.
+experiments.load_corpus reads a corpus back as an experiments.Corpus, the
+sequence of its Utterances.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -204,18 +204,6 @@ class Utterance:
     clean: PosteriorStream
     streams: StreamSet
     oracle_stream: int
-
-
-@dataclass
-class Scenario:
-    """A corpus as experiments.load_corpus reads it: its utterances are a
-    read-only sequence that reads each utterance from disk when it is taken."""
-
-    name: str
-    spec: CorpusSpec
-    hmm: HmmModel
-    profiles: list[CorruptionProfile]
-    utterances: Sequence[Utterance]
 
 
 _OFFSET_CYCLE = (0, 1, -1, 2, -2)

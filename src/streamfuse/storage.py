@@ -1,4 +1,4 @@
-"""Bit-exact persistence for streams, schedules, manifests and models.
+"""Bit-exact persistence for streams, schedules and models.
 
 Byte layouts (all little-endian):
 
@@ -18,26 +18,19 @@ model file ("STAE"):
       fan_in u32 | width u32 | activation u8 (0 relu, 1 linear)
       | num_offsets u16 | offsets i32... | weight row-major f64 | bias f64
 
-manifest (manifest_text): plain text, one line per utterance u,
-"utt=u frames=T oracle=O profiles=P" with P the semicolon-joined
-"lam:..,smear:..,fail:..,off:.." profile of every stream.  It is written,
-never parsed: experiments.load_corpus compares a manifest's bytes with the
-text of the facts its corpus.cfg gives.
-
 Stream and schedule readers check the fixed-size header first: magic,
 version, dtype code, and a file size of exactly header + rows * columns * 4
 bytes, so a hostile row or column count fails before any payload is read
 or allocated.  read_stream_header stops there, which lets a corpus check
 every stream's shape at load and read its payload only on use.  Readers
 of a payload then run core.check_simplex on its rows (finite, >= 0, sum
-within SIMPLEX_ATOL = 1e-6 of 1); rows beyond float32 promotion noise
-(1e-7) are renormalized, rows within it are kept untouched so
-write -> read -> write is byte-stable.  Writers run the same check before
-they open the file, so no writer makes a file its reader rejects.  The
-model reader rejects non-finite values in any array it reads, and a
-layer stack that does not chain: no layers, a fan_in other than the
-previous width (K for layer 0) times the layer's offset count, or a last
-width other than K.
+within SIMPLEX_ATOL = 1e-6 of 1) and return them as stored.  Writers run
+the same check before they open the file and store the rows cast to f32,
+so no writer makes a file its reader rejects, and write -> read -> write
+gives the same bytes.  The model reader rejects non-finite values in any
+array it reads, and a layer stack that does not chain: no layers, a
+fan_in other than the previous width (K for layer 0) times the layer's
+offset count, or a last width other than K.
 """
 
 from __future__ import annotations
@@ -58,12 +51,8 @@ from .errors import (
     PayloadTruncated,
     VersionUnsupported,
 )
-from .simulator import CorruptionProfile
 
 VERSION = 1
-# Rows closer to 1 than this are left untouched on read (float32 promotion
-# noise); between this and SIMPLEX_ATOL they get renormalized.
-_EXACT_ATOL = 1e-7
 
 _STREAM_HDR = struct.Struct("<4sHIIIiB")
 _SCHED_HDR = struct.Struct("<4sHIIB")
@@ -88,32 +77,6 @@ def _check_header(magic: bytes, expect: bytes, version: int):
         raise VersionUnsupported(f"version {version} not supported")
 
 
-def _validate_rows(mat: np.ndarray, what: str) -> np.ndarray:
-    """mat once check_simplex passes it, rows beyond _EXACT_ATOL of 1 renormalized in place."""
-    sums = check_simplex(mat, what)
-    fix = np.abs(sums - 1.0) > _EXACT_ATOL
-    if np.any(fix):
-        mat[fix] /= sums[fix, None]
-    return mat
-
-
-def _to_f32_payload(mat: np.ndarray) -> np.ndarray:
-    """Cast rows to f32 so their promoted row sums stay inside _EXACT_ATOL.
-
-    Casting alone can leave float32 row sums a few ulps off 1, which would
-    make the reader renormalize and break write -> read -> write stability;
-    a couple of renormalize-and-recast passes reaches a fixed point.
-    """
-    out = np.ascontiguousarray(mat, dtype="<f4")
-    for _ in range(4):
-        sums = out.astype(np.float64).sum(axis=1)
-        bad = np.abs(sums - 1.0) > _EXACT_ATOL
-        if not np.any(bad):
-            break
-        out[bad] = (out[bad].astype(np.float64) / sums[bad, None]).astype("<f4")
-    return out
-
-
 def _write_matrix(path, hdr: struct.Struct, magic: bytes, what: str, mat: np.ndarray, *extra):
     """Header (magic, version, columns, rows, *extra, dtype 0) and an f32 payload.
 
@@ -122,7 +85,7 @@ def _write_matrix(path, hdr: struct.Struct, magic: bytes, what: str, mat: np.nda
     check_simplex(mat, what)
     with open(path, "wb") as f:
         f.write(hdr.pack(magic, VERSION, mat.shape[1], mat.shape[0], *extra, 0))
-        f.write(_to_f32_payload(mat).tobytes())
+        f.write(np.ascontiguousarray(mat, dtype="<f4").tobytes())
 
 
 def _read_matrix_header(f, hdr: struct.Struct, magic: bytes, what: str) -> tuple[int, int, list]:
@@ -153,7 +116,8 @@ def _read_matrix(path, hdr: struct.Struct, magic: bytes, what: str) -> tuple[np.
         rows, cols, extra = _read_matrix_header(f, hdr, magic, what)
         payload = _read_exact(f, rows * cols * 4, f"{what} payload")
     mat = np.frombuffer(payload, dtype="<f4").astype(np.float64).reshape(rows, cols)
-    return _validate_rows(mat, what), extra
+    check_simplex(mat, what)
+    return mat, extra
 
 
 class StreamHeader(NamedTuple):
@@ -272,35 +236,3 @@ def read_model(path) -> AeModel:
     except ValueError as e:
         raise FormatError(f"model front end: {e}") from None
     return AeModel(front_end=fe, layers=layers, context=(left, right))
-
-
-def exact_fields(tokens, sep: str, keys: tuple, where: str) -> dict:
-    """The key<sep>value tokens as a dict if each of keys comes once and no other
-    key comes; otherwise raises FormatError naming where and the token or key."""
-    fields = {}
-    for token in tokens:
-        key, found, val = token.partition(sep)
-        if not found:
-            raise FormatError(f"{where}: bad token {token!r}")
-        if key not in keys:
-            raise FormatError(f"{where}: unknown key {key!r}")
-        if key in fields:
-            raise FormatError(f"{where}: repeated key {key!r}")
-        fields[key] = val
-    missing = [k for k in keys if k not in fields]
-    if missing:
-        raise FormatError(f"{where}: missing key {missing[0]!r}")
-    return fields
-
-
-def _profile_to_text(p: CorruptionProfile) -> str:
-    return f"lam:{p.uniform_mix!r},smear:{p.smear_width},fail:{int(p.fail)},off:{p.offset}"
-
-
-def manifest_text(frames: list[int], oracle_stream: int,
-                  profiles: list[CorruptionProfile]) -> str:
-    """The manifest of a corpus whose utterance u has frames[u] frames: one line
-    per utterance, each naming the oracle stream and every stream's profile."""
-    profs = ";".join(_profile_to_text(p) for p in profiles)
-    return "".join(f"utt={u} frames={n} oracle={oracle_stream} profiles={profs}\n"
-                   for u, n in enumerate(frames))

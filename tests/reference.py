@@ -259,7 +259,7 @@ def decode_reports_ref(streams, labels, hmm, start=0):
 def evaluate_single_streams_ref(corpus):
     per_stream = [[] for _ in range(corpus.spec.num_streams)]
     clean = []
-    for u in corpus.utterances:
+    for u in corpus:
         lo, _ = overlap_range(u.streams)
         aligned = align_streams(u.streams)
         reports = decode_reports_ref(aligned.streams, u.labels, corpus.hmm, start=lo)
@@ -277,7 +277,7 @@ def evaluate_fused_dir_ref(corpus, fused_dir):
     if fcfg.get("n"):
         name += f":n={fcfg['n']}"
     reports = []
-    for utt in corpus.utterances:
+    for utt in corpus:
         lo, _ = overlap_range(utt.streams)
         fused = storage.read_stream(fused_dir / f"utt{utt.utt_id:04d}_fused.strm")
         reports += decode_reports_ref([fused], utt.labels, corpus.hmm, start=lo)
@@ -292,7 +292,7 @@ def evaluate_methods_ref(corpus, methods, *, model=None):
     for method, n in methods:
         frame, keep = ("entropy", 1 if n is None else n) if method == "max_n" else (method, n)
         reports = []
-        for utt in corpus.utterances:
+        for utt in corpus:
             lo, _ = overlap_range(utt.streams)
             aligned = align_streams(utt.streams)
             sched = compute_schedule(frame, aligned, oracle_stream=utt.oracle_stream, model=model)

@@ -58,7 +58,7 @@ def verdict(n: int, ok: bool, detail: str):
     assert ok, detail
 
 
-def build_corpus(name, outdir) -> simulator.Scenario:
+def build_corpus(name, outdir) -> experiments.Corpus:
     spec = CorpusSpec(
         num_utterances=UTTERANCES,
         frames_min=80,
@@ -84,7 +84,7 @@ def hrm_corpus(tmp_path_factory):
 @pytest.fixture(scope="module")
 def monitor_model(ldc_corpus):
     """Autoencoder monitor trained on the matched-condition streams."""
-    clean = [u.clean for u in ldc_corpus.utterances]
+    clean = [u.clean for u in ldc_corpus]
     rows = np.vstack([s.probs for s in clean])
     fe = fit_front_end(rows, min(CLASSES, aemonitor.DEFAULT_PCA_DIM), logit_clamp=1e-3)
     cfg = TrainConfig(learning_rate=1e-3, epochs=15, batch_size=128, seed=0)
@@ -275,14 +275,14 @@ def test_criterion_6_window_selection(hrm_corpus):
     Competitors carry a heavy uniform mix (>=0.5) and long smear (>=9), so
     the selector must pick the clean stream on at least 90% of utterances.
     """
-    clean_index = hrm_corpus.utterances[0].oracle_stream
+    clean_index = hrm_corpus[0].oracle_stream
     hits = 0
-    for u in hrm_corpus.utterances:
+    for u in hrm_corpus:
         aligned = align_streams(u.streams)
         sched = binary_window_attention(aligned)
         hits += int(np.argmax(sched.weights[0]) == clean_index)
-    frac = hits / len(hrm_corpus.utterances)
-    verdict(6, frac >= 0.9, f"clean stream selected on {hits}/{len(hrm_corpus.utterances)} utterances")
+    frac = hits / len(hrm_corpus)
+    verdict(6, frac >= 0.9, f"clean stream selected on {hits}/{len(hrm_corpus)} utterances")
 
 
 def test_criterion_7_n_best_sweep(hrm_corpus):

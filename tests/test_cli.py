@@ -221,7 +221,7 @@ class TestTrainAe:
         rc = cli.main(["train-ae", "--corpus", str(corpus), "--out", str(tmp_path / "m.stae"),
                        "--epochs", "1"])
         assert rc == 0
-        assert len(reads) == len(experiments.load_corpus(corpus).utterances)
+        assert len(reads) == len(experiments.load_corpus(corpus))
         assert sorted(reads) == sorted(p.name for p in corpus.glob("*_clean.strm"))
 
     def test_off_simplex_clean_payload_exits_3(self, corpus, tmp_path):
@@ -275,7 +275,7 @@ class TestFuse:
         out = tmp_path / "oracle"
         r = run("fuse", "--corpus", str(corpus), "--out", str(out), "--method", "oracle")
         assert r.returncode == 0, r.stderr
-        oracle = experiments.load_corpus(corpus).utterances[0].oracle_stream
+        oracle = experiments.load_corpus(corpus)[0].oracle_stream
         w = storage.read_schedule(sorted(out.glob("*.schd"))[0]).weights
         assert np.all(w[:, oracle] == 1.0)
         assert np.all(np.delete(w, oracle, axis=1) == 0.0)
@@ -433,6 +433,28 @@ class TestFuse:
         assert (out / "utt0000_fused.strm").exists()
         assert not (out / "fuse.cfg").exists()
 
+    def test_failed_rerun_removes_the_old_fuse_cfg(self, corpus, fused_entropy, tmp_path):
+        # An equal-weight rerun into an entropy output that stops at utterance
+        # 3 has overwritten utterances 0-2: the old fuse.cfg must not vouch
+        # for the mix.
+        out = tmp_path / "f"
+        shutil.copytree(fused_entropy, out)
+        copy = tmp_path / "corpus"
+        shutil.copytree(corpus, copy)
+        path = copy / "utt0003_s01.strm"
+        data = bytearray(path.read_bytes())
+        first = struct.calcsize("<4sHIIIiB")  # row 0, class 0
+        data[first : first + 4] = struct.pack("<f", np.nan)
+        path.write_bytes(bytes(data))
+        r = run("fuse", "--corpus", str(copy), "--out", str(out), "--method", "equal")
+        assert r.returncode == 3
+        assert not (out / "fuse.cfg").exists()
+        report = tmp_path / "r.tsv"
+        r = run("evaluate", "--corpus", str(corpus), "--out", str(report), "--fused", str(out))
+        assert r.returncode == 3
+        assert f"{out}: no fuse.cfg, so not a complete fuse output" in r.stderr
+        assert not report.exists()
+
     def test_autoencoder_with_model(self, corpus, model, tmp_path):
         out = tmp_path / "ae"
         r = run("fuse", "--corpus", str(corpus), "--out", str(out),
@@ -538,6 +560,25 @@ class TestFuse:
                 "--method", "autoencoder", "--model", str(path))
         assert r.returncode == 3
         assert message in r.stderr
+        assert "Traceback" not in r.stderr
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["fuse", "evaluate"])
+    def test_model_of_another_class_count_exits_3_before_writing(self, corpus, tmp_path,
+                                                                  command):
+        # A model that chains right over C=4 classes; the corpus has 6.
+        front_end = aemonitor.FrontEnd(pca_mean=np.zeros(4), pca_basis=np.eye(4)[:, :2])
+        layers = [aemonitor.Layer(np.ones((2, 2)), np.zeros(2), "linear")]
+        path = tmp_path / "c4.stae"
+        storage.write_model(aemonitor.AeModel(front_end, layers, (0, 0)), path)
+        out = tmp_path / "out"
+        if command == "fuse":
+            argv = ["fuse", "--out", str(out), "--method", "autoencoder"]
+        else:
+            argv = ["evaluate", "--out", str(out), "--sweep", "--method", "autoencoder"]
+        r = run(*argv, "--corpus", str(corpus), "--model", str(path))
+        assert r.returncode == 3
+        assert f"error: {path}: the model has 4 classes, the corpus 6\n" in r.stderr
         assert "Traceback" not in r.stderr
         assert not out.exists()
 

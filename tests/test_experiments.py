@@ -1,5 +1,6 @@
 """In-memory experiment orchestration over a corpus on disk."""
 
+import dataclasses
 import re
 import shutil
 import tracemalloc
@@ -40,12 +41,12 @@ def hrm_corpus(written):
 def test_load_corpus_round_trips_the_scenario(written, hrm_corpus):
     spec, facts, outdir = written
     got = hrm_corpus
-    assert (got.name, got.spec, got.profiles) == ("hrm_like", spec, facts.profiles)
+    assert (got.name, got.spec, got.facts.profiles) == ("hrm_like", spec, facts.profiles)
     np.testing.assert_array_equal(got.hmm.transitions, facts.hmm.transitions)
     np.testing.assert_array_equal(got.hmm.priors, facts.hmm.priors)
     assert got.hmm.labels == facts.hmm.labels
-    assert [u.utt_id for u in got.utterances] == list(range(spec.num_utterances))
-    for g in got.utterances:
+    assert [u.utt_id for u in got] == list(range(spec.num_utterances))
+    for g in got:
         s = simulator.simulate_utterance(spec, facts, g.utt_id)
         np.testing.assert_array_equal(g.labels, s.labels)
         assert g.oracle_stream == s.oracle_stream
@@ -55,6 +56,28 @@ def test_load_corpus_round_trips_the_scenario(written, hrm_corpus):
     stored = dict(experiments.read_config_pairs(outdir / "corpus.cfg"))["config_hash"]
     written_hash = experiments.config_hash(experiments._corpus_cfg("hrm_like", spec))
     assert experiments.corpus_hash(got) == written_hash == stored
+
+
+def test_interrupted_rewrite_leaves_no_manifest(tmp_path, monkeypatch):
+    # The manifest does not depend on the alphas: a rerun with another
+    # alpha_true that stops at utterance 3 must not leave the old manifest
+    # to vouch for a corpus of mixed utterances.
+    spec = CorpusSpec(num_utterances=5, frames_min=10, frames_max=12, num_classes=3,
+                      num_streams=2, seed=4)
+    experiments.write_corpus("ldc_like", spec, tmp_path)
+    simulate = simulator.simulate_utterance
+
+    def stop_at_3(spec, facts, u):
+        if u == 3:
+            raise RuntimeError("interrupted")
+        return simulate(spec, facts, u)
+
+    monkeypatch.setattr(simulator, "simulate_utterance", stop_at_3)
+    with pytest.raises(RuntimeError, match="interrupted"):
+        experiments.write_corpus("ldc_like", dataclasses.replace(spec, alpha_true=50.0), tmp_path)
+    assert not (tmp_path / "manifest.txt").exists()
+    with pytest.raises(FileNotFoundError, match="manifest.txt"):
+        experiments.load_corpus(tmp_path)
 
 
 def _not_derived(*args):
@@ -97,7 +120,7 @@ def test_n_sweep_rows_equal_per_n_evaluation(hrm_corpus, method):
 
 def test_compute_schedule_takes_frame_wise_methods_only(hrm_corpus):
     # max_n is a truncation; _frame_method resolves it and the caller truncates.
-    aligned = align_streams(hrm_corpus.utterances[0].streams)
+    aligned = align_streams(hrm_corpus[0].streams)
     with pytest.raises(StreamFuseError, match="'max_n' is not a frame-wise fusion method"):
         experiments.compute_schedule("max_n", aligned)
 
@@ -152,7 +175,7 @@ def test_fuse_corpus_accepts_the_default_settings(hrm_corpus, tmp_path):
 def test_one_pass_equals_per_system_loops(hrm_corpus, fused_dirs, sweep):
     # The clean stream outlasts the overlap, so each utterance's batch is ragged.
     assert any(
-        overlap_range(u.streams)[1] < len(u.labels) for u in hrm_corpus.utterances
+        overlap_range(u.streams)[1] < len(u.labels) for u in hrm_corpus
     )
     # An n-best sweep, then untruncated rows: max_n alone is n=1 of entropy,
     # and entropy shares its schedule with a max_n sweep.

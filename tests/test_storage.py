@@ -20,7 +20,7 @@ from streamfuse.aemonitor import (
     reconstruction_errors,
     train_ae,
 )
-from streamfuse.core import AttentionSchedule, PosteriorStream
+from streamfuse.core import AttentionSchedule, PosteriorStream, renormalize_rows
 from streamfuse.errors import (
     BadMagic,
     FormatError,
@@ -29,10 +29,9 @@ from streamfuse.errors import (
     StreamFuseError,
     VersionUnsupported,
 )
-from streamfuse.experiments import load_corpus, write_corpus
+from streamfuse.experiments import load_corpus, manifest_text, write_corpus
 from streamfuse.simulator import CorpusSpec, CorruptionProfile
 from streamfuse.storage import (
-    manifest_text,
     read_model,
     read_schedule,
     read_stream,
@@ -151,15 +150,17 @@ class TestStreamFiles:
         with pytest.raises(VersionUnsupported):
             read_stream(path)
 
-    def test_near_one_row_renormalized(self, tmp_path):
-        # Row sums to 0.9999995: inside the acceptance band, outside the
-        # leave-untouched band, so the reader renormalizes it.
+    def test_near_one_row_kept_as_read(self, tmp_path):
+        # A row from another writer that sums to 0.9999995, inside
+        # SIMPLEX_ATOL: it is accepted, returned as stored and written back
+        # as the same bytes.
         row = np.array([[0.5, 0.4999995]], dtype="<f4")
-        path = tmp_path / "x.strm"
+        path, again = tmp_path / "x.strm", tmp_path / "y.strm"
         path.write_bytes(stream_bytes(row))
         got = read_stream(path)
-        assert got.probs.sum() == pytest.approx(1.0, abs=1e-12)
-        np.testing.assert_allclose(got.probs[0], [0.5, 0.5], atol=1e-6)
+        np.testing.assert_array_equal(got.probs, row.astype(np.float64))
+        write_stream(got, again)
+        assert again.read_bytes() == path.read_bytes()
 
     def test_far_off_row_rejected(self, tmp_path):
         row = np.array([[0.5, 0.49]], dtype="<f4")
@@ -182,6 +183,25 @@ class TestStreamFiles:
         path.write_bytes(stream_bytes(row))
         with pytest.raises(InvalidSimplex):
             read_stream(path)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 6), C=st.integers(2, 512),
+       alpha=st.floats(1e-3, 100))
+def test_float64_simplex_rows_are_stored_as_their_f32_cast(tmp_path_factory, seed, rows, C,
+                                                           alpha):
+    # Casting a row normalized in float64 to f32 moves its sum by under
+    # 2**-24, so write_stream stores the plain cast and the stored row still
+    # sums to 1 far inside SIMPLEX_ATOL: no row needs renormalizing on
+    # write or on read.
+    rng = np.random.default_rng(seed)
+    probs = renormalize_rows(rng.dirichlet(np.full(C, alpha), size=rows))
+    path = tmp_path_factory.getbasetemp() / "cast.strm"
+    write_stream(PosteriorStream(probs), path)
+    payload = path.read_bytes()[struct.calcsize("<4sHIIIiB"):]
+    assert payload == probs.astype("<f4").tobytes()
+    stored = np.frombuffer(payload, dtype="<f4").astype(np.float64).reshape(rows, C)
+    assert np.all(np.abs(stored.sum(axis=1) - 1.0) <= 2**-24 + C * 2**-53)
 
 
 class TestScheduleFiles:
