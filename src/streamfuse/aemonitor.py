@@ -9,14 +9,17 @@ stream; inverting and normalizing the errors across streams gives the
 attention weights.
 
 Training is momentum SGD on the MSE criterion, from scratch on
-numpy, single-threaded with a fixed accumulation order so a seed fully
-determines the result.  Training and the model stay float64; the
-monitor's inference runs the network on float32 copies of the layers,
-and forward, its splices and its buffers take their dtype from the
-weights they are given.  forward and its splices take a leading batch
-axis, so the monitor runs all M streams of an utterance in one pass: one
-GEMM per layer on their M * T stacked frames, in a buffer set the model
-holds.
+numpy, with a fixed accumulation order so a seed fully determines the
+result at any BLAS thread count.  It runs in float32, each minibatch on
+its receptive-field window (train_ae).  The model's layers are float64
+arrays holding the trained float32 values, so model files stay <f8 and
+the monitor's float32 copies of the layers are exactly the trained
+weights.  forward, loss_and_grads, their splices and their buffers take
+their dtype from the weights they are given, so the same kernels also
+run a float64 gradient check.  forward and its splices take a leading
+batch axis, so the monitor runs all M streams of an utterance in one
+pass: one GEMM per layer on their M * T stacked frames, in a buffer set
+the model holds.
 """
 
 from __future__ import annotations
@@ -108,13 +111,11 @@ class AeModel:
     def inference_layers(self) -> list[Layer]:
         """float32 copies of the layers, made on first use, that the monitor runs.
 
-        The float64 layers stay the model: training, model files and
-        digests read them.  A change to the layers after the first use
-        does not reach these copies.
+        The float64 layers stay the model: model files and digests read
+        them.  A change to the layers after the first use does not reach
+        these copies.
         """
-        f32 = np.float32
-        return [replace(ly, weight=ly.weight.astype(f32), bias=ly.bias.astype(f32))
-                for ly in self.layers]
+        return _cast(self.layers, np.float32)
 
     def _inference_work(self, rows: int) -> _Buffers:
         """The model's forward-only set for inference_layers, holding >= rows rows.
@@ -301,6 +302,12 @@ def build_architecture(
     return layers
 
 
+def _cast(layers: list[Layer], dtype) -> list[Layer]:
+    """Copies of layers with their weights and biases cast to dtype."""
+    return [replace(ly, weight=ly.weight.astype(dtype), bias=ly.bias.astype(dtype))
+            for ly in layers]
+
+
 def _rows(flat: np.ndarray, rows: int, cols: int) -> np.ndarray:
     """The (rows, cols) C-ordered view of the start of a flat buffer."""
     return flat[: rows * cols].reshape(rows, cols)
@@ -309,8 +316,9 @@ def _rows(flat: np.ndarray, rows: int, cols: int) -> np.ndarray:
 class _Buffers:
     """Work buffers for forward and loss_and_grads on up to `rows` rows.
 
-    A row is one frame of one sequence: training runs one sequence at a
-    time, the monitor all M streams of an utterance at once (M * T rows).
+    A row is one frame of one sequence: training runs one minibatch's
+    window or one whole sequence at a time, the monitor all M streams of
+    an utterance at once (M * T rows).
     For the backward pass each layer keeps its splice input (none for the
     zero-offset plan) and its output, and the set adds the two buffers the
     backward pass alternates between, wide enough for any layer's input or
@@ -396,20 +404,22 @@ def loss_and_grads(
     """MSE over the selected frames and its gradients w.r.t. every layer.
 
     The full sequence is run (splices reach across frames); the loss only
-    counts the frames in `rows` (all frames when None).  Everything is
-    computed in work when given (a fresh set otherwise).  Layer i's
+    counts the frames in `rows` (all frames when None).  z and target are
+    cast to the dtype of the layers' weights, and everything is computed
+    in that dtype, in work when given (a fresh set otherwise).  Layer i's
     gradients go to step(i, grad_w, grad_b), top layer first, once the
     pass has read that layer's weights for the last time, so step may
     update them in place; the gradient arrays are scratch that the next
     layer's overwrite, and the returned list is empty.  Without step, the
     list holds a copy of every layer's (grad_w, grad_b).
     """
-    z = np.ascontiguousarray(z, dtype=np.float64)
+    dt = layers[0].weight.dtype
+    z = np.ascontiguousarray(z, dtype=dt)
     T = z.shape[0]
     work = work or _Buffers(layers, T)
     caches = _forward(layers, z, work)
     h = caches[-1][1]
-    diff = h - target
+    diff = h - np.asarray(target, dtype=dt)
     if rows is None:
         rows = np.arange(T)
     n = rows.size * h.shape[1]
@@ -442,7 +452,10 @@ def loss_and_grads(
 
 
 def evaluate_mse(layers: list[Layer], z_list: list[np.ndarray], work: _Buffers) -> float:
-    """Mean reconstruction MSE over all frames of all sequences, each forward pass in work."""
+    """Mean reconstruction MSE over all frames of all sequences, each forward pass in work.
+
+    The network runs at its layers' dtype, the error sums at z's.
+    """
     total = 0.0
     frames = 0
     for z in z_list:
@@ -462,7 +475,13 @@ def train_ae(
     """Train the autoencoder on clean posterior streams.
 
     Returns the model and the loss log: entry 0 is the pre-training MSE
-    over the full data, entry e the MSE after epoch e.
+    over the full data, entry e the MSE after epoch e, each of the float32
+    network against the float64 features.  Each minibatch of batch_size
+    frames runs only over the frames its outputs read: its receptive
+    field, clipped to the sequence.  A frame cut off, or one at an inner
+    window edge that reads a repeated edge frame, feeds no output of the
+    batch, so its gradient is zero either way and the window changes only
+    the order of sums.
     """
     if not data:
         raise ValueError("training data must be non-empty")
@@ -471,8 +490,14 @@ def train_ae(
     if front_end is None:
         front_end = fit_front_end(np.vstack([s.probs for s in data]))
     z_list = [front_end_apply(front_end, s.probs) for s in data]
+    batches = [z.astype(np.float32) for z in z_list]
     rng = np.random.default_rng(cfg.seed)
-    layers = build_architecture(front_end.output_dim, context, hidden_widths, rng)
+    layers = _cast(build_architecture(front_end.output_dim, context, hidden_widths, rng),
+                   np.float32)
+    # The receptive field (left, right): a minibatch's outputs read frames
+    # [start + left, stop + right).
+    left = sum(min(ly.offsets) for ly in layers)
+    right = sum(max(ly.offsets) for ly in layers)
     velocity = [
         (np.zeros_like(ly.weight), np.zeros_like(ly.bias)) for ly in layers
     ]
@@ -489,18 +514,22 @@ def train_ae(
     work = _Buffers(layers, max(z.shape[0] for z in z_list))
     losses = [evaluate_mse(layers, z_list, work)]
     for _ in range(cfg.epochs):
-        for z in z_list:
+        for z in batches:
             T = z.shape[0]
             for start in range(0, T, cfg.batch_size):
-                rows = np.arange(start, min(start + cfg.batch_size, T))
-                loss, _ = loss_and_grads(layers, z, z, rows, work, update)
+                stop = min(start + cfg.batch_size, T)
+                lo, hi = max(start + left, 0), min(stop + right, T)
+                window = z[lo:hi]
+                rows = np.arange(start - lo, stop - lo)
+                loss, _ = loss_and_grads(layers, window, window, rows, work, update)
                 if not np.isfinite(loss):
                     raise DivergedTraining(f"training loss became {loss}")
         epoch_mse = evaluate_mse(layers, z_list, work)
         if not np.isfinite(epoch_mse):
             raise DivergedTraining(f"training loss became {epoch_mse}")
         losses.append(epoch_mse)
-    model = AeModel(front_end=front_end, layers=layers, context=tuple(context))
+    model = AeModel(front_end=front_end, layers=_cast(layers, np.float64),
+                    context=tuple(context))
     return model, losses
 
 

@@ -238,6 +238,12 @@ def _read_checked(read, path: Path, shape: tuple[int, int], where: str, offset: 
     return found
 
 
+def _missing(e: FileNotFoundError) -> FormatError:
+    """The FormatError of a corpus file that is not there: it names the file."""
+    path = Path(e.filename)
+    return FormatError(f"{path.parent}: no {path.name}, so the corpus is incomplete")
+
+
 class Corpus(Sequence[simulator.Utterance]):
     """A corpus directory that load_corpus checked: the sequence of its
     utterances, each read from disk when it is taken, with its scenario name,
@@ -268,7 +274,11 @@ class Corpus(Sequence[simulator.Utterance]):
         files.append((f"{tag}_clean.strm", 0))
         shape = (self.facts.frames[u], self.spec.num_classes)
         where = f"{self._indir / 'manifest.txt'}: utt {u}"
-        return [_read_checked(read, self._indir / f, shape, where, offset) for f, offset in files]
+        try:
+            return [_read_checked(read, self._indir / f, shape, where, offset)
+                    for f, offset in files]
+        except FileNotFoundError as e:
+            raise _missing(e) from None
 
     def __getitem__(self, i: int) -> simulator.Utterance:
         u = range(len(self))[operator.index(i)]
@@ -287,16 +297,20 @@ def load_corpus(indir) -> Corpus:
 
     corpus.cfg decides the corpus: hmm.json and manifest.txt must be the
     bytes write_corpus writes for it, and every label file and stream header
-    must fit the facts it gives, so a directory that contradicts itself fails
-    here, before any output exists.  The corpus reads an utterance's stream
-    payloads, and checks their rows are on the simplex, only when it is
-    taken; its clean_streams() reads the clean streams alone.
+    must fit the facts it gives, so a directory that contradicts itself, or
+    lacks a file write_corpus writes after corpus.cfg (a FormatError that
+    names it), fails here, before any output exists.  The corpus reads an
+    utterance's stream payloads, and checks their rows are on the simplex,
+    only when it is taken; its clean_streams() reads the clean streams alone.
     """
     indir = Path(indir)
     cfg_path, hmm_path, manifest = (indir / n for n in ("corpus.cfg", "hmm.json", "manifest.txt"))
     types = {"scenario": str, **{key: typ for key, _, typ in CORPUS_KEYS}}
     cfg = read_written_config(cfg_path, types)
-    hmm_json, manifest_bytes = hmm_path.read_bytes(), manifest.read_bytes()
+    try:
+        hmm_json, manifest_bytes = hmm_path.read_bytes(), manifest.read_bytes()
+    except FileNotFoundError as e:
+        raise _missing(e) from None
     hmm_mismatch = StreamFuseError(f"{hmm_path} is not the JSON of the HMM {cfg_path} gives")
     manifest_mismatch = StreamFuseError(f"{manifest} is not the manifest {cfg_path} gives")
     try:
@@ -325,6 +339,8 @@ def load_corpus(indir) -> Corpus:
             labels = np.array([int(x) for x in ref.read_text().split()], dtype=np.intp)
         except (ValueError, OverflowError) as e:  # OverflowError: a label beyond intp
             raise StreamFuseError(f"{ref}: {e}") from None
+        except FileNotFoundError as e:
+            raise _missing(e) from None
         outside = labels[(labels < 0) | (labels >= C)]
         if outside.size:
             raise StreamFuseError(

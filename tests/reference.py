@@ -164,13 +164,13 @@ def splice_gather_ref(h, offsets):
 
 def splice_scatter_ref(dx, idx, width):
     """Splice backward: np.add.at of the (T, n * W) gradient through idx."""
-    dprev = np.zeros((idx.shape[0], width))
+    dprev = np.zeros((idx.shape[0], width), dtype=dx.dtype)
     np.add.at(dprev, idx.ravel(), dx.reshape(-1, width))
     return dprev
 
 
 def forward_ref(layers, z):
-    h = np.asarray(z, dtype=np.float64)
+    h = np.asarray(z, dtype=layers[0].weight.dtype)
     for ly in layers:
         x, _ = splice_gather_ref(h, ly.offsets)
         a = x @ ly.weight + ly.bias
@@ -179,7 +179,7 @@ def forward_ref(layers, z):
 
 
 def loss_and_grads_ref(layers, z, target, rows=None):
-    z = np.asarray(z, dtype=np.float64)
+    z = np.asarray(z, dtype=layers[0].weight.dtype)
     caches = []
     h = z
     for ly in layers:
@@ -188,7 +188,7 @@ def loss_and_grads_ref(layers, z, target, rows=None):
         out = np.maximum(a, 0.0) if ly.activation == "relu" else a
         caches.append((h.shape, x, idx, a))
         h = out
-    diff = h - target
+    diff = h - np.asarray(target, dtype=z.dtype)
     if rows is None:
         rows = np.arange(z.shape[0])
     n = rows.size * h.shape[1]
@@ -217,25 +217,39 @@ def evaluate_mse_ref(layers, z_list):
     return total / (frames * z_list[0].shape[1])
 
 
-def train_loop_ref(layers, z_list, cfg):
-    """train_ae's epoch loop on given initial layers (updated in place).
+def train_loop_ref(layers, z_list, cfg, dtype=np.float32):
+    """train_ae's epoch loop on given initial float64 layers (updated in place).
 
-    Returns the loss log: the MSE before training, then after each epoch.
+    Training runs in dtype, float32 as train_ae's does: the layers and the
+    features are cast first, and the trained values are widened back into
+    the layers last.  Each minibatch runs over its window, the frames
+    [start + left, stop + right) clipped to the sequence, where (left,
+    right) is the receptive field of the layers' splice plan.  Returns the
+    loss log: the MSE of the dtype network on the float64 features before
+    training, then after each epoch.
     """
+    for ly in layers:
+        ly.weight, ly.bias = ly.weight.astype(dtype), ly.bias.astype(dtype)
+    left, right = receptive_field([ly.offsets for ly in layers])
     velocity = [(np.zeros_like(ly.weight), np.zeros_like(ly.bias)) for ly in layers]
     losses = [evaluate_mse_ref(layers, z_list)]
     for _ in range(cfg.epochs):
         for z in z_list:
+            z = z.astype(dtype)
             T = z.shape[0]
             for start in range(0, T, cfg.batch_size):
-                rows = np.arange(start, min(start + cfg.batch_size, T))
-                _, grads = loss_and_grads_ref(layers, z, z, rows)
+                stop = min(start + cfg.batch_size, T)
+                lo, hi = max(start + left, 0), min(stop + right, T)
+                rows = np.arange(start - lo, stop - lo)
+                _, grads = loss_and_grads_ref(layers, z[lo:hi], z[lo:hi], rows)
                 for ly, vel, (gw, gb) in zip(layers, velocity, grads):
                     vel[0][...] = aemonitor.MOMENTUM * vel[0] - cfg.learning_rate * gw
                     vel[1][...] = aemonitor.MOMENTUM * vel[1] - cfg.learning_rate * gb
                     ly.weight += vel[0]
                     ly.bias += vel[1]
         losses.append(evaluate_mse_ref(layers, z_list))
+    for ly in layers:
+        ly.weight, ly.bias = ly.weight.astype(np.float64), ly.bias.astype(np.float64)
     return losses
 
 

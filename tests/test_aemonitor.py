@@ -5,12 +5,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference as ref
 from conftest import random_simplex, random_stream, random_stream_set
-from streamfuse import aemonitor, experiments, storage
+from streamfuse import aemonitor, experiments, simulator, storage
 from streamfuse.aemonitor import (
     DEFAULT_LOGIT_CLAMP,
     ERROR_FLOOR,
@@ -32,12 +32,14 @@ from streamfuse.aemonitor import (
     train_ae,
 )
 from streamfuse.core import PosteriorStream, StreamSet, check_simplex, inverse_weights
+from streamfuse.decoder import make_hmm
 from streamfuse.errors import (
     DegenerateData,
     DimensionMismatch,
     DivergedTraining,
     StreamFuseError,
 )
+from streamfuse.simulator import CorpusSpec
 
 
 def zero_output_model(C=2, clamp=DEFAULT_LOGIT_CLAMP) -> AeModel:
@@ -416,6 +418,56 @@ class TestBitExactKernels:
         assert peak <= 3.4 * params
 
 
+class TestWindowedFloat32Training:
+    """train_ae runs each minibatch on its receptive-field window, in float32."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.sampled_from(PLAN_CONTEXTS), st.lists(st.integers(1, 48), min_size=1, max_size=3),
+           st.integers(1, 52), st.integers(0, 2**32 - 1))
+    @example((-16, 12), [17, 1], 8, 0)  # a one-row tail and a one-frame sequence
+    def test_window_gives_the_full_sequence_loss_and_gradients(self, context, lengths,
+                                                               batch_size, seed):
+        # In float64: the frames cut off, and those at an inner window edge,
+        # reach no output of the batch, so only the order of sums changes.
+        rng = np.random.default_rng(seed)
+        K = 3
+        layers = small_spliced_stack(rng, SPLICE_PLANS[context], K)
+        left, right = context
+        for T in lengths:
+            z = rng.standard_normal((T, K))
+            for start in range(0, T, batch_size):
+                stop = min(start + batch_size, T)
+                lo, hi = max(start + left, 0), min(stop + right, T)
+                loss, grads = loss_and_grads(layers, z, z, np.arange(start, stop))
+                got, got_grads = loss_and_grads(layers, z[lo:hi], z[lo:hi],
+                                                np.arange(start - lo, stop - lo))
+                assert got == pytest.approx(loss, rel=1e-12, abs=0.0)
+                for pair, want_pair in zip(got_grads, grads):
+                    for g, want in zip(pair, want_pair):
+                        assert g.dtype == np.float64
+                        np.testing.assert_allclose(g, want, rtol=1e-12,
+                                                   atol=1e-12 * np.abs(want).max())
+
+    @pytest.mark.parametrize("context", [(0, 0), (-16, 12)])
+    def test_float32_loss_log_tracks_float64(self, context):
+        # The published stack on 8 clean 40-class utterances.  Over seeds
+        # 0-9 at both contexts, 3 epochs, the largest relative gap between
+        # the two logs was 1.4e-4; at seed 7 it is 2.9e-9 at (0, 0) and
+        # 5.4e-5 at (-16, 12).
+        C, seed = 40, 7
+        spec = CorpusSpec(num_utterances=8, frames_min=80, frames_max=160, num_classes=C,
+                          num_streams=2, seed=seed)
+        _, cleans = simulator.generate_reference(spec, make_hmm(C, seed))
+        fe = fit_front_end(np.vstack([s.probs for s in cleans]))
+        cfg = TrainConfig(epochs=3, seed=seed)
+        _, losses = train_ae(cleans, cfg, context=context, front_end=fe)
+        layers = build_architecture(fe.output_dim, context, rng=np.random.default_rng(seed))
+        z_list = [front_end_apply(fe, s.probs) for s in cleans]
+        want = ref.train_loop_ref(layers, z_list, cfg, dtype=np.float64)
+        assert losses != want  # it did train in float32
+        np.testing.assert_allclose(losses, want, rtol=1e-3)
+
+
 class TestTraining:
     def make_data(self, rng, n=4, T=60, C=5, alpha=2.0):
         return [
@@ -445,9 +497,10 @@ class TestTraining:
         assert losses == [losses[0]] * len(losses)
         fe = model.front_end
         init = build_architecture(fe.output_dim, (0, 0), (4,), np.random.default_rng(5))
+        # Training starts from the float32 cast of the float64 init.
         for got, expect in zip(model.layers, init):
-            np.testing.assert_array_equal(got.weight, expect.weight)
-            np.testing.assert_array_equal(got.bias, expect.bias)
+            np.testing.assert_array_equal(got.weight, expect.weight.astype(np.float32))
+            np.testing.assert_array_equal(got.bias, expect.bias.astype(np.float32))
 
     def test_seed_determinism_bitwise(self, rng):
         data = self.make_data(rng)

@@ -462,6 +462,20 @@ class TestFuse:
         assert r.returncode == 0, r.stderr
         assert len(list(out.glob("*_fused.strm"))) == 4
 
+    @pytest.mark.parametrize("name", ["utt0002_clean.strm", "utt0002_s01.strm", "utt0002.ref",
+                                      "manifest.txt", "hmm.json"])
+    def test_incomplete_corpus_names_the_missing_file(self, corpus, model, tmp_path, name):
+        copy = tmp_path / "corpus"
+        shutil.copytree(corpus, copy)
+        (copy / name).unlink()
+        out = tmp_path / "ae"
+        r = run("fuse", "--corpus", str(copy), "--out", str(out),
+                "--method", "autoencoder", "--model", str(model))
+        assert r.returncode == 3
+        assert f"{copy}: no {name}, so the corpus is incomplete" in r.stderr
+        assert "Errno" not in r.stderr and "Traceback" not in r.stderr
+        assert not out.exists()
+
     def test_unknown_method_exits_2(self, corpus, tmp_path):
         r = run("fuse", "--corpus", str(corpus), "--out", str(tmp_path / "x"),
                 "--method", "bogus")

@@ -13,7 +13,7 @@ from streamfuse import experiments, simulator
 from streamfuse.core import PosteriorStream, align_streams, overlap_range
 from streamfuse.decoder import score
 from streamfuse.decoder import make_hmm
-from streamfuse.errors import SettingError, StreamFuseError
+from streamfuse.errors import FormatError, SettingError, StreamFuseError
 from streamfuse.measures import MMeasureConfig
 from streamfuse.simulator import CorpusSpec
 
@@ -76,7 +76,8 @@ def test_interrupted_rewrite_leaves_no_manifest(tmp_path, monkeypatch):
     with pytest.raises(RuntimeError, match="interrupted"):
         experiments.write_corpus("ldc_like", dataclasses.replace(spec, alpha_true=50.0), tmp_path)
     assert not (tmp_path / "manifest.txt").exists()
-    with pytest.raises(FileNotFoundError, match="manifest.txt"):
+    incomplete = f"{tmp_path}: no manifest.txt, so the corpus is incomplete"
+    with pytest.raises(FormatError, match=re.escape(incomplete)):
         experiments.load_corpus(tmp_path)
 
 
