@@ -11,15 +11,14 @@ attention weights.
 Training is momentum SGD on the MSE criterion, from scratch on
 numpy, with a fixed accumulation order so a seed fully determines the
 result at any BLAS thread count.  It runs in float32, each minibatch on
-its receptive-field window (train_ae).  The model's layers are float64
-arrays holding the trained float32 values, so model files stay <f8 and
-the monitor's float32 copies of the layers are exactly the trained
-weights.  forward, loss_and_grads, their splices and their buffers take
+its receptive-field window (train_ae).  An AeModel holds float32 layers,
+the weights trained and run; model files widen them to <f8, which is
+exact.  forward, loss_and_grads, their splices and their buffers take
 their dtype from the weights they are given, so the same kernels also
-run a float64 gradient check.  forward and its splices take a leading
-batch axis, so the monitor runs all M streams of an utterance in one
-pass: one GEMM per layer on their M * T stacked frames, in a buffer set
-the model holds.
+run a float64 gradient check on plain float64 Layers.  forward and its
+splices take a leading batch axis, so the monitor runs all M streams of
+an utterance in one pass: one GEMM per layer on their M * T stacked
+frames, in a buffer set the model holds.
 """
 
 from __future__ import annotations
@@ -27,7 +26,6 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 
 import numpy as np
 
@@ -97,35 +95,26 @@ class Layer:
 
 @dataclass
 class AeModel:
+    """The trained monitor; layers of another dtype are cast to float32 once, when made."""
+
     front_end: FrontEnd
     layers: list[Layer]
     context: tuple[int, int]
-    # The forward-only buffer set the monitor runs inference_layers in.
+    # The forward-only buffer set the monitor runs the layers in.
     _work: _Buffers | None = field(default=None, init=False, repr=False, compare=False)
 
-    @property
-    def splice_plan(self) -> list[tuple[int, ...]]:
-        return [ly.offsets for ly in self.layers]
-
-    @cached_property
-    def inference_layers(self) -> list[Layer]:
-        """float32 copies of the layers, made on first use, that the monitor runs.
-
-        The float64 layers stay the model: model files and digests read
-        them.  A change to the layers after the first use does not reach
-        these copies.
-        """
-        return _cast(self.layers, np.float32)
+    def __post_init__(self):
+        self.layers = _cast(self.layers, np.float32)
 
     def _inference_work(self, rows: int) -> _Buffers:
-        """The model's forward-only set for inference_layers, holding >= rows rows.
+        """The model's forward-only set for its layers, holding >= rows rows.
 
         Made on first use and regrown only for more rows; the old set is
         dropped before the larger one is made, so the two never coexist.
         """
         if self._work is None or self._work.rows < rows:
             self._work = None
-            self._work = _Buffers(self.inference_layers, rows, backward=False)
+            self._work = _Buffers(self.layers, rows, backward=False)
         return self._work
 
 
@@ -303,9 +292,9 @@ def build_architecture(
 
 
 def _cast(layers: list[Layer], dtype) -> list[Layer]:
-    """Copies of layers with their weights and biases cast to dtype."""
-    return [replace(ly, weight=ly.weight.astype(dtype), bias=ly.bias.astype(dtype))
-            for ly in layers]
+    """layers with their weights and biases cast to dtype; arrays of dtype are shared."""
+    return [replace(ly, weight=ly.weight.astype(dtype, copy=False),
+                    bias=ly.bias.astype(dtype, copy=False)) for ly in layers]
 
 
 def _rows(flat: np.ndarray, rows: int, cols: int) -> np.ndarray:
@@ -326,7 +315,7 @@ class _Buffers:
     layer being done.  A forward-only set holds one splice buffer that
     every layer reuses and two output buffers that layers alternate
     between, since no layer's values are read once the next layer has run;
-    the monitor's set lives on the model (AeModel._inference_work).
+    the monitor's float32 set lives on the model (AeModel._inference_work).
     Calls that share a set overwrite each other's results.  Every buffer
     has the dtype of the layers' weights: fed another dtype, numpy's
     matmul would leave BLAS for a slower mixed-dtype loop.
@@ -474,14 +463,14 @@ def train_ae(
 ) -> tuple[AeModel, list[float]]:
     """Train the autoencoder on clean posterior streams.
 
-    Returns the model and the loss log: entry 0 is the pre-training MSE
-    over the full data, entry e the MSE after epoch e, each of the float32
-    network against the float64 features.  Each minibatch of batch_size
-    frames runs only over the frames its outputs read: its receptive
-    field, clipped to the sequence.  A frame cut off, or one at an inner
-    window edge that reads a repeated edge frame, feeds no output of the
-    batch, so its gradient is zero either way and the window changes only
-    the order of sums.
+    Returns the model, holding the trained float32 layers, and the loss
+    log: entry 0 is the pre-training MSE over the full data, entry e the
+    MSE after epoch e, each of the float32 network against the float64
+    features.  Each minibatch of batch_size frames runs only over the
+    frames its outputs read: its receptive field, clipped to the sequence.
+    A frame cut off, or one at an inner window edge that reads a repeated
+    edge frame, feeds no output of the batch, so its gradient is zero
+    either way and the window changes only the order of sums.
     """
     if not data:
         raise ValueError("training data must be non-empty")
@@ -528,23 +517,21 @@ def train_ae(
         if not np.isfinite(epoch_mse):
             raise DivergedTraining(f"training loss became {epoch_mse}")
         losses.append(epoch_mse)
-    model = AeModel(front_end=front_end, layers=_cast(layers, np.float64),
-                    context=tuple(context))
-    return model, losses
+    return AeModel(front_end=front_end, layers=layers, context=tuple(context)), losses
 
 
 def _stacked_errors(model: AeModel, streams: list[PosteriorStream]) -> np.ndarray:
     """(M, T) per-frame squared l2 reconstruction errors of M T-frame streams.
 
     The front end runs per stream and the error sum in float64; the
-    network runs once, in float32 on the model's inference_layers and in
-    its buffer set, on the M feature sequences stacked as (M, T, K).
+    network runs once, on the model's float32 layers and in its buffer
+    set, on the M feature sequences stacked as (M, T, K).
     """
     C = model.front_end.num_classes
     if any(s.num_classes != C for s in streams):
         raise DimensionMismatch("stream and model disagree on class count")
     z = np.stack([front_end_apply(model.front_end, s.probs) for s in streams])
-    out = forward(model.inference_layers, z, model._inference_work(z.shape[0] * z.shape[1]))
+    out = forward(model.layers, z, model._inference_work(z.shape[0] * z.shape[1]))
     # float32 out widens exactly to z's float64 before the subtraction.
     return np.sum((out - z) ** 2, axis=-1)
 

@@ -238,10 +238,10 @@ def _read_checked(read, path: Path, shape: tuple[int, int], where: str, offset: 
     return found
 
 
-def _missing(e: FileNotFoundError) -> FormatError:
-    """The FormatError of a corpus file that is not there: it names the file."""
+def _missing(e: OSError, so: str = "the corpus is incomplete") -> FormatError:
+    """The FormatError of a file that is not there: "DIR: no NAME, so <so>"."""
     path = Path(e.filename)
-    return FormatError(f"{path.parent}: no {path.name}, so the corpus is incomplete")
+    return FormatError(f"{path.parent}: no {path.name}, so {so}")
 
 
 class Corpus(Sequence[simulator.Utterance]):
@@ -297,16 +297,19 @@ def load_corpus(indir) -> Corpus:
 
     corpus.cfg decides the corpus: hmm.json and manifest.txt must be the
     bytes write_corpus writes for it, and every label file and stream header
-    must fit the facts it gives, so a directory that contradicts itself, or
-    lacks a file write_corpus writes after corpus.cfg (a FormatError that
-    names it), fails here, before any output exists.  The corpus reads an
-    utterance's stream payloads, and checks their rows are on the simplex,
-    only when it is taken; its clean_streams() reads the clean streams alone.
+    must fit the facts it gives, so a directory that contradicts itself or
+    lacks one of its files (a FormatError that names it) fails here, before
+    any output exists.  The corpus reads an utterance's stream payloads, and
+    checks their rows are on the simplex, only when it is taken; its
+    clean_streams() reads the clean streams alone.
     """
     indir = Path(indir)
     cfg_path, hmm_path, manifest = (indir / n for n in ("corpus.cfg", "hmm.json", "manifest.txt"))
     types = {"scenario": str, **{key: typ for key, _, typ in CORPUS_KEYS}}
-    cfg = read_written_config(cfg_path, types)
+    try:
+        cfg = read_written_config(cfg_path, types)
+    except (FileNotFoundError, NotADirectoryError) as e:  # no such path, or a file
+        raise _missing(e, "not a corpus directory") from None
     try:
         hmm_json, manifest_bytes = hmm_path.read_bytes(), manifest.read_bytes()
     except FileNotFoundError as e:
@@ -588,7 +591,10 @@ def evaluate_corpus(
         for d in fused_dirs:
             path = d / f"utt{utt.utt_id:04d}_fused.strm"
             where = f"{d}: utt {utt.utt_id}"
-            streams.append(_read_checked(storage.read_stream, path, (length, C), where))
+            try:
+                streams.append(_read_checked(storage.read_stream, path, (length, C), where))
+            except FileNotFoundError as e:
+                raise _missing(e, "the fuse output is incomplete") from None
         streams += _fuse_utterance(utt, aligned, truncations, model=model)[1]
         starts = [lo] * len(streams)
         if baselines:

@@ -27,10 +27,10 @@ of a payload then run core.check_simplex on its rows (finite, >= 0, sum
 within SIMPLEX_ATOL = 1e-6 of 1) and return them as stored.  Writers run
 the same check before they open the file and store the rows cast to f32,
 so no writer makes a file its reader rejects, and write -> read -> write
-gives the same bytes.  The model reader rejects non-finite values in any
-array it reads, and a layer stack that does not chain: no layers, a
-fan_in other than the previous width (K for layer 0) times the layer's
-offset count, or a last width other than K.
+gives the same bytes.  The model reader rejects a value that is not finite
+in the dtype it is held in (float32 for layers), and a layer stack that
+does not chain: no layers, a fan_in other than the previous width (K for
+layer 0) times the layer's offset count, or a last width other than K.
 """
 
 from __future__ import annotations
@@ -183,12 +183,15 @@ def write_model(model: AeModel, path):
             f.write(np.ascontiguousarray(ly.bias, dtype="<f8").tobytes())
 
 
-def _read_f8(f, shape: tuple[int, ...], what: str) -> np.ndarray:
-    """The next prod(shape) f8 values of f as an array of that shape, every one finite."""
+def _read_f8(f, shape: tuple[int, ...], what: str, held=np.float64) -> np.ndarray:
+    """The next prod(shape) f8 values of f as an array of that shape and dtype
+    held, every one finite in held (float32 for layers: f8 widens them exactly)."""
     arr = np.frombuffer(_read_exact(f, math.prod(shape) * 8, what), dtype="<f8")
-    if not np.all(np.isfinite(arr)):
-        raise FormatError(f"{what}: non-finite values")
-    return arr.reshape(shape).copy()
+    # Two reductions make no array as large as arr; a nan fails both tests.
+    bound = np.finfo(held).max
+    if not (-bound <= arr.min(initial=0.0) and arr.max(initial=0.0) <= bound):
+        raise FormatError(f"{what}: non-finite values as {np.dtype(held).name}")
+    return arr.reshape(shape).astype(held)
 
 
 def _check_layer_chain(layers: list[Layer], K: int) -> None:
@@ -225,8 +228,8 @@ def read_model(path) -> AeModel:
             offsets = struct.unpack(
                 f"<{n_off}i", _read_exact(f, 4 * n_off, f"layer {i} offsets")
             )
-            w = _read_f8(f, (fan_in, width), f"layer {i} weights")
-            b = _read_f8(f, (width,), f"layer {i} bias")
+            w = _read_f8(f, (fan_in, width), f"layer {i} weights", np.float32)
+            b = _read_f8(f, (width,), f"layer {i} bias", np.float32)
             layers.append(Layer(weight=w, bias=b, activation=_ACT_NAMES[act], offsets=offsets))
         if f.read(1):
             raise PayloadTruncated("trailing bytes after model payload")

@@ -221,12 +221,12 @@ def train_loop_ref(layers, z_list, cfg, dtype=np.float32):
     """train_ae's epoch loop on given initial float64 layers (updated in place).
 
     Training runs in dtype, float32 as train_ae's does: the layers and the
-    features are cast first, and the trained values are widened back into
-    the layers last.  Each minibatch runs over its window, the frames
-    [start + left, stop + right) clipped to the sequence, where (left,
-    right) is the receptive field of the layers' splice plan.  Returns the
-    loss log: the MSE of the dtype network on the float64 features before
-    training, then after each epoch.
+    features are cast first, and the layers end holding the trained dtype
+    arrays, as train_ae's model does.  Each minibatch runs over its window,
+    the frames [start + left, stop + right) clipped to the sequence, where
+    (left, right) is the receptive field of the layers' splice plan.
+    Returns the loss log: the MSE of the dtype network on the float64
+    features before training, then after each epoch.
     """
     for ly in layers:
         ly.weight, ly.bias = ly.weight.astype(dtype), ly.bias.astype(dtype)
@@ -248,8 +248,6 @@ def train_loop_ref(layers, z_list, cfg, dtype=np.float32):
                     ly.weight += vel[0]
                     ly.bias += vel[1]
         losses.append(evaluate_mse_ref(layers, z_list))
-    for ly in layers:
-        ly.weight, ly.bias = ly.weight.astype(np.float64), ly.bias.astype(np.float64)
     return losses
 
 

@@ -248,10 +248,11 @@ class TestGradients:
 
 
 def assert_bits_equal(got, want):
-    """Equal arrays, down to the sign of every zero."""
-    assert got.shape == want.shape
+    """Equal arrays of one dtype, down to the sign of every zero."""
+    assert got.shape == want.shape and got.dtype == want.dtype
     assert np.array_equal(got, want)
-    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    bits = f"u{got.dtype.itemsize}"
+    assert np.array_equal(got.view(bits), want.view(bits))
 
 
 PLAN_CONTEXTS = sorted(SPLICE_PLANS)
@@ -587,7 +588,7 @@ class TestReconstructionErrorsAndAttention:
         with pytest.raises(DimensionMismatch) as err:
             ae_attention(sset, model)
         assert isinstance(err.value, StreamFuseError)
-        assert "inference_layers" not in vars(model) and model._work is None
+        assert model._work is None
 
     def test_corruption_raises_median_error(self, rng):
         # Train on peaked posteriors, then compare errors on a held-out
@@ -620,7 +621,7 @@ class TestReconstructionErrorsAndAttention:
 
 
 class TestFloat32Inference:
-    """The monitor runs float32 copies of the model's float64 layers."""
+    """The monitor runs the model's float32 layers."""
 
     @staticmethod
     def spliced_model(rng, C=6, K=4):
@@ -629,7 +630,7 @@ class TestFloat32Inference:
         return AeModel(front_end=fe, layers=layers, context=(-16, 12))
 
     def test_every_buffer_and_splice_stays_float32(self, rng):
-        layers = self.spliced_model(rng).inference_layers
+        layers = self.spliced_model(rng).layers
         assert all(ly.weight.dtype == ly.bias.dtype == np.float32 for ly in layers)
         T = 23
         z = rng.standard_normal((T, 4))  # float64 features are cast on entry
@@ -647,13 +648,15 @@ class TestFloat32Inference:
 
     def test_output_matches_float64_reference(self, rng):
         model = self.spliced_model(rng)
+        layers64 = aemonitor._cast(model.layers, np.float64)
         z = rng.standard_normal((31, 4))
-        want = ref.forward_ref(model.layers, z)
-        got = forward(model.inference_layers, z)
+        want = ref.forward_ref(layers64, z)
+        assert want.dtype == np.float64
+        got = forward(model.layers, z)
         np.testing.assert_allclose(got, want, rtol=1e-4, atol=1e-4 * np.abs(want).max())
         s = random_stream(rng, 31, 6)
         feats = front_end_apply(model.front_end, s.probs)
-        want = np.sum((ref.forward_ref(model.layers, feats) - feats) ** 2, axis=1)
+        want = np.sum((ref.forward_ref(layers64, feats) - feats) ** 2, axis=1)
         errs = reconstruction_errors(model, s)
         assert errs.dtype == np.float64
         np.testing.assert_allclose(errs, want, rtol=1e-4)
@@ -699,17 +702,21 @@ class TestFloat32Inference:
         errs = np.stack([reconstruction_errors(model, s) for s in sset.streams], axis=1)
         np.testing.assert_array_equal(w, inverse_weights(errs, ERROR_FLOOR))
 
-    def test_inference_leaves_the_float64_model_unchanged(self, rng, tmp_path):
-        model = self.spliced_model(rng)
-        before = [(ly.weight.copy(), ly.bias.copy()) for ly in model.layers]
-        digest = experiments._model_digest(model)
-        storage.write_model(model, tmp_path / "before.stae")
-        ae_attention(random_stream_set(rng, 3, 15, 6), model)
-        assert model.inference_layers is model.inference_layers  # made once
-        for ly, (w, b) in zip(model.layers, before):
-            assert ly.weight.dtype == ly.bias.dtype == np.float64
-            assert_bits_equal(ly.weight, w)
-            assert_bits_equal(ly.bias, b)
-        assert experiments._model_digest(model) == digest
-        storage.write_model(model, tmp_path / "after.stae")
-        assert (tmp_path / "after.stae").read_bytes() == (tmp_path / "before.stae").read_bytes()
+    def test_every_model_holds_float32_layers(self, rng, tmp_path):
+        built = self.spliced_model(rng)  # made from float64 layers
+        fe = fit_front_end(random_simplex(rng, 60, 6), 4)
+        data = [random_stream(rng, 20, 6) for _ in range(2)]
+        trained, _ = train_ae(data, TrainConfig(epochs=1), context=(-8, 5), front_end=fe)
+        first, again = tmp_path / "first.stae", tmp_path / "again.stae"
+        for model in (built, trained):
+            storage.write_model(model, first)
+            digest = experiments._model_digest(model)
+            ae_attention(random_stream_set(rng, 3, 15, 6), model)  # leaves the model as it was
+            reread = storage.read_model(first)
+            for m in (model, reread):
+                assert all(ly.weight.dtype == ly.bias.dtype == np.float32 for ly in m.layers)
+            # float32 widens exactly to the file's <f8, so write -> read ->
+            # write gives the same bytes and the same digest.
+            storage.write_model(reread, again)
+            assert again.read_bytes() == first.read_bytes()
+            assert experiments._model_digest(reread) == experiments._model_digest(model) == digest

@@ -598,6 +598,31 @@ class TestFuse:
 
 
 class TestEvaluate:
+    def test_fused_dir_without_a_fused_stream_exits_3(self, corpus, fused_entropy, tmp_path):
+        fused = tmp_path / "f"
+        shutil.copytree(fused_entropy, fused)
+        (fused / "utt0001_fused.strm").unlink()
+        report = tmp_path / "r.tsv"
+        r = run("evaluate", "--corpus", str(corpus), "--out", str(report), "--fused", str(fused))
+        assert r.returncode == 3
+        assert f"{fused}: no utt0001_fused.strm, so the fuse output is incomplete" in r.stderr
+        assert "Errno" not in r.stderr and "Traceback" not in r.stderr
+        assert not report.exists()
+
+    @pytest.mark.parametrize("command", ["fuse", "evaluate", "train-ae"])
+    @pytest.mark.parametrize("a_file", [False, True], ids=["no path", "a file"])
+    def test_corpus_path_without_corpus_cfg_exits_3(self, tmp_path, command, a_file):
+        nothere = tmp_path / "nothere"
+        if a_file:
+            nothere.write_text("")
+        out = tmp_path / "out"
+        argv = {"fuse": ["--method", "equal"], "evaluate": [], "train-ae": []}[command]
+        r = run(command, "--corpus", str(nothere), "--out", str(out), *argv)
+        assert r.returncode == 3
+        assert f"{nothere}: no corpus.cfg, so not a corpus directory" in r.stderr
+        assert "Errno" not in r.stderr and "Traceback" not in r.stderr
+        assert not out.exists()
+
     def test_report_rows_and_hash(self, corpus, tmp_path):
         fused = tmp_path / "equal"
         run("fuse", "--corpus", str(corpus), "--out", str(fused), "--method", "equal")

@@ -275,7 +275,7 @@ class TestModelFiles:
         write_model(model, path)
         got = read_model(path)
         assert got.context == (-8, 5)
-        assert got.splice_plan == model.splice_plan
+        assert [ly.offsets for ly in got.layers] == [ly.offsets for ly in model.layers]
 
     def test_byte_stable(self, rng, tmp_path):
         model, _ = self.make_model(rng)
@@ -310,6 +310,21 @@ class TestModelFiles:
         write_model(model, tmp_path / "m.stae")
         with pytest.raises(FormatError, match=f"^{array}: non-finite values"):
             read_model(tmp_path / "m.stae")
+
+    @pytest.mark.parametrize("array", ["layer 0 weights", "layer 1 bias"])
+    def test_layer_value_beyond_float32_rejected(self, tmp_path, array):
+        # Finite as f8, but inf once the model casts its layers to float32.
+        model = _small_model()
+        target = {"layer 0 weights": model.layers[0].weight,
+                  "layer 1 bias": model.layers[1].bias}[array]
+        path = tmp_path / "m.stae"
+        write_model(model, path)
+        data = path.read_bytes()
+        old = np.float64(target.flat[-1]).tobytes()
+        assert data.count(old) == 1
+        path.write_bytes(data.replace(old, struct.pack("<d", -1e39)))
+        with pytest.raises(FormatError, match=f"^{array}: non-finite values as float32$"):
+            read_model(path)
 
     def test_huge_declared_layer_rejected_before_reading(self, tmp_path):
         # A valid C=2, K=1 front end, then one layer declaring a
