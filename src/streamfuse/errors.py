@@ -43,6 +43,9 @@ class SettingError(StreamFuseError):
         super().__init__(f"{setting}: {reason}")
         self.setting, self.reason = setting, reason
 
+    def __reduce__(self):  # args holds the message alone: pickle the two fields
+        return type(self), (self.setting, self.reason)
+
 
 class FormatError(StreamFuseError):
     """Base class for file-format errors."""

@@ -34,13 +34,24 @@ frame_offset: its profile's off, 0 for the clean stream; each file's size),
 so a corpus that contradicts itself fails before any output exists.  A
 stream's payload is read, and its rows checked by core.check_simplex, only
 when its utterance is taken from the corpus, so fuse_corpus and
-evaluate_corpus hold one utterance at a time.
+evaluate_corpus hold one utterance at a time in each process.
 fuse checks each schedule and fused stream, and the storage writers check
 every matrix before they write it.  Before the first utterance,
 evaluate_corpus reads each fused directory's fuse.cfg by read_written_config
 and checks its settings (check_settings, and an n of at most the corpus's
-stream count) and corpus hash; it checks each
-fused stream's shape and frame_offset (0) as it reads it.
+stream count) and corpus hash, and reads every fused stream's header to
+check its shape and frame_offset (0); it checks the header again, and the
+rows, as it reads each stream.
+
+Processes: write_corpus, fuse_corpus and evaluate_corpus run their
+utterances through _per_utterance, one process per CPU (_workers), forked
+after every check above; a step with an AE model runs in one process,
+since BLAS already spreads the monitor's GEMMs over every CPU.  Each
+process writes its own utterances' files, the parent writes the marker
+after every child has succeeded, and evaluate_corpus sums each system's
+reports in utterance order, so the bytes written do not depend on the
+worker count.  A failure is the lowest failing utterance's exception, as
+in a serial loop.
 """
 
 from __future__ import annotations
@@ -49,7 +60,10 @@ import hashlib
 import json
 import math
 import operator
-from collections.abc import Sequence
+import os
+import pickle
+import signal
+from collections.abc import Callable, Sequence
 from pathlib import Path
 
 import numpy as np
@@ -197,6 +211,106 @@ def _corpus_files(name: str, spec: simulator.CorpusSpec) -> tuple:
     return facts, json.dumps(fields).encode(), manifest.encode()
 
 
+def _cpus() -> int:
+    """The number of CPUs this process may run on; 1 where the OS does not say."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call (macOS, Windows): run in one process
+        return 1
+
+
+def _workers(count: int, model: aemonitor.AeModel | None = None) -> int:
+    """The processes that run count utterances: one per CPU, at most one per
+    utterance, and one alone for a step with an AE model, whose GEMMs BLAS
+    already spreads over every CPU."""
+    return 1 if model is not None else min(_cpus(), count)
+
+
+def _share(fn: Callable, us: range) -> tuple[list, tuple[int, Exception] | None]:
+    """fn(u) for each u of us in order, up to the first that raises: the
+    results, and None or (that u, its exception)."""
+    results = []
+    for u in us:
+        try:
+            results.append(fn(u))
+        except Exception as e:
+            return results, (u, e)
+    return results, None
+
+
+def _worker(fn: Callable, us: range, pipe: int):
+    """A forked child's life: _share(fn, us) pickled into pipe, then os._exit.
+
+    It never returns, so it never runs its caller's code (a CLI that would
+    write a report, a test runner) or flushes stdio buffers it shares with
+    the parent; a share that does not pickle exits 1 without a result.
+    """
+    status = 1
+    try:
+        payload = pickle.dumps(_share(fn, us))
+        with open(pipe, "wb") as f:
+            f.write(payload)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _per_utterance(fn: Callable[[int], object], count: int, workers: int) -> list:
+    """[fn(u) for u in range(count)], utterance u run by process u % workers.
+
+    Process 0 is this one; each other is a forked child that sends back its
+    results, or the first exception it raises and that utterance, through a
+    pipe.  On failure, the exception of the lowest failing utterance is
+    raised, as a serial loop would; a child that ends without sending a
+    result fails at its first utterance with a StreamFuseError that names
+    its utterances and how it ended.  Every child is reaped before this
+    returns or raises, and killed first if this process fails on its own.
+    With one worker nothing is forked.
+    """
+    if workers <= 1:
+        return [fn(u) for u in range(count)]
+    shares = [range(k, count, workers) for k in range(workers)]
+    children = {}  # child k: (pid, read end of its pipe)
+    reaped = set()
+    outcomes = [None] * workers
+    try:
+        for k in range(1, workers):
+            read_end, write_end = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                _worker(fn, shares[k], write_end)
+            os.close(write_end)
+            children[k] = (pid, read_end)
+        outcomes[0] = _share(fn, shares[0])
+        for k, (pid, read_end) in children.items():
+            with open(read_end, "rb", closefd=False) as f:
+                payload = f.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            reaped.add(k)
+            if code == 0:
+                outcomes[k] = pickle.loads(payload)
+                continue
+            us = shares[k]
+            named = ", ".join(map(str, us[:3])) + (f", ..., {us[-1]}" if len(us) > 3 else "")
+            how = f"by signal {-code}" if code < 0 else f"with status {code}"
+            error = StreamFuseError(
+                f"the worker process for utterances {named} ended {how} without its results")
+            outcomes[k] = [], (us[0], error)
+    finally:
+        for k, (pid, read_end) in children.items():
+            if k not in reaped:  # this process failed on its own
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+            os.close(read_end)
+    failures = [failed for _, failed in outcomes if failed is not None]
+    if failures:
+        raise min(failures, key=operator.itemgetter(0))[1]
+    results = [None] * count
+    for us, (share_results, _) in zip(shares, outcomes):
+        results[us.start::workers] = share_results
+    return results
+
+
 def write_corpus(name: str, spec: simulator.CorpusSpec, outdir) -> simulator.CorpusFacts:
     """Simulate corpus name under spec into outdir, one utterance at a time
     (simulator.simulate_utterance), the manifest removed first and written
@@ -207,13 +321,17 @@ def write_corpus(name: str, spec: simulator.CorpusSpec, outdir) -> simulator.Cor
     (outdir / "manifest.txt").unlink(missing_ok=True)
     write_config(_corpus_cfg(name, spec), outdir / "corpus.cfg")
     (outdir / "hmm.json").write_bytes(hmm_json)
-    for u in range(spec.num_utterances):
+
+    def utterance(u: int) -> None:
         utt = simulator.simulate_utterance(spec, facts, u)
         tag = f"utt{u:04d}"
         (outdir / f"{tag}.ref").write_text(" ".join(str(int(x)) for x in utt.labels) + "\n")
         storage.write_stream(utt.clean, outdir / f"{tag}_clean.strm")
         for m, stream in enumerate(utt.streams.streams):
             storage.write_stream(stream, outdir / f"{tag}_s{m:02d}.strm")
+
+    count = spec.num_utterances
+    _per_utterance(utterance, count, _workers(count))
     (outdir / "manifest.txt").write_bytes(manifest)
     return facts
 
@@ -238,8 +356,14 @@ def _read_checked(read, path: Path, shape: tuple[int, int], where: str, offset: 
     return found
 
 
+# The errors of opening a file that is not there: no such path, a file where
+# a directory should be, or a directory where the file should be.
+_NO_FILE = (FileNotFoundError, NotADirectoryError, IsADirectoryError)
+
+
 def _missing(e: OSError, so: str = "the corpus is incomplete") -> FormatError:
-    """The FormatError of a file that is not there: "DIR: no NAME, so <so>"."""
+    """The FormatError of a file that is not there (one of _NO_FILE):
+    "DIR: no NAME, so <so>"."""
     path = Path(e.filename)
     return FormatError(f"{path.parent}: no {path.name}, so {so}")
 
@@ -277,7 +401,7 @@ class Corpus(Sequence[simulator.Utterance]):
         try:
             return [_read_checked(read, self._indir / f, shape, where, offset)
                     for f, offset in files]
-        except FileNotFoundError as e:
+        except _NO_FILE as e:
             raise _missing(e) from None
 
     def __getitem__(self, i: int) -> simulator.Utterance:
@@ -308,11 +432,11 @@ def load_corpus(indir) -> Corpus:
     types = {"scenario": str, **{key: typ for key, _, typ in CORPUS_KEYS}}
     try:
         cfg = read_written_config(cfg_path, types)
-    except (FileNotFoundError, NotADirectoryError) as e:  # no such path, or a file
+    except _NO_FILE as e:
         raise _missing(e, "not a corpus directory") from None
     try:
         hmm_json, manifest_bytes = hmm_path.read_bytes(), manifest.read_bytes()
-    except FileNotFoundError as e:
+    except _NO_FILE as e:
         raise _missing(e) from None
     hmm_mismatch = StreamFuseError(f"{hmm_path} is not the JSON of the HMM {cfg_path} gives")
     manifest_mismatch = StreamFuseError(f"{manifest} is not the manifest {cfg_path} gives")
@@ -342,7 +466,7 @@ def load_corpus(indir) -> Corpus:
             labels = np.array([int(x) for x in ref.read_text().split()], dtype=np.intp)
         except (ValueError, OverflowError) as e:  # OverflowError: a label beyond intp
             raise StreamFuseError(f"{ref}: {e}") from None
-        except FileNotFoundError as e:
+        except _NO_FILE as e:
             raise _missing(e) from None
         outside = labels[(labels < 0) | (labels >= C)]
         if outside.size:
@@ -501,12 +625,15 @@ def fuse_corpus(
         corpus_hash(corpus),
     )
     cfg = dict(zip(FUSE_KEYS, values, strict=True))
-    for utt in corpus:
+
+    def utterance(u: int) -> None:
+        utt = corpus[u]
         aligned = align_streams(utt.streams)
         [sched], [fused] = _fuse_utterance(utt, aligned, truncation, model=model, mcfg=mcfg)
-        tag = f"utt{utt.utt_id:04d}"
-        storage.write_schedule(sched, outdir / f"{tag}.schd")
-        storage.write_stream(fused, outdir / f"{tag}_fused.strm")
+        storage.write_schedule(sched, outdir / f"utt{u:04d}.schd")
+        storage.write_stream(fused, outdir / f"utt{u:04d}_fused.strm")
+
+    _per_utterance(utterance, len(corpus), _workers(len(corpus), model))
     write_config(cfg, outdir / "fuse.cfg")
 
 
@@ -583,26 +710,40 @@ def evaluate_corpus(
     names += [_fused_name(d, chash, M) for d in fused_dirs]
     names += [_row_name(method, n) for method, n in methods]
     truncations = [_frame_method(method, n) for method, n in methods]
-    per_system: list[list[ErrorReport]] = [[] for _ in names]
-    for utt in corpus:
-        lo, length = overlap_range(utt.streams)
+    # Each utterance's overlap range, from the stream shapes load_corpus checked.
+    overlaps = [
+        overlap_range(StreamSet([storage.StreamHeader(frames, C, m, p.offset)
+                                 for m, p in enumerate(corpus.facts.profiles)]))
+        for frames in corpus.facts.frames
+    ]
+
+    def fused_stream(read, d: Path, u: int):
+        path = d / f"utt{u:04d}_fused.strm"
+        try:
+            return _read_checked(read, path, (overlaps[u][1], C), f"{d}: utt {u}")
+        except _NO_FILE as e:
+            raise _missing(e, "the fuse output is incomplete") from None
+
+    for d in fused_dirs:
+        for u in range(len(corpus)):
+            fused_stream(storage.read_stream_header, d, u)
+
+    def utterance(u: int) -> list[ErrorReport]:
+        utt = corpus[u]
         aligned = align_streams(utt.streams) if baselines or methods else None
         streams = [*aligned.streams, utt.clean] if baselines else []
-        for d in fused_dirs:
-            path = d / f"utt{utt.utt_id:04d}_fused.strm"
-            where = f"{d}: utt {utt.utt_id}"
-            try:
-                streams.append(_read_checked(storage.read_stream, path, (length, C), where))
-            except FileNotFoundError as e:
-                raise _missing(e, "the fuse output is incomplete") from None
+        streams += [fused_stream(storage.read_stream, d, u) for d in fused_dirs]
         streams += _fuse_utterance(utt, aligned, truncations, model=model)[1]
-        starts = [lo] * len(streams)
+        starts = [overlaps[u][0]] * len(streams)
         if baselines:
             starts[M] = 0  # the clean stream is scored on its full length
-        reports = decode_reports(streams, utt.labels, corpus.hmm, starts)
-        for reps, rep in zip(per_system, reports):
-            reps.append(rep)
-    return [(name, combine_reports(reps)) for name, reps in zip(names, per_system)]
+        return decode_reports(streams, utt.labels, corpus.hmm, starts)
+
+    # One list of reports per utterance, in utterance order: each system's
+    # reports are summed in that order.
+    per_utterance = _per_utterance(utterance, len(corpus), _workers(len(corpus), model))
+    return [(name, combine_reports(list(reps)))
+            for name, reps in zip(names, zip(*per_utterance))]
 
 
 REPORT_HEADER = (

@@ -1,5 +1,6 @@
 """Autoencoder monitor: front-end, splicing, training and attention weights."""
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -720,3 +721,17 @@ class TestFloat32Inference:
             storage.write_model(reread, again)
             assert again.read_bytes() == first.read_bytes()
             assert experiments._model_digest(reread) == experiments._model_digest(model) == digest
+
+    @pytest.mark.parametrize("array", ["weight", "bias"])
+    def test_layer_value_beyond_float32_rejected(self, array):
+        # A float64 value the float32 cast would make inf: the model is refused,
+        # naming the layer, instead of holding inf.
+        model = zero_output_model()
+        layer = model.layers[0]
+        bad = getattr(layer, array).astype(np.float64)
+        bad.flat[-1] = 1e300
+        label = {"weight": "weights", "bias": "bias"}[array]
+        with np.errstate(all="raise"):  # no overflow warning on the way
+            with pytest.raises(StreamFuseError, match=f"^layer 0 {label}: non-finite values"):
+                AeModel(front_end=model.front_end,
+                        layers=[dataclasses.replace(layer, **{array: bad})], context=(0, 0))

@@ -623,6 +623,22 @@ class TestEvaluate:
         assert "Errno" not in r.stderr and "Traceback" not in r.stderr
         assert not out.exists()
 
+    @pytest.mark.parametrize("name, so", [
+        ("corpus.cfg", "not a corpus directory"),
+        ("hmm.json", "the corpus is incomplete"),
+    ])
+    def test_corpus_file_that_is_a_directory_exits_3(self, corpus, tmp_path, name, so):
+        copy = tmp_path / "corpus"
+        shutil.copytree(corpus, copy)
+        (copy / name).unlink()
+        (copy / name).mkdir()
+        report = tmp_path / "r.tsv"
+        r = run("evaluate", "--corpus", str(copy), "--out", str(report))
+        assert r.returncode == 3
+        assert f"{copy}: no {name}, so {so}" in r.stderr
+        assert "Errno" not in r.stderr and "Traceback" not in r.stderr
+        assert not report.exists()
+
     def test_report_rows_and_hash(self, corpus, tmp_path):
         fused = tmp_path / "equal"
         run("fuse", "--corpus", str(corpus), "--out", str(fused), "--method", "equal")

@@ -1,15 +1,19 @@
 """In-memory experiment orchestration over a corpus on disk."""
 
 import dataclasses
+import os
 import re
 import shutil
+import signal
+import struct
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
 import reference as ref
-from streamfuse import experiments, simulator
+from streamfuse import cli, experiments, simulator
 from streamfuse.core import PosteriorStream, align_streams, overlap_range
 from streamfuse.decoder import score
 from streamfuse.decoder import make_hmm
@@ -225,3 +229,121 @@ def test_pipeline_holds_one_utterance_at_a_time(tmp_path):
     _pipeline_peak_bytes(tmp_path, 1)  # first-call allocations out of the way
     small, large = (_pipeline_peak_bytes(tmp_path, n) for n in (4, 16))
     assert large <= 1.5 * small, (small, large)
+
+
+# The per-utterance steps split their utterances over forked workers; the
+# worker count is patched through experiments._cpus, not the host's affinity.
+SMALL = CorpusSpec(num_utterances=5, frames_min=55, frames_max=70, num_classes=6,
+                   num_streams=3, seed=2)
+
+
+def _tree(root) -> dict:
+    return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_worker_counts_give_the_same_bytes(tmp_path, monkeypatch):
+    forks = []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    outputs = {}
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(experiments, "_cpus", lambda workers=workers: workers)
+        root = tmp_path / f"w{workers}"
+        experiments.write_corpus("hrm_like", SMALL, root / "corpus")
+        corpus = experiments.load_corpus(root / "corpus")
+        dirs = [root / "entropy", root / "m_measure"]
+        experiments.fuse_corpus(corpus, "entropy", dirs[0])
+        experiments.fuse_corpus(corpus, "m_measure", dirs[1])
+        rows = experiments.evaluate_corpus(corpus, fused_dirs=dirs,
+                                           methods=[("entropy", n) for n in (1, 2, 3)])
+        report = experiments.format_report(rows, experiments.corpus_hash(corpus))
+        (root / "report.tsv").write_text(report)
+        outputs[workers] = _tree(root)
+        # Four steps, each forking workers - 1 children.
+        assert len(forks) == 4 * (workers - 1)
+        forks.clear()
+        _no_child_left()
+    assert outputs[2] == outputs[1]
+    assert outputs[3] == outputs[1]
+
+
+@pytest.mark.parametrize("command", ["fuse", "evaluate"])
+def test_late_corrupt_streams_fail_as_the_serial_run(tmp_path, monkeypatch, capsys, command):
+    # Utterances 3 and 4 are off the simplex; 3 is run by the parent at three
+    # workers and by a child at two, and is the one a serial run reports.
+    corpus = tmp_path / "corpus"
+    experiments.write_corpus("hrm_like", SMALL, corpus)
+    first = struct.calcsize("<4sHIIIiB")  # row 0, class 0
+    for name in ("utt0003_s01.strm", "utt0004_s00.strm"):
+        data = bytearray((corpus / name).read_bytes())
+        data[first : first + 4] = struct.pack("<f", 2.0)
+        (corpus / name).write_bytes(bytes(data))
+    ends = {}
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(experiments, "_cpus", lambda workers=workers: workers)
+        out = tmp_path / f"out{workers}"
+        argv = ["--method", "entropy"] if command == "fuse" else []
+        rc = cli.main([command, "--corpus", str(corpus), "--out", str(out), *argv])
+        ends[workers] = rc, capsys.readouterr().err
+        assert not (out / "fuse.cfg").exists() and not out.is_file()
+        _no_child_left()
+    assert ends[1][0] == 3
+    assert "utt 3: utt0003_s01.strm" in ends[1][1] and "row 0" in ends[1][1]
+    assert ends[2] == ends[3] == ends[1]
+
+
+def test_killed_worker_ends_in_a_typed_error(tmp_path, monkeypatch):
+    monkeypatch.setattr(experiments, "_cpus", lambda: 2)
+    simulate, parent = simulator.simulate_utterance, os.getpid()
+
+    def killed_at_1(spec, facts, u):
+        if u == 1 and os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return simulate(spec, facts, u)
+
+    monkeypatch.setattr(simulator, "simulate_utterance", killed_at_1)
+    message = "the worker process for utterances 1, 3 ended by signal 9 without its results"
+    with pytest.raises(StreamFuseError, match=f"^{message}$"):
+        experiments.write_corpus("hrm_like", SMALL, tmp_path)
+    assert not (tmp_path / "manifest.txt").exists()
+    _no_child_left()
+
+
+class _Stop(BaseException):
+    """Not an Exception: nothing on the way catches it."""
+
+
+def test_parent_failure_kills_its_workers():
+    parent = os.getpid()
+
+    def fn(u):
+        if os.getpid() != parent:
+            time.sleep(60)
+        raise _Stop
+
+    start = time.perf_counter()
+    with pytest.raises(_Stop):
+        experiments._per_utterance(fn, 2, 2)
+    assert time.perf_counter() - start < 30
+    _no_child_left()
+
+
+def test_fused_streams_are_checked_before_any_decode(hrm_corpus, fused_dirs, tmp_path,
+                                                     monkeypatch):
+    fused = tmp_path / "f"
+    shutil.copytree(fused_dirs[0], fused)
+    last = f"utt{len(hrm_corpus) - 1:04d}_fused.strm"
+    (fused / last).unlink()
+
+    def not_decoded(*args):
+        raise AssertionError("decoded before the fused streams were checked")
+
+    monkeypatch.setattr(experiments, "decode_reports", not_decoded)
+    incomplete = f"{fused}: no {last}, so the fuse output is incomplete"
+    with pytest.raises(FormatError, match=f"^{re.escape(incomplete)}$"):
+        experiments.evaluate_corpus(hrm_corpus, fused_dirs=[fused])
