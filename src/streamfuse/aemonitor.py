@@ -29,7 +29,14 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .core import AttentionSchedule, PosteriorStream, StreamSet, check_range, inverse_weights
+from .core import (
+    AttentionSchedule,
+    PosteriorStream,
+    StreamSet,
+    check_range,
+    finite_as,
+    inverse_weights,
+)
 from .errors import DegenerateData, DimensionMismatch, DivergedTraining, StreamFuseError
 
 DEFAULT_LOGIT_CLAMP = 1e-3
@@ -106,14 +113,11 @@ class AeModel:
     def __post_init__(self):
         """Cast the layers to float32; StreamFuseError naming the first layer
         array that holds a value beyond the float32 range, or a nan."""
-        with np.errstate(over="ignore"):  # an overflow is the error raised below
-            self.layers = _cast(self.layers, np.float32)
-        bound = np.finfo(np.float32).max
         for i, ly in enumerate(self.layers):
             for what, arr in (("weights", ly.weight), ("bias", ly.bias)):
-                # Two reductions make no array as large as arr; a nan fails both.
-                if not (-bound <= arr.min(initial=0.0) and arr.max(initial=0.0) <= bound):
+                if not finite_as(arr, np.float32):
                     raise StreamFuseError(f"layer {i} {what}: non-finite values as float32")
+        self.layers = _cast(self.layers, np.float32)
 
     def _inference_work(self, rows: int) -> _Buffers:
         """The model's forward-only set for its layers, holding >= rows rows.

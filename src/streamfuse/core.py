@@ -108,6 +108,17 @@ def check_simplex(mat: np.ndarray, what: str, atol: float = SIMPLEX_ATOL) -> np.
     return sums
 
 
+def finite_as(arr: np.ndarray, dtype) -> bool:
+    """Whether every value of arr is finite as dtype: no nan, none beyond its range.
+
+    The package's one test of the rule, for arrays that are narrowed or
+    widened to dtype (storage reads, AeModel layers).
+    """
+    # Two reductions make no array as large as arr; a nan fails both tests.
+    bound = np.finfo(dtype).max
+    return bool(-bound <= arr.min(initial=0.0) and arr.max(initial=0.0) <= bound)
+
+
 def renormalize_rows(mat: np.ndarray) -> np.ndarray:
     """Divide each row by its sum (rows assumed near the simplex already)."""
     return mat / mat.sum(axis=1, keepdims=True)

@@ -51,7 +51,7 @@ process writes its own utterances' files, the parent writes the marker
 after every child has succeeded, and evaluate_corpus sums each system's
 reports in utterance order, so the bytes written do not depend on the
 worker count.  A failure is the lowest failing utterance's exception, as
-in a serial loop.
+in a serial loop, and once it is known no process runs a higher utterance.
 """
 
 from __future__ import annotations
@@ -62,6 +62,7 @@ import math
 import operator
 import os
 import pickle
+import select
 import signal
 from collections.abc import Callable, Sequence
 from pathlib import Path
@@ -226,11 +227,15 @@ def _workers(count: int, model: aemonitor.AeModel | None = None) -> int:
     return 1 if model is not None else min(_cpus(), count)
 
 
-def _share(fn: Callable, us: range) -> tuple[list, tuple[int, Exception] | None]:
-    """fn(u) for each u of us in order, up to the first that raises: the
+def _share(fn: Callable, us: range, lowest: Callable[[], float] = lambda: math.inf,
+           ) -> tuple[list, tuple[int, Exception] | None]:
+    """fn(u) for each u of us in order, up to the first that raises or the
+    first above lowest() (a lower utterance has failed elsewhere): the
     results, and None or (that u, its exception)."""
     results = []
     for u in us:
+        if u > lowest():
+            break
         try:
             results.append(fn(u))
         except Exception as e:
@@ -263,16 +268,45 @@ def _per_utterance(fn: Callable[[int], object], count: int, workers: int) -> lis
     pipe.  On failure, the exception of the lowest failing utterance is
     raised, as a serial loop would; a child that ends without sending a
     result fails at its first utterance with a StreamFuseError that names
-    its utterances and how it ended.  Every child is reaped before this
-    returns or raises, and killed first if this process fails on its own.
-    With one worker nothing is forked.
+    its utterances and how it ended.  Once a failure is known, no process
+    runs an utterance above it: this one stops its share (it looks at the
+    pipes between its utterances) and a child whose share starts above it
+    is killed.  Every child is reaped before this returns or raises, and
+    killed first if this process fails on its own.  With one worker
+    nothing is forked.
     """
-    if workers <= 1:
-        return [fn(u) for u in range(count)]
     shares = [range(k, count, workers) for k in range(workers)]
-    children = {}  # child k: (pid, read end of its pipe)
-    reaped = set()
-    outcomes = [None] * workers
+    outcomes = [([], None)] * workers  # each process's (results, None or (u, exception))
+    children = {}  # read end of child k's pipe: (k, pid, the bytes read from it)
+    lowest = count  # the lowest utterance known to have failed, or count
+
+    def take(timeout: float | None) -> int:
+        """Read what the children that may hold a failure below lowest have
+        sent, once one is ready or timeout seconds pass (None: no limit);
+        reap each whose pipe has ended.  Returns lowest."""
+        nonlocal lowest
+        ends = [end for end, (k, _, _) in children.items() if k < lowest]
+        for end in select.select(ends, [], [], timeout)[0]:
+            k, pid, payload = children[end]
+            chunk = os.read(end, 1 << 16)
+            if chunk:
+                payload += chunk
+                continue
+            del children[end]
+            os.close(end)
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            if code == 0:
+                outcomes[k] = pickle.loads(payload)
+            else:
+                us = shares[k]
+                named = ", ".join(map(str, us[:3])) + (f", ..., {us[-1]}" if len(us) > 3 else "")
+                how = f"by signal {-code}" if code < 0 else f"with status {code}"
+                outcomes[k] = [], (us[0], StreamFuseError(
+                    f"the worker process for utterances {named} ended {how} without its results"))
+            if outcomes[k][1] is not None:
+                lowest = min(lowest, outcomes[k][1][0])
+        return lowest
+
     try:
         for k in range(1, workers):
             read_end, write_end = os.pipe()
@@ -280,28 +314,18 @@ def _per_utterance(fn: Callable[[int], object], count: int, workers: int) -> lis
             if pid == 0:
                 _worker(fn, shares[k], write_end)
             os.close(write_end)
-            children[k] = (pid, read_end)
-        outcomes[0] = _share(fn, shares[0])
-        for k, (pid, read_end) in children.items():
-            with open(read_end, "rb", closefd=False) as f:
-                payload = f.read()
-            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            reaped.add(k)
-            if code == 0:
-                outcomes[k] = pickle.loads(payload)
-                continue
-            us = shares[k]
-            named = ", ".join(map(str, us[:3])) + (f", ..., {us[-1]}" if len(us) > 3 else "")
-            how = f"by signal {-code}" if code < 0 else f"with status {code}"
-            error = StreamFuseError(
-                f"the worker process for utterances {named} ended {how} without its results")
-            outcomes[k] = [], (us[0], error)
+            children[read_end] = (k, pid, bytearray())
+        outcomes[0] = _share(fn, shares[0], lambda: take(0))
+        if outcomes[0][1] is not None:
+            lowest = min(lowest, outcomes[0][1][0])
+        while any(k < lowest for k, _, _ in children.values()):
+            take(None)
     finally:
-        for k, (pid, read_end) in children.items():
-            if k not in reaped:  # this process failed on its own
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-            os.close(read_end)
+        # Those left can hold no failure below lowest, or this process failed on its own.
+        for end, (_, pid, _) in children.items():
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            os.close(end)
     failures = [failed for _, failed in outcomes if failed is not None]
     if failures:
         raise min(failures, key=operator.itemgetter(0))[1]

@@ -43,7 +43,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .aemonitor import AeModel, FrontEnd, Layer
-from .core import AttentionSchedule, PosteriorStream, check_simplex
+from .core import AttentionSchedule, PosteriorStream, check_simplex, finite_as
 from .errors import (
     BadMagic,
     FormatError,
@@ -187,9 +187,7 @@ def _read_f8(f, shape: tuple[int, ...], what: str, held=np.float64) -> np.ndarra
     """The next prod(shape) f8 values of f as an array of that shape and dtype
     held, every one finite in held (float32 for layers: f8 widens them exactly)."""
     arr = np.frombuffer(_read_exact(f, math.prod(shape) * 8, what), dtype="<f8")
-    # Two reductions make no array as large as arr; a nan fails both tests.
-    bound = np.finfo(held).max
-    if not (-bound <= arr.min(initial=0.0) and arr.max(initial=0.0) <= bound):
+    if not finite_as(arr, held):
         raise FormatError(f"{what}: non-finite values as {np.dtype(held).name}")
     return arr.reshape(shape).astype(held)
 

@@ -201,7 +201,8 @@ def test_one_pass_equals_per_system_loops(hrm_corpus, fused_dirs, sweep):
 
 
 def _pipeline_peak_bytes(root, num_utterances: int) -> int:
-    """tracemalloc peak of write_corpus, load_corpus, fuse_corpus and evaluate_corpus."""
+    """tracemalloc peak of write_corpus, load_corpus, fuse_corpus and evaluate_corpus,
+    run in this process alone (tracemalloc sees no forked worker)."""
     spec = CorpusSpec(
         num_utterances=num_utterances,
         frames_min=60,
@@ -223,9 +224,10 @@ def _pipeline_peak_bytes(root, num_utterances: int) -> int:
         tracemalloc.stop()
 
 
-def test_pipeline_holds_one_utterance_at_a_time(tmp_path):
+def test_pipeline_holds_one_utterance_at_a_time(tmp_path, monkeypatch):
     # Same utterance shape, 4x the utterances: a corpus held in memory would
     # grow the peak about 4x; one utterance at a time keeps it flat.
+    monkeypatch.setattr(experiments, "_cpus", lambda: 1)
     _pipeline_peak_bytes(tmp_path, 1)  # first-call allocations out of the way
     small, large = (_pipeline_peak_bytes(tmp_path, n) for n in (4, 16))
     assert large <= 1.5 * small, (small, large)
@@ -330,6 +332,29 @@ def test_parent_failure_kills_its_workers():
     with pytest.raises(_Stop):
         experiments._per_utterance(fn, 2, 2)
     assert time.perf_counter() - start < 30
+    _no_child_left()
+
+
+@pytest.mark.parametrize("failing", [0, 1])
+def test_an_early_failure_does_not_wait_for_the_other_workers(failing):
+    # Three workers over 60 utterances: the parent runs 0, 3, 6, ... (half a
+    # second each after 0), child 1 runs 1, 4, ... and child 2 sleeps at 2.
+    # Once utterance `failing` has failed, no process runs a higher one.
+    parent = os.getpid()
+
+    def fn(u):
+        if u == failing:
+            raise ValueError(f"utt {u}")
+        if u == 2:
+            time.sleep(60)
+        if u > 0 and os.getpid() == parent:
+            time.sleep(0.5)
+        return u
+
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=f"^utt {failing}$"):
+        experiments._per_utterance(fn, 60, 3)
+    assert time.perf_counter() - start < 5
     _no_child_left()
 
 
