@@ -16,9 +16,10 @@ the weights trained and run; model files widen them to <f8, which is
 exact.  forward, loss_and_grads, their splices and their buffers take
 their dtype from the weights they are given, so the same kernels also
 run a float64 gradient check on plain float64 Layers.  forward and its
-splices take a leading batch axis, so the monitor runs all M streams of
-an utterance in one pass: one GEMM per layer on their M * T stacked
-frames, in a buffer set the model holds.
+splices take a leading batch axis, so the monitor runs the M streams of
+an utterance as stacked blocks of whole streams: one GEMM per layer on
+each block's frames, at most max(INFERENCE_ROWS, T) of them, in a buffer
+set the model holds.
 """
 
 from __future__ import annotations
@@ -49,6 +50,11 @@ ERROR_FLOOR = 1e-6
 # bottleneck in the middle) and a linear output back to the feature dim.
 PAPER_HIDDEN_WIDTHS = (512, 512, 24, 512, 512)
 DEFAULT_PCA_DIM = 40
+# Rows (stream frames) the monitor runs the network on at once: it runs an
+# utterance's streams in blocks of about this many rows, so its buffer set
+# (about 10 KB a row at the published widths) stays bounded whatever the
+# stream and frame counts.  512-row blocks ran about 10% slower (2-vCPU x86_64).
+INFERENCE_ROWS = 1024
 
 # Per-layer frame-offset splice plans of the 6-layer autoencoder, one per
 # temporal context: layer i's input concatenates the previous layer's
@@ -122,8 +128,10 @@ class AeModel:
     def _inference_work(self, rows: int) -> _Buffers:
         """The model's forward-only set for its layers, holding >= rows rows.
 
-        Made on first use and regrown only for more rows; the old set is
-        dropped before the larger one is made, so the two never coexist.
+        rows is one block of _stacked_errors, at most max(INFERENCE_ROWS, T)
+        for T-frame streams.  Made on first use and regrown only for more
+        rows; the old set is dropped before the larger one is made, so the
+        two never coexist.
         """
         if self._work is None or self._work.rows < rows:
             self._work = None
@@ -170,6 +178,8 @@ def fit_pca(data: np.ndarray, K: int, logit_clamp: float = DEFAULT_LOGIT_CLAMP) 
     N, C = data.shape
     if K > C:
         raise ValueError("K must be <= C")
+    if N - 1 < K:  # the rank of N centered rows is at most N - 1
+        raise DegenerateData(f"covariance rank below K={K}: N={N} rows")
     mean = data.mean(axis=0)
     centered = data - mean
     cov = centered.T @ centered / (N - 1)
@@ -319,8 +329,8 @@ class _Buffers:
     """Work buffers for forward and loss_and_grads on up to `rows` rows.
 
     A row is one frame of one sequence: training runs one minibatch's
-    window or one whole sequence at a time, the monitor all M streams of
-    an utterance at once (M * T rows).
+    window or one whole sequence at a time, the monitor one block of
+    whole streams of an utterance (_stream_groups) at a time.
     For the backward pass each layer keeps its splice input (none for the
     zero-offset plan) and its output, and the set adds the two buffers the
     backward pass alternates between, wide enough for any layer's input or
@@ -492,7 +502,6 @@ def train_ae(
     if front_end is None:
         front_end = fit_front_end(np.vstack([s.probs for s in data]))
     z_list = [front_end_apply(front_end, s.probs) for s in data]
-    batches = [z.astype(np.float32) for z in z_list]
     rng = np.random.default_rng(cfg.seed)
     layers = _cast(build_architecture(front_end.output_dim, context, hidden_widths, rng),
                    np.float32)
@@ -516,7 +525,7 @@ def train_ae(
     work = _Buffers(layers, max(z.shape[0] for z in z_list))
     losses = [evaluate_mse(layers, z_list, work)]
     for _ in range(cfg.epochs):
-        for z in batches:
+        for z in z_list:
             T = z.shape[0]
             for start in range(0, T, cfg.batch_size):
                 stop = min(start + cfg.batch_size, T)
@@ -533,20 +542,39 @@ def train_ae(
     return AeModel(front_end=front_end, layers=layers, context=tuple(context)), losses
 
 
+def _stream_groups(M: int, T: int) -> list[range]:
+    """M streams of T frames as the fewest near-equal runs of consecutive
+    streams that keep each run within max(INFERENCE_ROWS, T) rows.
+
+    Near-equal, not greedy: a small last run could fall under OpenBLAS's
+    small-matrix kernel, which rounds differently from the blocked kernel
+    that the other runs, and one pass over all M streams, use.
+    """
+    n = -(-M // max(1, INFERENCE_ROWS // max(T, 1)))
+    return [range(M * i // n, M * (i + 1) // n) for i in range(n)]
+
+
 def _stacked_errors(model: AeModel, streams: list[PosteriorStream]) -> np.ndarray:
     """(M, T) per-frame squared l2 reconstruction errors of M T-frame streams.
 
     The front end runs per stream and the error sum in float64; the
-    network runs once, on the model's float32 layers and in its buffer
-    set, on the M feature sequences stacked as (M, T, K).
+    network runs on the model's float32 layers and in its buffer set, once
+    per group of _stream_groups, on that group's feature sequences stacked
+    as (streams, T, K).  Each row's bits are those of one pass over all M.
     """
     C = model.front_end.num_classes
     if any(s.num_classes != C for s in streams):
         raise DimensionMismatch("stream and model disagree on class count")
-    z = np.stack([front_end_apply(model.front_end, s.probs) for s in streams])
-    out = forward(model.layers, z, model._inference_work(z.shape[0] * z.shape[1]))
-    # float32 out widens exactly to z's float64 before the subtraction.
-    return np.sum((out - z) ** 2, axis=-1)
+    M, T = len(streams), streams[0].num_frames
+    groups = _stream_groups(M, T)
+    work = model._inference_work(max(map(len, groups)) * T)
+    errs = np.empty((M, T))
+    for g in groups:
+        z = np.stack([front_end_apply(model.front_end, streams[m].probs) for m in g])
+        out = forward(model.layers, z, work)
+        # float32 out widens exactly to z's float64 before the subtraction.
+        errs[g.start : g.stop] = np.sum((out - z) ** 2, axis=-1)
+    return errs
 
 
 def reconstruction_errors(model: AeModel, stream: PosteriorStream) -> np.ndarray:
@@ -560,7 +588,8 @@ def reconstruction_errors(model: AeModel, stream: PosteriorStream) -> np.ndarray
 def ae_attention(sset: StreamSet, model: AeModel) -> AttentionSchedule:
     """Inverse reconstruction-error attention over an aligned stream set.
 
-    The network runs once on all M streams: one GEMM per layer.  Raises
+    The network runs on blocks of whole streams: one GEMM per layer and
+    block (_stacked_errors).  Raises
     DimensionMismatch, before any work, on a set that is not aligned
     (a frame_offset or a length that differs) or on a stream whose class
     count is not the model's.

@@ -171,7 +171,10 @@ def _read_model(path, corpus: experiments.Corpus) -> aemonitor.AeModel | None:
     """The model file at path (None for no path), once its class count is the corpus's."""
     if not path:
         return None
-    model = storage.read_model(path)
+    try:
+        model = storage.read_model(path)
+    except experiments._NO_FILE as e:
+        raise experiments._missing(e, "there is no model to read") from None
     C, want = model.front_end.num_classes, corpus.spec.num_classes
     if C != want:
         raise StreamFuseError(f"{path}: the model has {C} classes, the corpus {want}")

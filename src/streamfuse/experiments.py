@@ -607,15 +607,20 @@ def _fuse_utterance(utt, aligned: StreamSet, truncations, *, model=None, mcfg=No
 
 
 def _model_digest(model: aemonitor.AeModel) -> str:
-    """Hash of everything in a model that shapes its attention weights."""
+    """Hash of everything in a model that shapes its attention weights, its
+    arrays as the <f8 values of its file (storage.f8_chunks)."""
     fe = model.front_end
     h = hashlib.sha256(f"{model.context} {fe.logit_clamp!r}".encode())
-    for arr in (fe.pca_mean, fe.pca_basis):
-        h.update(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+
+    def update(*arrays):
+        for arr in arrays:
+            for chunk in storage.f8_chunks(arr):
+                h.update(chunk)
+
+    update(fe.pca_mean, fe.pca_basis)
     for ly in model.layers:
         h.update(f"{ly.activation} {ly.offsets} {ly.weight.shape}".encode())
-        h.update(np.ascontiguousarray(ly.weight, dtype="<f8").tobytes())
-        h.update(np.ascontiguousarray(ly.bias, dtype="<f8").tobytes())
+        update(ly.weight, ly.bias)
     return h.hexdigest()[:16]
 
 

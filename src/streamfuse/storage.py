@@ -38,6 +38,7 @@ from __future__ import annotations
 import math
 import os
 import struct
+from collections.abc import Iterator
 from typing import NamedTuple
 
 import numpy as np
@@ -58,12 +59,19 @@ _STREAM_HDR = struct.Struct("<4sHIIIiB")
 _SCHED_HDR = struct.Struct("<4sHIIB")
 
 
-def _read_exact(f, n: int, what: str) -> bytes:
-    # Sizes come from untrusted headers: compare with what the file holds
-    # before asking read() for them, which could overflow or allocate hugely.
+def _check_left(f, n: int, what: str) -> None:
+    """PayloadTruncated unless n more bytes are left in f.
+
+    Sizes come from untrusted headers: compare with what the file holds
+    before asking read() for them, which could overflow or allocate hugely.
+    """
     left = os.fstat(f.fileno()).st_size - f.tell()
     if n > left:
         raise PayloadTruncated(f"{what}: expected {n} bytes, {max(left, 0)} left in file")
+
+
+def _read_exact(f, n: int, what: str) -> bytes:
+    _check_left(f, n, what)
     buf = f.read(n)
     if len(buf) != n:
         raise PayloadTruncated(f"{what}: expected {n} bytes, got {len(buf)}")
@@ -162,14 +170,28 @@ _ACT_CODES = {"relu": 0, "linear": 1}
 _ACT_NAMES = {v: k for k, v in _ACT_CODES.items()}
 
 
+# Values of a model array converted to or from <f8 at a time (f8_chunks,
+# _read_f8), instead of a <f8 copy of a whole float32 layer: 6.3 MB for
+# layer 1 at the published widths.
+_F8_CHUNK = 1 << 16
+
+
+def f8_chunks(arr: np.ndarray) -> Iterator[np.ndarray]:
+    """An array's values in row-major order as <f8, as model files store
+    them, _F8_CHUNK values at a time."""
+    flat = arr.reshape(-1)  # a view of a C-ordered array
+    for i in range(0, flat.size, _F8_CHUNK):
+        yield flat[i : i + _F8_CHUNK].astype("<f8")
+
+
 def write_model(model: AeModel, path):
     fe = model.front_end
     C, K = fe.pca_basis.shape
     with open(path, "wb") as f:
         f.write(struct.pack("<4sHIId", b"STAE", VERSION, C, K, fe.logit_clamp))
         f.write(struct.pack("<ii", model.context[0], model.context[1]))
-        f.write(np.ascontiguousarray(fe.pca_mean, dtype="<f8").tobytes())
-        f.write(np.ascontiguousarray(fe.pca_basis, dtype="<f8").tobytes())
+        f.writelines(f8_chunks(fe.pca_mean))
+        f.writelines(f8_chunks(fe.pca_basis))
         f.write(struct.pack("<H", len(model.layers)))
         for ly in model.layers:
             fan_in, width = ly.weight.shape
@@ -179,17 +201,26 @@ def write_model(model: AeModel, path):
                 )
             )
             f.write(struct.pack(f"<{len(ly.offsets)}i", *ly.offsets))
-            f.write(np.ascontiguousarray(ly.weight, dtype="<f8").tobytes())
-            f.write(np.ascontiguousarray(ly.bias, dtype="<f8").tobytes())
+            f.writelines(f8_chunks(ly.weight))
+            f.writelines(f8_chunks(ly.bias))
 
 
 def _read_f8(f, shape: tuple[int, ...], what: str, held=np.float64) -> np.ndarray:
     """The next prod(shape) f8 values of f as an array of that shape and dtype
-    held, every one finite in held (float32 for layers: f8 widens them exactly)."""
-    arr = np.frombuffer(_read_exact(f, math.prod(shape) * 8, what), dtype="<f8")
-    if not finite_as(arr, held):
-        raise FormatError(f"{what}: non-finite values as {np.dtype(held).name}")
-    return arr.reshape(shape).astype(held)
+    held, every one finite in held (float32 for layers: f8 widens them exactly).
+
+    Read _F8_CHUNK values at a time, so no <f8 copy of a whole float32
+    layer is made.
+    """
+    n = math.prod(shape)
+    _check_left(f, n * 8, what)
+    out = np.empty(n, held)
+    for i in range(0, n, _F8_CHUNK):
+        arr = np.frombuffer(_read_exact(f, min(_F8_CHUNK, n - i) * 8, what), dtype="<f8")
+        if not finite_as(arr, held):
+            raise FormatError(f"{what}: non-finite values as {np.dtype(held).name}")
+        out[i : i + arr.size] = arr
+    return out.reshape(shape)
 
 
 def _check_layer_chain(layers: list[Layer], K: int) -> None:

@@ -703,6 +703,40 @@ class TestFloat32Inference:
         errs = np.stack([reconstruction_errors(model, s) for s in sset.streams], axis=1)
         np.testing.assert_array_equal(w, inverse_weights(errs, ERROR_FLOOR))
 
+    @pytest.mark.parametrize("context", [(0, 0), (-16, 12)])
+    @pytest.mark.parametrize("M, T", [(13, 80), (20, 100)])
+    def test_blocks_match_one_pass_over_the_whole_stack(self, rng, context, M, T):
+        # Published widths, K = 40, at counts the monitor runs as two blocks
+        # (6 + 7 and 10 + 10 streams).  A greedy 12 + 1 split of 13 streams
+        # would put the 80-row block on OpenBLAS's small-matrix kernel.
+        C, K = 48, 40
+        fe = fit_front_end(random_simplex(rng, 400, C), K)
+        model = AeModel(front_end=fe, layers=build_architecture(K, context, rng=rng),
+                        context=context)
+        streams = random_stream_set(rng, M, T, C).streams
+        assert len(aemonitor._stream_groups(M, T)) == 2
+        z = np.stack([front_end_apply(fe, s.probs) for s in streams])
+        want = np.sum((forward(model.layers, z) - z) ** 2, axis=-1)
+        assert_bits_equal(aemonitor._stacked_errors(model, streams), want)
+
+    @pytest.mark.parametrize("M, T", [(50, 100), (3, 1500)])
+    def test_buffer_set_holds_one_block(self, rng, M, T):
+        model = self.spliced_model(rng)
+        ae_attention(random_stream_set(rng, M, T, 6), model)
+        assert model._work.rows <= max(aemonitor.INFERENCE_ROWS, T)
+
+    @settings(deadline=None)
+    @given(st.integers(1, 80), st.integers(0, 3000))
+    def test_stream_groups_are_the_fewest_near_equal_blocks(self, M, T):
+        groups = aemonitor._stream_groups(M, T)
+        assert [m for g in groups for m in g] == list(range(M))
+        sizes = [len(g) for g in groups]
+        assert max(sizes) - min(sizes) <= 1
+        bound = max(aemonitor.INFERENCE_ROWS, T)
+        assert max(sizes) * T <= bound
+        # One group fewer would put more streams in some group than fit.
+        assert len(groups) == 1 or -(-M // (len(groups) - 1)) * T > bound
+
     def test_every_model_holds_float32_layers(self, rng, tmp_path):
         built = self.spliced_model(rng)  # made from float64 layers
         fe = fit_front_end(random_simplex(rng, 60, 6), 4)

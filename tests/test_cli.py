@@ -244,6 +244,18 @@ class TestTrainAe:
                 "--out", str(tmp_path / "m.stae"))
         assert r.returncode == 3
 
+    def test_one_frame_corpus_exits_3_without_a_warning(self, tmp_path):
+        # One frame gives a covariance of rank 0, refused before it is formed.
+        corpus = tmp_path / "corpus"
+        r = run("simulate", "--out", str(corpus), "--scenario", "hrm_like", "--streams", "2",
+                "--utterances", "1", "--seed", "1", "--frames-min", "1", "--frames-max", "1")
+        assert r.returncode == 0, r.stderr
+        out = tmp_path / "m.stae"
+        r = run("train-ae", "--corpus", str(corpus), "--out", str(out))
+        assert r.returncode == 3
+        assert r.stderr == "error: covariance rank below K=40: N=1 rows\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("source", ["flag", "config"])
     @pytest.mark.parametrize("context", ["-4,4", "abc"])
     def test_context_without_splice_plan_exits_2(self, corpus, tmp_path, source, context):
@@ -575,6 +587,21 @@ class TestFuse:
         assert r.returncode == 3
         assert message in r.stderr
         assert "Traceback" not in r.stderr
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["fuse", "evaluate"])
+    @pytest.mark.parametrize("a_dir", [False, True], ids=["no path", "a directory"])
+    def test_model_path_that_is_not_a_file_exits_3(self, corpus, tmp_path, command, a_dir):
+        path = tmp_path / "m.stae"
+        if a_dir:
+            path.mkdir()
+        out = tmp_path / "out"
+        argv = {"fuse": ["--method", "autoencoder"],
+                "evaluate": ["--sweep", "--method", "autoencoder"]}[command]
+        r = run(command, "--corpus", str(corpus), "--out", str(out), "--model", str(path), *argv)
+        assert r.returncode == 3
+        assert f"error: {tmp_path}: no m.stae, so there is no model to read\n" in r.stderr
+        assert "Errno" not in r.stderr and "Traceback" not in r.stderr
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["fuse", "evaluate"])

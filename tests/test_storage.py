@@ -5,6 +5,7 @@ from __future__ import annotations
 import re
 import shutil
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from streamfuse.aemonitor import (
     FrontEnd,
     Layer,
     TrainConfig,
+    build_architecture,
     reconstruction_errors,
     train_ae,
 )
@@ -283,6 +285,31 @@ class TestModelFiles:
         write_model(model, p1)
         write_model(read_model(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_layers_go_to_and_from_f8_a_chunk_at_a_time(self, tmp_path):
+        # Published widths at (-16, 12), K = 40: layer 1's 1536 x 512 float32
+        # weights are 6.3 MB as <f8, and neither writing nor reading makes a
+        # copy of that size.
+        K = 40
+        fe = FrontEnd(pca_mean=np.zeros(K), pca_basis=np.eye(K))
+        model = AeModel(fe, build_architecture(K, (-16, 12)), (-16, 12))
+        layer = model.layers[1].weight
+        assert layer.dtype == np.float32 and layer.size * 8 > 6e6
+        params = sum(ly.weight.nbytes + ly.bias.nbytes for ly in model.layers)
+        path = tmp_path / "m.stae"
+        peaks = []
+        for step in (lambda: write_model(model, path), lambda: read_model(path)):
+            tracemalloc.start()
+            try:
+                step()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        written, read = peaks
+        assert written < layer.size * 8 / 8
+        # The float32 layers, and the chunk read next to the one converted.
+        assert read < params + layer.size * 8 / 4
+        assert layer.astype("<f8").tobytes() in path.read_bytes()
 
     def test_truncation_names_section(self, rng, tmp_path):
         model, _ = self.make_model(rng)
