@@ -8,7 +8,7 @@ from .core import (
     fuse,
     n_best_truncate,
 )
-from .decoder import ErrorReport, HmmModel, make_hmm, score, viterbi
+from .decoder import ErrorReport, HmmModel, make_hmm, score, viterbi_batch
 from .measures import MMeasureConfig, binary_window_attention, entropy_attention, m_measure
 from .simulator import CorpusSpec, CorruptionProfile, corrupt, simulate_utterance
 
@@ -33,6 +33,6 @@ __all__ = [
     "n_best_truncate",
     "score",
     "simulate_utterance",
-    "viterbi",
+    "viterbi_batch",
     "__version__",
 ]

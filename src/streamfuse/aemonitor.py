@@ -11,15 +11,17 @@ attention weights.
 Training is momentum SGD on the MSE criterion, from scratch on
 numpy, with a fixed accumulation order so a seed fully determines the
 result at any BLAS thread count.  It runs in float32, each minibatch on
-its receptive-field window (train_ae).  An AeModel holds float32 layers,
+its receptive-field window (train_ae), in the features of a front end
+fitted beforehand (fit_front_end); loss_and_grads hands each layer's
+gradients to the update step as it goes.  An AeModel holds float32 layers,
 the weights trained and run; model files widen them to <f8, which is
 exact.  forward, loss_and_grads, their splices and their buffers take
 their dtype from the weights they are given, so the same kernels also
 run a float64 gradient check on plain float64 Layers.  forward and its
-splices take a leading batch axis, so the monitor runs the M streams of
-an utterance as stacked blocks of whole streams: one GEMM per layer on
-each block's frames, at most max(INFERENCE_ROWS, T) of them, in a buffer
-set the model holds.
+splices take a leading batch axis, so the monitor (ae_attention) runs
+the M streams of an utterance as stacked blocks of whole streams: one
+GEMM per layer on each block's frames, at most max(INFERENCE_ROWS, T) of
+them, in a buffer set the model holds.
 """
 
 from __future__ import annotations
@@ -408,30 +410,27 @@ def forward(layers: list[Layer], z: np.ndarray, work: _Buffers | None = None) ->
 def loss_and_grads(
     layers: list[Layer],
     z: np.ndarray,
-    target: np.ndarray,
+    step: Callable[[int, np.ndarray, np.ndarray], None],
     rows: np.ndarray | None = None,
     work: _Buffers | None = None,
-    step: Callable[[int, np.ndarray, np.ndarray], None] | None = None,
-) -> tuple[float, list[tuple[np.ndarray, np.ndarray]]]:
-    """MSE over the selected frames and its gradients w.r.t. every layer.
+) -> float:
+    """MSE of reconstructing z over the selected frames; its gradients go to step.
 
     The full sequence is run (splices reach across frames); the loss only
-    counts the frames in `rows` (all frames when None).  z and target are
-    cast to the dtype of the layers' weights, and everything is computed
-    in that dtype, in work when given (a fresh set otherwise).  Layer i's
+    counts the frames in `rows` (all frames when None).  z is cast to the
+    dtype of the layers' weights, and everything is computed in that
+    dtype, in work when given (a fresh set otherwise).  Layer i's
     gradients go to step(i, grad_w, grad_b), top layer first, once the
     pass has read that layer's weights for the last time, so step may
     update them in place; the gradient arrays are scratch that the next
-    layer's overwrite, and the returned list is empty.  Without step, the
-    list holds a copy of every layer's (grad_w, grad_b).
+    layer's overwrite.
     """
-    dt = layers[0].weight.dtype
-    z = np.ascontiguousarray(z, dtype=dt)
+    z = np.ascontiguousarray(z, dtype=layers[0].weight.dtype)
     T = z.shape[0]
     work = work or _Buffers(layers, T)
     caches = _forward(layers, z, work)
     h = caches[-1][1]
-    diff = h - np.asarray(target, dtype=dt)
+    diff = h - z
     if rows is None:
         rows = np.arange(T)
     n = rows.size * h.shape[1]
@@ -440,13 +439,6 @@ def loss_and_grads(
     d = _rows(back[0], *h.shape)
     d.fill(0.0)
     d[rows] = 2.0 * diff[rows] / n
-    grads: list[tuple[np.ndarray, np.ndarray]] = []
-    if step is None:
-        grads = [None] * len(layers)
-
-        def step(i, gw, gb):
-            grads[i] = (gw.copy(), gb.copy())
-
     for i in range(len(layers) - 1, -1, -1):
         ly = layers[i]
         x, h = caches[i]
@@ -460,7 +452,7 @@ def loss_and_grads(
             if d is dx:  # the zero-offset plan: d now lives in back[1]
                 back = back[::-1]
         step(i, gw, gb)
-    return loss, grads
+    return loss
 
 
 def evaluate_mse(layers: list[Layer], z_list: list[np.ndarray], work: _Buffers) -> float:
@@ -480,11 +472,11 @@ def evaluate_mse(layers: list[Layer], z_list: list[np.ndarray], work: _Buffers) 
 def train_ae(
     data: list[PosteriorStream],
     cfg: TrainConfig,
+    front_end: FrontEnd,
     context: tuple[int, int] = (0, 0),
     hidden_widths: tuple[int, ...] | None = None,
-    front_end: FrontEnd | None = None,
 ) -> tuple[AeModel, list[float]]:
-    """Train the autoencoder on clean posterior streams.
+    """Train the autoencoder on clean posterior streams, in the features of front_end.
 
     Returns the model, holding the trained float32 layers, and the loss
     log: entry 0 is the pre-training MSE over the full data, entry e the
@@ -493,14 +485,14 @@ def train_ae(
     frames its outputs read: its receptive field, clipped to the sequence.
     A frame cut off, or one at an inner window edge that reads a repeated
     edge frame, feeds no output of the batch, so its gradient is zero
-    either way and the window changes only the order of sums.
+    either way and the window changes only the order of sums.  A
+    minibatch loss or an epoch MSE that is not finite raises
+    DivergedTraining; the overflows that lead to it stay silent.
     """
     if not data:
         raise ValueError("training data must be non-empty")
-    if len({s.num_classes for s in data}) > 1:
-        raise DimensionMismatch("training streams disagree on class count")
-    if front_end is None:
-        front_end = fit_front_end(np.vstack([s.probs for s in data]))
+    if any(s.num_classes != front_end.num_classes for s in data):
+        raise DimensionMismatch("training streams and front end disagree on class count")
     z_list = [front_end_apply(front_end, s.probs) for s in data]
     rng = np.random.default_rng(cfg.seed)
     layers = _cast(build_architecture(front_end.output_dim, context, hidden_widths, rng),
@@ -523,22 +515,23 @@ def train_ae(
 
     # One buffer set for every pass: the longest sequence sizes it.
     work = _Buffers(layers, max(z.shape[0] for z in z_list))
-    losses = [evaluate_mse(layers, z_list, work)]
-    for _ in range(cfg.epochs):
-        for z in z_list:
-            T = z.shape[0]
-            for start in range(0, T, cfg.batch_size):
-                stop = min(start + cfg.batch_size, T)
-                lo, hi = max(start + left, 0), min(stop + right, T)
-                window = z[lo:hi]
-                rows = np.arange(start - lo, stop - lo)
-                loss, _ = loss_and_grads(layers, window, window, rows, work, update)
-                if not np.isfinite(loss):
-                    raise DivergedTraining(f"training loss became {loss}")
-        epoch_mse = evaluate_mse(layers, z_list, work)
-        if not np.isfinite(epoch_mse):
-            raise DivergedTraining(f"training loss became {epoch_mse}")
-        losses.append(epoch_mse)
+    with np.errstate(over="ignore", invalid="ignore"):
+        losses = [evaluate_mse(layers, z_list, work)]
+        for _ in range(cfg.epochs):
+            for z in z_list:
+                T = z.shape[0]
+                for start in range(0, T, cfg.batch_size):
+                    stop = min(start + cfg.batch_size, T)
+                    lo, hi = max(start + left, 0), min(stop + right, T)
+                    window = z[lo:hi]
+                    rows = np.arange(start - lo, stop - lo)
+                    loss = loss_and_grads(layers, window, update, rows, work)
+                    if not np.isfinite(loss):
+                        raise DivergedTraining(f"training loss became {loss}")
+            epoch_mse = evaluate_mse(layers, z_list, work)
+            if not np.isfinite(epoch_mse):
+                raise DivergedTraining(f"training loss became {epoch_mse}")
+            losses.append(epoch_mse)
     return AeModel(front_end=front_end, layers=layers, context=tuple(context)), losses
 
 
@@ -575,14 +568,6 @@ def _stacked_errors(model: AeModel, streams: list[PosteriorStream]) -> np.ndarra
         # float32 out widens exactly to z's float64 before the subtraction.
         errs[g.start : g.stop] = np.sum((out - z) ** 2, axis=-1)
     return errs
-
-
-def reconstruction_errors(model: AeModel, stream: PosteriorStream) -> np.ndarray:
-    """Per-frame squared l2 reconstruction error in front-end feature space.
-
-    The stream is a stack of one on the path ae_attention runs.
-    """
-    return _stacked_errors(model, [stream])[0]
 
 
 def ae_attention(sset: StreamSet, model: AeModel) -> AttentionSchedule:

@@ -117,6 +117,21 @@ def _parse_context(text: str) -> tuple[int, int]:
     return context
 
 
+def _check_out(path, directory: bool = False) -> None:
+    """Refuse an --out path the step could not write, before any work:
+    StreamFuseError naming it (exit 3).
+
+    A file's directory must exist.  A directory is made with its missing
+    parents, so the nearest of them that exists must be a directory.
+    """
+    out = Path(path)
+    if not directory and out.is_dir():
+        raise StreamFuseError(f"{out}: is a directory, not a file to write")
+    there = next(p for p in (out, *out.parents) if p.exists()) if directory else out.parent
+    if not there.is_dir():
+        raise StreamFuseError(f"{out}: {there} is not a directory")
+
+
 def cmd_simulate(args, parser) -> int:
     # Each flag's dest is its corpus.cfg key.
     fields = {attr: getattr(args, key) for key, attr, _ in experiments.CORPUS_KEYS}
@@ -124,6 +139,7 @@ def cmd_simulate(args, parser) -> int:
         spec = simulator.CorpusSpec(**fields)
     except ValueError as e:  # each flag is in range, so frames_max < frames_min
         parser.error(f"argument --frames-max: {args.frames_max}: {e}")
+    _check_out(args.out, directory=True)
     facts = experiments.write_corpus(args.scenario, spec, args.out)
     print(
         f"wrote corpus {args.out}: scenario={args.scenario} "
@@ -134,6 +150,9 @@ def cmd_simulate(args, parser) -> int:
 
 
 def cmd_train_ae(args, parser) -> int:
+    loss_log = Path(str(args.out) + ".loss")
+    for path in (args.out, loss_log):
+        _check_out(path)
     corpus = experiments.load_corpus(args.corpus)
     cfg = aemonitor.TrainConfig(
         learning_rate=args.lr,
@@ -146,11 +165,8 @@ def cmd_train_ae(args, parser) -> int:
     front_end = aemonitor.fit_front_end(
         np.vstack([s.probs for s in clean]), logit_clamp=args.logit_clamp
     )
-    model, losses = aemonitor.train_ae(
-        clean, cfg, context=args.context, front_end=front_end
-    )
+    model, losses = aemonitor.train_ae(clean, cfg, front_end, context=args.context)
     storage.write_model(model, args.out)
-    loss_log = Path(str(args.out) + ".loss")
     loss_log.write_text("".join(f"{e}\t{v:.8f}\n" for e, v in enumerate(losses)))
     print(
         f"wrote model {args.out}: context={model.context} "
@@ -187,6 +203,7 @@ def cmd_fuse(args, parser) -> int:
         mcfg = MMeasureConfig(window=args.window)
     except ValueError as e:
         parser.error(f"argument --window: {args.window}: {e}")
+    _check_out(args.out, directory=True)
     corpus = experiments.load_corpus(args.corpus)
     M = corpus.spec.num_streams
     if args.n is not None:
@@ -212,6 +229,7 @@ def cmd_evaluate(args, parser) -> int:
         parser.error("nothing to score: --no-baselines needs --fused or --sweep")
     if args.sweep:
         _check_settings(parser, args.method, model=args.model)
+    _check_out(args.out)
     corpus = experiments.load_corpus(args.corpus)
     model = _read_model(args.model, corpus)
     sweep = range(1, corpus.spec.num_streams + 1) if args.sweep else ()

@@ -2,9 +2,10 @@
 
 The decoder consumes posterior streams directly, using the hybrid
 convention: emission score for class c at frame t is log(p_t[c] / prior[c])
-(prior scaling can be switched off).  Scoring reports a per-frame mismatch
-rate and a WER-like token error rate computed on run-length-collapsed label
-sequences.
+(prior scaling can be switched off).  viterbi_batch decodes streams of any
+lengths at once, one stream as a batch of one.  Scoring reports a
+per-frame mismatch rate and a WER-like token error rate computed on
+run-length-collapsed label sequences.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LOG_EPS, PosteriorStream, check_range, check_simplex
+from .core import LOG_EPS, check_range, check_simplex
 from .errors import DimensionMismatch
 
 # Row-sum tolerance of HmmModel: an HMM is float64 end to end, so it is
@@ -82,17 +83,6 @@ def stationary(hmm: HmmModel) -> np.ndarray:
     return pi / pi.sum()
 
 
-def viterbi(
-    stream: PosteriorStream, hmm: HmmModel, scale_by_priors: bool = True
-) -> np.ndarray:
-    """Most likely state path given posteriors-as-emission-scores.
-
-    A batch of one through viterbi_batch(); ties break toward the lower
-    state index at every step.
-    """
-    return viterbi_batch([stream.probs], hmm, scale_by_priors)[0]
-
-
 def viterbi_batch(
     streams, hmm: HmmModel, scale_by_priors: bool = True
 ) -> list[np.ndarray]:
@@ -100,8 +90,8 @@ def viterbi_batch(
 
     streams is a sequence of (T_b, C) posterior matrices (a (B, T, C) array
     is one); the result is the list of B paths, path b of length T_b being
-    exactly what viterbi() returns for stream b alone.  Ties break toward
-    the lower state index at every step.
+    the most likely state path of stream b alone, with posteriors as
+    emission scores.  Ties break toward the lower state index at every step.
 
     Shorter streams are padded at the end of a (T_max, B, C) buffer.  The
     forward pass is causal, so row b's scores for t < T_b do not depend on

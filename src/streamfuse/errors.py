@@ -29,12 +29,8 @@ class DivergedTraining(StreamFuseError):
     """Autoencoder training loss became non-finite."""
 
 
-class MissingModel(StreamFuseError):
-    """A fusion method requiring a trained model was invoked without one."""
-
-
 class SettingError(StreamFuseError):
-    """A fusion setting the method does not read, or a model it needs and lacks.
+    """A fusion setting the method does not read, or one it needs and lacks.
 
     setting is the keyword at fault, which is also the name of its flag.
     """

@@ -81,7 +81,7 @@ from .core import (
     overlap_range,
 )
 from .decoder import ErrorReport, HmmModel, combine_reports, score, viterbi_batch
-from .errors import FormatError, MissingModel, SettingError, StreamFuseError, WindowTooShort
+from .errors import FormatError, SettingError, StreamFuseError, WindowTooShort
 
 
 def config_hash(pairs: dict) -> str:
@@ -511,15 +511,7 @@ def _equal(aligned: StreamSet) -> AttentionSchedule:
     return AttentionSchedule(np.full((aligned.streams[0].num_frames, M), 1.0 / M))
 
 
-def _autoencoder(aligned: StreamSet, model) -> AttentionSchedule:
-    if model is None:
-        raise MissingModel("autoencoder method requires a trained model")
-    return aemonitor.ae_attention(aligned, model)
-
-
 def _oracle(aligned: StreamSet, oracle_stream) -> AttentionSchedule:
-    if oracle_stream is None:
-        raise StreamFuseError("oracle method requires the corpus manifest")
     w = np.zeros((aligned.streams[0].num_frames, aligned.num_streams))
     w[:, oracle_stream] = 1.0
     return AttentionSchedule(w)
@@ -532,7 +524,7 @@ FRAME_METHODS = {
     "entropy": (lambda a: measures.entropy_attention(a), None),
     "m_measure": (lambda a, mcfg: measures.binary_window_attention(a, mcfg), "mcfg"),
     "delta_m": (lambda a, mcfg: measures.binary_window_attention(a, mcfg, delta=True), "mcfg"),
-    "autoencoder": (_autoencoder, "model"),
+    "autoencoder": (lambda a, model: aemonitor.ae_attention(a, model), "model"),
     "oracle": (_oracle, "oracle_stream"),
 }
 FUSION_METHODS = (*FRAME_METHODS, "max_n")
@@ -579,13 +571,18 @@ def compute_schedule(
 ) -> AttentionSchedule:
     """Attention schedule for one aligned utterance under a frame-wise method,
     which reads only its own setting.  max_n is not one: see _frame_method.
+    A model or oracle_stream of None that it reads raises SettingError; an
+    mcfg of None is the utterance-level M-measure.
     """
     if method not in FRAME_METHODS:
         raise StreamFuseError(f"{method!r} is not a frame-wise fusion method")
     fn, reads = FRAME_METHODS[method]
     if reads is None:
         return fn(aligned)
-    return fn(aligned, {"model": model, "oracle_stream": oracle_stream, "mcfg": mcfg}[reads])
+    value = {"model": model, "oracle_stream": oracle_stream, "mcfg": mcfg}[reads]
+    if value is None and reads != "mcfg":
+        raise SettingError(reads, f"the {method} method needs it")
+    return fn(aligned, value)
 
 
 def _fuse_utterance(utt, aligned: StreamSet, truncations, *, model=None, mcfg=None):

@@ -17,6 +17,7 @@ os.environ["PYTHONPATH"] = os.pathsep.join(
     p for p in (_SRC, os.environ.get("PYTHONPATH")) if p
 )
 
+from streamfuse.aemonitor import loss_and_grads
 from streamfuse.core import AttentionSchedule, PosteriorStream, StreamSet
 
 
@@ -39,6 +40,17 @@ def random_stream_set(rng, M, T, C, alpha=1.0):
 
 def random_schedule(rng, T, M):
     return AttentionSchedule(random_simplex(rng, T, M))
+
+
+def loss_and_grad_copies(layers, z, rows=None, work=None):
+    """(loss, [(grad_w, grad_b) of each layer]) of aemonitor.loss_and_grads,
+    through a step that keeps a copy of each layer's gradients."""
+    grads = [None] * len(layers)
+
+    def keep(i, grad_w, grad_b):
+        grads[i] = (grad_w.copy(), grad_b.copy())
+
+    return loss_and_grads(layers, z, keep, rows, work), grads
 
 
 # One table of matrices off the simplex, each bad in row 0 alone (row 1 of

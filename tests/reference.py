@@ -343,7 +343,7 @@ def binary_window_attention_ref(sset, cfg, gate_on_argmax=False):
 
 
 def path_score(path, stream, hmm, scale_by_priors=True) -> float:
-    """Log score of a state path under the same convention as viterbi()."""
+    """Log score of a state path under the same convention as viterbi_batch()."""
     logp = np.log(np.maximum(stream.probs, PACKAGE_LOG_EPS))
     if scale_by_priors:
         logp = logp - np.log(np.maximum(hmm.priors, PACKAGE_LOG_EPS))

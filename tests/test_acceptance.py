@@ -16,14 +16,12 @@ import pytest
 import scipy.stats
 
 import reference as ref
-from conftest import random_schedule, random_simplex, random_stream
+from conftest import loss_and_grad_copies, random_schedule, random_simplex, random_stream
 from streamfuse import aemonitor, experiments, simulator, storage
 from streamfuse.aemonitor import (
     TrainConfig,
     build_architecture,
     fit_front_end,
-    loss_and_grads,
-    reconstruction_errors,
     train_ae,
 )
 from streamfuse.core import (
@@ -33,7 +31,7 @@ from streamfuse.core import (
     inverse_weights,
     n_best_truncate,
 )
-from streamfuse.decoder import HmmModel, make_hmm, viterbi
+from streamfuse.decoder import HmmModel, make_hmm, viterbi_batch
 from streamfuse.measures import (
     ENTROPY_FLOOR,
     MMeasureConfig,
@@ -177,7 +175,7 @@ def test_criterion_2_viterbi_vs_exhaustive():
         )
         probs = random_simplex(rng, T, C)
         scale = bool(trial % 2)
-        got = viterbi(PosteriorStream(probs), hmm, scale_by_priors=scale)
+        got = viterbi_batch([probs], hmm, scale_by_priors=scale)[0]
         best, best_path, margin = ref.viterbi_exhaustive(
             probs.tolist(), trans.tolist(), priors.tolist(), scale
         )
@@ -210,7 +208,7 @@ def test_criterion_3_gradient_check():
                     )
                 )
         z = rng.standard_normal((7, 3))
-        _, grads = loss_and_grads(layers, z, z)
+        _, grads = loss_and_grad_copies(layers, z)
         step = 1e-4
         for ly, (gw, gb) in zip(layers, grads):
             for arr, g in ((ly.weight, gw), (ly.bias, gb)):
@@ -219,9 +217,9 @@ def test_criterion_3_gradient_check():
                     ix = it.multi_index
                     orig = arr[ix]
                     arr[ix] = orig + step
-                    lp, _ = loss_and_grads(layers, z, z)
+                    lp, _ = loss_and_grad_copies(layers, z)
                     arr[ix] = orig - step
-                    lm, _ = loss_and_grads(layers, z, z)
+                    lm, _ = loss_and_grad_copies(layers, z)
                     arr[ix] = orig
                     num = (lp - lm) / (2 * step)
                     denom = max(abs(num), abs(g[ix]), 1e-6)
@@ -322,7 +320,7 @@ def test_criterion_8_monitor_monotonicity(monitor_model):
         for s in cleans:
             mixed = corrupt(s, CorruptionProfile(uniform_mix=lam), seed=0)
             ents.append(entropy_rows(mixed.probs))
-            errs.append(reconstruction_errors(monitor_model, mixed))
+            errs.append(aemonitor._stacked_errors(monitor_model, [mixed])[0])
         mean_entropy.append(float(np.concatenate(ents).mean()))
         ae_median.append(float(np.median(np.concatenate(errs))))
     m_vals = []

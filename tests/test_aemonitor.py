@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference as ref
-from conftest import random_simplex, random_stream, random_stream_set
+from conftest import loss_and_grad_copies, random_simplex, random_stream, random_stream_set
 from streamfuse import aemonitor, experiments, simulator, storage
 from streamfuse.aemonitor import (
     DEFAULT_LOGIT_CLAMP,
@@ -28,8 +28,6 @@ from streamfuse.aemonitor import (
     forward,
     front_end_apply,
     logit_transform,
-    loss_and_grads,
-    reconstruction_errors,
     train_ae,
 )
 from streamfuse.core import PosteriorStream, StreamSet, check_simplex, inverse_weights
@@ -199,8 +197,7 @@ class TestArchitecture:
 
 def numeric_gradient_check(layers, z, rows=None, step=1e-4):
     """Max relative error of analytic vs central-difference gradients."""
-    target = z.copy()
-    _, grads = loss_and_grads(layers, z, target, rows)
+    _, grads = loss_and_grad_copies(layers, z, rows)
     worst = 0.0
     for ly, (gw, gb) in zip(layers, grads):
         for arr, g in ((ly.weight, gw), (ly.bias, gb)):
@@ -209,9 +206,9 @@ def numeric_gradient_check(layers, z, rows=None, step=1e-4):
                 ix = it.multi_index
                 orig = arr[ix]
                 arr[ix] = orig + step
-                lp, _ = loss_and_grads(layers, z, target, rows)
+                lp, _ = loss_and_grad_copies(layers, z, rows)
                 arr[ix] = orig - step
-                lm, _ = loss_and_grads(layers, z, target, rows)
+                lm, _ = loss_and_grad_copies(layers, z, rows)
                 arr[ix] = orig
                 num = (lp - lm) / (2 * step)
                 denom = max(abs(num), abs(g[ix]), 1e-6)
@@ -349,10 +346,10 @@ class TestBitExactKernels:
         # A buffer set that a longer sequence used first, and fresh sets.
         work = aemonitor._Buffers(layers, T + longer)
         z_long = rng.standard_normal((T + longer, K))
-        loss_and_grads(layers, z_long, z_long, None, work)
+        loss_and_grad_copies(layers, z_long, None, work)
         for shared in (work, None):
             assert_bits_equal(forward(layers, z, shared), want)
-            loss, grads = loss_and_grads(layers, z, z, rows, shared)
+            loss, grads = loss_and_grad_copies(layers, z, rows, shared)
             assert loss == loss_ref
             for (gw, gb), (rw, rb) in zip(grads, grads_ref):
                 assert_bits_equal(gw, rw)
@@ -440,9 +437,9 @@ class TestWindowedFloat32Training:
             for start in range(0, T, batch_size):
                 stop = min(start + batch_size, T)
                 lo, hi = max(start + left, 0), min(stop + right, T)
-                loss, grads = loss_and_grads(layers, z, z, np.arange(start, stop))
-                got, got_grads = loss_and_grads(layers, z[lo:hi], z[lo:hi],
-                                                np.arange(start - lo, stop - lo))
+                loss, grads = loss_and_grad_copies(layers, z, np.arange(start, stop))
+                got, got_grads = loss_and_grad_copies(layers, z[lo:hi],
+                                                      np.arange(start - lo, stop - lo))
                 assert got == pytest.approx(loss, rel=1e-12, abs=0.0)
                 for pair, want_pair in zip(got_grads, grads):
                     for g, want in zip(pair, want_pair):
@@ -477,6 +474,11 @@ class TestTraining:
             for _ in range(n)
         ]
 
+    @staticmethod
+    def front_end(data):
+        """The CLI's front end: fitted on every training row at the default K and clamp."""
+        return fit_front_end(np.vstack([s.probs for s in data]))
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             TrainConfig(learning_rate=-1.0)
@@ -489,13 +491,13 @@ class TestTraining:
         # so the final loss collapses well below the random-init loss.
         data = self.make_data(rng)
         cfg = TrainConfig(learning_rate=0.02, epochs=40, batch_size=32, seed=0)
-        model, losses = train_ae(data, cfg, hidden_widths=())
+        model, losses = train_ae(data, cfg, self.front_end(data), hidden_widths=())
         assert losses[-1] < 0.1 * losses[0]
 
     def test_zero_learning_rate_is_noop(self, rng):
         data = self.make_data(rng)
         cfg = TrainConfig(learning_rate=0.0, epochs=3, seed=5)
-        model, losses = train_ae(data, cfg, hidden_widths=(4,))
+        model, losses = train_ae(data, cfg, self.front_end(data), hidden_widths=(4,))
         assert losses == [losses[0]] * len(losses)
         fe = model.front_end
         init = build_architecture(fe.output_dim, (0, 0), (4,), np.random.default_rng(5))
@@ -507,8 +509,8 @@ class TestTraining:
     def test_seed_determinism_bitwise(self, rng):
         data = self.make_data(rng)
         cfg = TrainConfig(learning_rate=1e-3, epochs=3, seed=9)
-        m1, l1 = train_ae(data, cfg, hidden_widths=(4, 3, 4))
-        m2, l2 = train_ae(data, cfg, hidden_widths=(4, 3, 4))
+        m1, l1 = train_ae(data, cfg, self.front_end(data), hidden_widths=(4, 3, 4))
+        m2, l2 = train_ae(data, cfg, self.front_end(data), hidden_widths=(4, 3, 4))
         assert l1 == l2
         for a, b in zip(m1.layers, m2.layers):
             np.testing.assert_array_equal(a.weight, b.weight)
@@ -516,18 +518,24 @@ class TestTraining:
 
     def test_loss_log_length(self, rng):
         data = self.make_data(rng, n=2, T=30)
-        _, losses = train_ae(data, TrainConfig(epochs=7), hidden_widths=(3,))
+        _, losses = train_ae(data, TrainConfig(epochs=7), self.front_end(data),
+                             hidden_widths=(3,))
         assert len(losses) == 8
 
     def test_divergence_detected(self, rng):
         data = self.make_data(rng, n=2, T=30)
         cfg = TrainConfig(learning_rate=1e9, epochs=5)
-        with pytest.raises(DivergedTraining), np.errstate(all="ignore"):
-            train_ae(data, cfg, hidden_widths=(4,))
+        with pytest.raises(DivergedTraining):
+            train_ae(data, cfg, self.front_end(data), hidden_widths=(4,))
+
+    def test_front_end_of_another_class_count_rejected(self, rng):
+        data = self.make_data(rng, n=2, T=30)  # C = 5
+        with pytest.raises(DimensionMismatch, match="front end disagree on class count"):
+            train_ae(data, TrainConfig(), zero_output_model(C=4).front_end)
 
     def test_empty_data_rejected(self):
         with pytest.raises(ValueError):
-            train_ae([], TrainConfig())
+            train_ae([], TrainConfig(), zero_output_model().front_end)
 
 
 class TestReconstructionErrorsAndAttention:
@@ -535,7 +543,7 @@ class TestReconstructionErrorsAndAttention:
         model = zero_output_model()
         row = two_class_row(4.0)
         s = PosteriorStream(row[None, :])
-        errs = reconstruction_errors(model, s)
+        errs = aemonitor._stacked_errors(model, [s])[0]
         assert errs[0] == pytest.approx(4.0, rel=1e-9)
 
     def test_errors_one_and_four_weight_point_eight(self):
@@ -611,9 +619,9 @@ class TestReconstructionErrorsAndAttention:
         medians = [
             float(
                 np.median(
-                    reconstruction_errors(
-                        model, PosteriorStream((1 - lam) * held + lam / C)
-                    )
+                    aemonitor._stacked_errors(
+                        model, [PosteriorStream((1 - lam) * held + lam / C)]
+                    )[0]
                 )
             )
             for lam in (0.0, 0.25, 0.5, 0.75)
@@ -658,7 +666,7 @@ class TestFloat32Inference:
         s = random_stream(rng, 31, 6)
         feats = front_end_apply(model.front_end, s.probs)
         want = np.sum((ref.forward_ref(layers64, feats) - feats) ** 2, axis=1)
-        errs = reconstruction_errors(model, s)
+        errs = aemonitor._stacked_errors(model, [s])[0]
         assert errs.dtype == np.float64
         np.testing.assert_allclose(errs, want, rtol=1e-4)
 
@@ -669,7 +677,8 @@ class TestFloat32Inference:
         assert w.dtype == np.float64
         check_simplex(w, "ae attention")
         # One buffer set for all streams gives what a fresh set per stream gives.
-        errs = np.stack([reconstruction_errors(model, s) for s in sset.streams], axis=1)
+        errs = np.stack([aemonitor._stacked_errors(model, [s])[0] for s in sset.streams],
+                        axis=1)
         np.testing.assert_array_equal(w, inverse_weights(errs, ERROR_FLOOR))
 
     def test_model_buffer_set_regrows_only_for_more_rows(self, rng):
@@ -700,7 +709,8 @@ class TestFloat32Inference:
         model = AeModel(front_end=fe, layers=layers, context=(-16, 12))
         sset = random_stream_set(rng, 3, 90, C)
         w = ae_attention(sset, model).weights
-        errs = np.stack([reconstruction_errors(model, s) for s in sset.streams], axis=1)
+        errs = np.stack([aemonitor._stacked_errors(model, [s])[0] for s in sset.streams],
+                        axis=1)
         np.testing.assert_array_equal(w, inverse_weights(errs, ERROR_FLOOR))
 
     @pytest.mark.parametrize("context", [(0, 0), (-16, 12)])

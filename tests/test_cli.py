@@ -256,6 +256,19 @@ class TestTrainAe:
         assert r.stderr == "error: covariance rank below K=40: N=1 rows\n"
         assert not out.exists()
 
+    def test_diverging_training_exits_4_without_a_warning(self, tmp_path):
+        # At the default learning rate this corpus's loss overflows to nan.
+        corpus = tmp_path / "corpus"
+        r = run("simulate", "--out", str(corpus), "--scenario", "hrm_like", "--streams", "3",
+                "--utterances", "4", "--seed", "1", "--classes", "8", "--frames-min", "60",
+                "--frames-max", "70")
+        assert r.returncode == 0, r.stderr
+        out = tmp_path / "m.stae"
+        r = run("train-ae", "--corpus", str(corpus), "--out", str(out))
+        assert r.returncode == 4
+        assert r.stderr == "error: training loss became nan\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("source", ["flag", "config"])
     @pytest.mark.parametrize("context", ["-4,4", "abc"])
     def test_context_without_splice_plan_exits_2(self, corpus, tmp_path, source, context):
@@ -622,6 +635,51 @@ class TestFuse:
         assert f"error: {path}: the model has 4 classes, the corpus 6\n" in r.stderr
         assert "Traceback" not in r.stderr
         assert not out.exists()
+
+
+class TestOutPath:
+    """An --out path that a step could not write is refused before any work."""
+
+    @pytest.mark.parametrize("command, kind", [
+        ("simulate", "a file"),
+        ("train-ae", "a directory"),
+        ("train-ae", "no parent"),
+        ("train-ae", "loss log a directory"),
+        ("fuse", "a file"),
+        ("fuse", "under a file"),
+        ("evaluate", "a directory"),
+        ("evaluate", "no parent"),
+    ])
+    def test_unwritable_out_exits_3_before_the_corpus_is_read(self, corpus, tmp_path,
+                                                             monkeypatch, capsys, command,
+                                                             kind):
+        blocker = tmp_path / "x"
+        if kind == "a directory":
+            blocker.mkdir()
+            out, message = blocker, f"{blocker}: is a directory, not a file to write"
+        elif kind == "no parent":
+            out = blocker / "out"
+            message = f"{out}: {blocker} is not a directory"
+        elif kind == "loss log a directory":
+            out, blocker = tmp_path / "m.stae", tmp_path / "m.stae.loss"
+            blocker.mkdir()
+            message = f"{blocker}: is a directory, not a file to write"
+        else:
+            blocker.write_text("kept")
+            out = blocker / "out" if kind == "under a file" else blocker
+            message = f"{out}: {blocker} is not a directory"
+        calls = []
+        monkeypatch.setattr(experiments, "load_corpus", lambda *a: calls.append(a))
+        monkeypatch.setattr(experiments, "write_corpus", lambda *a: calls.append(a))
+        argv = {"simulate": SIM_FLAGS, "fuse": ["--method", "entropy"]}.get(command, [])
+        if command != "simulate":
+            argv = ["--corpus", str(corpus), *argv]
+        rc = cli.main([command, "--out", str(out), *argv])
+        assert (rc, *capsys.readouterr(), calls) == (3, "", f"error: {message}\n", [])
+        want = [] if kind == "no parent" else [blocker.name]
+        assert [p.name for p in tmp_path.rglob("*")] == want
+        if blocker.is_file():
+            assert blocker.read_text() == "kept"
 
 
 class TestEvaluate:

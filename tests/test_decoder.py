@@ -18,7 +18,6 @@ from streamfuse.decoder import (
     make_hmm,
     score,
     stationary,
-    viterbi,
     viterbi_batch,
 )
 from streamfuse.errors import DimensionMismatch, InvalidSimplex
@@ -86,12 +85,12 @@ class TestViterbi:
         hmm = make_hmm(3, seed=0, self_loop=0.5)
         probs = np.full((10, 3), 0.005)
         probs[:, 0] = 0.99
-        path = viterbi(PosteriorStream(probs), hmm)
+        path = viterbi_batch([probs], hmm)[0]
         np.testing.assert_array_equal(path, np.zeros(10, dtype=np.intp))
 
     def test_class_count_mismatch(self, rng):
         with pytest.raises(DimensionMismatch):
-            viterbi(random_stream(rng, 5, 4), make_hmm(3))
+            viterbi_batch([random_stream(rng, 5, 4).probs], make_hmm(3))[0]
 
     def test_matches_exhaustive_search(self):
         rng = np.random.default_rng(77)
@@ -100,7 +99,7 @@ class TestViterbi:
             hmm = random_hmm(rng, C)
             probs = random_simplex(rng, T, C)
             scale = bool(trial % 2)
-            got = viterbi(PosteriorStream(probs), hmm, scale_by_priors=scale)
+            got = viterbi_batch([probs], hmm, scale_by_priors=scale)[0]
             best, best_path, margin = ref.viterbi_exhaustive(
                 probs.tolist(), hmm.transitions.tolist(), hmm.priors.tolist(), scale
             )
@@ -116,7 +115,7 @@ class TestViterbi:
         T, C = 8, 3
         hmm = random_hmm(rng, C)
         stream = PosteriorStream(random_simplex(rng, T, C))
-        best = ref.path_score(viterbi(stream, hmm), stream, hmm)
+        best = ref.path_score(viterbi_batch([stream.probs], hmm)[0], stream, hmm)
         for _ in range(50):
             rand = rng.integers(C, size=T)
             assert best >= ref.path_score(rand, stream, hmm) - 1e-9
@@ -125,14 +124,15 @@ class TestViterbi:
         rng = np.random.default_rng(5)
         hmm = random_hmm(rng, 3)
         stream = PosteriorStream(random_simplex(rng, 12, 3))
-        best = ref.path_score(viterbi(stream, hmm), stream, hmm)
+        best = ref.path_score(viterbi_batch([stream.probs], hmm)[0], stream, hmm)
         for _ in range(1000):
             assert best >= ref.path_score(rng.integers(3, size=12), stream, hmm) - 1e-9
 
     def test_deterministic(self, rng):
         hmm = make_hmm(4, seed=1)
         stream = random_stream(rng, 20, 4)
-        np.testing.assert_array_equal(viterbi(stream, hmm), viterbi(stream, hmm))
+        np.testing.assert_array_equal(viterbi_batch([stream.probs], hmm)[0],
+                                      viterbi_batch([stream.probs], hmm)[0])
 
     def test_one_hot_fusion_equals_direct_decode(self, rng):
         hmm = make_hmm(4, seed=2)
@@ -141,7 +141,8 @@ class TestViterbi:
         w = np.zeros((15, 2))
         w[:, 0] = 1.0
         fused = fuse(StreamSet([good, junk]), AttentionSchedule(w))
-        np.testing.assert_array_equal(viterbi(fused, hmm), viterbi(good, hmm))
+        np.testing.assert_array_equal(viterbi_batch([fused.probs], hmm)[0],
+                                      viterbi_batch([good.probs], hmm)[0])
 
 
 def quantised_simplex(rng, shape, levels=3):
@@ -161,9 +162,10 @@ def draw_hmm(rng, C, quantise):
 
 
 def assert_single_stream_path(path, probs, hmm, scale):
-    """path is viterbi() of probs alone and the textbook backpointer path."""
+    """path is viterbi_batch's path of probs decoded alone and the textbook
+    backpointer path."""
     np.testing.assert_array_equal(
-        path, viterbi(PosteriorStream(probs), hmm, scale_by_priors=scale)
+        path, viterbi_batch([probs], hmm, scale_by_priors=scale)[0]
     )
     log_prior = np.log(np.maximum(hmm.priors, LOG_EPS))
     log_trans = np.log(np.maximum(hmm.transitions, LOG_EPS))

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import reference as ref
+from conftest import random_stream_set
 from streamfuse import cli, experiments, simulator
 from streamfuse.core import PosteriorStream, align_streams, overlap_range
 from streamfuse.decoder import score
@@ -128,6 +129,26 @@ def test_compute_schedule_takes_frame_wise_methods_only(hrm_corpus):
     aligned = align_streams(hrm_corpus[0].streams)
     with pytest.raises(StreamFuseError, match="'max_n' is not a frame-wise fusion method"):
         experiments.compute_schedule("max_n", aligned)
+
+
+@pytest.mark.parametrize("method, setting", [
+    ("autoencoder", "model"),
+    ("oracle", "oracle_stream"),
+])
+def test_compute_schedule_needs_the_setting_its_method_reads(hrm_corpus, method, setting):
+    aligned = align_streams(hrm_corpus[0].streams)
+    with pytest.raises(SettingError, match=f"^{setting}: the {method} method needs it$") as e:
+        experiments.compute_schedule(method, aligned)
+    assert e.value.setting == setting
+
+
+@pytest.mark.parametrize("method", ["m_measure", "delta_m"])
+def test_compute_schedule_reads_no_window_as_the_utterance_level_default(rng, method):
+    aligned = random_stream_set(rng, 3, 80, 6)  # 80 frames host the longest span
+    np.testing.assert_array_equal(
+        experiments.compute_schedule(method, aligned).weights,
+        experiments.compute_schedule(method, aligned, mcfg=MMeasureConfig()).weights,
+    )
 
 
 def test_decode_reports_scores_each_stream_on_its_own_span():

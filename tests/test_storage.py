@@ -18,8 +18,9 @@ from streamfuse.aemonitor import (
     FrontEnd,
     Layer,
     TrainConfig,
+    _stacked_errors,
     build_architecture,
-    reconstruction_errors,
+    fit_front_end,
     train_ae,
 )
 from streamfuse.core import AttentionSchedule, PosteriorStream, renormalize_rows
@@ -247,8 +248,9 @@ class TestModelFiles:
             PosteriorStream(random_simplex(rng, 30, 5), stream_id=-1) for _ in range(2)
         ]
         kwargs = {} if hidden is None else {"hidden_widths": hidden}
+        fe = fit_front_end(np.vstack([s.probs for s in data]))
         model, _ = train_ae(
-            data, TrainConfig(epochs=2, learning_rate=1e-3, seed=1), context=context, **kwargs
+            data, TrainConfig(epochs=2, learning_rate=1e-3, seed=1), fe, context=context, **kwargs
         )
         return model, data[0]
 
@@ -268,7 +270,7 @@ class TestModelFiles:
             np.testing.assert_array_equal(a.bias, b.bias)
         # Bit-identical weights mean bit-identical reconstruction errors.
         np.testing.assert_array_equal(
-            reconstruction_errors(got, probe), reconstruction_errors(model, probe)
+            _stacked_errors(got, [probe])[0], _stacked_errors(model, [probe])[0]
         )
 
     def test_round_trip_with_context(self, rng, tmp_path):
