@@ -14,10 +14,10 @@ result at any BLAS thread count.  It runs in float32, each minibatch on
 its receptive-field window (train_ae), in the features of a front end
 fitted beforehand (fit_front_end); loss_and_grads hands each layer's
 gradients to the update step as it goes.  An AeModel holds float32 layers,
-the weights trained and run; model files widen them to <f8, which is
-exact.  forward, loss_and_grads, their splices and their buffers take
-their dtype from the weights they are given, so the same kernels also
-run a float64 gradient check on plain float64 Layers.  forward and its
+the weights trained and run, and model files store them as <f4.  forward,
+loss_and_grads, their splices and their buffers take their dtype from the
+weights they are given, so the same kernels also run a float64 gradient
+check on plain float64 Layers.  forward and its
 splices take a leading batch axis, so the monitor (ae_attention) runs
 the M streams of an utterance as stacked blocks of whole streams: one
 GEMM per layer on each block's frames, at most max(INFERENCE_ROWS, T) of

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import aemonitor, experiments, simulator, storage
 from .core import check_range
-from .errors import DivergedTraining, SettingError, StreamFuseError
+from .errors import DivergedTraining, FormatError, SettingError, StreamFuseError
 from .measures import MMeasureConfig
 
 EXIT_OK = 0
@@ -59,7 +59,9 @@ class _CommandParser(argparse.ArgumentParser):
             return []
         try:
             pairs = experiments.read_config_pairs(path)
-        except (OSError, ValueError, StreamFuseError) as e:  # ValueError: not UTF-8
+        except experiments._NO_FILE as e:
+            self.error(str(experiments._missing(e, "--config has no flags to read")))
+        except (OSError, StreamFuseError) as e:
             self.error(str(e))
         flags = []
         for key, val in pairs:
@@ -191,6 +193,8 @@ def _read_model(path, corpus: experiments.Corpus) -> aemonitor.AeModel | None:
         model = storage.read_model(path)
     except experiments._NO_FILE as e:
         raise experiments._missing(e, "there is no model to read") from None
+    except FormatError as e:
+        raise type(e)(f"{path}: {e}") from None
     C, want = model.front_end.num_classes, corpus.spec.num_classes
     if C != want:
         raise StreamFuseError(f"{path}: the model has {C} classes, the corpus {want}")

@@ -111,8 +111,8 @@ def check_simplex(mat: np.ndarray, what: str, atol: float = SIMPLEX_ATOL) -> np.
 def finite_as(arr: np.ndarray, dtype) -> bool:
     """Whether every value of arr is finite as dtype: no nan, none beyond its range.
 
-    The package's one test of the rule, for arrays that are narrowed or
-    widened to dtype (storage reads, AeModel layers).
+    The package's one test of the rule, for arrays read from model files
+    (in their own dtype) and for the layers an AeModel narrows to float32.
     """
     # Two reductions make no array as large as arr; a nan fails both tests.
     bound = np.finfo(dtype).max

@@ -89,13 +89,21 @@ def config_hash(pairs: dict) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
+def _config_text(path) -> str:
+    """The text of a key=value file; FormatError naming it if it is not UTF-8."""
+    try:
+        return Path(path).read_text()
+    except UnicodeDecodeError as e:
+        raise FormatError(f"{path}: byte {e.start} is not UTF-8 text") from None
+
+
 def read_config_pairs(path) -> list[tuple[str, str]]:
     """The (key, value) pairs of a key=value file, in file order, repeats kept.
 
     Text from "#" to the end of a line is a comment; blank lines are skipped.
     """
     pairs = []
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(_config_text(path).splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -120,7 +128,7 @@ def read_written_config(path, types: dict) -> dict:
     FormatError naming the file and the line or key."""
     keys = (*types, "config_hash")
     fields = {}
-    for line in Path(path).read_text().splitlines():
+    for line in _config_text(path).splitlines():
         key, found, val = line.partition("=")
         if not found:
             raise FormatError(f"{path}: bad token {line!r}")
@@ -603,24 +611,6 @@ def _fuse_utterance(utt, aligned: StreamSet, truncations, *, model=None, mcfg=No
     return scheds, [fuse(aligned, sched) for sched in scheds]
 
 
-def _model_digest(model: aemonitor.AeModel) -> str:
-    """Hash of everything in a model that shapes its attention weights, its
-    arrays as the <f8 values of its file (storage.f8_chunks)."""
-    fe = model.front_end
-    h = hashlib.sha256(f"{model.context} {fe.logit_clamp!r}".encode())
-
-    def update(*arrays):
-        for arr in arrays:
-            for chunk in storage.f8_chunks(arr):
-                h.update(chunk)
-
-    update(fe.pca_mean, fe.pca_basis)
-    for ly in model.layers:
-        h.update(f"{ly.activation} {ly.offsets} {ly.weight.shape}".encode())
-        update(ly.weight, ly.bias)
-    return h.hexdigest()[:16]
-
-
 def fuse_corpus(
     corpus: Corpus,
     method: str,
@@ -647,7 +637,7 @@ def fuse_corpus(
         "" if n is None else n,
         base,
         "" if mcfg is None or mcfg.window is None else mcfg.window,
-        "" if model is None else _model_digest(model),
+        "" if model is None else storage.model_digest(model),
         corpus_hash(corpus),
     )
     cfg = dict(zip(FUSE_KEYS, values, strict=True))

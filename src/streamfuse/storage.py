@@ -10,13 +10,14 @@ schedule file ("SATW"):
     magic 4s | version u16 | M u32 | T u32 | dtype u8 (0 = f32)
     | payload T*M f32
 
-model file ("STAE"):
+model file ("STAE", version 2):
     magic 4s | version u16 | C u32 | K u32 | logit_clamp f64
     | context_left i32 | context_right i32
     | pca_mean C f64 | pca_basis C*K f64 (row-major)
     | num_layers u16, then per layer:
       fan_in u32 | width u32 | activation u8 (0 relu, 1 linear)
-      | num_offsets u16 | offsets i32... | weight row-major f64 | bias f64
+      | num_offsets u16 | offsets i32... | weight row-major f32 | bias f32
+    | sha256 32s of every byte before it
 
 Stream and schedule readers check the fixed-size header first: magic,
 version, dtype code, and a file size of exactly header + rows * columns * 4
@@ -27,14 +28,17 @@ of a payload then run core.check_simplex on its rows (finite, >= 0, sum
 within SIMPLEX_ATOL = 1e-6 of 1) and return them as stored.  Writers run
 the same check before they open the file and store the rows cast to f32,
 so no writer makes a file its reader rejects, and write -> read -> write
-gives the same bytes.  The model reader rejects a value that is not finite
-in the dtype it is held in (float32 for layers), and a layer stack that
-does not chain: no layers, a fan_in other than the previous width (K for
-layer 0) times the layer's offset count, or a last width other than K.
+gives the same bytes.  The model reader checks each size before it reads
+it, then rejects a non-finite value, a layer stack that does not chain (no
+layers, a fan_in other than the previous width, K for layer 0, times its
+offset count, or a last width other than K) and, last, a trailing sha256
+that is not that of the bytes before it; model_digest is that hash's prefix.
 """
 
 from __future__ import annotations
 
+import functools
+import hashlib
 import math
 import os
 import struct
@@ -70,19 +74,22 @@ def _check_left(f, n: int, what: str) -> None:
         raise PayloadTruncated(f"{what}: expected {n} bytes, {max(left, 0)} left in file")
 
 
-def _read_exact(f, n: int, what: str) -> bytes:
+def _read_exact(f, n: int, what: str, h=None) -> bytes:
+    """The next n bytes of f, also fed to the hash h if one is given."""
     _check_left(f, n, what)
     buf = f.read(n)
     if len(buf) != n:
         raise PayloadTruncated(f"{what}: expected {n} bytes, got {len(buf)}")
+    if h is not None:
+        h.update(buf)
     return buf
 
 
-def _check_header(magic: bytes, expect: bytes, version: int):
+def _check_header(magic: bytes, expect: bytes, version: int, want=VERSION, advice=""):
     if magic != expect:
         raise BadMagic(f"expected magic {expect!r}, found {magic!r}")
-    if version != VERSION:
-        raise VersionUnsupported(f"version {version} not supported")
+    if version != want:
+        raise VersionUnsupported(f"version {version} not supported{advice}")
 
 
 def _write_matrix(path, hdr: struct.Struct, magic: bytes, what: str, mat: np.ndarray, *extra):
@@ -170,57 +177,54 @@ _ACT_CODES = {"relu": 0, "linear": 1}
 _ACT_NAMES = {v: k for k, v in _ACT_CODES.items()}
 
 
-# Values of a model array converted to or from <f8 at a time (f8_chunks,
-# _read_f8), instead of a <f8 copy of a whole float32 layer: 6.3 MB for
-# layer 1 at the published widths.
-_F8_CHUNK = 1 << 16
+# Model format versions: 1 stored the layers as <f8 and no hash; 2 stores
+# them as <f4, the dtype AeModel holds, and ends in a sha256.
+MODEL_VERSION = 2
+_MODEL_HDR = struct.Struct("<4sHIIdii")
 
 
-def f8_chunks(arr: np.ndarray) -> Iterator[np.ndarray]:
-    """An array's values in row-major order as <f8, as model files store
-    them, _F8_CHUNK values at a time."""
-    flat = arr.reshape(-1)  # a view of a C-ordered array
-    for i in range(0, flat.size, _F8_CHUNK):
-        yield flat[i : i + _F8_CHUNK].astype("<f8")
+def _model_parts(model: AeModel) -> Iterator[bytes | np.ndarray]:
+    """A model file's contents before its sha256, in order: header, front end,
+    then each layer's header, weights and bias."""
+    fe = model.front_end
+    yield _MODEL_HDR.pack(b"STAE", MODEL_VERSION, *fe.pca_basis.shape, fe.logit_clamp,
+                          *model.context)
+    yield from (np.ascontiguousarray(arr, "<f8") for arr in (fe.pca_mean, fe.pca_basis))
+    yield struct.pack("<H", len(model.layers))
+    for ly in model.layers:
+        yield struct.pack(f"<IIBH{len(ly.offsets)}i", *ly.weight.shape,
+                          _ACT_CODES[ly.activation], len(ly.offsets), *ly.offsets)
+        yield from (np.ascontiguousarray(arr, "<f4") for arr in (ly.weight, ly.bias))
+
+
+def _sha256(parts):
+    h = hashlib.sha256()
+    for part in parts:
+        h.update(part)
+    return h
 
 
 def write_model(model: AeModel, path):
-    fe = model.front_end
-    C, K = fe.pca_basis.shape
+    parts = list(_model_parts(model))  # the model's own arrays, not copies
     with open(path, "wb") as f:
-        f.write(struct.pack("<4sHIId", b"STAE", VERSION, C, K, fe.logit_clamp))
-        f.write(struct.pack("<ii", model.context[0], model.context[1]))
-        f.writelines(f8_chunks(fe.pca_mean))
-        f.writelines(f8_chunks(fe.pca_basis))
-        f.write(struct.pack("<H", len(model.layers)))
-        for ly in model.layers:
-            fan_in, width = ly.weight.shape
-            f.write(
-                struct.pack(
-                    "<IIBH", fan_in, width, _ACT_CODES[ly.activation], len(ly.offsets)
-                )
-            )
-            f.write(struct.pack(f"<{len(ly.offsets)}i", *ly.offsets))
-            f.writelines(f8_chunks(ly.weight))
-            f.writelines(f8_chunks(ly.bias))
+        f.writelines(parts)
+        f.write(_sha256(parts).digest())
 
 
-def _read_f8(f, shape: tuple[int, ...], what: str, held=np.float64) -> np.ndarray:
-    """The next prod(shape) f8 values of f as an array of that shape and dtype
-    held, every one finite in held (float32 for layers: f8 widens them exactly).
+def model_digest(model: AeModel) -> str:
+    """The model's identity: the first 16 hex digits of the sha256 its file ends in."""
+    return _sha256(_model_parts(model)).hexdigest()[:16]
 
-    Read _F8_CHUNK values at a time, so no <f8 copy of a whole float32
-    layer is made.
-    """
-    n = math.prod(shape)
-    _check_left(f, n * 8, what)
-    out = np.empty(n, held)
-    for i in range(0, n, _F8_CHUNK):
-        arr = np.frombuffer(_read_exact(f, min(_F8_CHUNK, n - i) * 8, what), dtype="<f8")
-        if not finite_as(arr, held):
-            raise FormatError(f"{what}: non-finite values as {np.dtype(held).name}")
-        out[i : i + arr.size] = arr
-    return out.reshape(shape)
+
+def _read_array(f, h, shape: tuple[int, ...], dtype: str, what: str) -> np.ndarray:
+    """The next prod(shape) values of dtype in f, all finite; h takes their bytes."""
+    _check_left(f, math.prod(shape) * np.dtype(dtype).itemsize, what)  # then allocate
+    arr = np.empty(shape, dtype)
+    f.readinto(arr)  # the bytes are there: _check_left saw them
+    if not finite_as(arr, arr.dtype):
+        raise FormatError(f"{what}: non-finite values")
+    h.update(arr)
+    return arr
 
 
 def _check_layer_chain(layers: list[Layer], K: int) -> None:
@@ -239,32 +243,33 @@ def _check_layer_chain(layers: list[Layer], K: int) -> None:
 
 
 def read_model(path) -> AeModel:
+    h = hashlib.sha256()
     with open(path, "rb") as f:
-        hdr = struct.Struct("<4sHIId")
-        magic, version, C, K, clamp = hdr.unpack(_read_exact(f, hdr.size, "model header"))
-        _check_header(magic, b"STAE", version)
-        left, right = struct.unpack("<ii", _read_exact(f, 8, "model context"))
-        mean = _read_f8(f, (C,), "pca mean")
-        basis = _read_f8(f, (C, K), "pca basis")
-        (num_layers,) = struct.unpack("<H", _read_exact(f, 2, "layer count"))
+        read = functools.partial(_read_exact, f, h=h)
+        magic, version, C, K, clamp, left, right = _MODEL_HDR.unpack(
+            read(_MODEL_HDR.size, "model header"))
+        _check_header(magic, b"STAE", version, MODEL_VERSION,
+                      f"; retrain the model with train-ae, which writes version {MODEL_VERSION}")
+        mean = _read_array(f, h, (C,), "<f8", "pca mean")
+        basis = _read_array(f, h, (C, K), "<f8", "pca basis")
+        (num_layers,) = struct.unpack("<H", read(2, "layer count"))
         layers = []
         for i in range(num_layers):
-            fan_in, width, act, n_off = struct.unpack(
-                "<IIBH", _read_exact(f, 11, f"layer {i} header")
-            )
+            fan_in, width, act, n_off = struct.unpack("<IIBH", read(11, f"layer {i} header"))
             if act not in _ACT_NAMES:
                 raise VersionUnsupported(f"unknown activation code {act}")
-            offsets = struct.unpack(
-                f"<{n_off}i", _read_exact(f, 4 * n_off, f"layer {i} offsets")
-            )
-            w = _read_f8(f, (fan_in, width), f"layer {i} weights", np.float32)
-            b = _read_f8(f, (width,), f"layer {i} bias", np.float32)
+            offsets = struct.unpack(f"<{n_off}i", read(4 * n_off, f"layer {i} offsets"))
+            w = _read_array(f, h, (fan_in, width), "<f4", f"layer {i} weights")
+            b = _read_array(f, h, (width,), "<f4", f"layer {i} bias")
             layers.append(Layer(weight=w, bias=b, activation=_ACT_NAMES[act], offsets=offsets))
-        if f.read(1):
-            raise PayloadTruncated("trailing bytes after model payload")
+        stored = f.read(h.digest_size + 1)  # one more, to see trailing bytes
+        if len(stored) != h.digest_size:
+            raise PayloadTruncated(f"model sha256: expected {h.digest_size} bytes to end the file")
     _check_layer_chain(layers, K)
     try:
         fe = FrontEnd(pca_mean=mean, pca_basis=basis, logit_clamp=clamp)
     except ValueError as e:
         raise FormatError(f"model front end: {e}") from None
+    if stored != h.digest():
+        raise FormatError("model sha256: not the hash of the bytes before it, so they changed")
     return AeModel(front_end=fe, layers=layers, context=(left, right))

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import reference as ref
 from conftest import loss_and_grad_copies, random_simplex, random_stream, random_stream_set
-from streamfuse import aemonitor, experiments, simulator, storage
+from streamfuse import aemonitor, simulator, storage
 from streamfuse.aemonitor import (
     DEFAULT_LOGIT_CLAMP,
     ERROR_FLOOR,
@@ -755,16 +755,16 @@ class TestFloat32Inference:
         first, again = tmp_path / "first.stae", tmp_path / "again.stae"
         for model in (built, trained):
             storage.write_model(model, first)
-            digest = experiments._model_digest(model)
+            digest = storage.model_digest(model)
             ae_attention(random_stream_set(rng, 3, 15, 6), model)  # leaves the model as it was
             reread = storage.read_model(first)
             for m in (model, reread):
                 assert all(ly.weight.dtype == ly.bias.dtype == np.float32 for ly in m.layers)
-            # float32 widens exactly to the file's <f8, so write -> read ->
-            # write gives the same bytes and the same digest.
+            # The file stores the float32 layers as they are, so write -> read
+            # -> write gives the same bytes and the same digest.
             storage.write_model(reread, again)
             assert again.read_bytes() == first.read_bytes()
-            assert experiments._model_digest(reread) == experiments._model_digest(model) == digest
+            assert storage.model_digest(reread) == storage.model_digest(model) == digest
 
     @pytest.mark.parametrize("array", ["weight", "bias"])
     def test_layer_value_beyond_float32_rejected(self, array):

@@ -173,6 +173,20 @@ class TestSimulate:
         assert r.returncode == 2
         assert "nope" in r.stderr
 
+    @pytest.mark.parametrize("a_dir", [False, True], ids=["no path", "a directory"])
+    def test_config_path_that_is_not_a_file_exits_2(self, tmp_path, a_dir):
+        cfg = tmp_path / "run.cfg"
+        if a_dir:
+            cfg.mkdir()
+        out = tmp_path / "x"
+        r = run("simulate", "--config", str(cfg), "--out", str(out), *SIM_FLAGS)
+        assert r.returncode == 2
+        assert r.stderr.endswith(
+            f"error: {tmp_path}: no run.cfg, so --config has no flags to read\n"
+        )
+        assert "Errno" not in r.stderr
+        assert not out.exists()
+
 
 class TestTrainAe:
     def test_zero_epochs_rejected(self, corpus, tmp_path):
@@ -557,7 +571,7 @@ class TestFuse:
         # weight matrix the file lacks.
         model = tmp_path / "hostile.stae"
         model.write_bytes(
-            struct.pack("<4sHIId", b"STAE", 1, 6, 1, 1e-3)
+            struct.pack("<4sHIId", b"STAE", storage.MODEL_VERSION, 6, 1, 1e-3)
             + struct.pack("<ii", 0, 0)
             + bytes(8 * (6 + 6))
             + struct.pack("<H", 1)
@@ -578,7 +592,50 @@ class TestFuse:
         r = run("fuse", "--corpus", str(corpus), "--out", str(out),
                 "--method", "autoencoder", "--model", str(path))
         assert r.returncode == 3
-        assert "layer 0 bias: non-finite values" in r.stderr
+        assert f"error: {path}: layer 0 bias: non-finite values" in r.stderr
+        assert "Traceback" not in r.stderr
+        assert not out.exists()
+
+    def test_every_model_digest_is_the_files_sha256_prefix(self, corpus, tmp_path):
+        front_end = aemonitor.FrontEnd(pca_mean=np.zeros(6), pca_basis=np.eye(6)[:, :4])
+        layers = aemonitor.build_architecture(4, hidden_widths=(5, 3, 5),
+                                              rng=np.random.default_rng(2))
+        model = aemonitor.AeModel(front_end, layers, (0, 0))
+        path = tmp_path / "m.stae"
+        storage.write_model(model, path)
+        out = tmp_path / "ae"
+        r = run("fuse", "--corpus", str(corpus), "--out", str(out),
+                "--method", "autoencoder", "--model", str(path))
+        assert r.returncode == 0, r.stderr
+        recorded = dict(experiments.read_config_pairs(out / "fuse.cfg"))["model_digest"]
+        trailer = path.read_bytes()[-32:].hex()[:16]
+        assert storage.model_digest(storage.read_model(path)) == trailer
+        assert storage.model_digest(model) == recorded == trailer
+
+    # A bit flipped in the middle of an array (a low mantissa bit, so the
+    # value stays finite), or a version-1 header.
+    @pytest.mark.parametrize("edit, message", [
+        ("front end", "model sha256: "),
+        ("layer weights", "model sha256: "),
+        ("version 1", "version 1 not supported; retrain the model with train-ae"),
+    ])
+    def test_damaged_or_old_model_exits_3_naming_it(self, corpus, model, tmp_path, edit,
+                                                    message):
+        data = bytearray(model.read_bytes())
+        if edit == "version 1":
+            data[4:6] = struct.pack("<H", 1)
+        else:
+            held = storage.read_model(model)
+            arr = held.front_end.pca_basis if edit == "front end" else held.layers[0].weight
+            middle = arr.size // 2 * arr.itemsize
+            data[bytes(data).index(arr.tobytes()) + middle] ^= 1
+        path = tmp_path / "damaged.stae"
+        path.write_bytes(data)
+        out = tmp_path / "ae"
+        r = run("fuse", "--corpus", str(corpus), "--out", str(out),
+                "--method", "autoencoder", "--model", str(path))
+        assert r.returncode == 3
+        assert r.stderr.startswith(f"error: {path}: {message}")
         assert "Traceback" not in r.stderr
         assert not out.exists()
 
@@ -1103,6 +1160,24 @@ def test_window_too_short_names_utterance_and_settings(short_corpus, tmp_path, a
         "error: utt 1: window of 39 frames cannot host span 50 "
         f"(M-measure {scope}, spans=5,10,20,30,40,50)\n"
     )
+
+
+@pytest.mark.parametrize("which, code", [("corpus.cfg", 3), ("fuse.cfg", 3), ("--config", 2)])
+def test_key_value_file_that_is_not_utf8_is_named(corpus, fused_entropy, tmp_path, which, code):
+    copy, fused, cfg = tmp_path / "corpus", tmp_path / "entropy", tmp_path / "run.cfg"
+    shutil.copytree(corpus, copy)
+    shutil.copytree(fused_entropy, fused)
+    cfg.write_text("no-baselines=0\n")
+    path = {"corpus.cfg": copy / "corpus.cfg", "fuse.cfg": fused / "fuse.cfg",
+            "--config": cfg}[which]
+    good = path.read_bytes()
+    path.write_bytes(good + b"\xff")
+    report = tmp_path / "r.tsv"
+    r = run("evaluate", "--config", str(cfg), "--corpus", str(copy), "--fused", str(fused),
+            "--out", str(report))
+    assert r.returncode == code
+    assert r.stderr.endswith(f"error: {path}: byte {len(good)} is not UTF-8 text\n")
+    assert not report.exists()
 
 
 class TestParser:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import re
 import shutil
 import struct
@@ -35,6 +36,8 @@ from streamfuse.errors import (
 from streamfuse.experiments import load_corpus, manifest_text, write_corpus
 from streamfuse.simulator import CorpusSpec, CorruptionProfile
 from streamfuse.storage import (
+    MODEL_VERSION,
+    model_digest,
     read_model,
     read_schedule,
     read_stream,
@@ -288,10 +291,10 @@ class TestModelFiles:
         write_model(read_model(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
 
-    def test_layers_go_to_and_from_f8_a_chunk_at_a_time(self, tmp_path):
-        # Published widths at (-16, 12), K = 40: layer 1's 1536 x 512 float32
-        # weights are 6.3 MB as <f8, and neither writing nor reading makes a
-        # copy of that size.
+    def test_layers_go_to_and_from_f4_without_a_copy(self, tmp_path):
+        # Published widths at (-16, 12), K = 40: layer 1 holds 1536 x 512
+        # float32 weights, and neither writing nor reading makes a copy of
+        # any layer, or a <f8 one of its size.
         K = 40
         fe = FrontEnd(pca_mean=np.zeros(K), pca_basis=np.eye(K))
         model = AeModel(fe, build_architecture(K, (-16, 12)), (-16, 12))
@@ -309,9 +312,41 @@ class TestModelFiles:
                 tracemalloc.stop()
         written, read = peaks
         assert written < layer.size * 8 / 8
-        # The float32 layers, and the chunk read next to the one converted.
+        # The float32 layers read, and little more.
         assert read < params + layer.size * 8 / 4
-        assert layer.astype("<f8").tobytes() in path.read_bytes()
+        assert layer.astype("<f4").tobytes() in path.read_bytes()
+
+    def test_file_ends_in_the_sha256_whose_prefix_is_the_model_digest(self, rng, tmp_path):
+        model, _ = self.make_model(rng)
+        path = tmp_path / "m.stae"
+        write_model(model, path)
+        data = path.read_bytes()
+        assert data[-32:] == hashlib.sha256(data[:-32]).digest()
+        assert model_digest(read_model(path)) == model_digest(model) == data[-32:].hex()[:16]
+
+    @pytest.mark.parametrize("array", ["pca mean", "layer 0 weights"])
+    def test_flipped_bit_rejected_by_the_sha256(self, tmp_path, array):
+        # One low mantissa bit of a finite value: the value stays finite, so
+        # only the trailing hash can tell.
+        model = _small_model()
+        target = {"pca mean": model.front_end.pca_mean,
+                  "layer 0 weights": model.layers[0].weight}[array]
+        path = tmp_path / "m.stae"
+        write_model(model, path)
+        data = bytearray(path.read_bytes())
+        at = bytes(data).index(target.tobytes()) + target.itemsize  # the second value
+        data[at] ^= 1
+        path.write_bytes(data)
+        with pytest.raises(FormatError, match="^model sha256: "):
+            read_model(path)
+
+    def test_version_1_file_says_to_retrain(self, tmp_path):
+        path = tmp_path / "m.stae"
+        write_model(_small_model(), path)
+        data = path.read_bytes()
+        path.write_bytes(data[:4] + struct.pack("<H", 1) + data[6:])
+        with pytest.raises(VersionUnsupported, match="retrain the model with train-ae"):
+            read_model(path)
 
     def test_truncation_names_section(self, rng, tmp_path):
         model, _ = self.make_model(rng)
@@ -340,27 +375,12 @@ class TestModelFiles:
         with pytest.raises(FormatError, match=f"^{array}: non-finite values"):
             read_model(tmp_path / "m.stae")
 
-    @pytest.mark.parametrize("array", ["layer 0 weights", "layer 1 bias"])
-    def test_layer_value_beyond_float32_rejected(self, tmp_path, array):
-        # Finite as f8, but inf once the model casts its layers to float32.
-        model = _small_model()
-        target = {"layer 0 weights": model.layers[0].weight,
-                  "layer 1 bias": model.layers[1].bias}[array]
-        path = tmp_path / "m.stae"
-        write_model(model, path)
-        data = path.read_bytes()
-        old = np.float64(target.flat[-1]).tobytes()
-        assert data.count(old) == 1
-        path.write_bytes(data.replace(old, struct.pack("<d", -1e39)))
-        with pytest.raises(FormatError, match=f"^{array}: non-finite values as float32$"):
-            read_model(path)
-
     def test_huge_declared_layer_rejected_before_reading(self, tmp_path):
         # A valid C=2, K=1 front end, then one layer declaring a
         # (2**32 - 1) x (2**32 - 1) weight matrix.
         path = tmp_path / "m.stae"
         path.write_bytes(
-            struct.pack("<4sHIId", b"STAE", 1, 2, 1, 1e-3)
+            struct.pack("<4sHIId", b"STAE", MODEL_VERSION, 2, 1, 1e-3)
             + struct.pack("<ii", 0, 0)
             + np.zeros(2 + 2, dtype="<f8").tobytes()
             + struct.pack("<H", 1)
@@ -591,11 +611,15 @@ def _read_or_format_error(reader, path, data: bytes) -> FormatError | None:
 @given(edits=st.lists(_BYTE_EDIT, min_size=1, max_size=3))
 def test_flipped_or_cut_files_raise_only_format_errors(valid_files, tmp_path_factory, reader,
                                                         edits):
-    data, _ = valid_files[reader]
+    valid, _ = valid_files[reader]
+    data = valid
     for edit in edits:
         if data:
             data = _edit_bytes(data, edit)
-    _read_or_format_error(reader, tmp_path_factory.getbasetemp() / "fuzz-bytes", data)
+    error = _read_or_format_error(reader, tmp_path_factory.getbasetemp() / "fuzz-bytes", data)
+    if reader is read_model and data != valid:
+        # The trailing sha256 covers every byte before it.
+        assert error is not None
 
 
 @_READERS
