@@ -50,8 +50,10 @@ since BLAS already spreads the monitor's GEMMs over every CPU.  Each
 process writes its own utterances' files, the parent writes the marker
 after every child has succeeded, and evaluate_corpus sums each system's
 reports in utterance order, so the bytes written do not depend on the
-worker count.  A failure is the lowest failing utterance's exception, as
-in a serial loop, and once it is known no process runs a higher utterance.
+worker count.  Each process runs one block of consecutive utterances.  A
+failure is the lowest failing utterance's exception, as in a serial loop:
+it is raised once every block below it has finished, and the processes of
+the blocks above it are killed.
 """
 
 from __future__ import annotations
@@ -62,7 +64,6 @@ import math
 import operator
 import os
 import pickle
-import select
 import signal
 from collections.abc import Callable, Sequence
 from pathlib import Path
@@ -235,15 +236,11 @@ def _workers(count: int, model: aemonitor.AeModel | None = None) -> int:
     return 1 if model is not None else min(_cpus(), count)
 
 
-def _share(fn: Callable, us: range, lowest: Callable[[], float] = lambda: math.inf,
-           ) -> tuple[list, tuple[int, Exception] | None]:
-    """fn(u) for each u of us in order, up to the first that raises or the
-    first above lowest() (a lower utterance has failed elsewhere): the
+def _share(fn: Callable, us: range) -> tuple[list, tuple[int, Exception] | None]:
+    """fn(u) for each u of us in order, up to the first that raises: the
     results, and None or (that u, its exception)."""
     results = []
     for u in us:
-        if u > lowest():
-            break
         try:
             results.append(fn(u))
         except Exception as e:
@@ -269,77 +266,54 @@ def _worker(fn: Callable, us: range, pipe: int):
 
 
 def _per_utterance(fn: Callable[[int], object], count: int, workers: int) -> list:
-    """[fn(u) for u in range(count)], utterance u run by process u % workers.
+    """[fn(u) for u in range(count)], process k of workers running block k,
+    range(count*k//workers, count*(k+1)//workers).
 
     Process 0 is this one; each other is a forked child that sends back its
     results, or the first exception it raises and that utterance, through a
-    pipe.  On failure, the exception of the lowest failing utterance is
-    raised, as a serial loop would; a child that ends without sending a
-    result fails at its first utterance with a StreamFuseError that names
-    its utterances and how it ended.  Once a failure is known, no process
-    runs an utterance above it: this one stops its share (it looks at the
-    pipes between its utterances) and a child whose share starts above it
-    is killed.  Every child is reaped before this returns or raises, and
-    killed first if this process fails on its own.  With one worker
-    nothing is forked.
+    pipe.  This process runs its block, then reads the children's pipes in
+    block order, so the first failure it finds is the lowest failing
+    utterance, whose exception is raised, as a serial loop would; a child
+    that ends without sending a result fails at its first utterance with a
+    StreamFuseError that names its utterances and how it ended.  The
+    children whose blocks lie above the failure are killed, not waited for.
+    Every child is reaped before this returns or raises, and killed first
+    if this process fails on its own.  With one worker nothing is forked.
     """
-    shares = [range(k, count, workers) for k in range(workers)]
-    outcomes = [([], None)] * workers  # each process's (results, None or (u, exception))
-    children = {}  # read end of child k's pipe: (k, pid, the bytes read from it)
-    lowest = count  # the lowest utterance known to have failed, or count
-
-    def take(timeout: float | None) -> int:
-        """Read what the children that may hold a failure below lowest have
-        sent, once one is ready or timeout seconds pass (None: no limit);
-        reap each whose pipe has ended.  Returns lowest."""
-        nonlocal lowest
-        ends = [end for end, (k, _, _) in children.items() if k < lowest]
-        for end in select.select(ends, [], [], timeout)[0]:
-            k, pid, payload = children[end]
-            chunk = os.read(end, 1 << 16)
-            if chunk:
-                payload += chunk
-                continue
-            del children[end]
-            os.close(end)
-            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            if code == 0:
-                outcomes[k] = pickle.loads(payload)
-            else:
-                us = shares[k]
-                named = ", ".join(map(str, us[:3])) + (f", ..., {us[-1]}" if len(us) > 3 else "")
-                how = f"by signal {-code}" if code < 0 else f"with status {code}"
-                outcomes[k] = [], (us[0], StreamFuseError(
-                    f"the worker process for utterances {named} ended {how} without its results"))
-            if outcomes[k][1] is not None:
-                lowest = min(lowest, outcomes[k][1][0])
-        return lowest
-
+    blocks = [range(count * k // workers, count * (k + 1) // workers) for k in range(workers)]
+    children = []  # (block, pid, read end of its pipe) of each child, in block order
     try:
-        for k in range(1, workers):
+        for us in blocks[1:]:
             read_end, write_end = os.pipe()
             pid = os.fork()
             if pid == 0:
-                _worker(fn, shares[k], write_end)
+                _worker(fn, us, write_end)
             os.close(write_end)
-            children[read_end] = (k, pid, bytearray())
-        outcomes[0] = _share(fn, shares[0], lambda: take(0))
-        if outcomes[0][1] is not None:
-            lowest = min(lowest, outcomes[0][1][0])
-        while any(k < lowest for k, _, _ in children.values()):
-            take(None)
+            children.append((us, pid, read_end))
+        results, failed = _share(fn, blocks[0])
+        while failed is None and children:
+            us, pid, end = children[0]
+            with open(end, "rb", closefd=False) as f:
+                payload = f.read()
+            del children[0]
+            os.close(end)
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            if code == 0:
+                done, failed = pickle.loads(payload)
+                results += done
+            else:
+                named = ", ".join(map(str, us[:3])) + (f", ..., {us[-1]}" if len(us) > 3 else "")
+                how = f"by signal {-code}" if code < 0 else f"with status {code}"
+                failed = us[0], StreamFuseError(
+                    f"the worker process for utterances {named} ended {how} without its results")
     finally:
-        # Those left can hold no failure below lowest, or this process failed on its own.
-        for end, (_, pid, _) in children.items():
+        # Those left lie above the failure, or this process failed on its own.
+        for _, pid, end in children:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
             os.close(end)
-    failures = [failed for _, failed in outcomes if failed is not None]
-    if failures:
-        raise min(failures, key=operator.itemgetter(0))[1]
-    results = [None] * count
-    for us, (share_results, _) in zip(shares, outcomes):
-        results[us.start::workers] = share_results
+    if failed is not None:
+        raise failed[1]
     return results
 
 
@@ -395,8 +369,11 @@ _NO_FILE = (FileNotFoundError, NotADirectoryError, IsADirectoryError)
 
 def _missing(e: OSError, so: str = "the corpus is incomplete") -> FormatError:
     """The FormatError of a file that is not there (one of _NO_FILE):
+    "PATH: is a directory, not a file, so <so>" for a directory, else
     "DIR: no NAME, so <so>"."""
     path = Path(e.filename)
+    if isinstance(e, IsADirectoryError):
+        return FormatError(f"{path}: is a directory, not a file, so {so}")
     return FormatError(f"{path.parent}: no {path.name}, so {so}")
 
 

@@ -181,9 +181,8 @@ class TestSimulate:
         out = tmp_path / "x"
         r = run("simulate", "--config", str(cfg), "--out", str(out), *SIM_FLAGS)
         assert r.returncode == 2
-        assert r.stderr.endswith(
-            f"error: {tmp_path}: no run.cfg, so --config has no flags to read\n"
-        )
+        where = f"{cfg}: is a directory, not a file" if a_dir else f"{tmp_path}: no run.cfg"
+        assert r.stderr.endswith(f"error: {where}, so --config has no flags to read\n")
         assert "Errno" not in r.stderr
         assert not out.exists()
 
@@ -670,7 +669,8 @@ class TestFuse:
                 "evaluate": ["--sweep", "--method", "autoencoder"]}[command]
         r = run(command, "--corpus", str(corpus), "--out", str(out), "--model", str(path), *argv)
         assert r.returncode == 3
-        assert f"error: {tmp_path}: no m.stae, so there is no model to read\n" in r.stderr
+        where = f"{path}: is a directory, not a file" if a_dir else f"{tmp_path}: no m.stae"
+        assert f"error: {where}, so there is no model to read\n" in r.stderr
         assert "Errno" not in r.stderr and "Traceback" not in r.stderr
         assert not out.exists()
 
@@ -777,7 +777,7 @@ class TestEvaluate:
         report = tmp_path / "r.tsv"
         r = run("evaluate", "--corpus", str(copy), "--out", str(report))
         assert r.returncode == 3
-        assert f"{copy}: no {name}, so {so}" in r.stderr
+        assert f"error: {copy / name}: is a directory, not a file, so {so}\n" in r.stderr
         assert "Errno" not in r.stderr and "Traceback" not in r.stderr
         assert not report.exists()
 

@@ -297,8 +297,8 @@ def test_worker_counts_give_the_same_bytes(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("command", ["fuse", "evaluate"])
 def test_late_corrupt_streams_fail_as_the_serial_run(tmp_path, monkeypatch, capsys, command):
-    # Utterances 3 and 4 are off the simplex; 3 is run by the parent at three
-    # workers and by a child at two, and is the one a serial run reports.
+    # Utterances 3 and 4 are off the simplex; 3 is run by a child at two and at
+    # three workers (its block is 2-4, then 3-4), and is the one a serial run reports.
     corpus = tmp_path / "corpus"
     experiments.write_corpus("hrm_like", SMALL, corpus)
     first = struct.calcsize("<4sHIIIiB")  # row 0, class 0
@@ -321,16 +321,17 @@ def test_late_corrupt_streams_fail_as_the_serial_run(tmp_path, monkeypatch, caps
 
 
 def test_killed_worker_ends_in_a_typed_error(tmp_path, monkeypatch):
+    # Two workers over SMALL's 5 utterances: the child's block is 2, 3, 4.
     monkeypatch.setattr(experiments, "_cpus", lambda: 2)
     simulate, parent = simulator.simulate_utterance, os.getpid()
 
-    def killed_at_1(spec, facts, u):
-        if u == 1 and os.getpid() != parent:
+    def killed_at_2(spec, facts, u):
+        if u == 2 and os.getpid() != parent:
             os.kill(os.getpid(), signal.SIGKILL)
         return simulate(spec, facts, u)
 
-    monkeypatch.setattr(simulator, "simulate_utterance", killed_at_1)
-    message = "the worker process for utterances 1, 3 ended by signal 9 without its results"
+    monkeypatch.setattr(simulator, "simulate_utterance", killed_at_2)
+    message = "the worker process for utterances 2, 3, 4 ended by signal 9 without its results"
     with pytest.raises(StreamFuseError, match=f"^{message}$"):
         experiments.write_corpus("hrm_like", SMALL, tmp_path)
     assert not (tmp_path / "manifest.txt").exists()
@@ -356,26 +357,57 @@ def test_parent_failure_kills_its_workers():
     _no_child_left()
 
 
-@pytest.mark.parametrize("failing", [0, 1])
-def test_an_early_failure_does_not_wait_for_the_other_workers(failing):
-    # Three workers over 60 utterances: the parent runs 0, 3, 6, ... (half a
-    # second each after 0), child 1 runs 1, 4, ... and child 2 sleeps at 2.
-    # Once utterance `failing` has failed, no process runs a higher one.
-    parent = os.getpid()
+@pytest.mark.parametrize("block", [0, 1])
+def test_an_early_failure_does_not_wait_for_the_other_workers(block):
+    # Three workers over 60 utterances, in blocks 0-19, 20-39 and 40-59: the
+    # first utterance of `block` fails, and that of each block above it
+    # sleeps.  Once the failure is known, no process on a higher block is
+    # waited for.
+    failing = 20 * block
 
     def fn(u):
         if u == failing:
             raise ValueError(f"utt {u}")
-        if u == 2:
+        if u % 20 == 0 and u > failing:
             time.sleep(60)
-        if u > 0 and os.getpid() == parent:
-            time.sleep(0.5)
         return u
 
     start = time.perf_counter()
     with pytest.raises(ValueError, match=f"^utt {failing}$"):
         experiments._per_utterance(fn, 60, 3)
     assert time.perf_counter() - start < 5
+    _no_child_left()
+
+
+def test_a_failure_waits_only_for_the_utterances_below_it():
+    # Two workers over 60 utterances of 0.2 s each: the parent's utterance 4
+    # fails 1 s in, and the child's block, 30-59, would take 6 s.
+    def fn(u):
+        time.sleep(0.2)
+        if u == 4:
+            raise ValueError(f"utt {u}")
+        return u
+
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="^utt 4$"):
+        experiments._per_utterance(fn, 60, 2)
+    assert time.perf_counter() - start < 3
+    _no_child_left()
+
+
+def test_a_lower_failure_wins_over_an_earlier_higher_one():
+    # Three workers over 6 utterances, in blocks 0-1, 2-3 and 4-5: utterance 4
+    # fails at once, utterance 3 a second later; a serial loop raises at 3.
+    def fn(u):
+        if u == 4:
+            raise ValueError("utt 4")
+        if u == 3:
+            time.sleep(1)
+            raise ValueError("utt 3")
+        return u
+
+    with pytest.raises(ValueError, match="^utt 3$"):
+        experiments._per_utterance(fn, 6, 3)
     _no_child_left()
 
 
