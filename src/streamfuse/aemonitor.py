@@ -12,8 +12,10 @@ Training is momentum SGD on the MSE criterion, from scratch on
 numpy, with a fixed accumulation order so a seed fully determines the
 result at any BLAS thread count.  It runs in float32, each minibatch on
 its receptive-field window (train_ae), in the features of a front end
-fitted beforehand (fit_front_end); loss_and_grads hands each layer's
-gradients to the update step as it goes.  An AeModel holds float32 layers,
+fitted beforehand (fit_front_end), made from one sequence's posteriors
+whenever a pass reaches it; loss_and_grads hands each layer's weight
+gradient to the update step in blocks of at most GRAD_ROWS weight rows,
+and its bias gradient once, as it goes.  An AeModel holds float32 layers,
 the weights trained and run, and model files store them as <f4.  forward,
 loss_and_grads, their splices and their buffers take their dtype from the
 weights they are given, so the same kernels also run a float64 gradient
@@ -57,6 +59,11 @@ DEFAULT_PCA_DIM = 40
 # (about 10 KB a row at the published widths) stays bounded whatever the
 # stream and frame counts.  512-row blocks ran about 10% slower (2-vCPU x86_64).
 INFERENCE_ROWS = 1024
+# Weight rows whose gradient loss_and_grads makes at once: a block of the
+# largest published layer (1536 x 512) is 512 x 512 float32, 1 MB.  Each
+# block is one GEMM on a column slice of the layer input, which gives the
+# bits of the whole product (checked for every published layer shape).
+GRAD_ROWS = 512
 
 # Per-layer frame-offset splice plans of the 6-layer autoencoder, one per
 # temporal context: layer i's input concatenates the previous layer's
@@ -336,11 +343,12 @@ class _Buffers:
     For the backward pass each layer keeps its splice input (none for the
     zero-offset plan) and its output, and the set adds the two buffers the
     backward pass alternates between, wide enough for any layer's input or
-    output, and one weight and one bias scratch for the gradients of the
-    layer being done.  A forward-only set holds one splice buffer that
-    every layer reuses and two output buffers that layers alternate
-    between, since no layer's values are read once the next layer has run;
-    the monitor's float32 set lives on the model (AeModel._inference_work).
+    output, one weight-gradient scratch for a block of at most GRAD_ROWS
+    weight rows of any layer, and one bias scratch.  A forward-only set
+    holds one splice buffer that every layer reuses and two output buffers
+    that layers alternate between, since no layer's values are read once
+    the next layer has run; the monitor's float32 set lives on the model
+    (AeModel._inference_work).
     Calls that share a set overwrite each other's results.  Every buffer
     has the dtype of the layers' weights: fed another dtype, numpy's
     matmul would leave BLAS for a slower mixed-dtype loop.
@@ -359,7 +367,7 @@ class _Buffers:
             self.h = [np.empty((rows, w), dt) for w in width]
             size = rows * max(*fan_in, *width)
             self.back = (np.empty(size, dt), np.empty(size, dt))
-            self.grad_w = np.empty(max(ly.weight.size for ly in layers), dt)
+            self.grad_w = np.empty(max(min(f, GRAD_ROWS) * w for f, w in zip(fan_in, width)), dt)
             self.grad_b = np.empty(max(width), dt)
         else:
             # One block, so that a regrown model's set hands all of the old
@@ -410,7 +418,7 @@ def forward(layers: list[Layer], z: np.ndarray, work: _Buffers | None = None) ->
 def loss_and_grads(
     layers: list[Layer],
     z: np.ndarray,
-    step: Callable[[int, np.ndarray, np.ndarray], None],
+    step: Callable[[int, slice | None, np.ndarray], None],
     rows: np.ndarray | None = None,
     work: _Buffers | None = None,
 ) -> float:
@@ -420,10 +428,11 @@ def loss_and_grads(
     counts the frames in `rows` (all frames when None).  z is cast to the
     dtype of the layers' weights, and everything is computed in that
     dtype, in work when given (a fresh set otherwise).  Layer i's
-    gradients go to step(i, grad_w, grad_b), top layer first, once the
-    pass has read that layer's weights for the last time, so step may
-    update them in place; the gradient arrays are scratch that the next
-    layer's overwrite.
+    gradients go to step, top layer first: step(i, None, grad_b) once,
+    then step(i, sl, grad_w) for the weight rows sl, in ascending blocks
+    of at most GRAD_ROWS rows.  Each call comes after the pass has read
+    the layer's weights for the last time, so step may update them in
+    place; the gradient arrays are scratch that the next call overwrites.
     """
     z = np.ascontiguousarray(z, dtype=layers[0].weight.dtype)
     T = z.shape[0]
@@ -444,29 +453,37 @@ def loss_and_grads(
         x, h = caches[i]
         if ly.activation == "relu":
             d *= h > 0  # h > 0 exactly where the pre-activation is
-        gw = np.matmul(x.T, d, out=_rows(work.grad_w, *ly.weight.shape))
-        gb = np.sum(d, axis=0, out=work.grad_b[: ly.bias.size])
-        if i > 0:
-            dx = np.matmul(d, ly.weight.T, out=_rows(back[1], T, ly.weight.shape[0]))
+        step(i, None, np.sum(d, axis=0, out=work.grad_b[: ly.bias.size]))
+        fan_in, width = ly.weight.shape
+        if i > 0:  # before the first block's update: it reads the old weights
+            dx = np.matmul(d, ly.weight.T, out=_rows(back[1], T, fan_in))
+        for r0 in range(0, fan_in, GRAD_ROWS):
+            sl = slice(r0, min(r0 + GRAD_ROWS, fan_in))
+            step(i, sl, np.matmul(x[:, sl].T, d, out=_rows(work.grad_w, sl.stop - r0, width)))
+        if i > 0:  # after the last block: it overwrites the buffer d lives in
             d = _unsplice(dx, ly.offsets, out=_rows(back[0], T, layers[i - 1].bias.size))
             if d is dx:  # the zero-offset plan: d now lives in back[1]
                 back = back[::-1]
-        step(i, gw, gb)
     return loss
 
 
-def evaluate_mse(layers: list[Layer], z_list: list[np.ndarray], work: _Buffers) -> float:
-    """Mean reconstruction MSE over all frames of all sequences, each forward pass in work.
+def evaluate_mse(
+    layers: list[Layer], data: list[PosteriorStream], front_end: FrontEnd, work: _Buffers
+) -> float:
+    """Mean reconstruction MSE over all frames of all streams, each forward pass in work.
 
-    The network runs at its layers' dtype, the error sums at z's.
+    Each stream's float64 features are made when the pass reaches it, and
+    dropped after.  The network runs at its layers' dtype, the error sums
+    in float64.
     """
     total = 0.0
     frames = 0
-    for z in z_list:
+    for s in data:
+        z = front_end_apply(front_end, s.probs)
         out = forward(layers, z, work)
         total += float(np.sum((out - z) ** 2))
         frames += z.shape[0]
-    return total / (frames * z_list[0].shape[1])
+    return total / (frames * front_end.output_dim)
 
 
 def train_ae(
@@ -481,7 +498,9 @@ def train_ae(
     Returns the model, holding the trained float32 layers, and the loss
     log: entry 0 is the pre-training MSE over the full data, entry e the
     MSE after epoch e, each of the float32 network against the float64
-    features.  Each minibatch of batch_size frames runs only over the
+    features.  A sequence's features are made from its posteriors each
+    time an epoch or an MSE pass reaches it, so one sequence's are held at
+    a time.  Each minibatch of batch_size frames runs only over the
     frames its outputs read: its receptive field, clipped to the sequence.
     A frame cut off, or one at an inner window edge that reads a repeated
     edge frame, feeds no output of the batch, so its gradient is zero
@@ -493,7 +512,6 @@ def train_ae(
         raise ValueError("training data must be non-empty")
     if any(s.num_classes != front_end.num_classes for s in data):
         raise DimensionMismatch("training streams and front end disagree on class count")
-    z_list = [front_end_apply(front_end, s.probs) for s in data]
     rng = np.random.default_rng(cfg.seed)
     layers = _cast(build_architecture(front_end.output_dim, context, hidden_widths, rng),
                    np.float32)
@@ -505,20 +523,23 @@ def train_ae(
         (np.zeros_like(ly.weight), np.zeros_like(ly.bias)) for ly in layers
     ]
 
-    def update(i, grad_w, grad_b):
-        # In place, rounding exactly like w += mc * v - lr * g.
-        for w, v, g in zip((layers[i].weight, layers[i].bias), velocity[i], (grad_w, grad_b)):
-            g *= cfg.learning_rate
-            v *= MOMENTUM
-            v -= g
-            w += v
+    def update(i, sl, g):
+        # In place, rounding exactly like w += mc * v - lr * g; elementwise,
+        # so a block of rows rounds as the whole weight would.
+        (vw, vb), ly = velocity[i], layers[i]
+        w, v = (ly.bias, vb) if sl is None else (ly.weight[sl], vw[sl])
+        g *= cfg.learning_rate
+        v *= MOMENTUM
+        v -= g
+        w += v
 
     # One buffer set for every pass: the longest sequence sizes it.
-    work = _Buffers(layers, max(z.shape[0] for z in z_list))
+    work = _Buffers(layers, max(s.num_frames for s in data))
     with np.errstate(over="ignore", invalid="ignore"):
-        losses = [evaluate_mse(layers, z_list, work)]
+        losses = [evaluate_mse(layers, data, front_end, work)]
         for _ in range(cfg.epochs):
-            for z in z_list:
+            for s in data:
+                z = front_end_apply(front_end, s.probs)
                 T = z.shape[0]
                 for start in range(0, T, cfg.batch_size):
                     stop = min(start + cfg.batch_size, T)
@@ -528,7 +549,7 @@ def train_ae(
                     loss = loss_and_grads(layers, window, update, rows, work)
                     if not np.isfinite(loss):
                         raise DivergedTraining(f"training loss became {loss}")
-            epoch_mse = evaluate_mse(layers, z_list, work)
+            epoch_mse = evaluate_mse(layers, data, front_end, work)
             if not np.isfinite(epoch_mse):
                 raise DivergedTraining(f"training loss became {epoch_mse}")
             losses.append(epoch_mse)

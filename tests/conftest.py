@@ -17,7 +17,7 @@ os.environ["PYTHONPATH"] = os.pathsep.join(
     p for p in (_SRC, os.environ.get("PYTHONPATH")) if p
 )
 
-from streamfuse.aemonitor import loss_and_grads
+from streamfuse.aemonitor import GRAD_ROWS, loss_and_grads
 from streamfuse.core import AttentionSchedule, PosteriorStream, StreamSet
 
 
@@ -44,13 +44,26 @@ def random_schedule(rng, T, M):
 
 def loss_and_grad_copies(layers, z, rows=None, work=None):
     """(loss, [(grad_w, grad_b) of each layer]) of aemonitor.loss_and_grads,
-    through a step that keeps a copy of each layer's gradients."""
-    grads = [None] * len(layers)
+    through a step that copies each layer's bias gradient and each block of
+    its weight gradient into that layer's full arrays.  The blocks must
+    cover the weight rows in ascending order, at most GRAD_ROWS rows each,
+    and the bias gradient must come exactly once."""
+    grads = [[np.empty_like(ly.weight), None] for ly in layers]
+    done = [0] * len(layers)  # weight rows handed over so far
 
-    def keep(i, grad_w, grad_b):
-        grads[i] = (grad_w.copy(), grad_b.copy())
+    def keep(i, sl, grad):
+        if sl is None:
+            assert grads[i][1] is None
+            grads[i][1] = grad.copy()
+        else:
+            assert sl.start == done[i] and sl.stop - sl.start <= GRAD_ROWS
+            grads[i][0][sl] = grad
+            done[i] = sl.stop
 
-    return loss_and_grads(layers, z, keep, rows, work), grads
+    loss = loss_and_grads(layers, z, keep, rows, work)
+    assert done == [ly.weight.shape[0] for ly in layers]
+    assert all(gb is not None for _, gb in grads)
+    return loss, [tuple(g) for g in grads]
 
 
 # One table of matrices off the simplex, each bad in row 0 alone (row 1 of
