@@ -19,7 +19,6 @@ import numpy as np
 from . import aemonitor, experiments, simulator, storage
 from .core import check_range
 from .errors import DivergedTraining, FormatError, SettingError, StreamFuseError
-from .measures import MMeasureConfig
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -177,14 +176,6 @@ def cmd_train_ae(args, parser) -> int:
     return EXIT_OK
 
 
-def _check_settings(parser, method: str, **settings) -> None:
-    """experiments.check_settings, its SettingError a usage error naming the flag."""
-    try:
-        experiments.check_settings(method, **settings)
-    except SettingError as e:
-        parser.error(f"argument --{e.setting}: {e.reason}")
-
-
 def _read_model(path, corpus: experiments.Corpus) -> aemonitor.AeModel | None:
     """The model file at path (None for no path), once its class count is the corpus's."""
     if not path:
@@ -202,22 +193,13 @@ def _read_model(path, corpus: experiments.Corpus) -> aemonitor.AeModel | None:
 
 
 def cmd_fuse(args, parser) -> int:
-    _check_settings(parser, args.method, base=args.base, window=args.window, model=args.model)
-    try:
-        mcfg = MMeasureConfig(window=args.window)
-    except ValueError as e:
-        parser.error(f"argument --window: {args.window}: {e}")
+    # The settings that need no corpus, so that a bad flag exits 2 before it is read.
+    experiments.check_settings(args.method, base=args.base, window=args.window, model=args.model)
     _check_out(args.out, directory=True)
     corpus = experiments.load_corpus(args.corpus)
-    M = corpus.spec.num_streams
-    if args.n is not None:
-        try:
-            check_range("n", args.n, (1, M))
-        except ValueError:
-            parser.error(f"argument --n: {args.n} is more than the corpus's {M} streams")
     model = _read_model(args.model, corpus)
     experiments.fuse_corpus(
-        corpus, args.method, args.out, model=model, mcfg=mcfg, n=args.n, base=args.base
+        corpus, args.method, args.out, model=model, window=args.window, n=args.n, base=args.base
     )
     print(f"wrote fused streams to {args.out}: method={args.method}")
     return EXIT_OK
@@ -232,7 +214,7 @@ def cmd_evaluate(args, parser) -> int:
     if args.no_baselines and not args.fused and not args.sweep:
         parser.error("nothing to score: --no-baselines needs --fused or --sweep")
     if args.sweep:
-        _check_settings(parser, args.method, model=args.model)
+        experiments.check_settings(args.method, model=args.model)
     _check_out(args.out)
     corpus = experiments.load_corpus(args.corpus)
     model = _read_model(args.model, corpus)
@@ -269,12 +251,12 @@ def build_parser() -> argparse.ArgumentParser:
                    type=_in_range(int, spec_range["num_utterances"]), help="number of utterances")
     p.add_argument("--seed", required=True, type=_in_range(int, spec_range["seed"]),
                    help="corpus seed")
-    p.add_argument("--classes", type=_in_range(int, spec_range["num_classes"]), default=40,
-                   help="class count C")
-    p.add_argument("--frames-min", type=_in_range(int, spec_range["frames_min"]), default=80,
-                   help="shortest utterance (frames)")
-    p.add_argument("--frames-max", type=_in_range(int, spec_range["frames_max"]), default=160,
-                   help="longest utterance (frames)")
+    p.add_argument("--classes", type=_in_range(int, spec_range["num_classes"]),
+                   default=spec.num_classes, help="class count C")
+    p.add_argument("--frames-min", type=_in_range(int, spec_range["frames_min"]),
+                   default=spec.frames_min, help="shortest utterance (frames)")
+    p.add_argument("--frames-max", type=_in_range(int, spec_range["frames_max"]),
+                   default=spec.frames_max, help="longest utterance (frames)")
     p.add_argument("--alpha-true", type=_in_range(float, spec_range["alpha_true"]),
                    default=spec.alpha_true, help="emission concentration on the true class")
     p.add_argument("--alpha-other", type=_in_range(float, spec_range["alpha_other"]),
@@ -333,6 +315,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args, args.parser)
+    except SettingError as e:  # a fusion setting: the flag of the same name
+        args.parser.error(f"argument --{e.setting}: {e.reason}")
     except DivergedTraining as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_NUMERIC

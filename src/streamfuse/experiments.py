@@ -36,12 +36,13 @@ stream's payload is read, and its rows checked by core.check_simplex, only
 when its utterance is taken from the corpus, so fuse_corpus and
 evaluate_corpus hold one utterance at a time in each process.
 fuse checks each schedule and fused stream, and the storage writers check
-every matrix before they write it.  Before the first utterance,
-evaluate_corpus reads each fused directory's fuse.cfg by read_written_config
-and checks its settings (check_settings, and an n of at most the corpus's
-stream count) and corpus hash, and reads every fused stream's header to
-check its shape and frame_offset (0); it checks the header again, and the
-rows, as it reads each stream.
+every matrix before they write it.  This module alone decides a fusion's
+settings (method, base, window, model, n): check_settings and _frame_method
+check them, and fuse_corpus runs both before it makes its directory.
+Before the first utterance, evaluate_corpus runs them on each (method, n)
+pair and on each fused directory's fuse.cfg (read_written_config), checks
+its corpus hash, and checks every fused stream's shape and frame_offset (0)
+by its header; it checks the header again, and the rows, as it reads it.
 
 Processes: write_corpus, fuse_corpus and evaluate_corpus run their
 utterances through _per_utterance, one process per CPU (_workers), forked
@@ -502,13 +503,15 @@ def _oracle(aligned: StreamSet, oracle_stream) -> AttentionSchedule:
     return AttentionSchedule(w)
 
 
-# Each frame-wise fusion method: (schedule function, the compute_schedule
-# keyword it reads or None).  Entries call the monitors through their modules.
+# Each frame-wise fusion method: (schedule function, the setting it reads or
+# None).  Entries call the monitors through their modules.
 FRAME_METHODS = {
     "equal": (_equal, None),
     "entropy": (lambda a: measures.entropy_attention(a), None),
-    "m_measure": (lambda a, mcfg: measures.binary_window_attention(a, mcfg), "mcfg"),
-    "delta_m": (lambda a, mcfg: measures.binary_window_attention(a, mcfg, delta=True), "mcfg"),
+    "m_measure": (lambda a, w: measures.binary_window_attention(
+        a, measures.MMeasureConfig(window=w)), "window"),
+    "delta_m": (lambda a, w: measures.binary_window_attention(
+        a, measures.MMeasureConfig(window=w), delta=True), "window"),
     "autoencoder": (lambda a, model: aemonitor.ae_attention(a, model), "model"),
     "oracle": (_oracle, "oracle_stream"),
 }
@@ -517,33 +520,40 @@ FUSION_METHODS = (*FRAME_METHODS, "max_n")
 DEFAULT_BASE = "entropy"
 
 
-def _frame_method(method: str, n: int | None, base: str = DEFAULT_BASE) -> tuple[str, int | None]:
-    """The frame-wise method and the truncation n that method and n stand for:
-    "max_n" is base truncated to n, 1 when n is None."""
+def _frame_method(method: str, n: int | None, num_streams: int,
+                  base: str = DEFAULT_BASE) -> tuple[str, int | None]:
+    """The frame-wise method and the truncation n that method and n stand for
+    over num_streams streams: "max_n" is base truncated to n, 1 when n is
+    None.  An n outside [1, num_streams] raises SettingError."""
     if method == "max_n":
         method, n = base, 1 if n is None else n
     if method not in FRAME_METHODS:
         raise StreamFuseError(f"unknown fusion method {method!r}")
+    if n is not None and not 1 <= n <= num_streams:
+        more = f"more than the corpus's {num_streams} streams" if n >= 1 else "less than 1"
+        raise SettingError("n", f"{n} is {more}")
     return method, n
 
 
 def check_settings(method: str, *, base: str = DEFAULT_BASE, window=None, model=None) -> None:
     """Raise SettingError unless the frame-wise method that method and base
-    stand for reads every setting given, and has the model it needs.
-
-    base is read by max_n alone, window by the M-measures, model by the
-    autoencoder.  A base of DEFAULT_BASE and a window or model of None are
-    not given.
-    """
+    stand for reads every setting given and has the model it needs: base is
+    read by max_n alone, window by the M-measures (and must hold their
+    spans), model by the autoencoder.  A base of DEFAULT_BASE and a window
+    or model of None are not given."""
     if base != DEFAULT_BASE and method != "max_n":
         raise SettingError("base", "only the max_n method reads it")
-    frame, _ = _frame_method(method, None, base)
+    frame, _ = _frame_method(method, None, math.inf, base)  # n is checked by the caller
     _, reads = FRAME_METHODS[frame]
-    for setting, value, keyword in (("window", window, "mcfg"), ("model", model, "model")):
-        if value is not None and reads != keyword:
+    for setting, value in (("window", window), ("model", model)):
+        if value is not None and reads != setting:
             raise SettingError(setting, f"the {frame} method does not read it")
     if reads == "model" and model is None:
         raise SettingError("model", f"the {frame} method needs it")
+    try:
+        measures.MMeasureConfig(window=window)
+    except ValueError as e:
+        raise SettingError("window", f"{window}: {e}") from None
 
 
 def compute_schedule(
@@ -552,25 +562,26 @@ def compute_schedule(
     *,
     model: aemonitor.AeModel | None = None,
     oracle_stream: int | None = None,
-    mcfg: measures.MMeasureConfig | None = None,
+    window: int | None = None,
 ) -> AttentionSchedule:
     """Attention schedule for one aligned utterance under a frame-wise method,
     which reads only its own setting.  max_n is not one: see _frame_method.
-    A model or oracle_stream of None that it reads raises SettingError; an
-    mcfg of None is the utterance-level M-measure.
+    A model or oracle_stream of None that it reads raises SettingError (the
+    library's entries check every setting first); a window of None is the
+    utterance-level M-measure.
     """
     if method not in FRAME_METHODS:
         raise StreamFuseError(f"{method!r} is not a frame-wise fusion method")
     fn, reads = FRAME_METHODS[method]
     if reads is None:
         return fn(aligned)
-    value = {"model": model, "oracle_stream": oracle_stream, "mcfg": mcfg}[reads]
-    if value is None and reads != "mcfg":
+    value = {"model": model, "oracle_stream": oracle_stream, "window": window}[reads]
+    if value is None and reads != "window":
         raise SettingError(reads, f"the {method} method needs it")
     return fn(aligned, value)
 
 
-def _fuse_utterance(utt, aligned: StreamSet, truncations, *, model=None, mcfg=None):
+def _fuse_utterance(utt, aligned: StreamSet, truncations, *, model=None, window=None):
     """The schedules and the fused streams of utterance utt, aligned, under the
     (frame method, n) pairs of truncations.
 
@@ -578,7 +589,7 @@ def _fuse_utterance(utt, aligned: StreamSet, truncations, *, model=None, mcfg=No
     for each pair with an n.  A window too short for the M-measure spans
     raises WindowTooShort naming the utterance.
     """
-    settings = {"model": model, "oracle_stream": utt.oracle_stream, "mcfg": mcfg}
+    settings = {"model": model, "oracle_stream": utt.oracle_stream, "window": window}
     frames = dict.fromkeys(f for f, _ in truncations)
     try:
         full = {f: compute_schedule(f, aligned, **settings) for f in frames}
@@ -588,24 +599,16 @@ def _fuse_utterance(utt, aligned: StreamSet, truncations, *, model=None, mcfg=No
     return scheds, [fuse(aligned, sched) for sched in scheds]
 
 
-def fuse_corpus(
-    corpus: Corpus,
-    method: str,
-    outdir,
-    *,
-    model: aemonitor.AeModel | None = None,
-    mcfg: measures.MMeasureConfig | None = None,
-    n: int | None = None,
-    base: str = DEFAULT_BASE,
-):
+def fuse_corpus(corpus: Corpus, method: str, outdir, *, model: aemonitor.AeModel | None = None,
+                window: int | None = None, n: int | None = None, base: str = DEFAULT_BASE):
     """Fuse every utterance of a corpus and write the results.
 
-    A setting the method does not read raises SettingError (check_settings)
-    before anything is written.  fuse.cfg is removed before the first
-    utterance and written last.
+    Every setting is checked (check_settings, _frame_method) before
+    anything is written.  fuse.cfg is removed before the first utterance
+    and written last.
     """
-    check_settings(method, base=base, window=None if mcfg is None else mcfg.window, model=model)
-    truncation = [_frame_method(method, n, base)]
+    check_settings(method, base=base, window=window, model=model)
+    truncation = [_frame_method(method, n, corpus.spec.num_streams, base)]
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     (outdir / "fuse.cfg").unlink(missing_ok=True)
@@ -613,7 +616,7 @@ def fuse_corpus(
         method,
         "" if n is None else n,
         base,
-        "" if mcfg is None or mcfg.window is None else mcfg.window,
+        "" if window is None else window,
         "" if model is None else storage.model_digest(model),
         corpus_hash(corpus),
     )
@@ -622,7 +625,7 @@ def fuse_corpus(
     def utterance(u: int) -> None:
         utt = corpus[u]
         aligned = align_streams(utt.streams)
-        [sched], [fused] = _fuse_utterance(utt, aligned, truncation, model=model, mcfg=mcfg)
+        [sched], [fused] = _fuse_utterance(utt, aligned, truncation, model=model, window=window)
         storage.write_schedule(sched, outdir / f"utt{u:04d}.schd")
         storage.write_stream(fused, outdir / f"utt{u:04d}_fused.strm")
 
@@ -670,9 +673,8 @@ def _fused_name(fused_dir: Path, chash: str, num_streams: int) -> str:
     try:
         check_settings(fcfg["method"], base=fcfg["base"], window=fcfg["window"] or None,
                        model=fcfg["model_digest"] or None)
-        if fcfg["n"]:
-            check_range("n", fcfg["n"], (1, num_streams), StreamFuseError)
-    except StreamFuseError as e:  # an unknown method or base, a SettingError, n > M
+        _frame_method(fcfg["method"], fcfg["n"] or None, num_streams, fcfg["base"])
+    except StreamFuseError as e:  # an unknown method or base, a SettingError
         raise FormatError(f"{path}: {e}") from None
     return _row_name(fcfg["method"], fcfg["n"])
 
@@ -694,7 +696,8 @@ def evaluate_corpus(
     and fused streams are scored on the utterance's common overlap range,
     so their numbers are comparable; the clean stream is scored on its
     full length.  Each utterance decodes every stream it needs in one
-    Viterbi batch.
+    Viterbi batch.  Every setting is checked before the first utterance;
+    the model need not be read by every pair.
     """
     M, C = corpus.spec.num_streams, len(corpus.hmm.priors)
     fused_dirs = [Path(d) for d in fused_dirs]
@@ -702,7 +705,10 @@ def evaluate_corpus(
     chash = corpus_hash(corpus)
     names += [_fused_name(d, chash, M) for d in fused_dirs]
     names += [_row_name(method, n) for method, n in methods]
-    truncations = [_frame_method(method, n) for method, n in methods]
+    truncations = [_frame_method(method, n, M) for method, n in methods]
+    # One model serves every pair: each pair needs it or does not read it.
+    for frame, _ in truncations:
+        check_settings(frame, model=model if FRAME_METHODS[frame][1] == "model" else None)
     # Each utterance's overlap range, from the stream shapes load_corpus checked.
     overlaps = [
         overlap_range(StreamSet([storage.StreamHeader(frames, C, m, p.offset)

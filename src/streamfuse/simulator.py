@@ -48,7 +48,7 @@ SPEC_RANGES = {
 }
 
 
-@dataclass
+@dataclass(kw_only=True)
 class CorpusSpec:
     """Corpus geometry plus the emission-noise model.
 
@@ -61,9 +61,9 @@ class CorpusSpec:
     """
 
     num_utterances: int
-    frames_min: int
-    frames_max: int
-    num_classes: int
+    frames_min: int = 80
+    frames_max: int = 160
+    num_classes: int = 40
     num_streams: int
     seed: int
     alpha_true: float = 100.0

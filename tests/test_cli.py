@@ -927,7 +927,26 @@ class TestEvaluate:
         report = tmp_path / "r.tsv"
         r = run("evaluate", "--corpus", str(corpus), "--out", str(report), "--fused", str(fused))
         assert r.returncode == 3
-        assert r.stderr == f"error: {fused / 'fuse.cfg'}: n=4 is not a finite number in [1, 3]\n"
+        assert r.stderr == f"error: {fused / 'fuse.cfg'}: n: 4 is more than the corpus's 3 streams\n"
+        assert not report.exists()
+
+    def test_fuse_cfg_window_too_short_for_the_spans_exits_3(self, corpus, tmp_path):
+        # fuse refuses --window 30, as the M-measure spans need 51 frames; an
+        # m_measure fuse.cfg rehashed to say it is refused too, before any row
+        # is scored.  (This corpus's utterances are too short for m_measure
+        # itself, so the files come from equal.)
+        fused = tmp_path / "m_measure"
+        r = run("fuse", "--corpus", str(corpus), "--out", str(fused), "--method", "equal")
+        assert r.returncode == 0, r.stderr
+        pairs = dict(experiments.read_config_pairs(fused / "fuse.cfg"))
+        del pairs["config_hash"]
+        experiments.write_config({**pairs, "method": "m_measure", "window": 30},
+                                 fused / "fuse.cfg")
+        report = tmp_path / "r.tsv"
+        r = run("evaluate", "--corpus", str(corpus), "--out", str(report), "--fused", str(fused))
+        assert r.returncode == 3
+        assert r.stderr == (f"error: {fused / 'fuse.cfg'}: window: 30: "
+                            "window must be >= max(spans) + 1\n")
         assert not report.exists()
 
     def test_fused_stream_of_wrong_shape_exits_3(self, corpus, tmp_path):
@@ -1185,8 +1204,10 @@ class TestParser:
         parse = cli.build_parser().parse_args
         sim = parse(["simulate", "--out", "c", "--scenario", "ldc_like", "--streams", "2",
                      "--utterances", "1", "--seed", "0"])
-        for key in ("alpha_true", "alpha_other", "conf_prob", "conf_len"):
-            library = getattr(simulator.CorpusSpec, key)
+        for key, attr, _ in experiments.CORPUS_KEYS:
+            if key in ("utterances", "streams", "seed"):  # required flags
+                continue
+            library = getattr(simulator.CorpusSpec, attr)
             assert getattr(sim, key) == library
             assert type(getattr(sim, key)) is type(library)
 

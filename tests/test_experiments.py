@@ -14,7 +14,7 @@ import pytest
 
 import reference as ref
 from conftest import random_stream_set
-from streamfuse import cli, experiments, simulator
+from streamfuse import cli, experiments, measures, simulator
 from streamfuse.core import PosteriorStream, align_streams, overlap_range
 from streamfuse.decoder import score
 from streamfuse.decoder import make_hmm
@@ -145,10 +145,12 @@ def test_compute_schedule_needs_the_setting_its_method_reads(hrm_corpus, method,
 @pytest.mark.parametrize("method", ["m_measure", "delta_m"])
 def test_compute_schedule_reads_no_window_as_the_utterance_level_default(rng, method):
     aligned = random_stream_set(rng, 3, 80, 6)  # 80 frames host the longest span
-    np.testing.assert_array_equal(
-        experiments.compute_schedule(method, aligned).weights,
-        experiments.compute_schedule(method, aligned, mcfg=MMeasureConfig()).weights,
-    )
+    default = measures.binary_window_attention(aligned, MMeasureConfig(),
+                                               delta=method == "delta_m")
+    for settings in ({}, {"window": None}):
+        np.testing.assert_array_equal(
+            experiments.compute_schedule(method, aligned, **settings).weights, default.weights
+        )
 
 
 def test_decode_reports_scores_each_stream_on_its_own_span():
@@ -173,9 +175,8 @@ def fused_dirs(hrm_corpus, tmp_path_factory):
 # A setting the method does not read, or a model the method needs and lacks:
 # fuse_corpus raises before it writes anything, with the check the CLI uses.
 @pytest.mark.parametrize("method, settings, message", [
-    ("entropy", {"base": "m_measure", "mcfg": MMeasureConfig(window=60)},
-     "base: only the max_n method reads it"),
-    ("entropy", {"mcfg": MMeasureConfig(window=60)}, "window: the entropy method does not read it"),
+    ("entropy", {"base": "m_measure", "window": 60}, "base: only the max_n method reads it"),
+    ("entropy", {"window": 60}, "window: the entropy method does not read it"),
     ("max_n", {"base": "oracle", "model": object()}, "model: the oracle method does not read it"),
     ("autoencoder", {}, "model: the autoencoder method needs it"),
 ], ids=["repro", "window", "max_n model", "ae no model"])
@@ -186,12 +187,44 @@ def test_fuse_corpus_rejects_unread_settings(hrm_corpus, tmp_path, method, setti
     assert not out.exists()
 
 
+# A setting the method reads, but out of range for it or for the corpus's
+# 5 streams: also refused before fuse_corpus makes its directory.
+@pytest.mark.parametrize("method, settings, message", [
+    ("entropy", {"n": 6}, "n: 6 is more than the corpus's 5 streams"),
+    ("max_n", {"n": 6}, "n: 6 is more than the corpus's 5 streams"),
+    ("max_n", {"n": 0}, "n: 0 is less than 1"),
+    ("m_measure", {"window": 50}, r"window: 50: window must be >= max\(spans\) \+ 1"),
+], ids=["entropy n", "max_n n", "max_n n=0", "short window"])
+def test_fuse_corpus_checks_n_and_window_before_any_output(hrm_corpus, tmp_path, method,
+                                                           settings, message):
+    out = tmp_path / "fused"
+    with pytest.raises(SettingError, match=f"^{message}$") as e:
+        experiments.fuse_corpus(hrm_corpus, method, out, **settings)
+    assert e.value.setting == next(iter(settings))
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("methods, message", [
+    ([("autoencoder", 1)], "model: the autoencoder method needs it"),
+    ([("entropy", 1), ("max_n", 6)], "n: 6 is more than the corpus's 5 streams"),
+    ([("entropy", 6)], "n: 6 is more than the corpus's 5 streams"),
+], ids=["ae no model", "max_n n", "entropy n"])
+def test_evaluate_corpus_checks_every_pair_before_the_first_utterance(
+        hrm_corpus, monkeypatch, methods, message):
+    def no_utterances(*args):
+        pytest.fail("evaluate_corpus ran its utterances")
+
+    monkeypatch.setattr(experiments, "_per_utterance", no_utterances)
+    with pytest.raises(SettingError, match=f"^{message}$"):
+        experiments.evaluate_corpus(hrm_corpus, methods=methods)
+
+
 def test_fuse_corpus_accepts_the_default_settings(hrm_corpus, tmp_path):
     # What the CLI passes for every method: the default base and window=None.
     a, b = tmp_path / "a", tmp_path / "b"
     experiments.fuse_corpus(hrm_corpus, "entropy", a)
     experiments.fuse_corpus(hrm_corpus, "entropy", b, base=experiments.DEFAULT_BASE,
-                            mcfg=MMeasureConfig(window=None))
+                            window=None)
     assert [p.read_bytes() for p in sorted(a.iterdir())] == [
         p.read_bytes() for p in sorted(b.iterdir())
     ]
