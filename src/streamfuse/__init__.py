@@ -9,7 +9,7 @@ from .core import (
     n_best_truncate,
 )
 from .decoder import ErrorReport, HmmModel, make_hmm, score, viterbi_batch
-from .measures import MMeasureConfig, binary_window_attention, entropy_attention, m_measure
+from .measures import binary_window_attention, entropy_attention, m_measure
 from .simulator import CorpusSpec, CorruptionProfile, corrupt, simulate_utterance
 
 __version__ = "0.1.0"
@@ -20,7 +20,6 @@ __all__ = [
     "CorruptionProfile",
     "ErrorReport",
     "HmmModel",
-    "MMeasureConfig",
     "PosteriorStream",
     "StreamSet",
     "align_streams",

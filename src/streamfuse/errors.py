@@ -18,7 +18,7 @@ class InvalidN(StreamFuseError):
 
 
 class WindowTooShort(StreamFuseError):
-    """Analysis window too short for the configured time spans."""
+    """Analysis window too short for the M-measure's longest time span."""
 
 
 class DegenerateData(StreamFuseError):

@@ -29,20 +29,22 @@ When each check runs: load_corpus reads corpus.cfg (read_written_config),
 which decides the rest: hmm.json and manifest.txt must be the bytes that
 write_corpus writes for it; neither file is parsed.  It then
 checks every label file and every stream file's header against the facts
-corpus.cfg gives (label count and range, each stream's frames, classes and
-frame_offset: its profile's off, 0 for the clean stream; each file's size),
-so a corpus that contradicts itself fails before any output exists.  A
-stream's payload is read, and its rows checked by core.check_simplex, only
-when its utterance is taken from the corpus, so fuse_corpus and
-evaluate_corpus hold one utterance at a time in each process.
+corpus.cfg gives (label count and range, each stream's frames, classes,
+frame_offset and stream_id: its profile's off and m, 0 and -1 for the clean
+stream; each file's size), so a corpus that contradicts itself fails
+before any output exists.  A stream's payload is read, and its rows checked
+by core.check_simplex, only when its utterance is taken from the corpus, so
+fuse_corpus and evaluate_corpus hold one utterance at a time in each process.
 fuse checks each schedule and fused stream, and the storage writers check
 every matrix before they write it.  This module alone decides a fusion's
 settings (method, base, window, model, n): check_settings and _frame_method
-check them, and fuse_corpus runs both before it makes its directory.
-Before the first utterance, evaluate_corpus runs them on each (method, n)
-pair and on each fused directory's fuse.cfg (read_written_config), checks
-its corpus hash, and checks every fused stream's shape and frame_offset (0)
-by its header; it checks the header again, and the rows, as it reads it.
+check them, and _overlaps every utterance's overlap range under them (not
+load_corpus: train-ae reads only clean streams); fuse_corpus runs all three
+before it makes its directory.  Before the first utterance, evaluate_corpus
+runs them on each (method, n) pair and on each fused directory's fuse.cfg
+(read_written_config), checks its corpus hash, and checks every fused
+stream's shape, frame_offset (0) and stream_id (-1) by its header; it
+checks the header again, and the rows, as it reads it.
 
 Processes: write_corpus, fuse_corpus and evaluate_corpus run their
 utterances through _per_utterance, one process per CPU (_workers), forked
@@ -83,7 +85,7 @@ from .core import (
     overlap_range,
 )
 from .decoder import ErrorReport, HmmModel, combine_reports, score, viterbi_batch
-from .errors import FormatError, SettingError, StreamFuseError, WindowTooShort
+from .errors import FormatError, OverlapEmpty, SettingError, StreamFuseError, WindowTooShort
 
 
 def config_hash(pairs: dict) -> str:
@@ -343,9 +345,11 @@ def write_corpus(name: str, spec: simulator.CorpusSpec, outdir) -> simulator.Cor
     return facts
 
 
-def _read_checked(read, path: Path, shape: tuple[int, int], where: str, offset: int = 0):
+def _read_checked(read, path: Path, shape: tuple[int, int], where: str, offset: int = 0,
+                  stream_id: int = -1):
     """read(path), a stream or its StreamHeader, once its (frames, classes) equal
-    shape and its frame_offset offset.  Every error names where and the file.
+    shape, its frame_offset offset and its stream_id stream_id (-1: a clean or
+    fused stream).  Every error names where and the file.
     """
     try:
         found = read(path)
@@ -356,10 +360,11 @@ def _read_checked(read, path: Path, shape: tuple[int, int], where: str, offset: 
             f"{where}: {path.name} holds {found.num_frames} frames x "
             f"{found.num_classes} classes, not frames={shape[0]} x {shape[1]} HMM states"
         )
-    if found.frame_offset != offset:
-        raise StreamFuseError(
-            f"{where}: {path.name} has frame_offset {found.frame_offset}, not {offset}"
-        )
+    for field, want in (("frame_offset", offset), ("stream_id", stream_id)):
+        if getattr(found, field) != want:
+            raise StreamFuseError(
+                f"{where}: {path.name} has {field} {getattr(found, field)}, not {want}"
+            )
     return found
 
 
@@ -400,17 +405,18 @@ class Corpus(Sequence[simulator.Utterance]):
         """read(path) of utterance u's stream files, _s00 .. then _clean, each checked.
 
         Every stream spans the utterance's frames over the HMM's states;
-        stream m's frame_offset is profiles[m]'s off, and the clean stream's
-        is 0.  With no profiles, the _clean file alone is read.
+        stream m's frame_offset is profiles[m]'s off and its stream_id m, and
+        the clean stream's are 0 and -1.  With no profiles, the _clean file
+        alone is read.
         """
         tag = f"utt{u:04d}"
-        files = [(f"{tag}_s{m:02d}.strm", p.offset) for m, p in enumerate(profiles)]
-        files.append((f"{tag}_clean.strm", 0))
+        files = [(f"{tag}_s{m:02d}.strm", p.offset, m) for m, p in enumerate(profiles)]
+        files.append((f"{tag}_clean.strm", 0, -1))
         shape = (self.facts.frames[u], self.spec.num_classes)
         where = f"{self._indir / 'manifest.txt'}: utt {u}"
         try:
-            return [_read_checked(read, self._indir / f, shape, where, offset)
-                    for f, offset in files]
+            return [_read_checked(read, self._indir / f, shape, where, offset, sid)
+                    for f, offset, sid in files]
         except _NO_FILE as e:
             raise _missing(e) from None
 
@@ -508,10 +514,8 @@ def _oracle(aligned: StreamSet, oracle_stream) -> AttentionSchedule:
 FRAME_METHODS = {
     "equal": (_equal, None),
     "entropy": (lambda a: measures.entropy_attention(a), None),
-    "m_measure": (lambda a, w: measures.binary_window_attention(
-        a, measures.MMeasureConfig(window=w)), "window"),
-    "delta_m": (lambda a, w: measures.binary_window_attention(
-        a, measures.MMeasureConfig(window=w), delta=True), "window"),
+    "m_measure": (lambda a, w: measures.binary_window_attention(a, w), "window"),
+    "delta_m": (lambda a, w: measures.binary_window_attention(a, w, delta=True), "window"),
     "autoencoder": (lambda a, model: aemonitor.ae_attention(a, model), "model"),
     "oracle": (_oracle, "oracle_stream"),
 }
@@ -551,7 +555,7 @@ def check_settings(method: str, *, base: str = DEFAULT_BASE, window=None, model=
     if reads == "model" and model is None:
         raise SettingError("model", f"the {frame} method needs it")
     try:
-        measures.MMeasureConfig(window=window)
+        measures.check_window(window)
     except ValueError as e:
         raise SettingError("window", f"{window}: {e}") from None
 
@@ -581,20 +585,36 @@ def compute_schedule(
     return fn(aligned, value)
 
 
+def _overlaps(corpus: Corpus, truncations, window: int | None = None) -> list[tuple[int, int]]:
+    """Each utterance's overlap range, from the stream headers load_corpus
+    checked.  The lowest utterance whose streams share no frame, or, when a
+    frame method of the (frame method, n) pairs of truncations reads the
+    window, that cannot host the M-measure spans (measures.check_fit) raises,
+    naming it."""
+    C, profiles = corpus.spec.num_classes, corpus.facts.profiles
+    fits = any(FRAME_METHODS[f][1] == "window" for f, _ in truncations)
+    overlaps = []
+    for u, frames in enumerate(corpus.facts.frames):
+        headers = [storage.StreamHeader(frames, C, m, p.offset) for m, p in enumerate(profiles)]
+        try:
+            overlaps.append(overlap_range(StreamSet(headers)))
+            if fits:
+                measures.check_fit(overlaps[-1][1], window)
+        except (OverlapEmpty, WindowTooShort) as e:
+            raise type(e)(f"utt {u}: {e}") from None
+    return overlaps
+
+
 def _fuse_utterance(utt, aligned: StreamSet, truncations, *, model=None, window=None):
     """The schedules and the fused streams of utterance utt, aligned, under the
     (frame method, n) pairs of truncations.
 
     Each distinct frame method's schedule is computed once, then truncated
-    for each pair with an n.  A window too short for the M-measure spans
-    raises WindowTooShort naming the utterance.
+    for each pair with an n.
     """
     settings = {"model": model, "oracle_stream": utt.oracle_stream, "window": window}
     frames = dict.fromkeys(f for f, _ in truncations)
-    try:
-        full = {f: compute_schedule(f, aligned, **settings) for f in frames}
-    except WindowTooShort as e:
-        raise WindowTooShort(f"utt {utt.utt_id}: {e}") from None
+    full = {f: compute_schedule(f, aligned, **settings) for f in frames}
     scheds = [full[f] if n is None else n_best_truncate(full[f], n) for f, n in truncations]
     return scheds, [fuse(aligned, sched) for sched in scheds]
 
@@ -603,12 +623,13 @@ def fuse_corpus(corpus: Corpus, method: str, outdir, *, model: aemonitor.AeModel
                 window: int | None = None, n: int | None = None, base: str = DEFAULT_BASE):
     """Fuse every utterance of a corpus and write the results.
 
-    Every setting is checked (check_settings, _frame_method) before
-    anything is written.  fuse.cfg is removed before the first utterance
-    and written last.
+    Every setting (check_settings, _frame_method) and every utterance's
+    overlap (_overlaps) is checked before anything is written.  fuse.cfg is
+    removed before the first utterance and written last.
     """
     check_settings(method, base=base, window=window, model=model)
     truncation = [_frame_method(method, n, corpus.spec.num_streams, base)]
+    _overlaps(corpus, truncation, window)
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     (outdir / "fuse.cfg").unlink(missing_ok=True)
@@ -709,12 +730,7 @@ def evaluate_corpus(
     # One model serves every pair: each pair needs it or does not read it.
     for frame, _ in truncations:
         check_settings(frame, model=model if FRAME_METHODS[frame][1] == "model" else None)
-    # Each utterance's overlap range, from the stream shapes load_corpus checked.
-    overlaps = [
-        overlap_range(StreamSet([storage.StreamHeader(frames, C, m, p.offset)
-                                 for m, p in enumerate(corpus.facts.profiles)]))
-        for frames in corpus.facts.frames
-    ]
+    overlaps = _overlaps(corpus, truncations)
 
     def fused_stream(read, d: Path, u: int):
         path = d / f"utt{u:04d}_fused.strm"

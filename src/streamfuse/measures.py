@@ -13,14 +13,14 @@ Two families:
   class differs, gating the divergences on class change.  Both the
   schedule and `m_measure` read one (windows x M) matrix from
   `window_scores`: the schedule takes each window's argmax, `m_measure` a
-  stream's length-weighted mean.
+  stream's length-weighted mean.  The spans are SPANS, and the window
+  (None: the utterance) is the one setting; check_window and check_fit
+  check a window and a stream's length against the longest span.
 
 All measures use natural logs (nats).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,30 +31,28 @@ from .errors import WindowTooShort
 # yields a large but bounded weight.
 ENTROPY_FLOOR = 1e-3
 
-#: Default time spans (frames) for the mean-time-distance measures, covering
-#: a few hundred milliseconds at a 10 ms frame rate.
-DEFAULT_SPANS = (5, 10, 20, 30, 40, 50)
+#: Time spans (frames) for the mean-time-distance measures, covering a few
+#: hundred milliseconds at a 10 ms frame rate.
+SPANS = (5, 10, 20, 30, 40, 50)
 
 
-@dataclass
-class MMeasureConfig:
-    """Spans and analysis window for the mean-time-distance measures.
+def check_window(window: int | None) -> None:
+    """Raise ValueError unless window is None (one window over the utterance)
+    or holds the longest span."""
+    if window is not None and window < max(SPANS) + 1:
+        raise ValueError("window must be >= max(spans) + 1")
 
-    window=None means utterance-level (one window spanning the stream).
-    """
 
-    spans: tuple[int, ...] = DEFAULT_SPANS
-    window: int | None = None
-
-    def __post_init__(self):
-        spans = tuple(int(s) for s in self.spans)
-        if not spans:
-            raise ValueError("spans must be non-empty")
-        if spans[0] < 1 or any(b <= a for a, b in zip(spans, spans[1:])):
-            raise ValueError("spans must be >= 1 and strictly increasing")
-        self.spans = spans
-        if self.window is not None and self.window < max(spans) + 1:
-            raise ValueError("window must be >= max(spans) + 1")
+def check_fit(frames: int, window: int | None) -> None:
+    """Raise WindowTooShort unless every analysis window of a frames-long
+    stream hosts the longest span."""
+    shortest = min(b - a for a, b in _window_bounds(frames, window))
+    if shortest < max(SPANS) + 1:
+        scope = "over the utterance" if window is None else f"window={window}"
+        raise WindowTooShort(
+            f"window of {shortest} frames cannot host span {max(SPANS)} "
+            f"(M-measure {scope}, spans={','.join(map(str, SPANS))})"
+        )
 
 
 def entropy_rows(mat: np.ndarray) -> np.ndarray:
@@ -82,11 +80,11 @@ def _window_bounds(T: int, window: int | None) -> list[tuple[int, int]]:
     return bounds
 
 
-def _mean_time_distance(probs: np.ndarray, spans: tuple[int, ...], delta: bool) -> float:
-    """Average pairwise divergence over spans within one window of at least
-    max(spans) + 1 frames."""
+def _mean_time_distance(probs: np.ndarray, delta: bool) -> float:
+    """Average pairwise divergence over SPANS within one window of at least
+    max(SPANS) + 1 frames."""
     per_span = []
-    for d in spans:
+    for d in SPANS:
         div = symmetric_kld_rows(probs[:-d], probs[d:])
         if delta:
             changed = np.argmax(probs[:-d], axis=1) != np.argmax(probs[d:], axis=1)
@@ -98,51 +96,46 @@ def _mean_time_distance(probs: np.ndarray, spans: tuple[int, ...], delta: bool) 
 
 
 def window_scores(
-    sset: StreamSet, cfg: MMeasureConfig, *, delta: bool
+    sset: StreamSet, window: int | None, *, delta: bool
 ) -> tuple[list[tuple[int, int]], np.ndarray]:
     """Analysis windows of an aligned stream set and their (windows, M) scores.
 
-    Cell (w, m) is stream m's mean time distance over window w; delta=True
-    counts only frame pairs whose argmax class differs.  A window too short
-    for the longest span raises WindowTooShort naming cfg's window and spans.
+    Cell (w, m) is stream m's mean time distance over window w (None: the
+    utterance); delta=True counts only frame pairs whose argmax class
+    differs.  A window shorter than the longest span raises ValueError
+    (check_window), and a stream too short for it WindowTooShort (check_fit).
     """
-    bounds = _window_bounds(sset.streams[0].num_frames, cfg.window)
-    shortest = min(b - a for a, b in bounds)
-    if shortest < max(cfg.spans) + 1:
-        scope = "over the utterance" if cfg.window is None else f"window={cfg.window}"
-        raise WindowTooShort(
-            f"window of {shortest} frames cannot host span {max(cfg.spans)} "
-            f"(M-measure {scope}, spans={','.join(map(str, cfg.spans))})"
-        )
+    T = sset.streams[0].num_frames
+    check_window(window)
+    check_fit(T, window)
+    bounds = _window_bounds(T, window)
     scores = np.array([
-        [_mean_time_distance(s.probs[a:b], cfg.spans, delta) for s in sset.streams]
+        [_mean_time_distance(s.probs[a:b], delta) for s in sset.streams]
         for a, b in bounds
     ])
     return bounds, scores
 
 
-def m_measure(
-    stream: PosteriorStream, cfg: MMeasureConfig | None = None, *, delta: bool = False
-) -> float:
+def m_measure(stream: PosteriorStream, window: int | None = None, *, delta: bool = False) -> float:
     """Mean time distance of a stream (utterance-level unless windowed).
 
     With a finite window the per-window values are averaged, weighted by
     window length, so the utterance-level call is the single-window case.
     delta=True gives the delta M-measure.
     """
-    bounds, scores = window_scores(StreamSet([stream]), cfg or MMeasureConfig(), delta=delta)
+    bounds, scores = window_scores(StreamSet([stream]), window, delta=delta)
     return float(np.average(scores[:, 0], weights=[b - a for a, b in bounds]))
 
 
 def binary_window_attention(
-    sset: StreamSet, cfg: MMeasureConfig | None = None, *, delta: bool = False
+    sset: StreamSet, window: int | None = None, *, delta: bool = False
 ) -> AttentionSchedule:
     """One-hot schedule selecting the highest-scoring stream per window.
 
     delta=True scores windows by the delta M-measure.  Ties go to the
     lowest stream index.
     """
-    bounds, scores = window_scores(sset, cfg or MMeasureConfig(), delta=delta)
+    bounds, scores = window_scores(sset, window, delta=delta)
     weights = np.zeros((sset.streams[0].num_frames, sset.num_streams))
     # argmax takes the first (lowest) index on ties.
     for (a, b), winner in zip(bounds, np.argmax(scores, axis=1)):

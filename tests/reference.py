@@ -2,11 +2,12 @@
 
 Everything here is deliberately written in plain Python (math module,
 itertools) rather than numpy, so the values it produces do not share code
-paths with the package under test.  The exceptions are the last three
+paths with the package under test.  The exceptions are the last four
 sections: numpy copies of the autoencoder's earlier fancy-index splice,
 np.add.at backward and out-of-place update, which the faster kernels must
 match bit for bit; evaluate's earlier loops, one per system, which its
-one pass over the utterances must match row for row; and helpers only
+one pass over the utterances must match row for row; the M-measures' loops
+over windows, which window_scores' one matrix must match bit for bit; and helpers only
 tests call, which read the package's conventions (a path's score, a splice
 plan's reach) for the assertions.
 """
@@ -23,7 +24,7 @@ from streamfuse.core import LOG_EPS as PACKAGE_LOG_EPS
 from streamfuse.core import AttentionSchedule, align_streams, fuse, n_best_truncate, overlap_range
 from streamfuse.decoder import combine_reports, score, viterbi_batch
 from streamfuse.experiments import compute_schedule, read_config_pairs
-from streamfuse.measures import _mean_time_distance, _window_bounds
+from streamfuse.measures import _window_bounds, symmetric_kld_rows
 
 LOG_EPS = 1e-10
 ENTROPY_FLOOR = 1e-3
@@ -318,22 +319,36 @@ def evaluate_methods_ref(corpus, methods, *, model=None):
 # --- The M-measures' window loops as first written (bit-exactness oracles)
 
 
-def m_measure_loop_ref(stream, cfg, gate_on_argmax=False) -> float:
+def _mean_time_distance_ref(probs, spans, gate_on_argmax) -> float:
+    """One window's mean over spans of the mean symmetric KL divergence of its
+    frame pairs, in the package's numpy operations and order."""
+    per_span = []
+    for d in spans:
+        div = symmetric_kld_rows(probs[:-d], probs[d:])
+        if gate_on_argmax:
+            div = div[np.argmax(probs[:-d], axis=1) != np.argmax(probs[d:], axis=1)]
+            per_span.append(float(div.mean()) if div.size else 0.0)
+        else:
+            per_span.append(float(div.mean()))
+    return float(np.mean(per_span))
+
+
+def m_measure_loop_ref(stream, spans, window, gate_on_argmax=False) -> float:
     """A stream's length-weighted mean of per-window mean time distances."""
     vals, lens = [], []
-    for a, b in _window_bounds(stream.num_frames, cfg.window):
-        vals.append(_mean_time_distance(stream.probs[a:b], cfg.spans, gate_on_argmax))
+    for a, b in _window_bounds(stream.num_frames, window):
+        vals.append(_mean_time_distance_ref(stream.probs[a:b], spans, gate_on_argmax))
         lens.append(b - a)
     return float(np.average(vals, weights=lens))
 
 
-def binary_window_attention_ref(sset, cfg, gate_on_argmax=False):
+def binary_window_attention_ref(sset, spans, window, gate_on_argmax=False):
     """One-hot schedule of the highest-scoring stream per window."""
     T = sset.streams[0].num_frames
     weights = np.zeros((T, sset.num_streams))
-    for a, b in _window_bounds(T, cfg.window):
+    for a, b in _window_bounds(T, window):
         scores = [
-            _mean_time_distance(s.probs[a:b], cfg.spans, gate_on_argmax) for s in sset.streams
+            _mean_time_distance_ref(s.probs[a:b], spans, gate_on_argmax) for s in sset.streams
         ]
         weights[a:b, int(np.argmax(scores))] = 1.0
     return AttentionSchedule(weights)

@@ -34,7 +34,6 @@ from streamfuse.core import (
 from streamfuse.decoder import HmmModel, make_hmm, viterbi_batch
 from streamfuse.measures import (
     ENTROPY_FLOOR,
-    MMeasureConfig,
     binary_window_attention,
     entropy_rows,
     m_measure,

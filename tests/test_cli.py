@@ -269,6 +269,22 @@ class TestTrainAe:
         assert r.stderr == "error: covariance rank below K=40: N=1 rows\n"
         assert not out.exists()
 
+    def test_corpus_whose_streams_share_no_frame_trains(self, tmp_path):
+        # fuse refuses utterance 3, whose stream offsets leave no common frame,
+        # before any output; train-ae reads the clean streams alone.
+        corpus, fused = tmp_path / "corpus", tmp_path / "fused"
+        r = run("simulate", "--out", str(corpus), "--scenario", "hrm_like", "--streams", "4",
+                "--utterances", "8", "--seed", "3", "--classes", "8", "--frames-min", "2",
+                "--frames-max", "6")
+        assert r.returncode == 0, r.stderr
+        r = run("fuse", "--corpus", str(corpus), "--out", str(fused), "--method", "entropy")
+        assert r.returncode == 3
+        assert r.stderr == "error: utt 3: stream offsets leave no common frame range\n"
+        assert not fused.exists()
+        r = run("train-ae", "--corpus", str(corpus), "--out", str(tmp_path / "m.stae"),
+                "--epochs", "1")
+        assert r.returncode == 0, r.stderr
+
     def test_diverging_training_exits_4_without_a_warning(self, tmp_path):
         # At the default learning rate this corpus's loss overflows to nan.
         corpus = tmp_path / "corpus"
@@ -976,6 +992,38 @@ class TestEvaluate:
         assert "Traceback" not in r.stderr
         assert not report.exists()
 
+    def test_fused_stream_of_another_stream_id_exits_3(self, corpus, tmp_path):
+        fused = tmp_path / "equal"
+        r = run("fuse", "--corpus", str(corpus), "--out", str(fused), "--method", "equal")
+        assert r.returncode == 0, r.stderr
+        path = fused / "utt0002_fused.strm"
+        storage.write_stream(dataclasses.replace(storage.read_stream(path), stream_id=2), path)
+        report = tmp_path / "r.tsv"
+        r = run("evaluate", "--corpus", str(corpus), "--out", str(report), "--fused", str(fused))
+        assert r.returncode == 3
+        assert r.stderr == f"error: {fused}: utt 2: utt0002_fused.strm has stream_id 2, not -1\n"
+        assert not report.exists()
+
+    def test_swapped_stream_files_exit_3(self, tmp_path):
+        # Streams 0 and 5 share offset 0 and shape, so only their stored
+        # stream_id tells the swapped files apart.
+        corpus = tmp_path / "corpus"
+        r = run("simulate", "--out", str(corpus), "--scenario", "hrm_like", "--streams", "6",
+                "--utterances", "4", "--seed", "3", "--classes", "8")
+        assert r.returncode == 0, r.stderr
+        for u in range(4):
+            s0, s5 = (corpus / f"utt{u:04d}_s{m:02d}.strm" for m in (0, 5))
+            s0.rename(tmp_path / "s00")
+            s5.rename(s0)
+            (tmp_path / "s00").rename(s5)
+        report = tmp_path / "r.tsv"
+        r = run("evaluate", "--corpus", str(corpus), "--out", str(report),
+                "--sweep", "--method", "oracle")
+        assert r.returncode == 3
+        assert r.stderr == (f"error: {corpus / 'manifest.txt'}: utt 0: utt0000_s00.strm "
+                            "has stream_id 5, not 0\n")
+        assert not report.exists()
+
     def test_fused_dir_without_fuse_cfg_exits_3(self, corpus, tmp_path):
         fused = tmp_path / "equal"
         r = run("fuse", "--corpus", str(corpus), "--out", str(fused), "--method", "equal")
@@ -1179,6 +1227,7 @@ def test_window_too_short_names_utterance_and_settings(short_corpus, tmp_path, a
         "error: utt 1: window of 39 frames cannot host span 50 "
         f"(M-measure {scope}, spans=5,10,20,30,40,50)\n"
     )
+    assert list(tmp_path.iterdir()) == []  # utterance 0 fits, but nothing is written
 
 
 @pytest.mark.parametrize("which, code", [("corpus.cfg", 3), ("fuse.cfg", 3), ("--config", 2)])

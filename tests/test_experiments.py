@@ -18,8 +18,13 @@ from streamfuse import cli, experiments, measures, simulator
 from streamfuse.core import PosteriorStream, align_streams, overlap_range
 from streamfuse.decoder import score
 from streamfuse.decoder import make_hmm
-from streamfuse.errors import FormatError, SettingError, StreamFuseError
-from streamfuse.measures import MMeasureConfig
+from streamfuse.errors import (
+    FormatError,
+    OverlapEmpty,
+    SettingError,
+    StreamFuseError,
+    WindowTooShort,
+)
 from streamfuse.simulator import CorpusSpec
 
 
@@ -145,8 +150,7 @@ def test_compute_schedule_needs_the_setting_its_method_reads(hrm_corpus, method,
 @pytest.mark.parametrize("method", ["m_measure", "delta_m"])
 def test_compute_schedule_reads_no_window_as_the_utterance_level_default(rng, method):
     aligned = random_stream_set(rng, 3, 80, 6)  # 80 frames host the longest span
-    default = measures.binary_window_attention(aligned, MMeasureConfig(),
-                                               delta=method == "delta_m")
+    default = measures.binary_window_attention(aligned, delta=method == "delta_m")
     for settings in ({}, {"window": None}):
         np.testing.assert_array_equal(
             experiments.compute_schedule(method, aligned, **settings).weights, default.weights
@@ -217,6 +221,67 @@ def test_evaluate_corpus_checks_every_pair_before_the_first_utterance(
     monkeypatch.setattr(experiments, "_per_utterance", no_utterances)
     with pytest.raises(SettingError, match=f"^{message}$"):
         experiments.evaluate_corpus(hrm_corpus, methods=methods)
+
+
+@pytest.fixture(scope="module")
+def uneven(tmp_path_factory):
+    """Two hrm_like corpora of 4 streams x 8 utterances x 8 classes, seed 3, by
+    their frame range: at 50-70 frames utterance 4 is the first whose overlap
+    (47 frames) cannot host the M-measure's longest span, 50; at 2-6 frames
+    utterance 3 is the first whose streams share no frame."""
+    root = tmp_path_factory.mktemp("uneven")
+    corpora = {}
+    for lo, hi in ((50, 70), (2, 6)):
+        spec = CorpusSpec(num_utterances=8, frames_min=lo, frames_max=hi, num_classes=8,
+                          num_streams=4, seed=3)
+        experiments.write_corpus("hrm_like", spec, root / f"{lo}-{hi}")
+        corpora[lo, hi] = experiments.load_corpus(root / f"{lo}-{hi}")
+    return corpora
+
+
+SHORT_UTT = ("utt 4: window of 47 frames cannot host span 50 "
+             "(M-measure over the utterance, spans=5,10,20,30,40,50)")
+NO_OVERLAP = "utt 3: stream offsets leave no common frame range"
+
+
+# Every utterance's overlap is settled before fuse_corpus makes its directory:
+# the lowest utterance that fails is named, as a serial loop would name it.
+@pytest.mark.parametrize("frames, method, settings, error, message", [
+    ((50, 70), "m_measure", {}, WindowTooShort, SHORT_UTT),
+    ((50, 70), "max_n", {"base": "m_measure", "n": 2}, WindowTooShort, SHORT_UTT),
+    ((50, 70), "delta_m", {"window": 60},
+     WindowTooShort, SHORT_UTT.replace("over the utterance", "window=60")),
+    ((2, 6), "entropy", {}, OverlapEmpty, NO_OVERLAP),
+    ((2, 6), "m_measure", {}, WindowTooShort, "utt 0: window of 3 frames cannot host span 50 "
+     "(M-measure over the utterance, spans=5,10,20,30,40,50)"),
+], ids=["short", "short max_n base", "short window", "no overlap", "lowest failure first"])
+def test_fuse_corpus_checks_every_utterance_before_any_output(uneven, tmp_path, frames, method,
+                                                              settings, error, message):
+    out = tmp_path / "fused"
+    with pytest.raises(error) as e:
+        experiments.fuse_corpus(uneven[frames], method, out, **settings)
+    assert str(e.value) == message
+    assert not out.exists()
+
+
+def test_fuse_corpus_checks_the_window_fit_only_for_a_method_that_reads_it(uneven, tmp_path):
+    experiments.fuse_corpus(uneven[50, 70], "entropy", tmp_path / "fused")
+    assert (tmp_path / "fused" / "fuse.cfg").is_file()
+
+
+@pytest.mark.parametrize("frames, methods, error, message", [
+    ((50, 70), [("entropy", 2), ("m_measure", None)], WindowTooShort, SHORT_UTT),
+    ((2, 6), [], OverlapEmpty, NO_OVERLAP),
+], ids=["short", "no overlap"])
+def test_evaluate_corpus_checks_every_utterance_before_the_first(uneven, monkeypatch, frames,
+                                                                 methods, error, message):
+    def no_utterances(*args):
+        pytest.fail("evaluate_corpus ran its utterances")
+
+    monkeypatch.setattr(experiments, "_per_utterance", no_utterances)
+    with pytest.raises(error) as e:
+        experiments.evaluate_corpus(uneven[frames], methods=methods)
+    assert str(e.value) == message
 
 
 def test_fuse_corpus_accepts_the_default_settings(hrm_corpus, tmp_path):

@@ -1,6 +1,7 @@
 """Entropy, inverse-entropy weighting and the mean-time-distance measures."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,13 +10,15 @@ from hypothesis import strategies as st
 
 import reference as ref
 from conftest import random_simplex, random_stream, random_stream_set
+from streamfuse import measures
 from streamfuse.core import PosteriorStream, StreamSet, inverse_weights
 from streamfuse.errors import WindowTooShort
 from streamfuse.measures import (
-    DEFAULT_SPANS,
     ENTROPY_FLOOR,
-    MMeasureConfig,
+    SPANS,
     binary_window_attention,
+    check_fit,
+    check_window,
     entropy_attention,
     entropy_rows,
     m_measure,
@@ -26,6 +29,12 @@ from streamfuse.measures import (
 def alternating_stream(T=100, p=0.9):
     rows = np.tile([[p, 1 - p], [1 - p, p]], (T // 2, 1))
     return PosteriorStream(probs=rows)
+
+
+def with_spans(*ds):
+    """measures.SPANS patched to ds, for streams shorter than the defaults
+    need: a decorator or a with block."""
+    return mock.patch.object(measures, "SPANS", ds)
 
 
 def entropy(p) -> float:
@@ -148,42 +157,56 @@ class TestMMeasure:
         # Pairs at odd spans alternate between the two rows; even spans pair
         # identical rows.  Only span 5 of the defaults is odd.
         s = alternating_stream(100)
-        expect = (1.6 * math.log(9)) / len(DEFAULT_SPANS)
+        expect = (1.6 * math.log(9)) / len(SPANS)
         assert m_measure(s) == pytest.approx(expect, rel=1e-9)
 
+    @with_spans(2, 5, 7)
     def test_matches_reference(self, rng):
         s = random_stream(rng, 40, 3)
-        cfg = MMeasureConfig(spans=(2, 5, 7))
         expect = ref.m_measure_ref(s.probs.tolist(), (2, 5, 7))
-        assert m_measure(s, cfg) == pytest.approx(expect, rel=1e-9)
+        assert m_measure(s) == pytest.approx(expect, rel=1e-9)
 
     def test_window_too_short(self, rng):
         with pytest.raises(WindowTooShort):
             m_measure(random_stream(rng, 20, 3))  # max default span is 50
 
+    @with_spans(1, 2)
     def test_windowed_average_weighted_by_length(self, rng):
         s = random_stream(rng, 25, 3)
-        cfg = MMeasureConfig(spans=(1, 2), window=10)
         # Windows are [0,10), [10,25) (short tail joins the last window).
         v1 = ref.m_measure_ref(s.probs[:10].tolist(), (1, 2))
         v2 = ref.m_measure_ref(s.probs[10:].tolist(), (1, 2))
         expect = (10 * v1 + 15 * v2) / 25
-        assert m_measure(s, cfg) == pytest.approx(expect, rel=1e-9)
+        assert m_measure(s, 10) == pytest.approx(expect, rel=1e-9)
 
+    @with_spans(1, 3)
     def test_class_permutation_invariant(self, rng):
         s = random_stream(rng, 30, 4)
         perm = rng.permutation(4)
         sp = PosteriorStream(s.probs[:, perm])
-        cfg = MMeasureConfig(spans=(1, 3))
-        assert m_measure(s, cfg) == pytest.approx(m_measure(sp, cfg), rel=1e-12)
+        assert m_measure(s) == pytest.approx(m_measure(sp), rel=1e-12)
 
+    @settings(deadline=None)
+    @given(T=st.integers(1, 300), window=st.one_of(st.none(), st.integers(1, 300)))
+    def test_check_fit_reads_the_shortest_window(self, T, window):
+        shortest = min(b - a for a, b in measures._window_bounds(T, window))
+        scope = "over the utterance" if window is None else f"window={window}"
+        if shortest >= 51:
+            check_fit(T, window)
+            return
+        with pytest.raises(WindowTooShort) as e:
+            check_fit(T, window)
+        assert str(e.value) == (f"window of {shortest} frames cannot host span 50 "
+                                f"(M-measure {scope}, spans=5,10,20,30,40,50)")
+
+    @with_spans(1, 10)
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            MMeasureConfig(spans=())
-        with pytest.raises(ValueError):
-            MMeasureConfig(spans=(5, 5))
-        with pytest.raises(ValueError):
-            MMeasureConfig(spans=(1, 10), window=10)
+        with pytest.raises(ValueError, match=r"^window must be >= max\(spans\) \+ 1$"):
+            check_window(10)
+        with pytest.raises(ValueError, match=r"^window must be >= max\(spans\) \+ 1$"):
+            m_measure(alternating_stream(40), 10)  # window_scores checks the window too
+        check_window(11)
+        check_window(None)
 
 
 class TestDeltaMMeasure:
@@ -197,35 +220,36 @@ class TestDeltaMMeasure:
         s = alternating_stream(100)
         assert m_measure(s, delta=True) == pytest.approx(m_measure(s), rel=1e-12)
 
+    @with_spans(1, 2)
     def test_zero_when_argmax_never_changes(self):
         rows = np.tile([[0.9, 0.1], [0.6, 0.4]], (40, 1))
         s = PosteriorStream(rows)
-        cfg = MMeasureConfig(spans=(1, 2))
-        assert m_measure(s, cfg, delta=True) == 0.0
-        assert m_measure(s, cfg) > 0.1
+        assert m_measure(s, delta=True) == 0.0
+        assert m_measure(s) > 0.1
 
+    @with_spans(2, 5, 7)
     def test_matches_gated_reference(self, rng):
         s = random_stream(rng, 40, 3)
-        cfg = MMeasureConfig(spans=(2, 5, 7))
         expect = ref.m_measure_ref(s.probs.tolist(), (2, 5, 7), gate_on_argmax=True)
-        assert m_measure(s, cfg, delta=True) == pytest.approx(expect, rel=1e-9)
+        assert m_measure(s, delta=True) == pytest.approx(expect, rel=1e-9)
 
 
 class TestBinaryWindowAttention:
+    @with_spans(1, 3)
     def test_dynamic_stream_wins(self, rng):
         flat = PosteriorStream(np.tile([0.5, 0.5], (40, 1)), stream_id=0)
         dyn = PosteriorStream(alternating_stream(40).probs, stream_id=1)
-        sched = binary_window_attention(
-            StreamSet([flat, dyn]), MMeasureConfig(spans=(1, 3))
-        )
+        sched = binary_window_attention(StreamSet([flat, dyn]))
         np.testing.assert_array_equal(sched.weights, np.tile([0.0, 1.0], (40, 1)))
 
+    @with_spans(1, 2)
     def test_tie_selects_lowest_index(self, rng):
         probs = random_simplex(rng, 30, 3)
         sset = StreamSet([PosteriorStream(probs.copy(), stream_id=m) for m in range(3)])
-        sched = binary_window_attention(sset, MMeasureConfig(spans=(1, 2)))
+        sched = binary_window_attention(sset)
         np.testing.assert_array_equal(sched.weights[:, 0], np.ones(30))
 
+    @with_spans(1, 3)
     def test_per_window_winners(self):
         # Stream 0 is dynamic only in the first half, stream 1 only in the
         # second; with window 10 each window picks its own winner.
@@ -233,9 +257,7 @@ class TestBinaryWindowAttention:
         flat = np.tile([0.5, 0.5], (10, 1))
         s0 = PosteriorStream(np.vstack([alt, flat]), stream_id=0)
         s1 = PosteriorStream(np.vstack([flat, alt]), stream_id=1)
-        sched = binary_window_attention(
-            StreamSet([s0, s1]), MMeasureConfig(spans=(1, 3), window=10)
-        )
+        sched = binary_window_attention(StreamSet([s0, s1]), 10)
         np.testing.assert_array_equal(sched.weights[:10], np.tile([1.0, 0.0], (10, 1)))
         np.testing.assert_array_equal(sched.weights[10:], np.tile([0.0, 1.0], (10, 1)))
 
@@ -245,7 +267,8 @@ class TestBinaryWindowAttention:
         rng = np.random.default_rng(seed)
         sset = random_stream_set(rng, 3, 20, 3)
         for delta in (False, True):
-            sched = binary_window_attention(sset, MMeasureConfig(spans=(1, 4)), delta=delta)
+            with with_spans(1, 4):
+                sched = binary_window_attention(sset, delta=delta)
             np.testing.assert_array_equal(sched.weights.sum(axis=1), np.ones(20))
             assert set(np.unique(sched.weights)) <= {0.0, 1.0}
 
@@ -277,12 +300,14 @@ class TestWindowScores:
             counts[counts.sum(axis=1) == 0, 0] = 1.0
             probs.append(counts / counts.sum(axis=1, keepdims=True))
         sset = StreamSet([PosteriorStream(p, stream_id=m) for m, p in enumerate(probs)])
-        cfg = MMeasureConfig(spans=spans, window=None if extra is None else max(spans) + extra)
-        got = binary_window_attention(sset, cfg, delta=delta)
-        want = ref.binary_window_attention_ref(sset, cfg, gate_on_argmax=delta)
+        window = None if extra is None else max(spans) + extra
+        with mock.patch.object(measures, "SPANS", spans):
+            got = binary_window_attention(sset, window, delta=delta)
+            for s in sset.streams:
+                assert m_measure(s, window, delta=delta) == ref.m_measure_loop_ref(
+                    s, spans, window, delta)
+        want = ref.binary_window_attention_ref(sset, spans, window, gate_on_argmax=delta)
         assert np.array_equal(got.weights, want.weights)
-        for s in sset.streams:
-            assert m_measure(s, cfg, delta=delta) == ref.m_measure_loop_ref(s, cfg, delta)
 
 
 class TestEntropyAttention:

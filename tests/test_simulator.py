@@ -1,6 +1,7 @@
 """Synthetic corpus generator: labels, emissions, corruption, scenarios."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,9 +9,10 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from streamfuse import measures
 from streamfuse.core import PosteriorStream, StreamSet, align_streams
 from streamfuse.decoder import make_hmm, stationary
-from streamfuse.measures import MMeasureConfig, entropy_rows, m_measure
+from streamfuse.measures import entropy_rows, m_measure
 from streamfuse.simulator import (
     CorpusSpec,
     CorruptionProfile,
@@ -121,6 +123,7 @@ class TestCorrupt:
         out = corrupt(s, CorruptionProfile(uniform_mix=1.0), seed=0)
         np.testing.assert_allclose(out.probs, 1 / 6, atol=1e-12)
 
+    @mock.patch.object(measures, "SPANS", (1, 5))
     def test_whole_utterance_smear_is_constant_mean(self, rng):
         s = self.make_stream(rng, T=40)
         out = corrupt(s, CorruptionProfile(smear_width=2 * 40 - 1), seed=0)
@@ -128,7 +131,7 @@ class TestCorrupt:
         np.testing.assert_allclose(
             out.probs, np.tile(mean / mean.sum(), (40, 1)), atol=1e-9
         )
-        assert m_measure(out, MMeasureConfig(spans=(1, 5))) <= 1e-12
+        assert m_measure(out) <= 1e-12
 
     def test_failed_stream_near_uniform(self, rng):
         s = self.make_stream(rng, C=10)
@@ -178,11 +181,11 @@ class TestCorrupt:
         ]
         assert all(b >= a - 1e-12 for a, b in zip(means, means[1:]))
 
+    @mock.patch.object(measures, "SPANS", (1, 3, 5))
     def test_m_measure_nonincreasing_in_smear(self, rng):
         s = self.make_stream(rng, T=80)
-        cfg = MMeasureConfig(spans=(1, 3, 5))
         vals = [
-            m_measure(corrupt(s, CorruptionProfile(smear_width=w), seed=0), cfg)
+            m_measure(corrupt(s, CorruptionProfile(smear_width=w), seed=0))
             for w in (0, 3, 9, 27)
         ]
         assert all(b <= a + 1e-9 for a, b in zip(vals, vals[1:]))
