@@ -194,13 +194,12 @@ def _read_model(path, corpus: experiments.Corpus) -> aemonitor.AeModel | None:
 
 def cmd_fuse(args, parser) -> int:
     # The settings that need no corpus, so that a bad flag exits 2 before it is read.
-    experiments.check_settings(args.method, base=args.base, window=args.window, model=args.model)
+    experiments.check_settings(args.method, window=args.window, model=args.model)
     _check_out(args.out, directory=True)
     corpus = experiments.load_corpus(args.corpus)
     model = _read_model(args.model, corpus)
-    experiments.fuse_corpus(
-        corpus, args.method, args.out, model=model, window=args.window, n=args.n, base=args.base
-    )
+    experiments.fuse_corpus(corpus, args.method, args.out, model=model, window=args.window,
+                            n=args.n)
     print(f"wrote fused streams to {args.out}: method={args.method}")
     return EXIT_OK
 
@@ -294,8 +293,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", required=True, choices=experiments.FUSION_METHODS)
     p.add_argument("--model", help="model file (autoencoder method)")
     p.add_argument("--n", type=_positive_int, help="n-best truncation of the schedule")
-    p.add_argument("--base", default=experiments.DEFAULT_BASE,
-                   choices=tuple(experiments.FRAME_METHODS), help="base method for max_n")
     p.add_argument("--window", type=_positive_int, help="finite M-measure window (frames)")
     p.set_defaults(func=cmd_fuse)
 

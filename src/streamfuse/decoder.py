@@ -70,13 +70,12 @@ def make_hmm(num_states: int, seed: int = 0, self_loop: float = DEFAULT_SELF_LOO
         trans[i, i] = self_loop
     trans /= trans.sum(axis=1, keepdims=True)
     labels = tuple(f"c{i:02d}" for i in range(C))
-    hmm = HmmModel(transitions=trans, priors=np.full(C, 1.0 / C), labels=labels)
-    return HmmModel(transitions=trans, priors=stationary(hmm), labels=labels)
+    return HmmModel(transitions=trans, priors=stationary(trans), labels=labels)
 
 
-def stationary(hmm: HmmModel) -> np.ndarray:
-    """Stationary distribution of the transition matrix."""
-    vals, vecs = np.linalg.eig(hmm.transitions.T)
+def stationary(transitions: np.ndarray) -> np.ndarray:
+    """Stationary distribution of a (C, C) row-stochastic transition matrix."""
+    vals, vecs = np.linalg.eig(transitions.T)
     k = int(np.argmin(np.abs(vals - 1.0)))
     pi = np.real(vecs[:, k])
     pi = np.abs(pi)

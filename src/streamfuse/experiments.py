@@ -37,7 +37,7 @@ by core.check_simplex, only when its utterance is taken from the corpus, so
 fuse_corpus and evaluate_corpus hold one utterance at a time in each process.
 fuse checks each schedule and fused stream, and the storage writers check
 every matrix before they write it.  This module alone decides a fusion's
-settings (method, base, window, model, n): check_settings and _frame_method
+settings (method, window, model, n): check_settings and _frame_method
 check them, and _overlaps every utterance's overlap range under them (not
 load_corpus: train-ae reads only clean streams); fuse_corpus runs all three
 before it makes its directory.  Before the first utterance, evaluate_corpus
@@ -181,7 +181,7 @@ def _count_or_empty(text: str):
 
 # The keys of fuse.cfg but config_hash, each with the type its value is read
 # by, in the order fuse_corpus lists their values.
-FUSE_KEYS = {"method": str, "n": _count_or_empty, "base": str, "window": _count_or_empty,
+FUSE_KEYS = {"method": str, "n": _count_or_empty, "window": _count_or_empty,
              "model_digest": str, "corpus_hash": str}
 
 
@@ -239,15 +239,15 @@ def _workers(count: int, model: aemonitor.AeModel | None = None) -> int:
     return 1 if model is not None else min(_cpus(), count)
 
 
-def _share(fn: Callable, us: range) -> tuple[list, tuple[int, Exception] | None]:
+def _share(fn: Callable, us: range) -> tuple[list, Exception | None]:
     """fn(u) for each u of us in order, up to the first that raises: the
-    results, and None or (that u, its exception)."""
+    results, and None or the exception of that u."""
     results = []
     for u in us:
         try:
             results.append(fn(u))
         except Exception as e:
-            return results, (u, e)
+            return results, e
     return results, None
 
 
@@ -273,9 +273,9 @@ def _per_utterance(fn: Callable[[int], object], count: int, workers: int) -> lis
     range(count*k//workers, count*(k+1)//workers).
 
     Process 0 is this one; each other is a forked child that sends back its
-    results, or the first exception it raises and that utterance, through a
-    pipe.  This process runs its block, then reads the children's pipes in
-    block order, so the first failure it finds is the lowest failing
+    results, or the first exception it raises, through a pipe.  This
+    process runs its block, then reads the children's pipes in block
+    order, so the first failure it finds is the lowest failing
     utterance, whose exception is raised, as a serial loop would; a child
     that ends without sending a result fails at its first utterance with a
     StreamFuseError that names its utterances and how it ended.  The
@@ -307,7 +307,7 @@ def _per_utterance(fn: Callable[[int], object], count: int, workers: int) -> lis
             else:
                 named = ", ".join(map(str, us[:3])) + (f", ..., {us[-1]}" if len(us) > 3 else "")
                 how = f"by signal {-code}" if code < 0 else f"with status {code}"
-                failed = us[0], StreamFuseError(
+                failed = StreamFuseError(
                     f"the worker process for utterances {named} ended {how} without its results")
     finally:
         # Those left lie above the failure, or this process failed on its own.
@@ -316,7 +316,7 @@ def _per_utterance(fn: Callable[[int], object], count: int, workers: int) -> lis
             os.waitpid(pid, 0)
             os.close(end)
     if failed is not None:
-        raise failed[1]
+        raise failed
     return results
 
 
@@ -520,17 +520,14 @@ FRAME_METHODS = {
     "oracle": (_oracle, "oracle_stream"),
 }
 FUSION_METHODS = (*FRAME_METHODS, "max_n")
-# The frame-wise method that max_n truncates unless told otherwise.
-DEFAULT_BASE = "entropy"
 
 
-def _frame_method(method: str, n: int | None, num_streams: int,
-                  base: str = DEFAULT_BASE) -> tuple[str, int | None]:
+def _frame_method(method: str, n: int | None, num_streams: int) -> tuple[str, int | None]:
     """The frame-wise method and the truncation n that method and n stand for
-    over num_streams streams: "max_n" is base truncated to n, 1 when n is
+    over num_streams streams: "max_n" is entropy truncated to n, 1 when n is
     None.  An n outside [1, num_streams] raises SettingError."""
     if method == "max_n":
-        method, n = base, 1 if n is None else n
+        method, n = "entropy", 1 if n is None else n
     if method not in FRAME_METHODS:
         raise StreamFuseError(f"unknown fusion method {method!r}")
     if n is not None and not 1 <= n <= num_streams:
@@ -539,15 +536,12 @@ def _frame_method(method: str, n: int | None, num_streams: int,
     return method, n
 
 
-def check_settings(method: str, *, base: str = DEFAULT_BASE, window=None, model=None) -> None:
-    """Raise SettingError unless the frame-wise method that method and base
-    stand for reads every setting given and has the model it needs: base is
-    read by max_n alone, window by the M-measures (and must hold their
-    spans), model by the autoencoder.  A base of DEFAULT_BASE and a window
-    or model of None are not given."""
-    if base != DEFAULT_BASE and method != "max_n":
-        raise SettingError("base", "only the max_n method reads it")
-    frame, _ = _frame_method(method, None, math.inf, base)  # n is checked by the caller
+def check_settings(method: str, *, window=None, model=None) -> None:
+    """Raise SettingError unless the frame-wise method that method stands
+    for reads every setting given and has the model it needs: window is read
+    by the M-measures (and must hold their spans), model by the autoencoder.
+    A window or model of None is not given."""
+    frame, _ = _frame_method(method, None, math.inf)  # n is checked by the caller
     _, reads = FRAME_METHODS[frame]
     for setting, value in (("window", window), ("model", model)):
         if value is not None and reads != setting:
@@ -620,15 +614,15 @@ def _fuse_utterance(utt, aligned: StreamSet, truncations, *, model=None, window=
 
 
 def fuse_corpus(corpus: Corpus, method: str, outdir, *, model: aemonitor.AeModel | None = None,
-                window: int | None = None, n: int | None = None, base: str = DEFAULT_BASE):
+                window: int | None = None, n: int | None = None):
     """Fuse every utterance of a corpus and write the results.
 
     Every setting (check_settings, _frame_method) and every utterance's
     overlap (_overlaps) is checked before anything is written.  fuse.cfg is
     removed before the first utterance and written last.
     """
-    check_settings(method, base=base, window=window, model=model)
-    truncation = [_frame_method(method, n, corpus.spec.num_streams, base)]
+    check_settings(method, window=window, model=model)
+    truncation = [_frame_method(method, n, corpus.spec.num_streams)]
     _overlaps(corpus, truncation, window)
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -636,7 +630,6 @@ def fuse_corpus(corpus: Corpus, method: str, outdir, *, model: aemonitor.AeModel
     values = (
         method,
         "" if n is None else n,
-        base,
         "" if window is None else window,
         "" if model is None else storage.model_digest(model),
         corpus_hash(corpus),
@@ -692,10 +685,10 @@ def _fused_name(fused_dir: Path, chash: str, num_streams: int) -> str:
             f"being scored has {chash}: fused from another corpus"
         )
     try:
-        check_settings(fcfg["method"], base=fcfg["base"], window=fcfg["window"] or None,
+        check_settings(fcfg["method"], window=fcfg["window"] or None,
                        model=fcfg["model_digest"] or None)
-        _frame_method(fcfg["method"], fcfg["n"] or None, num_streams, fcfg["base"])
-    except StreamFuseError as e:  # an unknown method or base, a SettingError
+        _frame_method(fcfg["method"], fcfg["n"] or None, num_streams)
+    except StreamFuseError as e:  # an unknown method, a SettingError
         raise FormatError(f"{path}: {e}") from None
     return _row_name(fcfg["method"], fcfg["n"])
 

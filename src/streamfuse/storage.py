@@ -3,7 +3,7 @@
 Byte layouts (all little-endian):
 
 stream file ("SATN"):
-    magic 4s | version u16 | C u32 | T u32 | stream_id u32 | frame_offset i32
+    magic 4s | version u16 | C u32 | T u32 | stream_id i32 | frame_offset i32
     | dtype u8 (0 = f32) | payload T*C f32
 
 schedule file ("SATW"):
@@ -59,7 +59,7 @@ from .errors import (
 
 VERSION = 1
 
-_STREAM_HDR = struct.Struct("<4sHIIIiB")
+_STREAM_HDR = struct.Struct("<4sHIIiiB")
 _SCHED_HDR = struct.Struct("<4sHIIB")
 
 
@@ -95,11 +95,13 @@ def _check_header(magic: bytes, expect: bytes, version: int, want=VERSION, advic
 def _write_matrix(path, hdr: struct.Struct, magic: bytes, what: str, mat: np.ndarray, *extra):
     """Header (magic, version, columns, rows, *extra, dtype 0) and an f32 payload.
 
-    The rows are checked first, so a matrix the reader would reject is never written.
+    The rows are checked and the header packed first, so neither a matrix the
+    reader would reject nor a field outside its type (struct.error) leaves a file.
     """
     check_simplex(mat, what)
+    header = hdr.pack(magic, VERSION, mat.shape[1], mat.shape[0], *extra, 0)
     with open(path, "wb") as f:
-        f.write(hdr.pack(magic, VERSION, mat.shape[1], mat.shape[0], *extra, 0))
+        f.write(header)
         f.write(np.ascontiguousarray(mat, dtype="<f4").tobytes())
 
 
@@ -144,25 +146,21 @@ class StreamHeader(NamedTuple):
     frame_offset: int
 
 
-def _signed(sid: int) -> int:
-    return sid if sid < 0x80000000 else sid - 0x100000000
-
-
 def write_stream(stream: PosteriorStream, path):
-    sid = stream.stream_id & 0xFFFFFFFF  # u32 on disk; the readers restore the sign
-    _write_matrix(path, _STREAM_HDR, b"SATN", "stream", stream.probs, sid, stream.frame_offset)
+    _write_matrix(path, _STREAM_HDR, b"SATN", "stream", stream.probs, stream.stream_id,
+                  stream.frame_offset)
 
 
 def read_stream_header(path) -> StreamHeader:
     """A stream file's checked header (as read_stream checks it), without its payload."""
     with open(path, "rb", buffering=0) as f:  # one small read: skip the buffer
         T, C, (sid, offset) = _read_matrix_header(f, _STREAM_HDR, b"SATN", "stream")
-    return StreamHeader(T, C, _signed(sid), offset)
+    return StreamHeader(T, C, sid, offset)
 
 
 def read_stream(path) -> PosteriorStream:
     probs, (sid, offset) = _read_matrix(path, _STREAM_HDR, b"SATN", "stream")
-    return PosteriorStream(probs=probs, stream_id=_signed(sid), frame_offset=offset)
+    return PosteriorStream(probs=probs, stream_id=sid, frame_offset=offset)
 
 
 def write_schedule(sched: AttentionSchedule, path):

@@ -242,7 +242,7 @@ class TestTrainAe:
         shutil.copytree(corpus, copy)
         path = copy / "utt0003_clean.strm"
         data = bytearray(path.read_bytes())
-        first = struct.calcsize("<4sHIIIiB")  # row 0, class 0
+        first = struct.calcsize("<4sHIIiiB")  # row 0, class 0
         data[first : first + 4] = struct.pack("<f", 2.0)
         path.write_bytes(bytes(data))
         out = tmp_path / "m.stae"
@@ -346,18 +346,17 @@ class TestFuse:
     # autoencoder without its model.  The model file is never opened.
     @pytest.mark.parametrize("flags, expected", [
         (["--method", "entropy", "--window", "60"], "argument --window: the entropy method"),
-        (["--method", "entropy", "--window", "60", "--base", "m_measure", "--model", "m.stae"],
-         "argument --base: only the max_n method reads it"),
+        (["--method", "entropy", "--window", "60", "--model", "m.stae"],
+         "argument --window: the entropy method"),
         (["--method", "max_n", "--window", "60"], "argument --window: the entropy method"),
-        (["--method", "max_n", "--base", "oracle", "--model", "m.stae"],
-         "argument --model: the oracle method"),
+        (["--method", "oracle", "--model", "m.stae"], "argument --model: the oracle method"),
         (["--method", "autoencoder", "--window", "60", "--model", "m.stae"],
          "argument --window: the autoencoder method"),
         (["--method", "autoencoder"], "argument --model: the autoencoder method needs it"),
-        (["--method", "max_n", "--base", "autoencoder", "--n", "2"],
+        (["--method", "autoencoder", "--n", "2"],
          "argument --model: the autoencoder method needs it"),
-    ], ids=["window", "repro", "max_n window", "max_n model", "ae window", "ae no model",
-            "max_n ae no model"])
+    ], ids=["window", "repro", "max_n window", "oracle model", "ae window", "ae no model",
+            "ae n no model"])
     def test_flag_the_method_does_not_read_exits_2(self, corpus, tmp_path, flags, expected):
         out = tmp_path / "x"
         r = run("fuse", "--corpus", str(corpus), "--out", str(out), *flags)
@@ -368,10 +367,10 @@ class TestFuse:
         assert not out.exists()
 
     # The corpus has 3 streams; the M-measure spans need a window >= 51.
-    # m_measure reads neither --base nor a model.
+    # m_measure reads no model.
     @pytest.mark.parametrize("flag, value", [
         ("--window", "abc"), ("--window", "0"), ("--window", "50"),
-        ("--n", "abc"), ("--n", "0"), ("--n", "4"), ("--base", "m_measure"), ("--model", "m.stae"),
+        ("--n", "abc"), ("--n", "0"), ("--n", "4"), ("--model", "m.stae"),
     ])
     def test_bad_flag_value_exits_2(self, corpus, tmp_path, flag, value):
         out = tmp_path / "x"
@@ -476,7 +475,7 @@ class TestFuse:
         shutil.copytree(corpus, copy)
         path = copy / "utt0003_s02.strm"
         data = bytearray(path.read_bytes())
-        first = struct.calcsize("<4sHIIIiB")  # row 0, class 0
+        first = struct.calcsize("<4sHIIiiB")  # row 0, class 0
         data[first : first + 4] = struct.pack("<f", 2.0)
         path.write_bytes(bytes(data))
         out = tmp_path / "x"
@@ -497,7 +496,7 @@ class TestFuse:
         shutil.copytree(corpus, copy)
         path = copy / "utt0003_s01.strm"
         data = bytearray(path.read_bytes())
-        first = struct.calcsize("<4sHIIIiB")  # row 0, class 0
+        first = struct.calcsize("<4sHIIiiB")  # row 0, class 0
         data[first : first + 4] = struct.pack("<f", np.nan)
         path.write_bytes(bytes(data))
         r = run("fuse", "--corpus", str(copy), "--out", str(out), "--method", "equal")
@@ -535,24 +534,40 @@ class TestFuse:
                 "--method", "bogus")
         assert r.returncode == 2
 
+    # max_n is entropy truncated to n: there is no base method to choose.
     def test_unknown_base_exits_2(self, corpus, tmp_path):
-        r = run("fuse", "--corpus", str(corpus), "--out", str(tmp_path / "x"),
-                "--method", "max_n", "--base", "nonsense")
+        out = tmp_path / "x"
+        r = run("fuse", "--corpus", str(corpus), "--out", str(out), "--method", "max_n",
+                "--base", "entropy")
         assert r.returncode == 2
-        assert "--base" in r.stderr
-
-    def test_max_n_base_exits_2(self, corpus, tmp_path):
-        r = run("fuse", "--corpus", str(corpus), "--out", str(tmp_path / "x"),
-                "--method", "max_n", "--base", "max_n")
-        assert r.returncode == 2
-
-    def test_config_base_outside_choices_exits_2(self, corpus, tmp_path):
+        assert "unrecognized arguments: --base entropy" in r.stderr
+        assert not out.exists()
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("base=nonsense\n")
+        cfg.write_text("base=entropy\n")
+        r = run("fuse", "--config", str(cfg), "--corpus", str(corpus), "--out", str(out),
+                "--method", "max_n")
+        assert r.returncode == 2
+        assert "unknown config key 'base'" in r.stderr
+        assert not out.exists()
+
+    def test_config_method_outside_choices_exits_2(self, corpus, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("method=nonsense\n")
         r = run("fuse", "--config", str(cfg), "--corpus", str(corpus),
-                "--out", str(tmp_path / "x"), "--method", "max_n")
+                "--out", str(tmp_path / "x"))
         assert r.returncode == 2
         assert "nonsense" in r.stderr
+
+    def test_max_n_is_entropy_truncated_to_n(self, corpus, tmp_path):
+        outs = [tmp_path / "max_n", tmp_path / "entropy"]
+        for out, method in zip(outs, ("max_n", "entropy")):
+            r = run("fuse", "--corpus", str(corpus), "--out", str(out), "--method", method,
+                    "--n", "2")
+            assert r.returncode == 0, r.stderr
+        written = [sorted(p.name for p in out.iterdir() if p.name != "fuse.cfg") for out in outs]
+        assert written[0] == written[1] and len(written[0]) == 8
+        for name in written[0]:
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
     def test_config_hash_covers_window_and_model(self, corpus, model, tmp_path):
         other = tmp_path / "other.stae"
@@ -1052,7 +1067,7 @@ class TestEvaluate:
         copy = tmp_path / "corpus"
         shutil.copytree(corpus, copy)
         (copy / "utt0000_s01.strm").write_bytes(
-            struct.pack("<4sHIIIiB", b"SATN", 1, 0xFFFFFFFF, 0xFFFFFFFF, 1, 0, 0)
+            struct.pack("<4sHIIiiB", b"SATN", 1, 0xFFFFFFFF, 0xFFFFFFFF, 1, 0, 0)
         )
         r = run("evaluate", "--corpus", str(copy), "--out", str(tmp_path / "r.tsv"))
         assert r.returncode == 3
@@ -1121,9 +1136,12 @@ class TestEvaluate:
         ("", ["base4=1"], False, "'base4'"),
         ("", ["n="], False, "'n'"),
         ("n=", ["n=abc"], True, "bad value 'abc' for key 'n'"),
-        ("base=", ["base=m_measure"], True, "base: only the max_n method reads it"),
+        ("window=", ["window=60"], True, "window: the entropy method does not read it"),
+        # A fuse output written while fuse.cfg still had a base key: re-run fuse.
+        ("", ["base=m_measure"], True, "unknown key 'base'"),
     ], ids=["method=bogus", "method=bogus rehashed", "config_hash=0000", "no config_hash",
-            "cnfig_hash=1", "base4=1", "n twice", "n=abc rehashed", "base=m_measure rehashed"])
+            "cnfig_hash=1", "base4=1", "n twice", "n=abc rehashed", "window=60 rehashed",
+            "base=m_measure rehashed"])
     def test_bad_fuse_cfg_exits_3(self, corpus, fused_entropy, tmp_path, drop, add, rehash,
                                   key):
         fused = tmp_path / "entropy"
@@ -1268,16 +1286,18 @@ class TestParser:
             assert flag == library and type(flag) is type(library)
         assert train.context == (0, 0)
 
-        # --base defaults to the library's default base, named in --help.
-        base = inspect.signature(experiments.fuse_corpus).parameters["base"].default
-        assert base == experiments.DEFAULT_BASE
+        # fuse's optional settings default to fuse_corpus's, named in --help.
+        fuse = parse(["fuse", "--corpus", "c", "--out", "o", "--method", "entropy"])
+        library = inspect.signature(experiments.fuse_corpus).parameters
+        for key in ("model", "window", "n"):
+            assert getattr(fuse, key) is library[key].default is None
         with pytest.raises(SystemExit):
             parse(["fuse", "--help"])
         help_text = " ".join(capsys.readouterr().out.split())
-        assert f"base method for max_n (default: {base})" in help_text
+        assert "n-best truncation of the schedule (default: None)" in help_text
 
 
-_FUSE_KEYS = ("corpus", "out", "method", "model", "n", "base", "window", "no_such_key", "")
+_FUSE_KEYS = ("corpus", "out", "method", "model", "n", "window", "no_such_key", "")
 _VALUE = st.text(st.characters(blacklist_characters="\n\r#", blacklist_categories=("Cs",)),
                  max_size=6)
 _NUMBER = st.one_of(st.none(), st.integers(-2, 120).map(str), _VALUE)
@@ -1286,20 +1306,18 @@ _NUMBER = st.one_of(st.none(), st.integers(-2, 120).map(str), _VALUE)
 @settings(max_examples=40, deadline=None)
 @given(
     method=st.sampled_from(experiments.FUSION_METHODS + ("junk",)),
-    base=st.one_of(st.none(), st.sampled_from(experiments.FUSION_METHODS)),
     n=_NUMBER,
     window=_NUMBER,
     lines=st.lists(st.tuples(st.sampled_from(_FUSE_KEYS), _VALUE), max_size=4),
 )
-def test_fuse_exits_with_a_documented_code(corpus, tmp_path_factory, method, base, n,
-                                           window, lines):
+def test_fuse_exits_with_a_documented_code(corpus, tmp_path_factory, method, n, window, lines):
     tmp = tmp_path_factory.getbasetemp() / "fuse-property"
     tmp.mkdir(exist_ok=True)
     cfg = tmp / "run.cfg"
     cfg.write_text("".join(f"{k}={v}\n" for k, v in lines), encoding="utf-8")
     argv = ["fuse", "--config", str(cfg), "--corpus", str(corpus), "--out", str(tmp / "out"),
             "--method", method]
-    for flag, value in (("--base", base), ("--n", n), ("--window", window)):
+    for flag, value in (("--n", n), ("--window", window)):
         if value is not None:
             argv += [flag, value]
     try:

@@ -39,7 +39,7 @@ class TestMakeHmm:
 
     def test_priors_are_stationary(self):
         hmm = make_hmm(5, seed=2)
-        np.testing.assert_allclose(hmm.priors, stationary(hmm), atol=1e-9)
+        np.testing.assert_allclose(hmm.priors, stationary(hmm.transitions), atol=1e-9)
         np.testing.assert_allclose(hmm.priors @ hmm.transitions, hmm.priors, atol=1e-9)
 
     def test_deterministic_in_seed(self):

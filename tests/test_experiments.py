@@ -179,11 +179,11 @@ def fused_dirs(hrm_corpus, tmp_path_factory):
 # A setting the method does not read, or a model the method needs and lacks:
 # fuse_corpus raises before it writes anything, with the check the CLI uses.
 @pytest.mark.parametrize("method, settings, message", [
-    ("entropy", {"base": "m_measure", "window": 60}, "base: only the max_n method reads it"),
+    ("entropy", {"window": 60, "model": object()}, "window: the entropy method does not read it"),
     ("entropy", {"window": 60}, "window: the entropy method does not read it"),
-    ("max_n", {"base": "oracle", "model": object()}, "model: the oracle method does not read it"),
+    ("oracle", {"model": object()}, "model: the oracle method does not read it"),
     ("autoencoder", {}, "model: the autoencoder method needs it"),
-], ids=["repro", "window", "max_n model", "ae no model"])
+], ids=["repro", "window", "oracle model", "ae no model"])
 def test_fuse_corpus_rejects_unread_settings(hrm_corpus, tmp_path, method, settings, message):
     out = tmp_path / "fused"
     with pytest.raises(SettingError, match=f"^{message}$"):
@@ -248,13 +248,13 @@ NO_OVERLAP = "utt 3: stream offsets leave no common frame range"
 # the lowest utterance that fails is named, as a serial loop would name it.
 @pytest.mark.parametrize("frames, method, settings, error, message", [
     ((50, 70), "m_measure", {}, WindowTooShort, SHORT_UTT),
-    ((50, 70), "max_n", {"base": "m_measure", "n": 2}, WindowTooShort, SHORT_UTT),
+    ((50, 70), "m_measure", {"n": 2}, WindowTooShort, SHORT_UTT),
     ((50, 70), "delta_m", {"window": 60},
      WindowTooShort, SHORT_UTT.replace("over the utterance", "window=60")),
     ((2, 6), "entropy", {}, OverlapEmpty, NO_OVERLAP),
     ((2, 6), "m_measure", {}, WindowTooShort, "utt 0: window of 3 frames cannot host span 50 "
      "(M-measure over the utterance, spans=5,10,20,30,40,50)"),
-], ids=["short", "short max_n base", "short window", "no overlap", "lowest failure first"])
+], ids=["short", "short n", "short window", "no overlap", "lowest failure first"])
 def test_fuse_corpus_checks_every_utterance_before_any_output(uneven, tmp_path, frames, method,
                                                               settings, error, message):
     out = tmp_path / "fused"
@@ -285,11 +285,10 @@ def test_evaluate_corpus_checks_every_utterance_before_the_first(uneven, monkeyp
 
 
 def test_fuse_corpus_accepts_the_default_settings(hrm_corpus, tmp_path):
-    # What the CLI passes for every method: the default base and window=None.
+    # What the CLI passes for every method it gives no flag: None.
     a, b = tmp_path / "a", tmp_path / "b"
     experiments.fuse_corpus(hrm_corpus, "entropy", a)
-    experiments.fuse_corpus(hrm_corpus, "entropy", b, base=experiments.DEFAULT_BASE,
-                            window=None)
+    experiments.fuse_corpus(hrm_corpus, "entropy", b, model=None, window=None, n=None)
     assert [p.read_bytes() for p in sorted(a.iterdir())] == [
         p.read_bytes() for p in sorted(b.iterdir())
     ]
@@ -399,7 +398,7 @@ def test_late_corrupt_streams_fail_as_the_serial_run(tmp_path, monkeypatch, caps
     # three workers (its block is 2-4, then 3-4), and is the one a serial run reports.
     corpus = tmp_path / "corpus"
     experiments.write_corpus("hrm_like", SMALL, corpus)
-    first = struct.calcsize("<4sHIIIiB")  # row 0, class 0
+    first = struct.calcsize("<4sHIIiiB")  # row 0, class 0
     for name in ("utt0003_s01.strm", "utt0004_s00.strm"):
         data = bytearray((corpus / name).read_bytes())
         data[first : first + 4] = struct.pack("<f", 2.0)

@@ -69,7 +69,7 @@ class TestLabelsAndEmissions:
         hmm = make_hmm(5, seed=3, self_loop=0.3)
         labels = sample_labels(hmm, 10000, np.random.default_rng(0))
         counts = np.bincount(labels, minlength=5)
-        expect = stationary(hmm) * 10000
+        expect = stationary(hmm.transitions) * 10000
         _, p = scipy.stats.chisquare(counts, expect)
         assert p > 0.01
 

@@ -50,7 +50,7 @@ from streamfuse.storage import (
 
 def stream_bytes(probs_f32: np.ndarray, stream_id=0, offset=0, version=1, magic=b"SATN", dtype=0):
     T, C = probs_f32.shape
-    hdr = struct.pack("<4sHIIIiB", magic, version, C, T, stream_id & 0xFFFFFFFF, offset, dtype)
+    hdr = struct.pack("<4sHIIiiB", magic, version, C, T, stream_id, offset, dtype)
     return hdr + np.ascontiguousarray(probs_f32, dtype="<f4").tobytes()
 
 
@@ -99,6 +99,24 @@ class TestStreamFiles:
         write_stream(s, tmp_path / "a.strm")
         assert read_stream(tmp_path / "a.strm").stream_id == -1
 
+    # stream_id is an i32: for each id it holds, the bytes a u32 field held
+    # (id mod 2**32), so files of either layout read the same.
+    @pytest.mark.parametrize("stream_id", [-1, 0, 5, 2**31 - 1])
+    def test_stream_id_round_trips_as_the_bytes_of_a_u32(self, rng, tmp_path, stream_id):
+        path = tmp_path / "a.strm"
+        write_stream(random_stream(rng, 4, 3, stream_id=stream_id), path)
+        at = struct.calcsize("<4sHII")
+        assert path.read_bytes()[at:at + 4] == struct.pack("<I", stream_id % 2**32)
+        assert read_stream(path).stream_id == stream_id
+        assert read_stream_header(path).stream_id == stream_id
+
+    @pytest.mark.parametrize("stream_id", [2**31, 2**32, -2**31 - 1])
+    def test_stream_id_outside_i32_refused_before_any_file(self, rng, tmp_path, stream_id):
+        path = tmp_path / "a.strm"
+        with pytest.raises(struct.error):
+            write_stream(random_stream(rng, 4, 3, stream_id=stream_id), path)
+        assert not path.exists()
+
     def test_write_read_write_byte_stable(self, rng, tmp_path):
         for k in range(30):
             s = random_stream(rng, int(rng.integers(1, 30)), int(rng.integers(2, 9)))
@@ -126,7 +144,7 @@ class TestStreamFiles:
         # fire before read() sees that count.
         path = tmp_path / "x.strm"
         path.write_bytes(
-            struct.pack("<4sHIIIiB", b"SATN", 1, 0xFFFFFFFF, 0xFFFFFFFF, 0, 0, 0)
+            struct.pack("<4sHIIiiB", b"SATN", 1, 0xFFFFFFFF, 0xFFFFFFFF, 0, 0, 0)
         )
         with pytest.raises(PayloadTruncated):
             read_stream(path)
@@ -204,7 +222,7 @@ def test_float64_simplex_rows_are_stored_as_their_f32_cast(tmp_path_factory, see
     probs = renormalize_rows(rng.dirichlet(np.full(C, alpha), size=rows))
     path = tmp_path_factory.getbasetemp() / "cast.strm"
     write_stream(PosteriorStream(probs), path)
-    payload = path.read_bytes()[struct.calcsize("<4sHIIIiB"):]
+    payload = path.read_bytes()[struct.calcsize("<4sHIIiiB"):]
     assert payload == probs.astype("<f4").tobytes()
     stored = np.frombuffer(payload, dtype="<f4").astype(np.float64).reshape(rows, C)
     assert np.all(np.abs(stored.sum(axis=1) - 1.0) <= 2**-24 + C * 2**-53)
@@ -513,7 +531,7 @@ class TestStreamHeader:
         # T = 2**32 - 1 rows of C = 0 classes: a 0-byte payload matches the
         # size check, but its row sums would take 32 GiB.
         path = tmp_path / "x.strm"
-        path.write_bytes(struct.pack("<4sHIIIiB", b"SATN", 1, 0, 0xFFFFFFFF, 0, 0, 0))
+        path.write_bytes(struct.pack("<4sHIIiiB", b"SATN", 1, 0, 0xFFFFFFFF, 0, 0, 0))
         for reader in (read_stream, read_stream_header):
             with pytest.raises(InvalidSimplex):
                 reader(path)
@@ -572,7 +590,7 @@ def valid_files(tmp_path_factory):
     """Valid bytes and header-field spans for each binary reader."""
     rng = np.random.default_rng(7)
     tmp = tmp_path_factory.mktemp("valid")
-    stream = write_stream, random_stream(rng, 5, 3, stream_id=2, frame_offset=-1), "<4sHIIIiB"
+    stream = write_stream, random_stream(rng, 5, 3, stream_id=2, frame_offset=-1), "<4sHIIiiB"
     model = _small_model()
     C, K = model.front_end.pca_basis.shape
     layers_at = struct.calcsize("<4sHIIdii") + 8 * (C + C * K)
