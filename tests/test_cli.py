@@ -550,6 +550,14 @@ class TestFuse:
         assert "unknown config key 'base'" in r.stderr
         assert not out.exists()
 
+    def test_max_n_base_exits_2(self, corpus, tmp_path):
+        out = tmp_path / "x"
+        r = run("fuse", "--corpus", str(corpus), "--out", str(out),
+                "--method", "max_n", "--base", "max_n")
+        assert r.returncode == 2
+        assert "unrecognized arguments: --base max_n" in r.stderr
+        assert not out.exists()
+
     def test_config_method_outside_choices_exits_2(self, corpus, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("method=nonsense\n")
