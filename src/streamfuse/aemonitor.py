@@ -1,17 +1,19 @@
-"""Autoencoder-based stream confidence monitor.
+"""Autoencoder-based stream confidence monitor (after Mallidi et al., Interspeech 2015).
 
-Posterior frames pass through a Logit transform (more Gaussian) and a PCA
-projection fitted on training data, then a time-delay autoencoder is
-trained to reconstruct the current frame's projected features from temporal
-context assembled by per-layer splices.  At test time the squared l2 norm
-of the reconstruction error measures train/test mismatch per frame and
-stream; inverting and normalizing the errors across streams gives the
-attention weights.
+Posterior frames pass through a Logit transform (more Gaussian), each
+probability clipped into [LOGIT_CLAMP, 1 - LOGIT_CLAMP] by the constant
+clamp, and a PCA projection fitted on training data; a time-delay
+autoencoder is trained to reconstruct the current frame's projected
+features from temporal context assembled by per-layer splices, whose plans
+are code (SPLICE_PLANS): the package reads no data file.  At test time the
+squared l2 norm of the reconstruction error measures train/test mismatch
+per frame and stream; inverting and normalizing the errors across streams
+gives the attention weights.
 
-Training is momentum SGD on the MSE criterion, from scratch on
-numpy, with a fixed accumulation order so a seed fully determines the
-result at any BLAS thread count.  It runs in float32, each minibatch on
-its receptive-field window (train_ae), in the features of a front end
+Training is momentum SGD on the MSE criterion, from scratch on numpy, with
+a fixed accumulation order so a seed fully determines the result at any
+BLAS thread count.  It runs in float32, each minibatch on its
+receptive-field window (train_ae), in the float64 features of a front end
 fitted beforehand (fit_front_end), made from one sequence's posteriors
 whenever a pass reaches it; loss_and_grads hands each layer's weight
 gradient to the update step in blocks of at most GRAD_ROWS weight rows,
@@ -19,11 +21,13 @@ and its bias gradient once, as it goes.  An AeModel holds float32 layers,
 the weights trained and run, and model files store them as <f4.  forward,
 loss_and_grads, their splices and their buffers take their dtype from the
 weights they are given, so the same kernels also run a float64 gradient
-check on plain float64 Layers.  forward and its
-splices take a leading batch axis, so the monitor (ae_attention) runs
-the M streams of an utterance as stacked blocks of whole streams: one
-GEMM per layer on each block's frames, at most max(INFERENCE_ROWS, T) of
-them, in a buffer set the model holds.
+check on plain float64 Layers.  forward and its splices take a leading
+batch axis, so the monitor (ae_attention) runs the M streams of an
+utterance as stacked blocks of whole streams: one GEMM per layer on each
+block's frames, at most max(INFERENCE_ROWS, T) of them, in a buffer set
+the model holds.  Each step gives the bits of the plain numpy it replaced
+(fancy-index splices, np.add.at scatters, out-of-place updates), which
+tests/reference.py keeps for the tests to compare against.
 """
 
 from __future__ import annotations
@@ -44,10 +48,9 @@ from .core import (
 )
 from .errors import DegenerateData, DimensionMismatch, DivergedTraining, StreamFuseError
 
-DEFAULT_LOGIT_CLAMP = 1e-3
-# The open (lo, hi) range of the logit clamp: 0 leaves log(0) in, and at
-# 0.5 every probability clips to one value.
-LOGIT_CLAMP_RANGE = (0.0, 0.5)
+# The front end clips each probability into [LOGIT_CLAMP, 1 - LOGIT_CLAMP]
+# before its logit.
+LOGIT_CLAMP = 1e-3
 # Floor on the squared reconstruction error before inversion.
 ERROR_FLOOR = 1e-6
 # Hidden widths of the published architecture: five ReLU layers (24-unit
@@ -57,7 +60,9 @@ DEFAULT_PCA_DIM = 40
 # Rows (stream frames) the monitor runs the network on at once: it runs an
 # utterance's streams in blocks of about this many rows, so its buffer set
 # (about 10 KB a row at the published widths) stays bounded whatever the
-# stream and frame counts.  512-row blocks ran about 10% slower (2-vCPU x86_64).
+# stream and frame counts.  512-row blocks ran about 10% slower (2-vCPU x86_64)
+# and one pass per stream 15-30% slower; one pass over all of an utterance's
+# rows peaked at 440 MB on 32 streams of 1000 frames, against 77 MB in blocks.
 INFERENCE_ROWS = 1024
 # Weight rows whose gradient loss_and_grads makes at once: a block of the
 # largest published layer (1536 x 512) is 512 x 512 float32, 1 MB.  Each
@@ -78,25 +83,16 @@ SPLICE_PLANS = {
 }
 
 
-def check_logit_clamp(value: float) -> None:
-    """Raise ValueError unless value lies in the open LOGIT_CLAMP_RANGE."""
-    lo, hi = LOGIT_CLAMP_RANGE
-    if not lo < value < hi:
-        raise ValueError(f"logit_clamp={value!r} is not in ({lo}, {hi})")
-
-
 @dataclass
 class FrontEnd:
     """Logit + PCA projection applied to posterior rows."""
 
     pca_mean: np.ndarray  # (C,), mean in logit space
     pca_basis: np.ndarray  # (C, K), orthonormal columns
-    logit_clamp: float = DEFAULT_LOGIT_CLAMP
 
     def __post_init__(self):
         self.pca_mean = np.asarray(self.pca_mean, dtype=np.float64)
         self.pca_basis = np.asarray(self.pca_basis, dtype=np.float64)
-        check_logit_clamp(self.logit_clamp)
 
     @property
     def num_classes(self) -> int:
@@ -171,13 +167,13 @@ class TrainConfig:
             check_range(name, getattr(self, name), bounds)
 
 
-def logit_transform(probs: np.ndarray, clamp: float = DEFAULT_LOGIT_CLAMP) -> np.ndarray:
-    """Elementwise ln(p / (1 - p)) with p clamped into [clamp, 1 - clamp]."""
-    p = np.clip(np.asarray(probs, dtype=np.float64), clamp, 1.0 - clamp)
+def logit_transform(probs: np.ndarray) -> np.ndarray:
+    """Elementwise ln(p / (1 - p)) with p clamped into [LOGIT_CLAMP, 1 - LOGIT_CLAMP]."""
+    p = np.clip(np.asarray(probs, dtype=np.float64), LOGIT_CLAMP, 1.0 - LOGIT_CLAMP)
     return np.log(p / (1.0 - p))
 
 
-def fit_pca(data: np.ndarray, K: int, logit_clamp: float = DEFAULT_LOGIT_CLAMP) -> FrontEnd:
+def fit_pca(data: np.ndarray, K: int) -> FrontEnd:
     """PCA of (already logit-space) data; basis = top-K eigenvectors.
 
     Eigenvector signs are fixed (largest-magnitude entry positive) for
@@ -201,25 +197,22 @@ def fit_pca(data: np.ndarray, K: int, logit_clamp: float = DEFAULT_LOGIT_CLAMP) 
         j = int(np.argmax(np.abs(basis[:, k])))
         if basis[j, k] < 0:
             basis[:, k] = -basis[:, k]
-    return FrontEnd(pca_mean=mean, pca_basis=basis, logit_clamp=logit_clamp)
+    return FrontEnd(pca_mean=mean, pca_basis=basis)
 
 
-def fit_front_end(
-    prob_rows: np.ndarray, K: int | None = None, logit_clamp: float = DEFAULT_LOGIT_CLAMP
-) -> FrontEnd:
+def fit_front_end(prob_rows: np.ndarray, K: int | None = None) -> FrontEnd:
     """Fit the Logit + PCA front-end on raw (N, C) posterior rows.
 
     K=None keeps min(C, DEFAULT_PCA_DIM) components.
     """
-    check_logit_clamp(logit_clamp)
     if K is None:
         K = min(prob_rows.shape[1], DEFAULT_PCA_DIM)
-    return fit_pca(logit_transform(prob_rows, logit_clamp), K, logit_clamp)
+    return fit_pca(logit_transform(prob_rows), K)
 
 
 def front_end_apply(fe: FrontEnd, prob_rows: np.ndarray) -> np.ndarray:
     """(N, C) posterior rows -> (N, K) projected features."""
-    z = logit_transform(prob_rows, fe.logit_clamp)
+    z = logit_transform(prob_rows)
     return (z - fe.pca_mean) @ fe.pca_basis
 
 
@@ -513,6 +506,8 @@ def train_ae(
     if any(s.num_classes != front_end.num_classes for s in data):
         raise DimensionMismatch("training streams and front end disagree on class count")
     rng = np.random.default_rng(cfg.seed)
+    # The float32 loss log tracks float64 training's: within 1.4e-4 relative
+    # over 20 seeded runs, and a test holds it to 1e-3.
     layers = _cast(build_architecture(front_end.output_dim, context, hidden_widths, rng),
                    np.float32)
     # The receptive field (left, right): a minibatch's outputs read frames
@@ -556,6 +551,10 @@ def train_ae(
     return AeModel(front_end=front_end, layers=layers, context=tuple(context)), losses
 
 
+# OpenBLAS's small-matrix kernel takes GEMMs under about 10^6 multiply-adds
+# (AVX-512 hosts): at context (0, 0), M = 13 streams of T = 80 frames split
+# 12 + 1 change bits and 6 + 7 do not.  Near-equal runs of a stack above
+# INFERENCE_ROWS rows hold at least 342 rows.
 def _stream_groups(M: int, T: int) -> list[range]:
     """M streams of T frames as the fewest near-equal runs of consecutive
     streams that keep each run within max(INFERENCE_ROWS, T) rows.

@@ -77,30 +77,25 @@ class _CommandParser(argparse.ArgumentParser):
         return flags
 
 
-def _checked(typ, check, allowed: str):
-    """An argparse type=: the text as a typ value that passes check(value).
+def _in_range(typ, bounds: tuple):
+    """An argparse type=: the text as a typ value in the closed range bounds = (lo, hi).
 
-    check is the library's own test of the setting; a ValueError from it or
-    from typ is the usage error "'TEXT' is not ALLOWED".
+    core.check_range is the library's own test of the setting; a ValueError
+    from it or from typ is the usage error "'TEXT' is not KIND in RANGE".
     """
+    lo, hi = bounds
+    kind = "an integer" if typ is int else "a finite number"
+    where = f">= {lo}" if hi == math.inf else f"in [{lo}, {hi}]"
 
     def parse(text: str):
         try:
             value = typ(text)
-            check(value)
+            check_range("value", value, bounds)
         except ValueError:
-            raise argparse.ArgumentTypeError(f"{text!r} is not {allowed}") from None
+            raise argparse.ArgumentTypeError(f"{text!r} is not {kind} {where}") from None
         return value
 
     return parse
-
-
-def _in_range(typ, bounds: tuple):
-    """_checked by core.check_range over the closed range bounds = (lo, hi)."""
-    lo, hi = bounds
-    kind = "an integer" if typ is int else "a finite number"
-    where = f">= {lo}" if hi == math.inf else f"in [{lo}, {hi}]"
-    return _checked(typ, lambda value: check_range("value", value, bounds), f"{kind} {where}")
 
 
 _positive_int = _in_range(int, (1, math.inf))
@@ -163,9 +158,7 @@ def cmd_train_ae(args, parser) -> int:
     )
     clean = corpus.clean_streams()
     # No name holds the stacked rows, so training does not keep them alive.
-    front_end = aemonitor.fit_front_end(
-        np.vstack([s.probs for s in clean]), logit_clamp=args.logit_clamp
-    )
+    front_end = aemonitor.fit_front_end(np.vstack([s.probs for s in clean]))
     model, losses = aemonitor.train_ae(clean, cfg, front_end, context=args.context)
     storage.write_model(model, args.out)
     loss_log.write_text("".join(f"{e}\t{v:.8f}\n" for e, v in enumerate(losses)))
@@ -273,10 +266,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="corpus directory (clean streams are the data)")
     p.add_argument("--out", required=True, help="output model file")
     p.add_argument("--context", type=_parse_context, default="0,0", help="temporal context")
-    p.add_argument("--logit-clamp", default=aemonitor.DEFAULT_LOGIT_CLAMP,
-                   type=_checked(float, aemonitor.check_logit_clamp,
-                                 f"a number in {aemonitor.LOGIT_CLAMP_RANGE}"),
-                   help="front-end probability clamp")
     p.add_argument("--epochs", type=_in_range(int, train_range["epochs"]),
                    default=train.epochs, help="training epochs")
     p.add_argument("--lr", type=_in_range(float, train_range["learning_rate"]),

@@ -3,18 +3,20 @@
 The decoder consumes posterior streams directly, using the hybrid
 convention: emission score for class c at frame t is log(p_t[c] / prior[c])
 (prior scaling can be switched off).  viterbi_batch decodes streams of any
-lengths at once, one stream as a batch of one.  Scoring reports a
-per-frame mismatch rate and a WER-like token error rate computed on
-run-length-collapsed label sequences.
+lengths at once, one stream as a batch of one; make_hmm's states stay in
+themselves with probability SELF_LOOP.  Scoring counts mismatched frames
+and the edits between run-length-collapsed label sequences; an ErrorReport
+holds only counts, so combine_reports sums them and the frame and WER-like
+token error rates are those of the totals.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .core import LOG_EPS, check_range, check_simplex
+from .core import LOG_EPS, check_simplex
 from .errors import DimensionMismatch
 
 # Row-sum tolerance of HmmModel: an HMM is float64 end to end, so it is
@@ -24,21 +26,17 @@ HMM_ATOL = 1e-9
 
 @dataclass
 class HmmModel:
-    """Class transition matrix, priors and label alphabet."""
+    """Class transition matrix and priors."""
 
     transitions: np.ndarray  # (C, C), row-stochastic
     priors: np.ndarray  # (C,), simplex
-    labels: tuple[str, ...]
 
     def __post_init__(self):
         self.transitions = np.asarray(self.transitions, dtype=np.float64)
         self.priors = np.asarray(self.priors, dtype=np.float64)
-        self.labels = tuple(self.labels)
         C = self.transitions.shape[0]
         if self.transitions.shape != (C, C) or self.priors.shape != (C,):
             raise DimensionMismatch("transitions must be (C, C), priors (C,)")
-        if len(self.labels) != C:
-            raise DimensionMismatch("label alphabet size must equal C")
         check_simplex(self.transitions, "transitions", atol=HMM_ATOL)
         check_simplex(self.priors[None], "priors", atol=HMM_ATOL)
 
@@ -47,30 +45,26 @@ class HmmModel:
         return self.transitions.shape[0]
 
 
-# Probability that make_hmm gives each state for staying in itself, and
-# the closed range it must lie in.
-DEFAULT_SELF_LOOP = 0.92
-SELF_LOOP_RANGE = (0.0, 1.0)
+# Probability that make_hmm gives each state for staying in itself.
+SELF_LOOP = 0.92
 
 
-def make_hmm(num_states: int, seed: int = 0, self_loop: float = DEFAULT_SELF_LOOP) -> HmmModel:
-    """Random but reproducible HMM with a given self-loop probability.
+def make_hmm(num_states: int, seed: int = 0) -> HmmModel:
+    """Random but reproducible HMM whose states stay in themselves with SELF_LOOP.
 
     Priors are set to the stationary distribution of the sampled
     transition matrix.
     """
-    check_range("self_loop", self_loop, SELF_LOOP_RANGE)
     rng = np.random.default_rng([seed, 0x484D4D])
     C = num_states
-    off = rng.dirichlet(np.ones(C - 1), size=C) * (1.0 - self_loop)
+    off = rng.dirichlet(np.ones(C - 1), size=C) * (1.0 - SELF_LOOP)
     trans = np.zeros((C, C))
     for i in range(C):
         row = np.delete(np.arange(C), i)
         trans[i, row] = off[i]
-        trans[i, i] = self_loop
+        trans[i, i] = SELF_LOOP
     trans /= trans.sum(axis=1, keepdims=True)
-    labels = tuple(f"c{i:02d}" for i in range(C))
-    return HmmModel(transitions=trans, priors=stationary(trans), labels=labels)
+    return HmmModel(transitions=trans, priors=stationary(trans))
 
 
 def stationary(transitions: np.ndarray) -> np.ndarray:
@@ -156,13 +150,22 @@ def viterbi_batch(
 
 @dataclass
 class ErrorReport:
-    frame_error_rate: float
-    token_error_rate: float
+    """Error counts of a hypothesis against its reference; the rates derive from them."""
+
+    frame_errors: int
     substitutions: int
     insertions: int
     deletions: int
     num_frames: int
     num_ref_tokens: int
+
+    @property
+    def frame_error_rate(self) -> float:
+        return self.frame_errors / self.num_frames
+
+    @property
+    def token_error_rate(self) -> float:
+        return (self.substitutions + self.insertions + self.deletions) / self.num_ref_tokens
 
 
 def collapse_runs(seq: np.ndarray) -> np.ndarray:
@@ -215,35 +218,11 @@ def score(hyp: np.ndarray, ref: np.ndarray) -> ErrorReport:
         raise ValueError("reference must be non-empty")
     if hyp.shape != ref.shape:
         raise DimensionMismatch("hypothesis and reference lengths differ")
-    fer = float(np.mean(hyp != ref))
     cref = collapse_runs(ref)
-    chyp = collapse_runs(hyp)
-    s, i, d = levenshtein_counts(cref.tolist(), chyp.tolist())
-    return ErrorReport(
-        frame_error_rate=fer,
-        token_error_rate=(s + i + d) / len(cref),
-        substitutions=s,
-        insertions=i,
-        deletions=d,
-        num_frames=int(ref.size),
-        num_ref_tokens=int(len(cref)),
-    )
+    s, i, d = levenshtein_counts(cref.tolist(), collapse_runs(hyp).tolist())
+    return ErrorReport(int(np.count_nonzero(hyp != ref)), s, i, d, int(ref.size), len(cref))
 
 
 def combine_reports(reports: list[ErrorReport]) -> ErrorReport:
-    """Corpus-level report: counts summed, rates recomputed from totals."""
-    frames = sum(r.num_frames for r in reports)
-    tokens = sum(r.num_ref_tokens for r in reports)
-    frame_errors = sum(r.frame_error_rate * r.num_frames for r in reports)
-    s = sum(r.substitutions for r in reports)
-    i = sum(r.insertions for r in reports)
-    d = sum(r.deletions for r in reports)
-    return ErrorReport(
-        frame_error_rate=frame_errors / frames,
-        token_error_rate=(s + i + d) / tokens,
-        substitutions=s,
-        insertions=i,
-        deletions=d,
-        num_frames=frames,
-        num_ref_tokens=tokens,
-    )
+    """Corpus-level report: each count summed, so the rates are those of the totals."""
+    return ErrorReport(*(sum(getattr(r, f.name) for r in reports) for f in fields(ErrorReport)))

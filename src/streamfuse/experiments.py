@@ -3,7 +3,7 @@
 Corpus directory layout:
 
     corpus.cfg        key=value run configuration (includes config_hash)
-    hmm.json          generator/decoder HMM (transitions, priors, labels)
+    hmm.json          generator/decoder HMM (transitions, priors, labels c00..)
     manifest.txt      one record per utterance (id, frames, oracle, profiles)
     uttNNNN.ref       reference labels, space-separated state indices
     uttNNNN_clean.strm   matched-condition stream (autoencoder training data)
@@ -219,7 +219,7 @@ def _corpus_files(name: str, spec: simulator.CorpusSpec) -> tuple:
     facts = simulator.corpus_facts(name, spec)
     hmm = facts.hmm
     fields = {"transitions": hmm.transitions.tolist(), "priors": hmm.priors.tolist(),
-              "labels": list(hmm.labels)}
+              "labels": [f"c{i:02d}" for i in range(spec.num_classes)]}
     manifest = manifest_text(facts.frames, facts.oracle_stream, facts.profiles)
     return facts, json.dumps(fields).encode(), manifest.encode()
 
@@ -711,10 +711,14 @@ def evaluate_corpus(
     so their numbers are comparable; the clean stream is scored on its
     full length.  Each utterance decodes every stream it needs in one
     Viterbi batch.  Every setting is checked before the first utterance;
-    the model need not be read by every pair.
+    the model need not be read by every pair.  A fused directory given
+    twice (the same resolved path) is a SettingError on "fused".
     """
     M, C = corpus.spec.num_streams, len(corpus.hmm.priors)
     fused_dirs = [Path(d) for d in fused_dirs]
+    for i, d in enumerate(fused_dirs):
+        if d.resolve() in (e.resolve() for e in fused_dirs[:i]):
+            raise SettingError("fused", f"{d} is given twice")
     names = [*(f"stream:{m}" for m in range(M)), "clean"] if baselines else []
     chash = corpus_hash(corpus)
     names += [_fused_name(d, chash, M) for d in fused_dirs]

@@ -31,8 +31,13 @@ so no writer makes a file its reader rejects, and write -> read -> write
 gives the same bytes.  The model reader checks each size before it reads
 it, then rejects a non-finite value, a layer stack that does not chain (no
 layers, a fan_in other than the previous width, K for layer 0, times its
-offset count, or a last width other than K) and, last, a trailing sha256
-that is not that of the bytes before it; model_digest is that hash's prefix.
+offset count, or a last width other than K), a trailing sha256 that is not
+that of the bytes before it (model_digest is that hash's prefix) and, last,
+a logit_clamp other than aemonitor.LOGIT_CLAMP: the front end's clamp is a
+constant, and the writer stores it so that a model made under another
+clamp is refused, with the advice to retrain, and never run at this one.
+write_model and model_digest take each layer array as it is held, and
+read_model reads each straight into a new array: neither copies a layer.
 """
 
 from __future__ import annotations
@@ -47,7 +52,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .aemonitor import AeModel, FrontEnd, Layer
+from .aemonitor import LOGIT_CLAMP, AeModel, FrontEnd, Layer
 from .core import AttentionSchedule, PosteriorStream, check_simplex, finite_as
 from .errors import (
     BadMagic,
@@ -185,7 +190,7 @@ def _model_parts(model: AeModel) -> Iterator[bytes | np.ndarray]:
     """A model file's contents before its sha256, in order: header, front end,
     then each layer's header, weights and bias."""
     fe = model.front_end
-    yield _MODEL_HDR.pack(b"STAE", MODEL_VERSION, *fe.pca_basis.shape, fe.logit_clamp,
+    yield _MODEL_HDR.pack(b"STAE", MODEL_VERSION, *fe.pca_basis.shape, LOGIT_CLAMP,
                           *model.context)
     yield from (np.ascontiguousarray(arr, "<f8") for arr in (fe.pca_mean, fe.pca_basis))
     yield struct.pack("<H", len(model.layers))
@@ -264,10 +269,10 @@ def read_model(path) -> AeModel:
         if len(stored) != h.digest_size:
             raise PayloadTruncated(f"model sha256: expected {h.digest_size} bytes to end the file")
     _check_layer_chain(layers, K)
-    try:
-        fe = FrontEnd(pca_mean=mean, pca_basis=basis, logit_clamp=clamp)
-    except ValueError as e:
-        raise FormatError(f"model front end: {e}") from None
     if stored != h.digest():
         raise FormatError("model sha256: not the hash of the bytes before it, so they changed")
-    return AeModel(front_end=fe, layers=layers, context=(left, right))
+    if clamp != LOGIT_CLAMP:
+        raise FormatError(f"model logit_clamp is {clamp!r}, not the front end's {LOGIT_CLAMP!r}; "
+                          "retrain the model with train-ae")
+    return AeModel(front_end=FrontEnd(pca_mean=mean, pca_basis=basis), layers=layers,
+                   context=(left, right))

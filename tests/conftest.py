@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
 import os
+import struct
 import sys
 from pathlib import Path
 
@@ -40,6 +42,17 @@ def random_stream_set(rng, M, T, C, alpha=1.0):
 
 def random_schedule(rng, T, M):
     return AttentionSchedule(random_simplex(rng, T, M))
+
+
+# Offset of a model file's stored logit_clamp (f64): after magic, version, C and K.
+CLAMP_AT = struct.calcsize("<4sHII")
+
+
+def with_clamp(data: bytes, clamp: float) -> bytes:
+    """A model file's bytes with clamp as its stored logit_clamp, resealed: its
+    trailing sha256 is recomputed, so that only the clamp check can refuse it."""
+    data = data[:CLAMP_AT] + struct.pack("<d", clamp) + data[CLAMP_AT + 8 : -32]
+    return data + hashlib.sha256(data).digest()
 
 
 def loss_and_grad_copies(layers, z, rows=None, work=None):

@@ -83,7 +83,7 @@ def monitor_model(ldc_corpus):
     """Autoencoder monitor trained on the matched-condition streams."""
     clean = [u.clean for u in ldc_corpus]
     rows = np.vstack([s.probs for s in clean])
-    fe = fit_front_end(rows, min(CLASSES, aemonitor.DEFAULT_PCA_DIM), logit_clamp=1e-3)
+    fe = fit_front_end(rows, min(CLASSES, aemonitor.DEFAULT_PCA_DIM))
     cfg = TrainConfig(learning_rate=1e-3, epochs=15, batch_size=128, seed=0)
     model, losses = train_ae(clean, cfg, context=(0, 0), front_end=fe)
     assert losses[-1] < losses[0]
@@ -148,9 +148,9 @@ def test_criterion_1_analytic_oracles():
             0.625,
         ),
         (
-            "logit at clamp 1e-6",
-            aemonitor.logit_transform(np.array([0.0]), clamp=1e-6)[0],
-            ref.logit_ref(0.0, 1e-6),
+            "logit at LOGIT_CLAMP",
+            aemonitor.logit_transform(np.array([0.0]))[0],
+            ref.logit_ref(0.0, aemonitor.LOGIT_CLAMP),
         ),
     ]
     worst_name, worst = "", 0.0
@@ -169,9 +169,7 @@ def test_criterion_2_viterbi_vs_exhaustive():
         T, C = int(rng.integers(2, 7)), int(rng.integers(2, 4))
         trans = rng.dirichlet(np.full(C, 1.0), size=C)
         priors = rng.dirichlet(np.full(C, 1.0))
-        hmm = HmmModel(
-            transitions=trans, priors=priors, labels=tuple(f"s{i}" for i in range(C))
-        )
+        hmm = HmmModel(transitions=trans, priors=priors)
         probs = random_simplex(rng, T, C)
         scale = bool(trial % 2)
         got = viterbi_batch([probs], hmm, scale_by_priors=scale)[0]
@@ -373,7 +371,6 @@ def test_criterion_9_round_trips(tmp_path, rng):
         fe = aemonitor.FrontEnd(
             pca_mean=rng.standard_normal(K + 1),
             pca_basis=rng.standard_normal((K + 1, K)),
-            logit_clamp=float(rng.uniform(1e-6, 1e-2)),
         )
         layers = build_architecture(
             K, hidden_widths=tuple(rng.integers(2, 6, size=int(rng.integers(1, 4)))),

@@ -10,11 +10,17 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference as ref
-from conftest import loss_and_grad_copies, random_simplex, random_stream, random_stream_set
+from conftest import (
+    loss_and_grad_copies,
+    random_simplex,
+    random_stream,
+    random_stream_set,
+    with_clamp,
+)
 from streamfuse import aemonitor, simulator, storage
 from streamfuse.aemonitor import (
-    DEFAULT_LOGIT_CLAMP,
     ERROR_FLOOR,
+    LOGIT_CLAMP,
     PAPER_HIDDEN_WIDTHS,
     SPLICE_PLANS,
     AeModel,
@@ -36,14 +42,15 @@ from streamfuse.errors import (
     DegenerateData,
     DimensionMismatch,
     DivergedTraining,
+    FormatError,
     StreamFuseError,
 )
 from streamfuse.simulator import CorpusSpec
 
 
-def zero_output_model(C=2, clamp=DEFAULT_LOGIT_CLAMP) -> AeModel:
+def zero_output_model(C=2) -> AeModel:
     """Model that reconstructs everything as zero: error = ||features||^2."""
-    fe = FrontEnd(pca_mean=np.zeros(C), pca_basis=np.eye(C), logit_clamp=clamp)
+    fe = FrontEnd(pca_mean=np.zeros(C), pca_basis=np.eye(C))
     layer = Layer(weight=np.zeros((C, C)), bias=np.zeros(C), activation="linear")
     return AeModel(front_end=fe, layers=[layer], context=(0, 0))
 
@@ -64,17 +71,27 @@ class TestLogitTransform:
         assert logit_transform(np.array([0.5]))[0] == 0.0
 
     def test_clamp_bounds_zero(self):
-        got = logit_transform(np.array([0.0]), clamp=1e-6)[0]
-        assert got == pytest.approx(ref.logit_ref(0.0, 1e-6), rel=1e-12)
-        assert got == pytest.approx(math.log(1e-6 / (1 - 1e-6)), rel=1e-12)
+        got = logit_transform(np.array([0.0]))[0]
+        assert got == pytest.approx(ref.logit_ref(0.0, LOGIT_CLAMP), rel=1e-12)
+        assert got == pytest.approx(math.log(LOGIT_CLAMP / (1 - LOGIT_CLAMP)), rel=1e-12)
 
     @pytest.mark.parametrize("clamp", [0.0, 0.5, 0.7, -1.0, math.nan])
-    def test_clamp_outside_open_range_rejected(self, rng, clamp):
+    def test_clamp_outside_open_range_rejected(self, rng, tmp_path, clamp):
+        # The clamp is the constant LOGIT_CLAMP: no call takes another, and a
+        # model file that stores another is refused, even with a valid sha256.
         rows = random_simplex(rng, 20, 4)
-        with pytest.raises(ValueError, match="logit_clamp"):
+        with pytest.raises(TypeError, match="logit_clamp"):
             fit_front_end(rows, 2, logit_clamp=clamp)
-        with pytest.raises(ValueError, match="logit_clamp"):
+        with pytest.raises(TypeError, match="logit_clamp"):
             FrontEnd(pca_mean=np.zeros(4), pca_basis=np.eye(4)[:, :2], logit_clamp=clamp)
+        with pytest.raises(TypeError, match="clamp"):
+            logit_transform(rows, clamp=clamp)
+        path = tmp_path / "m.stae"
+        storage.write_model(zero_output_model(C=4), path)
+        path.write_bytes(with_clamp(path.read_bytes(), clamp))
+        with pytest.raises(FormatError, match=f"^model logit_clamp is {clamp!r}, not the "
+                                              f"front end's {LOGIT_CLAMP!r}; retrain the model"):
+            storage.read_model(path)
 
     @settings(deadline=None)
     @given(st.floats(1e-5, 1 - 1e-5))
@@ -664,7 +681,7 @@ class TestReconstructionErrorsAndAttention:
             return g / g.sum(axis=1, keepdims=True)
 
         train = [PosteriorStream(emit(120)) for _ in range(5)]
-        fe = fit_front_end(np.vstack([s.probs for s in train]), 8, logit_clamp=1e-3)
+        fe = fit_front_end(np.vstack([s.probs for s in train]), 8)
         cfg = TrainConfig(learning_rate=3e-3, epochs=150, seed=0)
         model, _ = train_ae(train, cfg, hidden_widths=(24, 8, 24), front_end=fe)
         held = emit(200)

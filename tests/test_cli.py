@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import CLAMP_AT, with_clamp
 from streamfuse import aemonitor, cli, experiments, simulator, storage
 from streamfuse.decoder import make_hmm
 
@@ -73,7 +74,7 @@ def model(corpus, tmp_path_factory):
 def _hmm_json_text(hmm) -> str:
     """The hmm.json text simulate writes for hmm."""
     fields = {"transitions": hmm.transitions.tolist(), "priors": hmm.priors.tolist(),
-              "labels": list(hmm.labels)}
+              "labels": [f"c{i:02d}" for i in range(len(hmm.priors))]}
     return json.dumps(fields)
 
 
@@ -194,6 +195,8 @@ class TestTrainAe:
         assert r.returncode == 2
         assert "epochs" in r.stderr
 
+    # --logit-clamp is no flag at all, whatever its value: the front end's
+    # clamp is the constant aemonitor.LOGIT_CLAMP.
     @pytest.mark.parametrize("flag, value", [
         ("--lr", "-1"), ("--lr", "nan"), ("--batch-size", "0"),
         ("--logit-clamp", "0"), ("--logit-clamp", "0.5"), ("--logit-clamp", "0.7"),
@@ -205,8 +208,20 @@ class TestTrainAe:
         r = run("train-ae", "--corpus", str(corpus), "--out", str(out), flag, value)
         assert r.returncode == 2
         assert "Traceback" not in r.stderr
-        assert f"error: argument {flag}: " in r.stderr
+        if flag == "--logit-clamp":
+            assert r.stderr.endswith(f"error: unrecognized arguments: {flag} {value}\n")
+        else:
+            assert f"error: argument {flag}: " in r.stderr
         assert list(tmp_path.iterdir()) == []
+
+    def test_logit_clamp_config_key_exits_2(self, corpus, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("logit_clamp=0.01\n")
+        r = run("train-ae", "--corpus", str(corpus), "--out", str(tmp_path / "m.stae"),
+                "--config", str(cfg))
+        assert r.returncode == 2
+        assert r.stderr.endswith("error: unknown config key 'logit_clamp'\n")
+        assert list(tmp_path.iterdir()) == [cfg]
 
     def test_loss_log_strictly_decreasing_early(self, model):
         lines = (model.parent / (model.name + ".loss")).read_text().splitlines()
@@ -677,6 +692,29 @@ class TestFuse:
         assert "Traceback" not in r.stderr
         assert not out.exists()
 
+    # The stored logit_clamp set to 0.01 and the sha256 recomputed: refused
+    # for its clamp.  One bit of the clamp flipped and not resealed: refused
+    # by the sha256, which is checked first.
+    @pytest.mark.parametrize("reseal, message", [
+        (True, "model logit_clamp is 0.01, not the front end's 0.001; "
+               "retrain the model with train-ae\n"),
+        (False, "model sha256: not the hash of the bytes before it, so they changed\n"),
+    ], ids=["resealed 0.01", "flipped"])
+    def test_model_of_another_clamp_exits_3(self, corpus, model, tmp_path, reseal, message):
+        data = bytearray(model.read_bytes())
+        if reseal:
+            data = with_clamp(bytes(data), 0.01)
+        else:
+            data[CLAMP_AT] ^= 1
+        path = tmp_path / "clamp.stae"
+        path.write_bytes(data)
+        out = tmp_path / "ae"
+        r = run("fuse", "--corpus", str(corpus), "--out", str(out),
+                "--method", "autoencoder", "--model", str(path))
+        assert r.returncode == 3
+        assert r.stderr == f"error: {path}: {message}"
+        assert not out.exists()
+
     # Layer weight shapes over a C=6, K=4 front end that do not map K
     # features back to K, and the error each must give.
     @pytest.mark.parametrize("shapes, message", [
@@ -916,6 +954,26 @@ class TestEvaluate:
         assert r.returncode == 0, r.stderr
         systems = [line.split("\t")[0] for line in report.read_text().splitlines()[2:]]
         assert systems == ["equal", "entropy", "max_n"]
+
+    # One fused directory twice: as two flags, under another spelling, or as
+    # a --config line and a flag.  Usage error, before any row is scored.
+    @pytest.mark.parametrize("config, flags", [
+        ("", ["entropy", "entropy"]),
+        ("", ["entropy", "./entropy/"]),
+        ("fused=entropy\n", ["./entropy"]),
+    ], ids=["flag twice", "other spelling", "config line"])
+    def test_fused_dir_given_twice_exits_2(self, corpus, fused_entropy, tmp_path, config,
+                                           flags):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config)
+        report = tmp_path / "r.tsv"
+        fused = [arg for f in flags for arg in ("--fused", f)]
+        r = run("evaluate", "--config", str(cfg), "--corpus", str(corpus), "--out", str(report),
+                "--no-baselines", *fused, cwd=fused_entropy.parent)
+        assert r.returncode == 2
+        assert r.stderr.endswith("error: argument --fused: entropy is given twice\n")
+        assert "Traceback" not in r.stderr
+        assert not report.exists()
 
     @pytest.mark.parametrize("value, baselines", [("0", True), ("false", True),
                                                   ("true", False), ("1", False)])
@@ -1289,8 +1347,7 @@ class TestParser:
         train = parse(["train-ae", "--corpus", "c", "--out", "m"])
         cfg = aemonitor.TrainConfig()
         for flag, library in [(train.epochs, cfg.epochs), (train.lr, cfg.learning_rate),
-                              (train.batch_size, cfg.batch_size), (train.seed, cfg.seed),
-                              (train.logit_clamp, aemonitor.DEFAULT_LOGIT_CLAMP)]:
+                              (train.batch_size, cfg.batch_size), (train.seed, cfg.seed)]:
             assert flag == library and type(flag) is type(library)
         assert train.context == (0, 0)
 

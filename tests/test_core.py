@@ -27,7 +27,6 @@ from streamfuse.core import (
     n_best_truncate,
     overlap_range,
 )
-from streamfuse.decoder import make_hmm
 from streamfuse.errors import DimensionMismatch, InvalidN, InvalidSimplex, OverlapEmpty
 from streamfuse.simulator import SPEC_RANGES, CorpusSpec, CorruptionProfile
 
@@ -40,7 +39,6 @@ _RANGED = [
     *((name, lambda v, name=name: TrainConfig(**{name: v})) for name in TRAIN_RANGES),
     *((name, lambda v, name=name: CorruptionProfile(**{name: v}))
       for name in ("uniform_mix", "smear_width")),
-    ("self_loop", lambda v: make_hmm(4, self_loop=v)),
 ]
 
 

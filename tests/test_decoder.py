@@ -10,6 +10,7 @@ from conftest import BAD_SIMPLEX, random_simplex, random_stream
 from streamfuse.core import AttentionSchedule, PosteriorStream, StreamSet, fuse
 from streamfuse.decoder import (
     LOG_EPS,
+    SELF_LOOP,
     ErrorReport,
     HmmModel,
     collapse_runs,
@@ -26,16 +27,14 @@ from streamfuse.errors import DimensionMismatch, InvalidSimplex
 def random_hmm(rng, C):
     trans = rng.dirichlet(np.full(C, 1.0), size=C)
     priors = rng.dirichlet(np.full(C, 1.0))
-    return HmmModel(
-        transitions=trans, priors=priors, labels=tuple(f"s{i}" for i in range(C))
-    )
+    return HmmModel(transitions=trans, priors=priors)
 
 
 class TestMakeHmm:
     def test_rows_stochastic_with_self_loop(self):
-        hmm = make_hmm(6, seed=1, self_loop=0.9)
+        hmm = make_hmm(6, seed=1)
         np.testing.assert_allclose(hmm.transitions.sum(axis=1), 1.0, atol=1e-12)
-        np.testing.assert_allclose(np.diag(hmm.transitions), 0.9, atol=1e-9)
+        np.testing.assert_allclose(np.diag(hmm.transitions), SELF_LOOP, atol=1e-9)
 
     def test_priors_are_stationary(self):
         hmm = make_hmm(5, seed=2)
@@ -55,34 +54,30 @@ class TestMakeHmm:
             HmmModel(
                 transitions=np.array([[0.5, 0.4], [0.5, 0.5]]),
                 priors=np.array([0.5, 0.5]),
-                labels=("a", "b"),
             )
         with pytest.raises(DimensionMismatch):
-            HmmModel(
-                transitions=np.eye(2), priors=np.array([0.5, 0.5]), labels=("a",)
-            )
+            HmmModel(transitions=np.eye(2), priors=np.array([0.5, 0.5, 0.0]))
 
     @BAD_SIMPLEX
     def test_bad_rows_rejected(self, bad):
         C = bad.shape[1]
-        labels = tuple(f"s{i}" for i in range(C))
         with pytest.raises(InvalidSimplex, match="^priors: "):
-            HmmModel(transitions=np.eye(C), priors=bad[0], labels=labels)
+            HmmModel(transitions=np.eye(C), priors=bad[0])
         if bad.shape == (C, C):
             with pytest.raises(InvalidSimplex, match="^transitions: "):
-                HmmModel(transitions=bad, priors=np.full(C, 1 / C), labels=labels)
+                HmmModel(transitions=bad, priors=np.full(C, 1 / C))
 
     def test_row_sum_bound_is_1e_9(self):
         trans = np.array([[0.5, 0.5 + 2e-9], [0.5, 0.5]])
         with pytest.raises(InvalidSimplex, match="^transitions: row 0"):
-            HmmModel(transitions=trans, priors=np.array([0.5, 0.5]), labels=("a", "b"))
+            HmmModel(transitions=trans, priors=np.array([0.5, 0.5]))
         trans[0, 1] = 0.5 + 5e-10
-        HmmModel(transitions=trans, priors=np.array([0.5, 0.5]), labels=("a", "b"))
+        HmmModel(transitions=trans, priors=np.array([0.5, 0.5]))
 
 
 class TestViterbi:
     def test_dominant_evidence_follows_posteriors(self, rng):
-        hmm = make_hmm(3, seed=0, self_loop=0.5)
+        hmm = make_hmm(3, seed=0)
         probs = np.full((10, 3), 0.005)
         probs[:, 0] = 0.99
         path = viterbi_batch([probs], hmm)[0]
@@ -157,7 +152,6 @@ def draw_hmm(rng, C, quantise):
     return HmmModel(
         transitions=quantised_simplex(rng, (C, C)),
         priors=quantised_simplex(rng, (C,)),
-        labels=tuple(f"s{i}" for i in range(C)),
     )
 
 
@@ -297,6 +291,7 @@ class TestScore:
 
     def test_frame_error_rate(self):
         rep = score(np.array([0, 1, 1, 1]), np.array([0, 0, 1, 1]))
+        assert (rep.frame_errors, rep.num_frames) == (1, 4)
         assert rep.frame_error_rate == 0.25
 
     def test_rates_from_collapsed_tokens(self):
@@ -305,7 +300,7 @@ class TestScore:
         rep = score(np.array([0, 0, 0, 0, 0]), np.array([0, 0, 1, 0, 0]))
         assert rep.num_ref_tokens == 3
         assert rep.deletions == 2
-        assert rep.token_error_rate == pytest.approx(2 / 3)
+        assert rep.token_error_rate == 2 / 3
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(DimensionMismatch):
@@ -316,12 +311,32 @@ class TestScore:
             score(np.array([]), np.array([]))
 
     def test_combine_reports_pools_counts(self):
+        # a: 1 of 3 frames wrong, tokens 0 1 against 0 1; b: 1 of 2 frames
+        # wrong, tokens 2 1 against 2, one insertion.
         a = score(np.array([0, 1, 1]), np.array([0, 0, 1]))
-        b = score(np.array([2, 2]), np.array([2, 2]))
+        b = score(np.array([2, 1]), np.array([2, 2]))
+        assert a == ErrorReport(1, 0, 0, 0, 3, 2)
+        assert b == ErrorReport(1, 0, 1, 0, 2, 1)
         c = combine_reports([a, b])
-        assert c.num_frames == 5
-        assert c.num_ref_tokens == a.num_ref_tokens + b.num_ref_tokens
-        assert c.frame_error_rate == pytest.approx(
-            (a.frame_error_rate * 3 + b.frame_error_rate * 2) / 5
-        )
-        assert c.substitutions == a.substitutions + b.substitutions
+        assert c == ErrorReport(frame_errors=2, substitutions=0, insertions=1, deletions=0,
+                                num_frames=5, num_ref_tokens=3)
+        assert c.frame_error_rate == 2 / 5
+        assert c.token_error_rate == 1 / 3
+
+    @settings(deadline=None)
+    @given(st.lists(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2)), min_size=1,
+                             max_size=12), min_size=1, max_size=5))
+    def test_rates_are_those_of_the_summed_counts(self, utterances):
+        # Each utterance is (hyp, ref) label pairs over 3 classes.
+        reports = [score(*np.array(pairs).T) for pairs in utterances]
+        for pairs, r in zip(utterances, reports):
+            hyp, ref_labels = np.array(pairs).T
+            assert r.frame_errors == np.count_nonzero(hyp != ref_labels)
+            assert r.num_frames == len(pairs)
+        c = combine_reports(reports)
+        for field in ("frame_errors", "substitutions", "insertions", "deletions", "num_frames",
+                      "num_ref_tokens"):
+            assert getattr(c, field) == sum(getattr(r, field) for r in reports)
+        assert c.frame_error_rate == c.frame_errors / c.num_frames
+        errors = c.substitutions + c.insertions + c.deletions
+        assert c.token_error_rate == errors / c.num_ref_tokens

@@ -54,7 +54,6 @@ def test_load_corpus_round_trips_the_scenario(written, hrm_corpus):
     assert (got.name, got.spec, got.facts.profiles) == ("hrm_like", spec, facts.profiles)
     np.testing.assert_array_equal(got.hmm.transitions, facts.hmm.transitions)
     np.testing.assert_array_equal(got.hmm.priors, facts.hmm.priors)
-    assert got.hmm.labels == facts.hmm.labels
     assert [u.utt_id for u in got] == list(range(spec.num_utterances))
     for g in got:
         s = simulator.simulate_utterance(spec, facts, g.utt_id)
@@ -221,6 +220,22 @@ def test_evaluate_corpus_checks_every_pair_before_the_first_utterance(
     monkeypatch.setattr(experiments, "_per_utterance", no_utterances)
     with pytest.raises(SettingError, match=f"^{message}$"):
         experiments.evaluate_corpus(hrm_corpus, methods=methods)
+
+
+def test_evaluate_corpus_refuses_a_fused_dir_given_twice(hrm_corpus, fused_dirs, monkeypatch):
+    # The same directory under another spelling is the same directory; two
+    # different directories of the same settings are not refused here.
+    def no_utterances(*args):
+        pytest.fail("evaluate_corpus ran its utterances")
+
+    monkeypatch.setattr(experiments, "_per_utterance", no_utterances)
+    entropy, max_n = fused_dirs
+    again = entropy / ".." / entropy.name
+    with pytest.raises(SettingError, match=f"^fused: {re.escape(str(again))} is given twice$") as e:
+        experiments.evaluate_corpus(hrm_corpus, fused_dirs=[entropy, max_n, again])
+    assert e.value.setting == "fused"
+    with pytest.raises(SettingError, match="is given twice$"):
+        experiments.evaluate_corpus(hrm_corpus, baselines=False, fused_dirs=[max_n, str(max_n)])
 
 
 @pytest.fixture(scope="module")

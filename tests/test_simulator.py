@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from streamfuse import measures
 from streamfuse.core import PosteriorStream, StreamSet, align_streams
-from streamfuse.decoder import make_hmm, stationary
+from streamfuse.decoder import HmmModel, make_hmm, stationary
 from streamfuse.measures import entropy_rows, m_measure
 from streamfuse.simulator import (
     CorpusSpec,
@@ -65,8 +65,13 @@ class TestSpecValidation:
 class TestLabelsAndEmissions:
     def test_label_marginals_match_stationary(self):
         # Weak self-loop keeps the chain close to iid so the chi-square
-        # calibration holds.
-        hmm = make_hmm(5, seed=3, self_loop=0.3)
+        # calibration holds: make_hmm's draw for seed 3, at self-loop 0.3.
+        C, loop = 5, 0.3
+        off = np.random.default_rng([3, 0x484D4D]).dirichlet(np.ones(C - 1), size=C)
+        trans = np.diag(np.full(C, loop))
+        trans[~np.eye(C, dtype=bool)] = (off * (1.0 - loop)).ravel()
+        trans /= trans.sum(axis=1, keepdims=True)
+        hmm = HmmModel(transitions=trans, priors=stationary(trans))
         labels = sample_labels(hmm, 10000, np.random.default_rng(0))
         counts = np.bincount(labels, minlength=5)
         expect = stationary(hmm.transitions) * 10000

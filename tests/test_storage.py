@@ -13,8 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import BAD_SIMPLEX, random_schedule, random_simplex, random_stream
+from conftest import BAD_SIMPLEX, CLAMP_AT, random_schedule, random_simplex, random_stream
 from streamfuse.aemonitor import (
+    LOGIT_CLAMP,
     AeModel,
     FrontEnd,
     Layer,
@@ -281,7 +282,7 @@ class TestModelFiles:
         write_model(model, path)
         got = read_model(path)
         assert got.context == model.context
-        assert got.front_end.logit_clamp == model.front_end.logit_clamp
+        assert struct.unpack_from("<d", path.read_bytes(), CLAMP_AT) == (LOGIT_CLAMP,)
         np.testing.assert_array_equal(got.front_end.pca_mean, model.front_end.pca_mean)
         np.testing.assert_array_equal(got.front_end.pca_basis, model.front_end.pca_basis)
         assert len(got.layers) == len(model.layers)
@@ -539,7 +540,7 @@ class TestStreamHeader:
 
 def _small_model() -> AeModel:
     rng = np.random.default_rng(0)
-    front = FrontEnd(pca_mean=rng.normal(size=3), pca_basis=np.eye(3)[:, :2], logit_clamp=1e-3)
+    front = FrontEnd(pca_mean=rng.normal(size=3), pca_basis=np.eye(3)[:, :2])
     layers = [
         Layer(rng.normal(size=(4, 3)), rng.normal(size=3), "relu", (-1, 1)),
         Layer(rng.normal(size=(3, 2)), rng.normal(size=2), "linear", (0,)),
