@@ -18,7 +18,7 @@ import numpy as np
 
 from . import aemonitor, experiments, simulator, storage
 from .core import check_range
-from .errors import DivergedTraining, FormatError, SettingError, StreamFuseError
+from .errors import DimensionMismatch, DivergedTraining, FormatError, SettingError, StreamFuseError
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -170,18 +170,16 @@ def cmd_train_ae(args, parser) -> int:
 
 
 def _read_model(path, corpus: experiments.Corpus) -> aemonitor.AeModel | None:
-    """The model file at path (None for no path), once its class count is the corpus's."""
+    """The model file at path (None for no path), once experiments.check_model passes it."""
     if not path:
         return None
     try:
         model = storage.read_model(path)
+        experiments.check_model(model, corpus)
     except experiments._NO_FILE as e:
         raise experiments._missing(e, "there is no model to read") from None
-    except FormatError as e:
+    except (FormatError, DimensionMismatch) as e:
         raise type(e)(f"{path}: {e}") from None
-    C, want = model.front_end.num_classes, corpus.spec.num_classes
-    if C != want:
-        raise StreamFuseError(f"{path}: the model has {C} classes, the corpus {want}")
     return model
 
 

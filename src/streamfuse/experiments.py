@@ -37,14 +37,15 @@ by core.check_simplex, only when its utterance is taken from the corpus, so
 fuse_corpus and evaluate_corpus hold one utterance at a time in each process.
 fuse checks each schedule and fused stream, and the storage writers check
 every matrix before they write it.  This module alone decides a fusion's
-settings (method, window, model, n): check_settings and _frame_method
-check them, and _overlaps every utterance's overlap range under them (not
-load_corpus: train-ae reads only clean streams); fuse_corpus runs all three
-before it makes its directory.  Before the first utterance, evaluate_corpus
-runs them on each (method, n) pair and on each fused directory's fuse.cfg
-(read_written_config), checks its corpus hash, and checks every fused
-stream's shape, frame_offset (0) and stream_id (-1) by its header; it
-checks the header again, and the rows, as it reads it.
+settings (method, window, model, n): check_settings resolves and checks
+them in one call, check_model checks a model's class count, and _overlaps
+every utterance's overlap range under them (not load_corpus: train-ae
+reads only clean streams); fuse_corpus runs all three before it makes its
+directory.  Before the first utterance, evaluate_corpus runs them on each
+(method, n) pair, and check_settings on each fused directory's fuse.cfg
+(read_written_config; a FormatError naming it), checks its corpus hash,
+and checks every fused stream's shape, frame_offset (0) and stream_id (-1)
+by its header; it checks the header again, and the rows, as it reads it.
 
 Processes: write_corpus, fuse_corpus and evaluate_corpus run their
 utterances through _per_utterance, one process per CPU (_workers), forked
@@ -85,7 +86,8 @@ from .core import (
     overlap_range,
 )
 from .decoder import ErrorReport, HmmModel, combine_reports, score, viterbi_batch
-from .errors import FormatError, OverlapEmpty, SettingError, StreamFuseError, WindowTooShort
+from .errors import (DimensionMismatch, FormatError, OverlapEmpty, SettingError,
+                     StreamFuseError, WindowTooShort)
 
 
 def config_hash(pairs: dict) -> str:
@@ -102,7 +104,8 @@ def _config_text(path) -> str:
 
 
 def read_config_pairs(path) -> list[tuple[str, str]]:
-    """The (key, value) pairs of a key=value file, in file order, repeats kept.
+    """The (key, value) pairs of a key=value file, in file order, repeats kept
+    (a --config file's repeated key is a repeated flag).
 
     Text from "#" to the end of a line is a comment; blank lines are skipped.
     """
@@ -423,8 +426,7 @@ class Corpus(Sequence[simulator.Utterance]):
     def __getitem__(self, i: int) -> simulator.Utterance:
         u = range(len(self))[operator.index(i)]
         *streams, clean = self._streams(storage.read_stream, u, self.facts.profiles)
-        return simulator.Utterance(u, self._labels[u], clean, StreamSet(streams),
-                                   self.facts.oracle_stream)
+        return simulator.Utterance(u, self._labels[u], clean, StreamSet(streams))
 
     def clean_streams(self) -> list[PosteriorStream]:
         """Every utterance's clean stream, read and checked without its
@@ -498,50 +500,43 @@ def load_corpus(indir) -> Corpus:
     return corpus
 
 
-def _equal(aligned: StreamSet) -> AttentionSchedule:
+def _equal(aligned: StreamSet, *_) -> AttentionSchedule:
     M = aligned.num_streams
     return AttentionSchedule(np.full((aligned.streams[0].num_frames, M), 1.0 / M))
 
 
-def _oracle(aligned: StreamSet, oracle_stream) -> AttentionSchedule:
+def _oracle(aligned: StreamSet, oracle_stream: int, *_) -> AttentionSchedule:
     w = np.zeros((aligned.streams[0].num_frames, aligned.num_streams))
     w[:, oracle_stream] = 1.0
     return AttentionSchedule(w)
 
 
 # Each frame-wise fusion method: (schedule function, the setting it reads or
-# None).  Entries call the monitors through their modules.
+# None, which is also its flag's name).  Each function takes the aligned set,
+# the corpus's oracle stream, the window and the model; monitors are called
+# through their modules.
 FRAME_METHODS = {
     "equal": (_equal, None),
-    "entropy": (lambda a: measures.entropy_attention(a), None),
-    "m_measure": (lambda a, w: measures.binary_window_attention(a, w), "window"),
-    "delta_m": (lambda a, w: measures.binary_window_attention(a, w, delta=True), "window"),
-    "autoencoder": (lambda a, model: aemonitor.ae_attention(a, model), "model"),
-    "oracle": (_oracle, "oracle_stream"),
+    "entropy": (lambda a, o, w, m: measures.entropy_attention(a), None),
+    "m_measure": (lambda a, o, w, m: measures.binary_window_attention(a, w), "window"),
+    "delta_m": (lambda a, o, w, m: measures.binary_window_attention(a, w, delta=True), "window"),
+    "autoencoder": (lambda a, o, w, m: aemonitor.ae_attention(a, m), "model"),
+    "oracle": (_oracle, None),
 }
 FUSION_METHODS = (*FRAME_METHODS, "max_n")
 
 
-def _frame_method(method: str, n: int | None, num_streams: int) -> tuple[str, int | None]:
-    """The frame-wise method and the truncation n that method and n stand for
-    over num_streams streams: "max_n" is entropy truncated to n, 1 when n is
-    None.  An n outside [1, num_streams] raises SettingError."""
-    if method == "max_n":
-        method, n = "entropy", 1 if n is None else n
-    if method not in FRAME_METHODS:
+def check_settings(method: str, n: int | None = None, num_streams: int | float = math.inf, *,
+                   window=None, model=None) -> tuple[str, int | None]:
+    """The (frame method, n) pair that method and n stand for over num_streams
+    streams ("max_n" is entropy truncated to n, 1 when n is None).  Raises, in
+    order: StreamFuseError for an unknown method; SettingError for a window or
+    model the frame method does not read (the M-measures read the window, the
+    autoencoder the model) or a model it lacks, for a window too short for the
+    M-measure spans, for an n outside [1, num_streams].  None is not given."""
+    frame, n = ("entropy", 1 if n is None else n) if method == "max_n" else (method, n)
+    if frame not in FRAME_METHODS:
         raise StreamFuseError(f"unknown fusion method {method!r}")
-    if n is not None and not 1 <= n <= num_streams:
-        more = f"more than the corpus's {num_streams} streams" if n >= 1 else "less than 1"
-        raise SettingError("n", f"{n} is {more}")
-    return method, n
-
-
-def check_settings(method: str, *, window=None, model=None) -> None:
-    """Raise SettingError unless the frame-wise method that method stands
-    for reads every setting given and has the model it needs: window is read
-    by the M-measures (and must hold their spans), model by the autoencoder.
-    A window or model of None is not given."""
-    frame, _ = _frame_method(method, None, math.inf)  # n is checked by the caller
     _, reads = FRAME_METHODS[frame]
     for setting, value in (("window", window), ("model", model)):
         if value is not None and reads != setting:
@@ -552,31 +547,24 @@ def check_settings(method: str, *, window=None, model=None) -> None:
         measures.check_window(window)
     except ValueError as e:
         raise SettingError("window", f"{window}: {e}") from None
+    if n is not None and not 1 <= n <= num_streams:
+        more = f"more than the corpus's {num_streams} streams" if n >= 1 else "less than 1"
+        raise SettingError("n", f"{n} is {more}")
+    return frame, n
 
 
-def compute_schedule(
-    method: str,
-    aligned: StreamSet,
-    *,
-    model: aemonitor.AeModel | None = None,
-    oracle_stream: int | None = None,
-    window: int | None = None,
-) -> AttentionSchedule:
-    """Attention schedule for one aligned utterance under a frame-wise method,
-    which reads only its own setting.  max_n is not one: see _frame_method.
-    A model or oracle_stream of None that it reads raises SettingError (the
-    library's entries check every setting first); a window of None is the
-    utterance-level M-measure.
-    """
-    if method not in FRAME_METHODS:
-        raise StreamFuseError(f"{method!r} is not a frame-wise fusion method")
-    fn, reads = FRAME_METHODS[method]
-    if reads is None:
-        return fn(aligned)
-    value = {"model": model, "oracle_stream": oracle_stream, "window": window}[reads]
-    if value is None and reads != "window":
-        raise SettingError(reads, f"the {method} method needs it")
-    return fn(aligned, value)
+def check_model(model: aemonitor.AeModel | None, corpus: Corpus) -> None:
+    """Raise DimensionMismatch unless model (None: no model) has the corpus's class count."""
+    if model is not None and model.front_end.num_classes != corpus.spec.num_classes:
+        raise DimensionMismatch(f"the model has {model.front_end.num_classes} classes, "
+                                f"the corpus {corpus.spec.num_classes}")
+
+
+def compute_schedule(method: str, aligned: StreamSet, oracle_stream: int, *, window=None,
+                     model=None) -> AttentionSchedule:
+    """Attention schedule for one aligned utterance under a frame-wise method and
+    settings that check_settings passed (a window of None: the utterance-level M-measure)."""
+    return FRAME_METHODS[method][0](aligned, oracle_stream, window, model)
 
 
 def _overlaps(corpus: Corpus, truncations, window: int | None = None) -> list[tuple[int, int]]:
@@ -599,16 +587,17 @@ def _overlaps(corpus: Corpus, truncations, window: int | None = None) -> list[tu
     return overlaps
 
 
-def _fuse_utterance(utt, aligned: StreamSet, truncations, *, model=None, window=None):
-    """The schedules and the fused streams of utterance utt, aligned, under the
+def _fuse_utterance(aligned: StreamSet, oracle_stream: int, truncations, *, model=None,
+                    window=None):
+    """The schedules and the fused streams of one aligned utterance under the
     (frame method, n) pairs of truncations.
 
     Each distinct frame method's schedule is computed once, then truncated
     for each pair with an n.
     """
-    settings = {"model": model, "oracle_stream": utt.oracle_stream, "window": window}
     frames = dict.fromkeys(f for f, _ in truncations)
-    full = {f: compute_schedule(f, aligned, **settings) for f in frames}
+    full = {f: compute_schedule(f, aligned, oracle_stream, window=window, model=model)
+            for f in frames}
     scheds = [full[f] if n is None else n_best_truncate(full[f], n) for f, n in truncations]
     return scheds, [fuse(aligned, sched) for sched in scheds]
 
@@ -617,12 +606,12 @@ def fuse_corpus(corpus: Corpus, method: str, outdir, *, model: aemonitor.AeModel
                 window: int | None = None, n: int | None = None):
     """Fuse every utterance of a corpus and write the results.
 
-    Every setting (check_settings, _frame_method) and every utterance's
+    Every setting (check_settings, check_model) and every utterance's
     overlap (_overlaps) is checked before anything is written.  fuse.cfg is
     removed before the first utterance and written last.
     """
-    check_settings(method, window=window, model=model)
-    truncation = [_frame_method(method, n, corpus.spec.num_streams)]
+    truncation = [check_settings(method, n, corpus.spec.num_streams, window=window, model=model)]
+    check_model(model, corpus)
     _overlaps(corpus, truncation, window)
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -637,9 +626,9 @@ def fuse_corpus(corpus: Corpus, method: str, outdir, *, model: aemonitor.AeModel
     cfg = dict(zip(FUSE_KEYS, values, strict=True))
 
     def utterance(u: int) -> None:
-        utt = corpus[u]
-        aligned = align_streams(utt.streams)
-        [sched], [fused] = _fuse_utterance(utt, aligned, truncation, model=model, window=window)
+        aligned = align_streams(corpus[u].streams)
+        [sched], [fused] = _fuse_utterance(aligned, corpus.facts.oracle_stream, truncation,
+                                           model=model, window=window)
         storage.write_schedule(sched, outdir / f"utt{u:04d}.schd")
         storage.write_stream(fused, outdir / f"utt{u:04d}_fused.strm")
 
@@ -685,9 +674,8 @@ def _fused_name(fused_dir: Path, chash: str, num_streams: int) -> str:
             f"being scored has {chash}: fused from another corpus"
         )
     try:
-        check_settings(fcfg["method"], window=fcfg["window"] or None,
-                       model=fcfg["model_digest"] or None)
-        _frame_method(fcfg["method"], fcfg["n"] or None, num_streams)
+        check_settings(fcfg["method"], fcfg["n"] or None, num_streams,
+                       window=fcfg["window"] or None, model=fcfg["model_digest"] or None)
     except StreamFuseError as e:  # an unknown method, a SettingError
         raise FormatError(f"{path}: {e}") from None
     return _row_name(fcfg["method"], fcfg["n"])
@@ -712,10 +700,13 @@ def evaluate_corpus(
     full length.  Each utterance decodes every stream it needs in one
     Viterbi batch.  Every setting is checked before the first utterance;
     the model need not be read by every pair.  A fused directory given
-    twice (the same resolved path) is a SettingError on "fused".
+    twice (the same resolved path) is a SettingError on "fused", and no
+    baselines, fused directory or method a StreamFuseError.
     """
     M, C = corpus.spec.num_streams, len(corpus.hmm.priors)
     fused_dirs = [Path(d) for d in fused_dirs]
+    if not (baselines or fused_dirs or methods):
+        raise StreamFuseError("nothing to score: no baselines, fused directory or method")
     for i, d in enumerate(fused_dirs):
         if d.resolve() in (e.resolve() for e in fused_dirs[:i]):
             raise SettingError("fused", f"{d} is given twice")
@@ -723,10 +714,11 @@ def evaluate_corpus(
     chash = corpus_hash(corpus)
     names += [_fused_name(d, chash, M) for d in fused_dirs]
     names += [_row_name(method, n) for method, n in methods]
-    truncations = [_frame_method(method, n, M) for method, n in methods]
-    # One model serves every pair: each pair needs it or does not read it.
-    for frame, _ in truncations:
-        check_settings(frame, model=model if FRAME_METHODS[frame][1] == "model" else None)
+    # One model serves every pair: it is given to the pairs whose method reads it.
+    read_model = {f for f, (_, reads) in FRAME_METHODS.items() if reads == "model"}
+    truncations = [check_settings(method, n, M, model=model if method in read_model else None)
+                   for method, n in methods]
+    check_model(model, corpus)
     overlaps = _overlaps(corpus, truncations)
 
     def fused_stream(read, d: Path, u: int):
@@ -745,7 +737,8 @@ def evaluate_corpus(
         aligned = align_streams(utt.streams) if baselines or methods else None
         streams = [*aligned.streams, utt.clean] if baselines else []
         streams += [fused_stream(storage.read_stream, d, u) for d in fused_dirs]
-        streams += _fuse_utterance(utt, aligned, truncations, model=model)[1]
+        streams += _fuse_utterance(aligned, corpus.facts.oracle_stream, truncations,
+                                   model=model)[1]
         starts = [overlaps[u][0]] * len(streams)
         if baselines:
             starts[M] = 0  # the clean stream is scored on its full length

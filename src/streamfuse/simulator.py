@@ -203,7 +203,6 @@ class Utterance:
     labels: np.ndarray
     clean: PosteriorStream
     streams: StreamSet
-    oracle_stream: int
 
 
 _OFFSET_CYCLE = (0, 1, -1, 2, -2)
@@ -293,4 +292,4 @@ def simulate_utterance(spec: CorpusSpec, facts: CorpusFacts, u: int) -> Utteranc
                 prof, seed=[spec.seed, u, _KEY_CORRUPT + m])
         for m, prof in enumerate(facts.profiles)
     ]
-    return Utterance(u, labels, clean, StreamSet(streams), facts.oracle_stream)
+    return Utterance(u, labels, clean, StreamSet(streams))

@@ -308,7 +308,7 @@ def evaluate_methods_ref(corpus, methods, *, model=None):
         for utt in corpus:
             lo, _ = overlap_range(utt.streams)
             aligned = align_streams(utt.streams)
-            sched = compute_schedule(frame, aligned, oracle_stream=utt.oracle_stream, model=model)
+            sched = compute_schedule(frame, aligned, corpus.facts.oracle_stream, model=model)
             if keep is not None:
                 sched = n_best_truncate(sched, keep)
             reports += decode_reports_ref([fuse(aligned, sched)], utt.labels, corpus.hmm, start=lo)

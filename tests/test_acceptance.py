@@ -270,7 +270,7 @@ def test_criterion_6_window_selection(hrm_corpus):
     Competitors carry a heavy uniform mix (>=0.5) and long smear (>=9), so
     the selector must pick the clean stream on at least 90% of utterances.
     """
-    clean_index = hrm_corpus[0].oracle_stream
+    clean_index = hrm_corpus.facts.oracle_stream
     hits = 0
     for u in hrm_corpus:
         aligned = align_streams(u.streams)

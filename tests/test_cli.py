@@ -344,7 +344,7 @@ class TestFuse:
         out = tmp_path / "oracle"
         r = run("fuse", "--corpus", str(corpus), "--out", str(out), "--method", "oracle")
         assert r.returncode == 0, r.stderr
-        oracle = experiments.load_corpus(corpus)[0].oracle_stream
+        oracle = experiments.load_corpus(corpus).facts.oracle_stream
         w = storage.read_schedule(sorted(out.glob("*.schd"))[0]).weights
         assert np.all(w[:, oracle] == 1.0)
         assert np.all(np.delete(w, oracle, axis=1) == 0.0)

@@ -13,12 +13,13 @@ import numpy as np
 import pytest
 
 import reference as ref
-from conftest import random_stream_set
-from streamfuse import cli, experiments, measures, simulator
-from streamfuse.core import PosteriorStream, align_streams, overlap_range
+from conftest import random_simplex, random_stream_set
+from streamfuse import aemonitor, cli, experiments, measures, simulator
+from streamfuse.core import PosteriorStream, StreamSet, align_streams, overlap_range
 from streamfuse.decoder import score
 from streamfuse.decoder import make_hmm
 from streamfuse.errors import (
+    DimensionMismatch,
     FormatError,
     OverlapEmpty,
     SettingError,
@@ -52,13 +53,13 @@ def test_load_corpus_round_trips_the_scenario(written, hrm_corpus):
     spec, facts, outdir = written
     got = hrm_corpus
     assert (got.name, got.spec, got.facts.profiles) == ("hrm_like", spec, facts.profiles)
+    assert got.facts.oracle_stream == facts.oracle_stream
     np.testing.assert_array_equal(got.hmm.transitions, facts.hmm.transitions)
     np.testing.assert_array_equal(got.hmm.priors, facts.hmm.priors)
     assert [u.utt_id for u in got] == list(range(spec.num_utterances))
     for g in got:
         s = simulator.simulate_utterance(spec, facts, g.utt_id)
         np.testing.assert_array_equal(g.labels, s.labels)
-        assert g.oracle_stream == s.oracle_stream
         for gs, ss in zip([g.clean, *g.streams.streams], [s.clean, *s.streams.streams]):
             assert (gs.stream_id, gs.frame_offset) == (ss.stream_id, ss.frame_offset)
             np.testing.assert_allclose(gs.probs, ss.probs, rtol=1e-6, atol=1e-12)
@@ -128,22 +129,92 @@ def test_n_sweep_rows_equal_per_n_evaluation(hrm_corpus, method):
     assert [name for name, _ in got] == [f"{method}:n={n}" for _, n in sweep]
 
 
-def test_compute_schedule_takes_frame_wise_methods_only(hrm_corpus):
-    # max_n is a truncation; _frame_method resolves it and the caller truncates.
-    aligned = align_streams(hrm_corpus[0].streams)
-    with pytest.raises(StreamFuseError, match="'max_n' is not a frame-wise fusion method"):
-        experiments.compute_schedule("max_n", aligned)
+def test_check_settings_resolves_max_n_to_entropy_truncated_to_n():
+    # max_n is no frame-wise method: check_settings resolves it, the caller truncates.
+    assert "max_n" not in experiments.FRAME_METHODS
+    assert experiments.check_settings("max_n") == ("entropy", 1)
+    assert experiments.check_settings("max_n", 3, 5) == ("entropy", 3)
+    assert experiments.check_settings("entropy", None, 5) == ("entropy", None)
+    assert experiments.check_settings("m_measure", 2, 5, window=60) == ("m_measure", 2)
 
 
-@pytest.mark.parametrize("method, setting", [
-    ("autoencoder", "model"),
-    ("oracle", "oracle_stream"),
+def test_check_settings_needs_the_model_the_autoencoder_reads():
+    with pytest.raises(SettingError, match="^model: the autoencoder method needs it$") as e:
+        experiments.check_settings("autoencoder", 1, 5)
+    assert e.value.setting == "model"
+
+
+# One call checks a fusion in this order: the method, the settings it does
+# not read or lacks, the window's spans, then n.
+@pytest.mark.parametrize("method, window, model, message", [
+    ("nope", 1, object(), "unknown fusion method 'nope'"),
+    ("max_n", 1, object(), "window: the entropy method does not read it"),
+    ("autoencoder", None, None, "model: the autoencoder method needs it"),
+    ("delta_m", 1, None, r"window: 1: window must be >= max\(spans\) \+ 1"),
+    ("delta_m", 60, None, "n: 0 is less than 1"),
 ])
-def test_compute_schedule_needs_the_setting_its_method_reads(hrm_corpus, method, setting):
-    aligned = align_streams(hrm_corpus[0].streams)
-    with pytest.raises(SettingError, match=f"^{setting}: the {method} method needs it$") as e:
-        experiments.compute_schedule(method, aligned)
-    assert e.value.setting == setting
+def test_check_settings_checks_in_order(method, window, model, message):
+    with pytest.raises(StreamFuseError, match=f"^{message}$"):
+        experiments.check_settings(method, 0, 5, window=window, model=model)
+
+
+def _small_model(C: int, rng) -> aemonitor.AeModel:
+    """A C-class model with a 3-wide code and one hidden layer of 4."""
+    basis, _ = np.linalg.qr(rng.standard_normal((C, 3)))
+    front_end = aemonitor.FrontEnd(pca_mean=rng.standard_normal(C), pca_basis=basis)
+    layers = aemonitor.build_architecture(3, hidden_widths=(4,), rng=rng)
+    return aemonitor.AeModel(front_end, layers, (0, 0))
+
+
+def _monitor_schedule(method, aligned, oracle_stream, window, model):
+    """The schedule of method's monitor, called by hand."""
+    M = aligned.num_streams
+    if method == "equal":
+        return np.full((aligned.streams[0].num_frames, M), 1.0 / M)
+    if method == "entropy":
+        return measures.entropy_attention(aligned).weights
+    if method in ("m_measure", "delta_m"):
+        return measures.binary_window_attention(aligned, window,
+                                                delta=method == "delta_m").weights
+    if method == "autoencoder":
+        return aemonitor.ae_attention(aligned, model).weights
+    return np.eye(M)[[oracle_stream] * aligned.streams[0].num_frames]
+
+
+def _ranked_apart(rng, T: int = 130, C: int = 8) -> StreamSet:
+    """Three aligned streams that the M-measure and the delta M-measure, over
+    the utterance and over 60-frame windows, rank four ways.  Stream 0 varies
+    in its first 60 frames alone, with a fixed argmax, so its delta score is
+    0; stream 1 is uniform there and then moves its argmax every frame;
+    stream 2 sits near uniform throughout."""
+    steady = np.hstack([np.full((T, 1), 0.6), 0.4 * random_simplex(rng, T, C - 1)])
+    steady[60:] = steady[59]
+    moving = np.full((T, C), 1.0 / C)
+    moving[np.arange(60, T), np.arange(60, T) % C] += 0.1
+    mixed = 0.1 * random_simplex(rng, T, C) + 0.9 / C
+    rows = [steady, moving / moving.sum(axis=1, keepdims=True), mixed]
+    return StreamSet([PosteriorStream(p, stream_id=m) for m, p in enumerate(rows)])
+
+
+# Every frame-wise method at no window, and the M-measures at a 60-frame one.
+@pytest.mark.parametrize("method, window", [
+    *((method, None) for method in experiments.FRAME_METHODS),
+    ("m_measure", 60),
+    ("delta_m", 60),
+])
+def test_compute_schedule_is_the_monitors_own_schedule(hrm_corpus, rng, method, window):
+    _, reads = experiments.FRAME_METHODS[method]
+    aligned = _ranked_apart(rng)
+    ways = {measures.binary_window_attention(aligned, w, delta=d).weights.tobytes()
+            for w in (None, 60) for d in (False, True)}
+    assert len(ways) == 4
+    model = _small_model(8, rng)
+    settings = {"window": window, "model": model if reads == "model" else None}
+    # The corpus's oracle stream (0 in hrm_like), and another.
+    for oracle in (hrm_corpus.facts.oracle_stream, 2):
+        got = experiments.compute_schedule(method, aligned, oracle, **settings).weights
+        want = _monitor_schedule(method, aligned, oracle, window, model)
+        np.testing.assert_array_equal(got, want)
 
 
 @pytest.mark.parametrize("method", ["m_measure", "delta_m"])
@@ -152,7 +223,7 @@ def test_compute_schedule_reads_no_window_as_the_utterance_level_default(rng, me
     default = measures.binary_window_attention(aligned, delta=method == "delta_m")
     for settings in ({}, {"window": None}):
         np.testing.assert_array_equal(
-            experiments.compute_schedule(method, aligned, **settings).weights, default.weights
+            experiments.compute_schedule(method, aligned, 0, **settings).weights, default.weights
         )
 
 
@@ -207,6 +278,10 @@ def test_fuse_corpus_checks_n_and_window_before_any_output(hrm_corpus, tmp_path,
     assert not out.exists()
 
 
+def _no_utterances(*args):
+    pytest.fail("the step ran its utterances")
+
+
 @pytest.mark.parametrize("methods, message", [
     ([("autoencoder", 1)], "model: the autoencoder method needs it"),
     ([("entropy", 1), ("max_n", 6)], "n: 6 is more than the corpus's 5 streams"),
@@ -214,21 +289,39 @@ def test_fuse_corpus_checks_n_and_window_before_any_output(hrm_corpus, tmp_path,
 ], ids=["ae no model", "max_n n", "entropy n"])
 def test_evaluate_corpus_checks_every_pair_before_the_first_utterance(
         hrm_corpus, monkeypatch, methods, message):
-    def no_utterances(*args):
-        pytest.fail("evaluate_corpus ran its utterances")
-
-    monkeypatch.setattr(experiments, "_per_utterance", no_utterances)
+    monkeypatch.setattr(experiments, "_per_utterance", _no_utterances)
     with pytest.raises(SettingError, match=f"^{message}$"):
         experiments.evaluate_corpus(hrm_corpus, methods=methods)
+
+
+def test_evaluate_corpus_with_nothing_to_score_raises_before_any_work(hrm_corpus,
+                                                                       monkeypatch):
+    monkeypatch.setattr(experiments, "_per_utterance", _no_utterances)
+    with pytest.raises(StreamFuseError) as e:
+        experiments.evaluate_corpus(hrm_corpus, baselines=False, fused_dirs=(), methods=())
+    assert str(e.value) == "nothing to score: no baselines, fused directory or method"
+
+
+# A model over 6 classes that chains right; hrm_corpus has 8.  Both library
+# entries refuse it before any output or worker.
+@pytest.mark.parametrize("entry", ["fuse_corpus", "evaluate_corpus"])
+def test_a_model_of_another_class_count_is_refused_before_any_work(hrm_corpus, tmp_path, rng,
+                                                                   monkeypatch, entry):
+    model = _small_model(6, rng)
+    monkeypatch.setattr(experiments, "_per_utterance", _no_utterances)
+    out = tmp_path / "fused"
+    with pytest.raises(DimensionMismatch, match="^the model has 6 classes, the corpus 8$"):
+        if entry == "fuse_corpus":
+            experiments.fuse_corpus(hrm_corpus, "autoencoder", out, model=model)
+        else:
+            experiments.evaluate_corpus(hrm_corpus, methods=[("autoencoder", None)], model=model)
+    assert not out.exists()
 
 
 def test_evaluate_corpus_refuses_a_fused_dir_given_twice(hrm_corpus, fused_dirs, monkeypatch):
     # The same directory under another spelling is the same directory; two
     # different directories of the same settings are not refused here.
-    def no_utterances(*args):
-        pytest.fail("evaluate_corpus ran its utterances")
-
-    monkeypatch.setattr(experiments, "_per_utterance", no_utterances)
+    monkeypatch.setattr(experiments, "_per_utterance", _no_utterances)
     entropy, max_n = fused_dirs
     again = entropy / ".." / entropy.name
     with pytest.raises(SettingError, match=f"^fused: {re.escape(str(again))} is given twice$") as e:
@@ -290,10 +383,7 @@ def test_fuse_corpus_checks_the_window_fit_only_for_a_method_that_reads_it(uneve
 ], ids=["short", "no overlap"])
 def test_evaluate_corpus_checks_every_utterance_before_the_first(uneven, monkeypatch, frames,
                                                                  methods, error, message):
-    def no_utterances(*args):
-        pytest.fail("evaluate_corpus ran its utterances")
-
-    monkeypatch.setattr(experiments, "_per_utterance", no_utterances)
+    monkeypatch.setattr(experiments, "_per_utterance", _no_utterances)
     with pytest.raises(error) as e:
         experiments.evaluate_corpus(uneven[frames], methods=methods)
     assert str(e.value) == message
